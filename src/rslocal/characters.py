@@ -31,8 +31,6 @@ __all__ = [
     "sym_power_decompose",
     "pieri_tensor",
     "sym_power_spin_closed",
-    "b2_cache_items",
-    "b2_cache_load",
 ]
 
 # Exponents are packed into one int so that integer comparison of keys agrees
@@ -80,18 +78,6 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, t: int, d1: int, d2: int, coeff: int = 1) -> "LaurentPoly":
         return cls({_pack(t, d1, d2): coeff}) if coeff else cls({})
-
-    @classmethod
-    def from_terms(cls, terms) -> "LaurentPoly":
-        c: dict[int, int] = {}
-        for (t, d1, d2), coeff in terms:
-            k = _pack(t, d1, d2)
-            v = c.get(k, 0) + coeff
-            if v:
-                c[k] = v
-            else:
-                c.pop(k, None)
-        return cls(c)
 
     # -- inspection ---------------------------------------------------------
 
@@ -419,12 +405,6 @@ class VirtualCharacter:
             total = total + product_char(m, a, b).scaled(c)
         return total
 
-    def evaluate(self, t: Fraction, y1: Fraction, y2: Fraction) -> Fraction:
-        return sum(
-            (c * product_char(*w).evaluate(t, y1, y2) for w, c in self._m.items()),
-            Fraction(0),
-        )
-
     def __repr__(self) -> str:
         if not self._m:
             return "VirtualCharacter(0)"
@@ -579,29 +559,3 @@ def sym_power_spin_closed(power: int) -> VirtualCharacter:
             out[w] = out.get(w, 0) + 1
         j -= 2
     return VirtualCharacter(out)
-
-
-# ---------------------------------------------------------------------------
-# Cache persistence hooks (file format owned by the cli module).
-
-
-def b2_cache_items() -> list[tuple[tuple[int, int], list[tuple[int, int, int]]]]:
-    out = []
-    for (a, b), poly in sorted(_B2_CACHE.items()):
-        terms = sorted((d1, d2, c) for (t, d1, d2), c in poly.items())
-        out.append(((a, b), terms))
-    return out
-
-
-def b2_cache_load(entries) -> int:
-    loaded = 0
-    for (a, b), terms in entries:
-        key = (int(a), int(b))
-        if key in _B2_CACHE:
-            continue
-        poly = LaurentPoly.from_terms(
-            ((0, int(d1), int(d2)), int(c)) for d1, d2, c in terms
-        )
-        _B2_CACHE[key] = poly
-        loaded += 1
-    return loaded

@@ -2,21 +2,17 @@
 
 Exit status: 0 when every check passes, 1 when any check fails, 2 for
 configuration errors.  A JSON config file may supply any flag's value;
-explicit flags win.  The character cache path may also come from the
-RSLOCAL_CACHE environment variable.
+explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
-from .suites import SUITES, CheckConfig, emit_report, load_cache, run_suite, save_cache
-
-CACHE_ENV = "RSLOCAL_CACHE"
+from .suites import SUITES, CheckConfig, emit_report, run_suite
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -73,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="seed for the randomized sweeps")
     parser.add_argument("--format", choices=("text", "json"), default=None, dest="fmt")
-    parser.add_argument("--cache", default=None, help="character cache file path")
     parser.add_argument(
         "--no-timing",
         action="store_true",
@@ -84,13 +79,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_satake(pt) -> tuple[Fraction, Fraction, Fraction]:
+    coords = tuple(Fraction(str(c)) for c in pt)
+    if len(coords) != 3:
+        raise ValueError("expected three coordinates t,y1,y2, got %r" % (pt,))
+    return coords
+
+
+# config-file key -> conversion of its JSON value
 _CONFIG_KEYS = {
     "deg_u": int,
     "deg_v": int,
     "radius": int,
+    "primes": lambda value: tuple(int(v) for v in value),
+    "sw": lambda value: tuple((int(s), int(w)) for s, w in value),
+    "satake": lambda value: tuple(_config_satake(pt) for pt in value),
     "seed": int,
     "format": str,
-    "cache": str,
     "no_timing": bool,
 }
 
@@ -106,18 +111,12 @@ def _merge_config(args) -> CheckConfig:
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
         for key, value in raw.items():
-            if key in _CONFIG_KEYS:
-                file_values[key] = _CONFIG_KEYS[key](value)
-            elif key == "primes":
-                file_values["primes"] = tuple(int(v) for v in value)
-            elif key == "sw":
-                file_values["sw"] = tuple((int(s), int(w)) for s, w in value)
-            elif key == "satake":
-                file_values["satake"] = tuple(
-                    tuple(Fraction(str(c)) for c in pt) for pt in value
-                )
-            else:
+            if key not in _CONFIG_KEYS:
                 raise ValueError("unknown config key %r" % key)
+            try:
+                file_values[key] = _CONFIG_KEYS[key](value)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError("config key %r: %s" % (key, exc))
 
     def pick(flag, key, default):
         if flag is not None:
@@ -126,9 +125,6 @@ def _merge_config(args) -> CheckConfig:
             return file_values[key]
         return default
 
-    cache = pick(args.cache, "cache", None)
-    if cache is None:
-        cache = os.environ.get(CACHE_ENV) or None
     return CheckConfig(
         suite=args.suite,
         deg_u=pick(args.deg_u, "deg_u", 8),
@@ -138,7 +134,6 @@ def _merge_config(args) -> CheckConfig:
         sw_points=tuple(pick(args.sw, "sw", ((2, 9), (3, 11)))),
         satake_points=pick(args.satake, "satake", None),
         seed=pick(args.seed, "seed", 0),
-        cache_path=cache,
         fmt=pick(args.fmt, "format", "text"),
         no_timing=bool(pick(args.no_timing, "no_timing", False)),
     )
@@ -157,14 +152,7 @@ def main(argv=None) -> int:
         for err in errors:
             print("config error: %s" % err, file=sys.stderr)
         return 2
-    if cfg.cache_path:
-        load_cache(cfg.cache_path)
     reports = run_suite(cfg)
-    if cfg.cache_path:
-        try:
-            save_cache(cfg.cache_path)
-        except OSError as exc:
-            print("warning: cannot save cache: %s" % exc, file=sys.stderr)
     sys.stdout.write(emit_report(reports, cfg))
     return 0 if all(r.status == "pass" for r in reports) else 1
 

@@ -23,6 +23,7 @@ __all__ = [
     "UVPoly",
     "valuation",
     "mat_mul",
+    "rref",
     "mat_inv",
     "torus_element",
     "u_element",
@@ -60,12 +61,6 @@ class TorusValuations(NamedTuple):
     a: int
     b: int
     c: int
-
-    @classmethod
-    def make(cls, a: int, b: int, c: int) -> "TorusValuations":
-        if min(a, b, c) < 0:
-            raise ValueError("torus valuations must be nonnegative")
-        return cls(a, b, c)
 
 
 def _ppow(p: int, e: int) -> Fraction:
@@ -127,21 +122,32 @@ def mat_mul(A, B):
     )
 
 
-def mat_inv(A):
-    n = len(A)
-    aug = [list(map(Fraction, A[i])) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
+def rref(rows):
+    """Reduced row echelon form over Q: the nonzero rows, pivots scaled to 1."""
+    mat = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [v * inv for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return tuple(tuple(r) for r in mat[:rank])
+
+
+def mat_inv(A):
+    """Inverse over Q: reduce [A | I]; A is singular unless the left block is I."""
+    n = len(A)
+    reduced = rref([tuple(A[i]) + tuple(int(i == j) for j in range(n)) for i in range(n)])
+    if any(row[j] != int(i == j) for i, row in enumerate(reduced) for j in range(n)):
+        raise ValueError("singular matrix")
+    return tuple(row[n:] for row in reduced)
 
 
 _G5 = gamma5_matrix()
@@ -611,11 +617,6 @@ def fpsi_brute(cfg: PadicConfig, tv: TorusValuations, s: int, w: int) -> Fractio
         total += _spsi(p, vx) * _ppow(p, -t_z) * cell_value(vx, None)
     total += _ppow(p, -t_x) * _ppow(p, -t_z) * cell_value(None, None)
     return zeta_pref * _ppow(p, const_exp) * total
-
-
-def fpsi_closed_value(tv: TorusValuations, p: int, s: int, w: int) -> Fraction:
-    """fpsi_closed specialized at U = p^(2-w), V = p^(-s)."""
-    return fpsi_closed(tv).evaluate(_ppow(p, -(w - 2)), _ppow(p, -s))
 
 
 def torus_term(tv: TorusValuations, deg_u: int, deg_v: int) -> BiSeries:

@@ -22,6 +22,7 @@ __all__ = [
     "BiSeries",
     "RationalBiSeries",
     "SatakePoint",
+    "first_mismatch",
     "geometric_series",
     "series_from_univariate",
     "local_integral_series",
@@ -100,15 +101,6 @@ class BiSeries:
             and self._c == other._c
         )
 
-    def first_mismatch(self, other: "BiSeries"):
-        """Smallest box position whose coefficients differ, or None."""
-        keys = sorted(set(self._c) | set(other._c))
-        for key in keys:
-            a, b = self.get(*key), other.get(*key)
-            if a != b:
-                return key, a, b
-        return None
-
     def __add__(self, other: "BiSeries") -> "BiSeries":
         du, dv = min(self.deg_u, other.deg_u), min(self.deg_v, other.deg_v)
         out = {}
@@ -133,13 +125,6 @@ class BiSeries:
                 out[(i, j)] = prod if cur is None else cur + prod
         return BiSeries(du, dv, out)
 
-    def times_monomial_shift(self, su: int, sv: int) -> "BiSeries":
-        out = {}
-        for (i, j), v in self._c.items():
-            if i + su <= self.deg_u and j + sv <= self.deg_v:
-                out[(i + su, j + sv)] = v
-        return BiSeries(self.deg_u, self.deg_v, out)
-
     def times_geometric(self, step_u: int, step_v: int) -> "BiSeries":
         """Multiply by the truncated geometric series in U^step_u V^step_v."""
         if step_u < 0 or step_v < 0 or step_u + step_v == 0:
@@ -153,6 +138,19 @@ class BiSeries:
                 out[key] = v if cur is None else cur + v
                 n += 1
         return BiSeries(self.deg_u, self.deg_v, out)
+
+
+def first_mismatch(lhs, rhs):
+    """Smallest box position where two series' coefficients differ, or None.
+
+    Serves BiSeries and RationalBiSeries alike: returns (key, lhs value,
+    rhs value).
+    """
+    for key in sorted(set(lhs._c) | set(rhs._c)):
+        a, b = lhs.get(*key), rhs.get(*key)
+        if a != b:
+            return key, a, b
+    return None
 
 
 def geometric_series(step_u: int, step_v: int, deg_u: int, deg_v: int) -> BiSeries:

@@ -16,8 +16,6 @@ __all__ = ["CheckConfig", "CheckReport", "SUITES", "run_suite", "emit_report"]
 SUITES = ("characters", "pieri", "coeffs", "padic", "orbits", "chain", "all")
 
 REPORT_VERSION = 1
-CACHE_FORMAT = "rslocal-b2-cache"
-CACHE_VERSION = 1
 
 
 @dataclass
@@ -30,7 +28,6 @@ class CheckConfig:
     sw_points: tuple = ((2, 9), (3, 11))
     satake_points: tuple | None = None
     seed: int = 0
-    cache_path: str | None = None
     fmt: str = "text"
     no_timing: bool = False
 
@@ -135,7 +132,7 @@ def _run_check(reports: list, check_id: str, params: dict, fn):
 
 
 def _series_mismatch(lhs, rhs):
-    diff = lhs.first_mismatch(rhs)
+    diff = series.first_mismatch(lhs, rhs)
     if diff is None:
         return True
     key, a, b = diff
@@ -648,11 +645,9 @@ def _suite_chain(cfg: CheckConfig, reports: list):
     points = cfg.resolved_satake()
     for n, pt in enumerate(points):
         def spec_eq(pt=pt):
-            lhs = series.specialize(get("local"), pt)
-            rhs = series.specialize(get("lfactor"), pt)
-            if lhs != rhs:
-                return (False, "differs at %r" % (pt,), None)
-            return True
+            return _series_mismatch(
+                series.specialize(get("local"), pt), series.specialize(get("lfactor"), pt)
+            )
 
         _run_check(
             reports,
@@ -710,10 +705,9 @@ def run_suite(cfg: CheckConfig) -> list[CheckReport]:
     return reports
 
 
-def emit_report(reports: list[CheckReport], cfg: CheckConfig, fmt: str | None = None, no_timing: bool | None = None) -> str:
-    fmt = cfg.fmt if fmt is None else fmt
-    no_timing = cfg.no_timing if no_timing is None else no_timing
-    if fmt == "json":
+def emit_report(reports: list[CheckReport], cfg: CheckConfig) -> str:
+    no_timing = cfg.no_timing
+    if cfg.fmt == "json":
         doc = {
             "version": REPORT_VERSION,
             "config": cfg.as_dict(),
@@ -734,35 +728,3 @@ def emit_report(reports: list[CheckReport], cfg: CheckConfig, fmt: str | None = 
     passed = sum(1 for r in reports if r.status == "pass")
     lines.append("%d/%d checks passed" % (passed, len(reports)))
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Character cache persistence (the cache file format lives here).
-
-
-def load_cache(path: str) -> int:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        return 0
-    if doc.get("format") != CACHE_FORMAT or doc.get("version") != CACHE_VERSION:
-        return 0
-    try:
-        entries = [((a, b), terms) for (a, b), terms in doc["entries"]]
-        return characters.b2_cache_load(entries)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return 0
-
-
-def save_cache(path: str) -> int:
-    entries = characters.b2_cache_items()
-    doc = {
-        "format": CACHE_FORMAT,
-        "version": CACHE_VERSION,
-        "entries": [[list(key), [list(t) for t in terms]] for key, terms in entries],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-    return len(entries)

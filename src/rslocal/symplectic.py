@@ -575,7 +575,7 @@ def gamma5_check() -> bool:
     carries <f1, f2> to <f1+f3, e1-e3> and <f1, f2, f3> to
     <f1+f3, e1-e3, f2>.
     """
-    from .padic import GAMMA5_ROWS, J_STD, similitude
+    from .padic import GAMMA5_ROWS, J_STD, rref, similitude
 
     rows = [tuple(Fraction(v) for v in r) for r in GAMMA5_ROWS]
 
@@ -609,26 +609,6 @@ def gamma5_check() -> bool:
             )
         return imgs
 
-    def same_span(rows_a, rows_b):
-        def rref(rows):
-            mat = [list(r) for r in rows]
-            rank = 0
-            for col in range(_N):
-                piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-                if piv is None:
-                    continue
-                mat[rank], mat[piv] = mat[piv], mat[rank]
-                inv = 1 / mat[rank][col]
-                mat[rank] = [v * inv for v in mat[rank]]
-                for r in range(len(mat)):
-                    if r != rank and mat[r][col]:
-                        f = mat[r][col]
-                        mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-                rank += 1
-            return tuple(tuple(r) for r in mat[:rank] if any(r))
-
-        return rref(rows_a) == rref(rows_b)
-
     f1q = tuple(Fraction(v) for v in F1)
     f2q = tuple(Fraction(v) for v in F2)
     f3q = tuple(Fraction(v) for v in F3)
@@ -636,8 +616,8 @@ def gamma5_check() -> bool:
     e3q = tuple(Fraction(v) for v in E3)
     f13 = tuple(a + b for a, b in zip(f1q, f3q))
     e1m3 = tuple(a - b for a, b in zip(e1q, e3q))
-    if not same_span(span_image([f1q, f2q]), [f13, e1m3]):
+    if rref(span_image([f1q, f2q])) != rref([f13, e1m3]):
         return False
-    if not same_span(span_image([f1q, f2q, f3q]), [f13, e1m3, f2q]):
+    if rref(span_image([f1q, f2q, f3q])) != rref([f13, e1m3, f2q]):
         return False
     return True

@@ -1,12 +1,13 @@
-"""CLI behavior: determinism, exit codes, report schema, cache handling."""
+"""CLI behavior: determinism, exit codes, report schema, config handling."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from rslocal import cli, suites
-from rslocal.characters import char_B2
-from rslocal.suites import CheckConfig, CheckReport, emit_report, run_suite
+from rslocal.series import RationalBiSeries
+from rslocal.suites import CheckConfig, CheckReport, emit_report
 
 
 def run_main(capsys, argv):
@@ -103,55 +104,40 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     assert doc["config"]["radius"] == 2
 
 
-def test_cache_round_trip(tmp_path, capsys):
-    path = tmp_path / "chars.json"
-    code, _, _ = run_main(
-        capsys,
-        ["characters", "--cache", str(path), "--no-timing"],
-    )
-    assert code == 0 and path.exists()
-    doc = json.loads(path.read_text())
-    assert doc["format"] == suites.CACHE_FORMAT
-    assert doc["version"] == suites.CACHE_VERSION
-    assert doc["entries"]
-    # dropping an entry from the live table and reloading restores it
-    from rslocal import characters
-
-    key = tuple(doc["entries"][0][0])
-    characters._B2_CACHE.pop(key, None)
-    assert suites.load_cache(str(path)) >= 1
-    loaded = sorted((d1, d2, c) for (_, d1, d2), c in char_B2(*key).items())
-    characters._B2_CACHE.pop(key, None)
-    recomputed = sorted((d1, d2, c) for (_, d1, d2), c in char_B2(*key).items())
-    assert loaded == recomputed
-    # a bumped version is ignored
-    doc["version"] = suites.CACHE_VERSION + 1
+@pytest.mark.parametrize(
+    "doc",
+    [{"primes": 5}, {"radius": None}, {"satake": [[1, 2]]}],
+    ids=["primes-not-a-list", "radius-null", "satake-two-coordinates"],
+)
+def test_bad_config_value_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    assert suites.load_cache(str(path)) == 0
+    code, out, err = run_main(capsys, ["chain", "--config", str(path), "--no-timing"])
+    assert code == 2
+    assert out == ""
+    assert "config error:" in err
 
 
-def test_cache_env_override(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "env-cache.json"
-    monkeypatch.setenv(cli.CACHE_ENV, str(path))
+def test_character_cache_is_gone(tmp_path, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["characters", "--cache", "x"])
+    assert err.value.code == 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"cache": "x"}))
+    code, _, err = run_main(capsys, ["characters", "--config", str(path)])
+    assert code == 2
+    assert "unknown config key 'cache'" in err
+    cache = tmp_path / "env-cache.json"
+    monkeypatch.setenv("RSLOCAL_CACHE", str(cache))
     code, _, _ = run_main(capsys, ["characters", "--no-timing"])
     assert code == 0
-    assert path.exists()
+    assert not cache.exists()
 
 
-def test_cache_contents_match_live_table(tmp_path):
-    from rslocal.characters import b2_cache_items
-
-    cfg = CheckConfig(suite="characters", no_timing=True)
-    run_suite(cfg)
-    path = tmp_path / "c.json"
-    suites.save_cache(str(path))
-    doc = json.loads(path.read_text())
-    live = {tuple(key): terms for key, terms in
-            (((a, b), [list(t) for t in terms]) for (a, b), terms in b2_cache_items())}
-    stored = {tuple(key): terms for key, terms in doc["entries"]}
-    assert stored == live
-    # a cached entry reproduces the character exactly
-    a, b = next(iter(stored))
-    poly = char_B2(a, b)
-    want = sorted([d1, d2, c] for (_, d1, d2), c in poly.items())
-    assert sorted(stored[(a, b)]) == want
+def test_series_mismatch_names_first_differing_coefficient():
+    lhs = RationalBiSeries(1, 1, {(0, 1): Fraction(1, 2), (1, 1): Fraction(3)})
+    rhs = RationalBiSeries(1, 1, {(0, 1): Fraction(2), (1, 1): Fraction(5)})
+    assert suites._series_mismatch(lhs, rhs) == (
+        False, "U^0 V^1: %r" % Fraction(1, 2), repr(Fraction(2))
+    )
+    assert suites._series_mismatch(lhs, lhs) is True

@@ -21,12 +21,14 @@ from rslocal.padic import (
     integral_max_brute,
     integral_psi_max,
     integral_psi_max_brute,
+    mat_inv,
     mat_mul,
     similitude,
     torus_element,
     torus_term,
     torus_term_sum,
     u_element,
+    rref,
     valuation,
 )
 from rslocal.series import local_integral_series
@@ -82,6 +84,15 @@ def test_det_norms_vs_minors_seeded():
             got = (bottom_minor_norm(g, 3, p), bottom_minor_norm(g, 2, p))
             want = det_norms_closed(TorusValuations(a, b, c), x, y, z, p)
             assert got == want, (p, (a, b, c), (xv, yv, zv))
+
+
+def test_rref_and_mat_inv():
+    # rref drops dependent rows and scales pivots to 1
+    assert rref([(2, 4, 0), (1, 2, 0), (0, 0, 3)]) == ((1, 2, 0), (0, 0, 1))
+    g = mat_mul(u_element(Fraction(1, 2), 3, -1), torus_element(2, Fraction(1, 3), 5))
+    assert mat_mul(g, mat_inv(g)) == identity6()
+    with pytest.raises(ValueError):
+        mat_inv([[1, 2], [2, 4]])
 
 
 def test_section_identity_and_gamma5():
