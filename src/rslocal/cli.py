@@ -79,24 +79,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_type(kind, what: str):
+    """A config conversion that accepts only JSON values of one type."""
+
+    def check(value):
+        # a JSON true is a Python int, but not an integer option value
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise TypeError("expected %s, got %s" % (what, json.dumps(value)))
+        return value
+
+    return check
+
+
+_config_int = _json_type(int, "an integer")
+_config_list = _json_type(list, "a list")
+
+
+def _config_pair(value) -> tuple[int, int]:
+    if len(_config_list(value)) != 2:
+        raise ValueError("expected two integers s,w, got %s" % json.dumps(value))
+    return _config_int(value[0]), _config_int(value[1])
+
+
 def _config_satake(pt) -> tuple[Fraction, Fraction, Fraction]:
-    coords = tuple(Fraction(str(c)) for c in pt)
+    coords = tuple(Fraction(str(c)) for c in _config_list(pt))
     if len(coords) != 3:
         raise ValueError("expected three coordinates t,y1,y2, got %r" % (pt,))
     return coords
 
 
-# config-file key -> conversion of its JSON value
+# config-file key -> check and conversion of its JSON value
 _CONFIG_KEYS = {
-    "deg_u": int,
-    "deg_v": int,
-    "radius": int,
-    "primes": lambda value: tuple(int(v) for v in value),
-    "sw": lambda value: tuple((int(s), int(w)) for s, w in value),
-    "satake": lambda value: tuple(_config_satake(pt) for pt in value),
-    "seed": int,
-    "format": str,
-    "no_timing": bool,
+    "deg_u": _config_int,
+    "deg_v": _config_int,
+    "radius": _config_int,
+    "primes": lambda value: tuple(_config_int(v) for v in _config_list(value)),
+    "sw": lambda value: tuple(_config_pair(pt) for pt in _config_list(value)),
+    "satake": lambda value: tuple(_config_satake(pt) for pt in _config_list(value)),
+    "seed": _config_int,
+    "format": _json_type(str, "a string"),
+    "no_timing": _json_type(bool, "true or false"),
 }
 
 
@@ -135,7 +157,7 @@ def _merge_config(args) -> CheckConfig:
         satake_points=pick(args.satake, "satake", None),
         seed=pick(args.seed, "seed", 0),
         fmt=pick(args.fmt, "format", "text"),
-        no_timing=bool(pick(args.no_timing, "no_timing", False)),
+        no_timing=pick(args.no_timing, "no_timing", False),
     )
 
 

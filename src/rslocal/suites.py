@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -106,29 +107,35 @@ class CheckReport:
 
 
 def _run_check(reports: list, check_id: str, params: dict, fn):
-    """Run one check body; any exception or mismatch becomes a failure."""
+    """Run one check body.
+
+    A mismatch is a failure (``fail``); an exception is an ``error``, with
+    the exception type and message as ``lhs`` and its innermost frame
+    (``file:line in function``) as ``rhs``.
+    """
     start = time.monotonic()
     try:
         outcome = fn()
-    except Exception as exc:  # a falsification signal, not a crash
-        outcome = (False, "exception: %r" % (exc,), None)
-    elapsed = int((time.monotonic() - start) * 1000)
-    if outcome is True or outcome is None:
-        ok, lhs, rhs = True, None, None
-    elif outcome is False:
-        ok, lhs, rhs = False, "mismatch", None
+    except Exception as exc:  # a bug or a bad input, not a mathematical mismatch
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        status = "error"
+        lhs = "%s: %s" % (type(exc).__name__, exc)
+        rhs = "%s:%d in %s" % (os.path.basename(code.co_filename), tb.tb_lineno, code.co_name)
     else:
+        if outcome is True or outcome is None:
+            outcome = (True, None, None)
+        elif outcome is False:
+            outcome = (False, None, None)
         ok, lhs, rhs = outcome
-    reports.append(
-        CheckReport(
-            check_id,
-            params,
-            "pass" if ok else "fail",
-            None if ok else (lhs if lhs is not None else "mismatch"),
-            None if ok else (rhs if rhs is not None else None),
-            elapsed,
-        )
-    )
+        if ok:
+            status, lhs, rhs = "pass", None, None
+        else:
+            status, lhs = "fail", "mismatch" if lhs is None else lhs
+    elapsed = int((time.monotonic() - start) * 1000)
+    reports.append(CheckReport(check_id, params, status, lhs, rhs, elapsed))
 
 
 def _series_mismatch(lhs, rhs):
@@ -266,12 +273,16 @@ def _coeff_grid(radius: int):
 
 def _suite_coeffs(cfg: CheckConfig, reports: list):
     r = cfg.radius
-    npts = (r + 1) ** 5
+    # the grid points in a branch; parity compares only those where m and n are nonzero
+    points = [
+        (x, y, a, b, c)
+        for x, y, a, b, c in _coeff_grid(r)
+        if coeffs.in_first_branch(a, c) or coeffs.in_second_branch(a, b, c)
+    ]
+    npts = len(points)
 
     def m_pair():
-        for x, y, a, b, c in _coeff_grid(r):
-            if not (coeffs.in_first_branch(a, c) or coeffs.in_second_branch(a, b, c)):
-                continue
+        for x, y, a, b, c in points:
             mc, mb = coeffs.m_closed(x, y, a, b, c), coeffs.m_brute(x, y, a, b, c)
             if mc != mb:
                 return (False, "(%d,%d,%d,%d,%d): %d" % (x, y, a, b, c, mc), str(mb))
@@ -280,9 +291,7 @@ def _suite_coeffs(cfg: CheckConfig, reports: list):
     _run_check(reports, "coeffs/m-closed-vs-brute", {"radius": r, "comparisons": npts}, m_pair)
 
     def n_pair():
-        for x, y, a, b, c in _coeff_grid(r):
-            if not (coeffs.in_first_branch(a, c) or coeffs.in_second_branch(a, b, c)):
-                continue
+        for x, y, a, b, c in points:
             cap = max(30, coeffs.n_brute_required_cap(x, y, a, b, c))
             ni = coeffs.n_interval(x, y, a, b, c)
             nb = coeffs.n_brute(x, y, a, b, c, cap)
@@ -298,9 +307,7 @@ def _suite_coeffs(cfg: CheckConfig, reports: list):
     )
 
     def m_vs_n():
-        for x, y, a, b, c in _coeff_grid(r):
-            if not (coeffs.in_first_branch(a, c) or coeffs.in_second_branch(a, b, c)):
-                continue
+        for x, y, a, b, c in points:
             mc, ni = coeffs.m_closed(x, y, a, b, c), coeffs.n_interval(x, y, a, b, c)
             if mc != ni:
                 return (False, "(%d,%d,%d,%d,%d): %d" % (x, y, a, b, c, mc), str(ni))
@@ -310,10 +317,8 @@ def _suite_coeffs(cfg: CheckConfig, reports: list):
 
     def parity():
         # the two parity rules, written per their own branch conventions
-        for x, y, a, b, c in _coeff_grid(r):
+        for x, y, a, b, c in points:
             first = coeffs.in_first_branch(a, c)
-            if not (first or coeffs.in_second_branch(a, b, c)):
-                continue
             if coeffs.m_closed(x, y, a, b, c) == 0:
                 continue
             if coeffs.n_interval(x, y, a, b, c) == 0:
@@ -588,8 +593,7 @@ def _suite_orbits(cfg: CheckConfig, reports: list):
         _run_check(reports, "orbits/stab5-q%d" % q, {"q": q}, stab)
 
     def h_order():
-        mul = lambda A, B: symplectic.mat_mul_q(A, B, 2)
-        closure = symplectic.group_closure(symplectic.h_generators(2), mul, limit=10000)
+        closure = symplectic.flag_space(2).group_elements()
         want = symplectic.h_group_order(2)
         if len(closure) != want:
             return (False, str(len(closure)), str(want))
@@ -720,7 +724,7 @@ def emit_report(reports: list[CheckReport], cfg: CheckConfig) -> str:
     for r in reports:
         timing = "" if no_timing else "  %10d" % r.elapsed_ms
         lines.append("%-*s  %-6s%s" % (width, r.check_id, r.status, timing))
-        if r.status == "fail":
+        if r.status in ("fail", "error"):
             if r.lhs is not None:
                 lines.append("    lhs: %s" % r.lhs)
             if r.rhs is not None:

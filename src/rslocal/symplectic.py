@@ -1,22 +1,45 @@
-"""Isotropic flag orbits for the product group inside Sp6 over F_2 and F_3.
+"""Isotropic flag orbits for the product group inside GSp6 over F_2 and F_3.
 
-Everything is plain tuple arithmetic mod q.  A flag is canonicalized as the
-pair (rref of the plane, rref of the 3-space), which is the unique orbit
-key; the group acts on the right of row vectors.
+The orbit work runs on one indexed flag space per q, ``flag_space(q)``,
+built on first use and memoized (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, ch. 4):
+
+* a vector of F_q^6 is the integer whose base-q digits are its coordinates,
+  the first coordinate most significant, with addition and scalar tables;
+* each Lagrangian (isotropic 3-space) and each isotropic plane has an id,
+  its rref basis and the set of its nonzero vectors, built once per
+  subspace: the Lagrangians come from the rref enumeration, the planes from
+  the 2-dimensional coefficient subspaces of each Lagrangian;
+* a flag is a (plane id, Lagrangian id) pair with a flag index, and its
+  ``FlagState`` is the pair of rref bases;
+* each generator of ``h_generators(q)`` has a vector table (v -> vg), the
+  rows of its inverse, and the permutation of the flags that it induces
+  through its permutations of the planes and the Lagrangians.
+
+A group element is the 6-tuple of the indices of its rows, so right
+multiplication by a generator is six table lookups.  The orbit search, the
+transversal and Schreier step of the fifth stabilizer, the closure of the
+whole group at q = 2 and the orbit predicates all run on these integers.
+The tuple definitions (``rref_q``, ``make_flag``, ``flag_apply``,
+``mat_mul_q``) are the reference the tests compare the tables with.  The
+group acts on the right of row vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 from typing import NamedTuple
 
 __all__ = [
+    "FlagSpace",
     "FlagState",
     "OrbitEntry",
     "OrbitTable",
     "Stab5Report",
     "enumerate_flags",
     "flag_counts",
+    "flag_space",
     "h_generators",
     "h_group_order",
     "orbit_decompose",
@@ -85,23 +108,6 @@ def mat_mul_q(A, B, q):
     )
 
 
-def mat_inv_q(A, q):
-    n = len(A)
-    aug = [list(A[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] % q), None)
-        if piv is None:
-            raise ValueError("singular matrix mod %d" % q)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = _inv_mod(aug[col][col] % q, q)
-        aug[col] = [(v * inv) % q for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] % q:
-                f = aug[r][col] % q
-                aug[r] = [(a - f * b) % q for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def rref_q(rows, q):
     """Reduced row echelon form over F_q, zero rows dropped; canonical."""
     mat = [list(r) for r in rows]
@@ -151,32 +157,27 @@ def make_flag(rows2, rows3, q) -> FlagState:
 
 
 def flag_apply(flag: FlagState, g, q) -> FlagState:
-    b2 = rref_q(tuple(_vec_mat(v, g, q) for v in flag.basis2), q)
-    b3 = rref_q(tuple(_vec_mat(v, g, q) for v in flag.basis3), q)
+    """The flag moved by the matrix g: rref of the images of both bases."""
+
+    def image(v):
+        return tuple(sum(v[k] * g[k][j] for k in range(_N)) % q for j in range(_N))
+
+    b2 = rref_q(tuple(image(v) for v in flag.basis2), q)
+    b3 = rref_q(tuple(image(v) for v in flag.basis3), q)
     return FlagState(b2, b3)
 
 
-def _vec_mat(v, M, q):
-    return tuple(sum(v[k] * M[k][j] for k in range(_N)) % q for j in range(_N))
-
-
-# ---------------------------------------------------------------------------
-# Flag enumeration.
-
-
-def _all_subspace_rrefs(dim: int, q: int):
-    """Every rref basis of a dim-dimensional subspace of F_q^6."""
-    from itertools import combinations, product
-
-    for pivots in combinations(range(_N), dim):
+def _all_subspace_rrefs(dim: int, q: int, n: int = _N):
+    """Every rref basis of a dim-dimensional subspace of F_q^n."""
+    for pivots in combinations(range(n), dim):
         free_pos = [
             (r, col)
             for r in range(dim)
-            for col in range(pivots[r] + 1, _N)
+            for col in range(pivots[r] + 1, n)
             if col not in pivots
         ]
         for values in product(range(q), repeat=len(free_pos)):
-            rows = [[0] * _N for _ in range(dim)]
+            rows = [[0] * n for _ in range(dim)]
             for r, c in zip(range(dim), pivots):
                 rows[r][c] = 1
             for (r, col), val in zip(free_pos, values):
@@ -184,46 +185,255 @@ def _all_subspace_rrefs(dim: int, q: int):
             yield tuple(tuple(r) for r in rows)
 
 
-_FLAG_CACHE: dict[int, list] = {}
+# ---------------------------------------------------------------------------
+# The indexed flag space.
+
+# V1 = <e1, f1> and V2 = <e2, e3, f3, f2>: the coordinates each one leaves free
+_V1_COORDS = (0, 5)
+_V2_COORDS = (1, 2, 3, 4)
+
+
+class FlagSpace:
+    """The isotropic flags of F_q^6 and the generator action, on integer indices.
+
+    ``vectors[v]`` is the coordinate tuple of vector index v.  Planes and
+    Lagrangians are listed by id with their rref bases and their sets of
+    nonzero member vectors; ``flags[i]`` is the (plane id, Lagrangian id)
+    pair of flag i and ``flag_states[i]`` its ``FlagState``.  Generator i
+    of ``h_generators(q)`` has the vector table ``vector_tables[i]``, its
+    inverse's rows ``gen_inverses[i]``, and the flag permutation
+    ``flag_perms[i]``.  A group element is the tuple of its row indices.
+    """
+
+    def __init__(self, q: int):
+        self.q = q
+        n_vec = q**_N
+        self.vectors = tuple(product(range(q), repeat=_N))
+        self._weights = tuple(q ** (_N - 1 - j) for j in range(_N))
+        self.identity = self._weights  # the unit vectors e_j, j = 0..5
+        self._scale = tuple(
+            tuple(self.index(tuple(c * x % q for x in v)) for v in self.vectors)
+            for c in range(q)
+        )
+        # v + w, split into the top and bottom three coordinates; the table
+        # rows share one int object per index (q^12 entries at q = 3)
+        ints = list(range(n_vec))
+        half = q**3
+        half_add = [
+            [self.index(tuple((a + b) % q for a, b in zip(u, w))) for w in self.vectors[:half]]
+            for u in self.vectors[:half]
+        ]
+        self._add = []
+        for v in range(n_vec):
+            top, bottom = divmod(v, half)
+            tops = [half * h for h in half_add[top]]
+            bottoms = half_add[bottom]
+            self._add.append([ints[t + b] for t in tops for b in bottoms])
+
+        # Lagrangians from the rref enumeration; their planes from the
+        # 2-dimensional subspaces of the coefficient space F_q^3.
+        # A coefficient vector c in F_q^3 is the vector index of (0, 0, 0) + c.
+        coeff_subspaces = []
+        for sub in _all_subspace_rrefs(2, q, 3):
+            rows = tuple(self.index((0, 0, 0) + r) for r in sub)
+            span = {self.combine(ab, rows) for ab in product(range(q), repeat=2)}
+            coeff_subspaces.append((sub, sorted(span - {0})))
+        self.lag_bases, self.lag_members = [], []
+        self.plane_bases, self.plane_members = [], []
+        plane_by_basis = {}
+        self.flags = []
+        for b3 in _all_subspace_rrefs(3, q):
+            if not _isotropic(b3, q):
+                continue
+            lag = len(self.lag_bases)
+            rows = tuple(self.index(r) for r in b3)
+            members = [self.combine(c[3:], rows) for c in self.vectors[: q**3]]
+            self.lag_bases.append(b3)
+            self.lag_members.append(frozenset(members[1:]))
+            for sub, coeffs in coeff_subspaces:
+                # sub times b3 is in rref because both factors are: a canonical key
+                b2 = tuple(self.vectors[self.combine(c, rows)] for c in sub)
+                plane = plane_by_basis.get(b2)
+                if plane is None:
+                    plane = plane_by_basis[b2] = len(self.plane_bases)
+                    self.plane_bases.append(b2)
+                    self.plane_members.append(frozenset(members[c] for c in coeffs))
+                self.flags.append((plane, lag))
+        self._plane_by_basis = plane_by_basis
+        self._lag_by_basis = {b3: lag for lag, b3 in enumerate(self.lag_bases)}
+        self._flag_id = {pair: i for i, pair in enumerate(self.flags)}
+        self.flag_states = [
+            FlagState(self.plane_bases[p], self.lag_bases[l]) for p, l in self.flags
+        ]
+
+        self.vector_tables, self.gen_inverses, self.flag_perms = [], [], []
+        self._plane_by_members = plane_of = {m: p for p, m in enumerate(self.plane_members)}
+        self._lag_by_members = lag_of = {m: l for l, m in enumerate(self.lag_members)}
+        for g in h_generators(q):
+            rows = tuple(self.index(r) for r in g)
+            table = tuple(self.combine(v, rows) for v in self.vectors)
+            back = [0] * n_vec
+            for v, w in enumerate(table):
+                back[w] = v
+            planes = [plane_of[frozenset(map(table.__getitem__, m))] for m in self.plane_members]
+            lags = [lag_of[frozenset(map(table.__getitem__, m))] for m in self.lag_members]
+            self.vector_tables.append(table)
+            self.gen_inverses.append(tuple(back[e] for e in self.identity))
+            self.flag_perms.append(
+                tuple(self._flag_id[planes[p], lags[l]] for p, l in self.flags)
+            )
+        self._orbits = None
+        self._group = None
+
+    def index(self, coords) -> int:
+        return sum(c * w for c, w in zip(coords, self._weights))
+
+    def combine(self, coeffs, rows) -> int:
+        """Index of sum_k coeffs[k] * rows[k], rows given as vector indices."""
+        add, scale = self._add, self._scale
+        acc = 0
+        for c, r in zip(coeffs, rows):
+            if c:
+                acc = add[acc][scale[c][r]]
+        return acc
+
+    def mul(self, a, b):
+        """The product of two group elements given as row-index tuples."""
+        vectors, combine = self.vectors, self.combine
+        return tuple(combine(vectors[r], b) for r in a)
+
+    def times_gen(self, a, i: int):
+        """a times generator i: one vector-table lookup per row."""
+        return tuple(map(self.vector_tables[i].__getitem__, a))
+
+    def matrix(self, a):
+        return tuple(self.vectors[r] for r in a)
+
+    def flag_index(self, flag: FlagState):
+        """The index of a canonical flag, or None if it is not an isotropic flag."""
+        plane = self._plane_by_basis.get(flag.basis2)
+        lag = self._lag_by_basis.get(flag.basis3)
+        return self._flag_id.get((plane, lag))
+
+    def apply(self, f: int, a) -> int:
+        """The index of flag f moved by the group element a."""
+        vectors, combine = self.vectors, self.combine
+        plane, lag = self.flags[f]
+        plane_image = frozenset(combine(vectors[v], a) for v in self.plane_members[plane])
+        lag_image = frozenset(combine(vectors[v], a) for v in self.lag_members[lag])
+        return self._flag_id[self._plane_by_members[plane_image], self._lag_by_members[lag_image]]
+
+    def orbit_split(self):
+        """(orbit sizes, orbit index of each flag), by BFS from the five representatives.
+
+        Memoized.  Raises if the representatives do not exhaust the flags
+        in five distinct orbits.
+        """
+        if self._orbits is None:
+            orbit_of = [0] * len(self.flags)
+            sizes = []
+            for idx, rep in enumerate(orbit_representatives(self.q), start=1):
+                f = self.flag_index(rep)
+                if f is None:
+                    raise RuntimeError("representative %d is not an enumerated flag" % idx)
+                if orbit_of[f]:
+                    raise RuntimeError(
+                        "representative %d already reached from representative %d"
+                        % (idx, orbit_of[f])
+                    )
+                orbit_of[f] = idx
+                frontier = [f]
+                size = 1
+                while frontier:
+                    nxt = []
+                    for f in frontier:
+                        for perm in self.flag_perms:
+                            image = perm[f]
+                            if not orbit_of[image]:
+                                orbit_of[image] = idx
+                                nxt.append(image)
+                                size += 1
+                    frontier = nxt
+                sizes.append(size)
+            if sum(sizes) != len(self.flags):
+                raise RuntimeError(
+                    "only %d of %d flags reached: orbit count exceeds five"
+                    % (sum(sizes), len(self.flags))
+                )
+            self._orbits = (tuple(sizes), orbit_of)
+        return self._orbits
+
+    def group_elements(self) -> dict:
+        """Every group element, mapped to the index of its image of the variant fifth flag.
+
+        Memoized.  A BFS from the identity under right multiplication by
+        the generators; it raises once more than 10000 elements are found,
+        so use it at q = 2 (4320 elements).
+        """
+        if self._group is None:
+            f5 = self.flag_index(alt_fifth_flag(self.q))
+            seen = {self.identity: f5}
+            frontier = [self.identity]
+            while frontier:
+                nxt = []
+                for a in frontier:
+                    image = seen[a]
+                    for i, perm in enumerate(self.flag_perms):
+                        b = self.times_gen(a, i)
+                        if b not in seen:
+                            seen[b] = perm[image]
+                            nxt.append(b)
+                            if len(seen) > 10000:
+                                raise RuntimeError("closure exceeded 10000 elements")
+                frontier = nxt
+            self._group = seen
+        return self._group
+
+    def predicate(self, f: int) -> int:
+        """Which of the five qualitative descriptions flag f satisfies."""
+        plane, lag = self.flags[f]
+        if self._meet(self.plane_members[plane], _V2_COORDS) == 2:
+            return 1
+        if self._meet(self.plane_members[plane], _V1_COORDS) >= 1:
+            return 2
+        if self._meet(self.plane_members[plane], _V2_COORDS) >= 1:
+            # distinguished by whether the 3-space holds a Lagrangian of V2
+            return 3 if self._meet(self.lag_members[lag], _V2_COORDS) >= 2 else 4
+        return 5
+
+    def _meet(self, members, free) -> int:
+        """Dimension of a subspace (its nonzero members) meet the span of the coordinates in free."""
+        size = 1 + sum(
+            1
+            for v in members
+            if all(c == 0 or j in free for j, c in enumerate(self.vectors[v]))
+        )
+        dim = 0
+        while size > 1:
+            size //= self.q
+            dim += 1
+        return dim
+
+
+_SPACES: dict[int, FlagSpace] = {}
+
+
+def flag_space(q: int) -> FlagSpace:
+    """The indexed flag space over F_q, built on first use."""
+    if q not in (2, 3):
+        raise ValueError("q must be 2 or 3")
+    if q not in _SPACES:
+        _SPACES[q] = FlagSpace(q)
+    return _SPACES[q]
+
+
+# ---------------------------------------------------------------------------
+# Flag enumeration.
 
 
 def enumerate_flags(q: int) -> list[FlagState]:
     """All isotropic flags plane-inside-3-space, canonicalized, no duplicates."""
-    if q not in (2, 3):
-        raise ValueError("q must be 2 or 3")
-    if q in _FLAG_CACHE:
-        return _FLAG_CACHE[q]
-    flags = []
-    for b3 in _all_subspace_rrefs(3, q):
-        if not _isotropic(b3, q):
-            continue
-        # the q^2+q+1 planes inside: kernels of nonzero functionals on F_q^3
-        seen_planes = set()
-        from itertools import product
-
-        for functional in product(range(q), repeat=3):
-            if not any(functional):
-                continue
-            kernel = [
-                coeffs
-                for coeffs in product(range(q), repeat=3)
-                if any(coeffs)
-                and sum(a * b for a, b in zip(coeffs, functional)) % q == 0
-            ]
-            rows = [
-                tuple(
-                    sum(coeffs[r] * b3[r][j] for r in range(3)) % q
-                    for j in range(_N)
-                )
-                for coeffs in kernel
-            ]
-            b2 = rref_q(rows, q)
-            if len(b2) != 2 or b2 in seen_planes:
-                continue
-            seen_planes.add(b2)
-            flags.append(FlagState(b2, b3))
-    _FLAG_CACHE[q] = flags
-    return flags
+    return flag_space(q).flag_states
 
 
 def flag_counts(q: int) -> tuple[int, int]:
@@ -382,78 +592,40 @@ def orbit_decompose(q: int, with_membership: bool = False):
     five distinct orbits; optionally also returns the flag -> orbit-index
     map.
     """
-    all_flags = set(enumerate_flags(q))
-    gens = h_generators(q)
-    reps = orbit_representatives(q)
-    seen: dict[FlagState, int] = {}
-    entries = []
-    for idx, rep in enumerate(reps, start=1):
-        if rep in seen:
-            raise RuntimeError(
-                "representative %d already reached from representative %d"
-                % (idx, seen[rep])
-            )
-        if rep not in all_flags:
-            raise RuntimeError("representative %d is not an enumerated flag" % idx)
-        seen[rep] = idx
-        frontier = [rep]
-        size = 1
-        while frontier:
-            nxt = []
-            for flag in frontier:
-                for g in gens:
-                    image = flag_apply(flag, g, q)
-                    if image not in seen:
-                        seen[image] = idx
-                        nxt.append(image)
-                        size += 1
-            frontier = nxt
-        entries.append(OrbitEntry(rep, size, idx))
-    if len(seen) != len(all_flags):
-        raise RuntimeError(
-            "only %d of %d flags reached: orbit count exceeds five"
-            % (len(seen), len(all_flags))
-        )
-    table = OrbitTable(tuple(entries), len(all_flags))
+    space = flag_space(q)
+    sizes, orbit_of = space.orbit_split()
+    entries = tuple(
+        OrbitEntry(rep, size, idx)
+        for idx, (rep, size) in enumerate(zip(orbit_representatives(q), sizes), start=1)
+    )
+    table = OrbitTable(entries, len(space.flags))
     if with_membership:
-        return table, seen
+        return table, dict(zip(space.flag_states, orbit_of))
     return table
 
 
 # ---------------------------------------------------------------------------
 # Qualitative orbit predicates (proof-level characterizations).
 
-_V1_ROWS = (E1, F1)
-_V2_ROWS = (E2, E3, F3, F2)
-
-
-def _dim_meet(rows_a, rows_b, q) -> int:
-    ra = len(rref_q(rows_a, q))
-    rb = len(rref_q(rows_b, q))
-    rj = len(rref_q(tuple(rows_a) + tuple(rows_b), q))
-    return ra + rb - rj
-
 
 def predicate_index(flag: FlagState, q: int) -> int:
-    """Which of the five qualitative descriptions the flag satisfies."""
-    b2, b3 = flag
-    if _dim_meet(b2, _V2_ROWS, q) == 2:
-        return 1
-    if _dim_meet(b2, _V1_ROWS, q) >= 1:
-        return 2
-    if _dim_meet(b2, _V2_ROWS, q) >= 1:
-        # distinguished by whether the 3-space holds a Lagrangian of V2
-        return 3 if _dim_meet(b3, _V2_ROWS, q) >= 2 else 4
-    return 5
+    """Which of the five qualitative descriptions the flag satisfies.
+
+    The bases need not be in rref; a flag that is not an isotropic
+    (plane, Lagrangian) pair raises ValueError.
+    """
+    space = flag_space(q)
+    f = space.flag_index(FlagState(rref_q(flag.basis2, q), rref_q(flag.basis3, q)))
+    if f is None:
+        raise ValueError("not an isotropic flag over F_%d" % q)
+    return space.predicate(f)
 
 
 def orbit_predicates(q: int) -> bool:
     """Exhaustively check that each orbit is cut out by its predicate."""
-    _, membership = orbit_decompose(q, with_membership=True)
-    for flag, idx in membership.items():
-        if predicate_index(flag, q) != idx:
-            return False
-    return True
+    space = flag_space(q)
+    _, orbit_of = space.orbit_split()
+    return all(space.predicate(f) == idx for f, idx in enumerate(orbit_of))
 
 
 # ---------------------------------------------------------------------------
@@ -500,65 +672,67 @@ def _h_block_ok(g) -> bool:
 def stab5_check(q: int) -> Stab5Report:
     """Orbit-stabilizer consistency and the stabilizer shape at the 5th flag.
 
-    Runs a BFS with transversal rooted at the variant fifth flag; the
-    Schreier elements generate exactly its stabilizer, whose closure is
-    small enough to check the shape predicate on every element.  For q = 2
-    the stabilizer is additionally recomputed by filtering the full
-    4320-element group, and the shape predicate is confirmed to cut out
-    exactly the stabilizer inside it.
+    Runs a BFS with transversal rooted at the variant fifth flag, carrying
+    each transversal element's inverse; the Schreier elements generate
+    exactly its stabilizer, whose closure is small enough to check the
+    shape predicate on every element.  For q = 2 the stabilizer is
+    additionally recomputed by filtering the full 4320-element group, and
+    the shape predicate is confirmed to cut out exactly the stabilizer
+    inside it.
     """
-    flag5 = alt_fifth_flag(q)
-    gens = h_generators(q)
-    identity = tuple(tuple(int(i == j) for j in range(_N)) for i in range(_N))
-    trans = {flag5: identity}
+    space = flag_space(q)
+    flag5 = space.flag_index(alt_fifth_flag(q))
+    gens = range(len(space.flag_perms))
+    trans = {flag5: space.identity}
+    trans_inv = {flag5: space.identity}
     frontier = [flag5]
     while frontier:
         nxt = []
-        for flag in frontier:
-            for g in gens:
-                image = flag_apply(flag, g, q)
+        for f in frontier:
+            for i in gens:
+                image = space.flag_perms[i][f]
                 if image not in trans:
-                    trans[image] = mat_mul_q(trans[flag], g, q)
+                    trans[image] = space.times_gen(trans[f], i)
+                    trans_inv[image] = space.mul(space.gen_inverses[i], trans_inv[f])
                     nxt.append(image)
         frontier = nxt
     schreier = set()
-    for flag, t in trans.items():
-        for g in gens:
-            u = mat_mul_q(t, g, q)
-            image = flag_apply(flag, g, q)
-            s = mat_mul_q(u, mat_inv_q(trans[image], q), q)
-            schreier.add(s)
-    mul = lambda A, B: mat_mul_q(A, B, q)
-    stab = group_closure(sorted(schreier), mul, limit=100000)
+    for f, t in trans.items():
+        for i in gens:
+            u = space.times_gen(t, i)
+            schreier.add(space.mul(u, trans_inv[space.flag_perms[i][f]]))
+    stab = group_closure(sorted(schreier), space.mul, limit=100000)
     orbit5 = len(trans)
     order = h_group_order(q)
     product_ok = len(stab) * orbit5 == order
     offending = None
     shape_ok = True
     for g in stab:
-        if flag_apply(flag5, g, q) != flag5 or not _h_block_ok(g):
+        m = space.matrix(g)
+        if space.apply(flag5, g) != flag5 or not _h_block_ok(m):
             shape_ok = False
-            offending = ("stabilizer closure left the stabilizer", g)
+            offending = ("stabilizer closure left the stabilizer", m)
             break
-        if not stab5_shape_ok(g, q):
+        if not stab5_shape_ok(m, q):
             shape_ok = False
-            offending = ("stabilizer element off the stated shape", g)
+            offending = ("stabilizer element off the stated shape", m)
             break
     if q == 2 and shape_ok and product_ok:
-        full = group_closure(h_generators(2), mul, limit=10000)
+        full = space.group_elements()
         if len(full) != h_group_order(2):
             product_ok = False
             offending = ("full group closure has order %d" % len(full),)
         else:
-            filtered = {g for g in full if flag_apply(flag5, g, q) == flag5}
+            filtered = {g for g, image in full.items() if image == flag5}
             if filtered != stab:
                 shape_ok = False
                 offending = ("Schreier stabilizer differs from the filtered one",)
             else:
                 for g in full:
-                    if stab5_shape_ok(g, q) != (g in stab):
+                    m = space.matrix(g)
+                    if stab5_shape_ok(m, q) != (g in stab):
                         shape_ok = False
-                        offending = ("shape predicate and stabilizer disagree", g)
+                        offending = ("shape predicate and stabilizer disagree", m)
                         break
     return Stab5Report(q, orbit5, len(stab), order, product_ok, shape_ok, offending)
 

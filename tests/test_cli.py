@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rslocal import cli, suites
+from rslocal import cli, coeffs, suites
 from rslocal.series import RationalBiSeries
 from rslocal.suites import CheckConfig, CheckReport, emit_report
 
@@ -106,8 +106,22 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"primes": 5}, {"radius": None}, {"satake": [[1, 2]]}],
-    ids=["primes-not-a-list", "radius-null", "satake-two-coordinates"],
+    [
+        {"primes": 5},
+        {"radius": None},
+        {"satake": [[1, 2]]},
+        {"primes": "23"},
+        {"no_timing": "false"},
+        {"radius": 1.9},
+    ],
+    ids=[
+        "primes-not-a-list",
+        "radius-null",
+        "satake-two-coordinates",
+        "primes-a-string",
+        "no-timing-a-string",
+        "radius-a-float",
+    ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "cfg.json"
@@ -115,7 +129,7 @@ def test_bad_config_value_exits_2(tmp_path, capsys, doc):
     code, out, err = run_main(capsys, ["chain", "--config", str(path), "--no-timing"])
     assert code == 2
     assert out == ""
-    assert "config error:" in err
+    assert "config error: config key %r:" % next(iter(doc)) in err
 
 
 def test_character_cache_is_gone(tmp_path, capsys, monkeypatch):
@@ -141,3 +155,42 @@ def test_series_mismatch_names_first_differing_coefficient():
         False, "U^0 V^1: %r" % Fraction(1, 2), repr(Fraction(2))
     )
     assert suites._series_mismatch(lhs, lhs) is True
+
+
+def test_exception_in_check_is_an_error(capsys, monkeypatch):
+    def raising_suite(cfg, reports):
+        def body():
+            raise TypeError("bad table")
+
+        suites._run_check(reports, "characters/raises", {}, body)
+        suites._run_check(reports, "characters/passes", {}, lambda: True)
+
+    monkeypatch.setitem(suites._SUITE_BODIES, "characters", raising_suite)
+    code, out, _ = run_main(capsys, ["characters", "--no-timing"])
+    assert code == 1
+    assert "characters/raises" in out and "error" in out
+    assert "lhs: TypeError: bad table" in out
+    assert "rhs: test_cli.py:" in out and " in body" in out
+    code, out, _ = run_main(capsys, ["characters", "--no-timing", "--format", "json"])
+    assert code == 1
+    checks = {ch["id"]: ch for ch in json.loads(out)["checks"]}
+    raised = checks["characters/raises"]
+    assert raised["status"] == "error"
+    assert raised["lhs"] == "TypeError: bad table"
+    assert raised["rhs"].startswith("test_cli.py:") and raised["rhs"].endswith(" in body")
+    assert checks["characters/passes"] == {"id": "characters/passes", "params": {}, "status": "pass"}
+
+
+def test_coeffs_comparisons_count_the_points_in_a_branch():
+    radius = 3
+    want = sum(
+        1
+        for x, y, a, b, c in suites._coeff_grid(radius)
+        if coeffs.in_first_branch(a, c) or coeffs.in_second_branch(a, b, c)
+    )
+    assert 0 < want < (radius + 1) ** 5
+    reports = suites.run_suite(CheckConfig(suite="coeffs", radius=radius))
+    assert len(reports) == 4
+    for r in reports:
+        assert r.status == "pass"
+        assert r.params["comparisons"] == want

@@ -1,15 +1,23 @@
-"""Flag enumeration, orbits, and stabilizers over F_2 (F_3 in acceptance)."""
+"""Flag enumeration, orbits, and stabilizers over F_2, and the indexed flag space."""
 
 import random
 
 import pytest
 
+from rslocal import suites, symplectic
 from rslocal.symplectic import (
+    E1,
+    E2,
+    E3,
+    F1,
+    F2,
+    F3,
     FlagState,
     alt_fifth_flag,
     enumerate_flags,
     flag_apply,
     flag_counts,
+    flag_space,
     gamma5_check,
     group_closure,
     h_generators,
@@ -21,6 +29,7 @@ from rslocal.symplectic import (
     orbit_predicates,
     orbit_representatives,
     predicate_index,
+    rref_q,
     stab5_check,
     stab5_shape_ok,
 )
@@ -132,3 +141,118 @@ def test_flag_apply_respects_action():
         assert isinstance(image, FlagState)
         # the image is again an isotropic flag with the same dimensions
         assert make_flag(image.basis2, image.basis3, q) == image
+
+
+# ---------------------------------------------------------------------------
+# The indexed flag space against the matrix definitions.
+
+
+def test_flag_perms_match_flag_apply_q2():
+    space = flag_space(2)
+    assert enumerate_flags(2) is space.flag_states
+    for i, g in enumerate(h_generators(2)):
+        perm = space.flag_perms[i]
+        assert sorted(perm) == list(range(945))
+        for f, flag in enumerate(space.flag_states):
+            assert space.flag_states[perm[f]] == flag_apply(flag, g, 2)
+
+
+def test_flag_perms_match_flag_apply_q3_sample():
+    space = flag_space(3)
+    rng = random.Random(2017)
+    gens = h_generators(3)
+    for f in rng.sample(range(len(space.flag_states)), 200):
+        flag = space.flag_states[f]
+        assert space.flag_index(flag) == f
+        for i, g in enumerate(gens):
+            assert space.flag_states[space.flag_perms[i][f]] == flag_apply(flag, g, 3)
+
+
+def test_row_index_closure_matches_matrix_closure_q2():
+    space = flag_space(2)
+    elements = space.group_elements()
+    mul = lambda A, B: mat_mul_q(A, B, 2)
+    closure = group_closure(h_generators(2), mul, limit=10000)
+    assert {space.matrix(a) for a in elements} == closure
+    # the carried image of the variant fifth flag is the matrix action's
+    flag5 = alt_fifth_flag(2)
+    for a, image in elements.items():
+        assert space.flag_states[image] == flag_apply(flag5, space.matrix(a), 2)
+
+
+def test_index_arithmetic_matches_matrices():
+    rng = random.Random(5)
+    for q in (2, 3):
+        space = flag_space(q)
+        gens = h_generators(q)
+        identity = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+        for i, g in enumerate(gens):
+            rows = tuple(space.index(r) for r in g)
+            assert space.matrix(space.mul(rows, space.gen_inverses[i])) == identity
+        for _ in range(20):
+            a = space.identity
+            b = space.identity
+            for _ in range(6):
+                a = space.times_gen(a, rng.randrange(len(gens)))
+                b = space.times_gen(b, rng.randrange(len(gens)))
+            ab = space.mul(a, b)
+            assert space.matrix(ab) == mat_mul_q(space.matrix(a), space.matrix(b), q)
+            f = rng.randrange(len(space.flags))
+            want = flag_apply(space.flag_states[f], space.matrix(ab), q)
+            assert space.flag_states[space.apply(f, ab)] == want
+
+
+def test_predicates_match_rank_definition_q2():
+    v1 = (E1, F1)
+    v2 = (E2, E3, F3, F2)
+
+    def meet(rows_a, rows_b):
+        rank = lambda rows: len(rref_q(rows, 2))
+        return rank(rows_a) + rank(rows_b) - rank(tuple(rows_a) + tuple(rows_b))
+
+    for flag in enumerate_flags(2):
+        b2, b3 = flag
+        if meet(b2, v2) == 2:
+            want = 1
+        elif meet(b2, v1) >= 1:
+            want = 2
+        elif meet(b2, v2) >= 1:
+            want = 3 if meet(b3, v2) >= 2 else 4
+        else:
+            want = 5
+        assert predicate_index(flag, 2) == want
+
+
+def test_predicate_index_canonicalizes_and_rejects_non_flags():
+    for q in (2, 3):
+        for idx, rep in enumerate(orbit_representatives(q), start=1):
+            (r0, r1), b3 = rep.basis2, rep.basis3
+            mixed = tuple((a + b) % q for a, b in zip(r0, r1))
+            assert predicate_index(FlagState((mixed, r1), b3[::-1]), q) == idx
+    with pytest.raises(ValueError, match="not an isotropic flag"):
+        predicate_index(FlagState((E1, F1), (E1, F1, E2)), 2)
+
+
+Q2_ORBIT_CHECKS = (
+    "orbits/gamma5",
+    "orbits/flag-count-q2",
+    "orbits/orbit-split-q2",
+    "orbits/stab5-q2",
+    "orbits/h-order-q2",
+    "orbits/orbit-predicates-q2",
+)
+
+
+def test_q2_orbit_checks_build_no_q3_space(monkeypatch):
+    monkeypatch.setattr(symplectic, "_SPACES", {})
+    run_check = suites._run_check
+
+    def only_q2(reports, check_id, params, fn):
+        if check_id in Q2_ORBIT_CHECKS:
+            run_check(reports, check_id, params, fn)
+
+    monkeypatch.setattr(suites, "_run_check", only_q2)
+    reports = suites.run_suite(suites.CheckConfig(suite="orbits"))
+    assert sorted(r.check_id for r in reports) == sorted(Q2_ORBIT_CHECKS)
+    assert all(r.status == "pass" for r in reports)
+    assert sorted(symplectic._SPACES) == [2]
