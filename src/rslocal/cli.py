@@ -8,6 +8,7 @@ explicit flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -36,34 +37,50 @@ def _parse_satake(text: str) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``verify`` parser; each option's dest is the CheckConfig field it sets."""
+    default = CheckConfig()
     parser = argparse.ArgumentParser(
         prog="verify",
         description="Run exact verification suites for the local integral identities.",
     )
     parser.add_argument("suite", choices=SUITES, help="which suite to run")
-    parser.add_argument("--deg-u", type=int, default=None, help="U truncation degree (default 8)")
-    parser.add_argument("--deg-v", type=int, default=None, help="V truncation degree (default 8)")
-    parser.add_argument("--radius", type=int, default=None, help="coefficient grid radius (default 6)")
+    parser.add_argument(
+        "--deg-u", type=int, default=None, help="U truncation degree (default %d)" % default.deg_u
+    )
+    parser.add_argument(
+        "--deg-v", type=int, default=None, help="V truncation degree (default %d)" % default.deg_v
+    )
+    parser.add_argument(
+        "--radius",
+        type=int,
+        default=None,
+        help="coefficient grid radius (default %d)" % default.radius,
+    )
     parser.add_argument(
         "--prime",
         type=int,
         action="append",
         default=None,
-        help="prime to use (repeatable; default 2 3 5)",
+        dest="primes",
+        metavar="PRIME",
+        help="prime to use (repeatable; default %s)" % " ".join(map(str, default.primes)),
     )
     parser.add_argument(
         "--sw",
         type=_parse_pair,
         action="append",
         default=None,
+        dest="sw_points",
         metavar="S,W",
-        help="evaluation point s,w (repeatable; default 2,9 and 3,11)",
+        help="evaluation point s,w (repeatable; default %s)"
+        % " and ".join("%d,%d" % pt for pt in default.sw_points),
     )
     parser.add_argument(
         "--satake",
         type=_parse_satake,
         action="append",
         default=None,
+        dest="satake_points",
         metavar="T,Y1,Y2",
         help="rational Satake point (repeatable; default: 5 seeded points)",
     )
@@ -108,22 +125,28 @@ def _config_satake(pt) -> tuple[Fraction, Fraction, Fraction]:
     return coords
 
 
-# config-file key -> check and conversion of its JSON value
+# config-file key -> the CheckConfig field it sets, and the check and
+# conversion of its JSON value
 _CONFIG_KEYS = {
-    "deg_u": _config_int,
-    "deg_v": _config_int,
-    "radius": _config_int,
-    "primes": lambda value: tuple(_config_int(v) for v in _config_list(value)),
-    "sw": lambda value: tuple(_config_pair(pt) for pt in _config_list(value)),
-    "satake": lambda value: tuple(_config_satake(pt) for pt in _config_list(value)),
-    "seed": _config_int,
-    "format": _json_type(str, "a string"),
-    "no_timing": _json_type(bool, "true or false"),
+    "deg_u": ("deg_u", _config_int),
+    "deg_v": ("deg_v", _config_int),
+    "radius": ("radius", _config_int),
+    "primes": ("primes", lambda value: tuple(_config_int(v) for v in _config_list(value))),
+    "sw": ("sw_points", lambda value: tuple(_config_pair(pt) for pt in _config_list(value))),
+    "satake": (
+        "satake_points",
+        lambda value: tuple(_config_satake(pt) for pt in _config_list(value)),
+    ),
+    "seed": ("seed", _config_int),
+    "format": ("fmt", _json_type(str, "a string")),
+    "no_timing": ("no_timing", _json_type(bool, "true or false")),
 }
 
 
 def _merge_config(args) -> CheckConfig:
-    file_values = {}
+    """The run's config: explicit flags win over the config file, and
+    fields set by neither keep CheckConfig's defaults."""
+    values = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -135,30 +158,17 @@ def _merge_config(args) -> CheckConfig:
         for key, value in raw.items():
             if key not in _CONFIG_KEYS:
                 raise ValueError("unknown config key %r" % key)
+            field, convert = _CONFIG_KEYS[key]
             try:
-                file_values[key] = _CONFIG_KEYS[key](value)
+                values[field] = convert(value)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ValueError("config key %r: %s" % (key, exc))
-
-    def pick(flag, key, default):
+    for field in dataclasses.fields(CheckConfig):
+        flag = getattr(args, field.name)
         if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    return CheckConfig(
-        suite=args.suite,
-        deg_u=pick(args.deg_u, "deg_u", 8),
-        deg_v=pick(args.deg_v, "deg_v", 8),
-        radius=pick(args.radius, "radius", 6),
-        primes=tuple(pick(args.prime, "primes", (2, 3, 5))),
-        sw_points=tuple(pick(args.sw, "sw", ((2, 9), (3, 11)))),
-        satake_points=pick(args.satake, "satake", None),
-        seed=pick(args.seed, "seed", 0),
-        fmt=pick(args.fmt, "format", "text"),
-        no_timing=pick(args.no_timing, "no_timing", False),
-    )
+            # repeatable flags arrive as lists
+            values[field.name] = tuple(flag) if isinstance(flag, list) else flag
+    return CheckConfig(**values)
 
 
 def main(argv=None) -> int:

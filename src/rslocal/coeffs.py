@@ -116,6 +116,14 @@ def delta_parity(x: int, y: int, a: int, b: int, c: int) -> int:
 # n: one-parameter interval count over the Pieri-rule index alpha.
 
 
+def _first_branch_point(x: int, y: int, a: int, c: int) -> tuple[int, int]:
+    """(x, y) in the first branch's coordinates: unchanged there, and
+    x -> x + 2(a - c), y -> y + (a - c) in the second branch."""
+    if in_first_branch(a, c):
+        return x, y
+    return x + 2 * (a - c), y + (a - c)
+
+
 def n_interval(x: int, y: int, a: int, b: int, c: int) -> int:
     """Number of integers alpha admitted by the seven reduced inequalities.
 
@@ -125,10 +133,7 @@ def n_interval(x: int, y: int, a: int, b: int, c: int) -> int:
     """
     _check_args(x, y, a, b, c)
     _branch_guard(a, b, c)
-    if in_first_branch(a, c):
-        xx, yy = x, y
-    else:
-        xx, yy = x + 2 * (a - c), y + (a - c)
+    xx, yy = _first_branch_point(x, y, a, c)
     odd = c & 1
     even = 1 - odd
     gam = c // 2

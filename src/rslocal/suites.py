@@ -40,9 +40,13 @@ class CheckConfig:
             errors.append("degrees must be nonnegative")
         if self.radius < 0:
             errors.append("radius must be nonnegative")
+        if not self.primes:
+            errors.append("primes must not be empty")
         for p in self.primes:
             if p not in (2, 3, 5):
                 errors.append("primes must lie in {2, 3, 5}, got %r" % (p,))
+        if not self.sw_points:
+            errors.append("sw points must not be empty")
         if self.suite in ("padic", "all"):
             for s, w in self.sw_points:
                 if not (s >= 2 and w - 2 * s >= 4):
@@ -273,7 +277,7 @@ def _coeff_grid(radius: int):
 
 def _suite_coeffs(cfg: CheckConfig, reports: list):
     r = cfg.radius
-    # the grid points in a branch; parity compares only those where m and n are nonzero
+    # the grid points in a branch: the points all four checks compare
     points = [
         (x, y, a, b, c)
         for x, y, a, b, c in _coeff_grid(r)
@@ -316,17 +320,12 @@ def _suite_coeffs(cfg: CheckConfig, reports: list):
     _run_check(reports, "coeffs/m-vs-n", {"radius": r, "comparisons": npts}, m_vs_n)
 
     def parity():
-        # the two parity rules, written per their own branch conventions
+        # delta_parity against the eps n_interval takes after its branch substitution
         for x, y, a, b, c in points:
-            first = coeffs.in_first_branch(a, c)
-            if coeffs.m_closed(x, y, a, b, c) == 0:
-                continue
-            if coeffs.n_interval(x, y, a, b, c) == 0:
-                continue
-            delta = (x + y + b) % 2 if first else (x + y - a + b + c) % 2
-            subst = (x + 2 * (a - c)) + (y + (a - c)) + b if not first else x + y + b
-            if delta != subst % 2:
-                return (False, "(%d,%d,%d,%d,%d)" % (x, y, a, b, c), None)
+            xx, yy = coeffs._first_branch_point(x, y, a, c)
+            delta, eps = coeffs.delta_parity(x, y, a, b, c), (xx + yy + b) & 1
+            if delta != eps:
+                return (False, "(%d,%d,%d,%d,%d): %d" % (x, y, a, b, c, delta), str(eps))
         return True
 
     _run_check(reports, "coeffs/parity-consistency", {"radius": r, "comparisons": npts}, parity)

@@ -1,0 +1,31 @@
+"""Shared test fixtures."""
+
+import pytest
+
+from rslocal import suites
+
+
+def _run_checks(cfg, ids):
+    """Run ``suites.run_suite(cfg)`` but start only the checks named in ``ids``.
+
+    Every check goes through the module-global ``suites._run_check``; the
+    wrapper drops the others before their bodies run, so nothing they
+    would build is built.
+    """
+    wanted = frozenset(ids)
+    run_check = suites._run_check
+
+    def selected(reports, check_id, params, fn):
+        if check_id in wanted:
+            run_check(reports, check_id, params, fn)
+
+    suites._run_check = selected
+    try:
+        return suites.run_suite(cfg)
+    finally:
+        suites._run_check = run_check
+
+
+@pytest.fixture(scope="session")
+def run_checks():
+    return _run_checks

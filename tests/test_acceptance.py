@@ -1,233 +1,89 @@
 """Acceptance criteria: the ten exact-equality gates, one test each.
 
-Every criterion is exact (no tolerances anywhere); each test prints a
-single PASS/FAIL line, visible under `pytest -s`.
+A criterion passes when ``run_suite`` reports each ``suite/name`` of its (CheckConfig, names)
+rows as ``pass``; checks and bounds live only in rslocal.suites.  Each prints PASS or FAIL.
 """
-
-import itertools
-import random
-from fractions import Fraction
 
 import pytest
 
-from rslocal import coeffs, padic, series, symplectic
-from rslocal.characters import (
-    Partition2,
-    VirtualCharacter,
-    pieri_tensor,
-    sym_power_decompose,
-    sym_power_spin_closed,
-    tensor_decompose,
-)
+from rslocal.suites import CheckConfig
 
-BOX = (8, 8)
+CHAIN = CheckConfig("chain", seed=2024)  # one run for criteria 1, 2, 10; seed draws the points
 
-
-def _report(name, ok):
-    print("[%s] %s" % ("PASS" if ok else "FAIL", name))
-    assert ok, name
-
-
-@pytest.fixture(scope="module")
-def chain_series():
-    return {
-        "local": series.local_integral_series(*BOX),
-        "mult_m": series.mult_series(*BOX, coeffs.m_closed),
-        "mult_n": series.mult_series(*BOX, coeffs.n_interval),
-        "pieri": series.pieri_product_series(*BOX),
-        "lfactor": series.lfactor_product_series(*BOX),
-    }
-
-
-@pytest.fixture(scope="module")
-def satake_points():
-    rng = random.Random(2024)
-    pts = []
-    while len(pts) < 5:
-        vals = [
-            Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
-            for _ in range(3)
-        ]
-        pts.append(series.SatakePoint.make(*vals))
-    return pts
-
-
-def test_criterion_1_chain_identity(chain_series):
-    names = ["local", "mult_m", "mult_n", "pieri", "lfactor"]
-    ok = True
-    for a, b in itertools.combinations(names, 2):
-        if chain_series[a] != chain_series[b]:
-            ok = False
-            break
-    _report("criterion-1 chain identity, five series pairwise equal on box (8,8)", ok)
-
-
-def test_criterion_2_normalization(chain_series):
-    lhs = chain_series["lfactor"].times_geometric(2, 0).times_geometric(0, 2)
-    su = series.sym_side_series("std", BOX[0])
-    sv = series.sym_side_series("spin-product", BOX[1])
-    rhs = series.series_from_univariate(su, "u", *BOX) * series.series_from_univariate(
-        sv, "v", *BOX
-    )
-    _report("criterion-2 normalization by the two zeta factors on box (8,8)", lhs == rhs)
-
-
-def test_criterion_3_pieri_vs_oracle():
-    ok = True
-    for r1 in range(6):
-        for r2 in range(r1 + 1):
-            for spin in (False, True):
-                lam = Partition2(r1, r2, spin)
-                base = VirtualCharacter.weight(*lam.to_weight())
-                for k in range(7):
-                    lhs = pieri_tensor(lam, k)
-                    rhs = tensor_decompose(base, VirtualCharacter.weight(0, k, 0))
-                    if lhs != rhs:
-                        ok = False
-    _report("criterion-3 pieri rule vs tensor oracle, row1<=5, k<=6, both flags", ok)
-
-
-def test_criterion_4_sym_power_closed_form():
-    base = VirtualCharacter.weight(1, 0, 1)
-    ok = all(
-        sym_power_spin_closed(ell) == sym_power_decompose(base, ell)
-        for ell in range(9)
-    )
-    _report("criterion-4 closed symmetric-power expansion, l<=8", ok)
-
-
-def test_criterion_5_coefficient_counts():
-    ok = True
-    for x, y, a, b, c in itertools.product(range(9), repeat=5):
-        if not (coeffs.in_first_branch(a, c) or coeffs.in_second_branch(a, b, c)):
-            continue
-        if coeffs.m_closed(x, y, a, b, c) != coeffs.m_brute(x, y, a, b, c):
-            ok = False
-            break
-    if ok:
-        for x, y, a, b, c in itertools.product(range(7), repeat=5):
-            if not (coeffs.in_first_branch(a, c) or coeffs.in_second_branch(a, b, c)):
-                continue
-            if coeffs.n_interval(x, y, a, b, c) != coeffs.n_brute(x, y, a, b, c, 30):
-                ok = False
-                break
-    if ok:
-        for x, y, a, b, c in itertools.product(range(11), repeat=5):
-            if not (coeffs.in_first_branch(a, c) or coeffs.in_second_branch(a, b, c)):
-                continue
-            if coeffs.m_closed(x, y, a, b, c) != coeffs.n_interval(x, y, a, b, c):
-                ok = False
-                break
-    _report(
-        "criterion-5 coefficient counts: m=m_brute (r=8), n=n_brute (r=6, cap 30), m=n (r=10)",
-        ok,
-    )
-
-
-def test_criterion_6_padic_shell_integrals():
-    ok = True
-    for p in (2, 3, 5):
-        for val in range(-2, 5):
-            for u in range(3, 9):
-                if padic.integral_max(val, p).evaluate(p, u) != padic.integral_max_brute(val, p, u):
-                    ok = False
-                z = Fraction(1, p**u)
-                if padic.integral_psi_max(val, p).evaluate(z) != padic.integral_psi_max_brute(val, p, u):
-                    ok = False
-    for p in (2, 3):
-        rng = random.Random(1000 + p)
-        for _ in range(500):
-            a, b, c = (rng.randrange(0, 4) for _ in range(3))
-            xv, yv, zv = (rng.randrange(-3, 4) for _ in range(3))
-
-            def unit():
-                return Fraction(rng.randrange(1, p) + p * rng.randrange(0, 30))
-
-            x = unit() * Fraction(p) ** xv
-            y = unit() * Fraction(p) ** yv
-            z = unit() * Fraction(p) ** zv
-            g = padic.mat_mul(
-                padic.u_element(x, y, z),
-                padic.torus_element(
-                    unit() * Fraction(p) ** a,
-                    unit() * Fraction(p) ** b,
-                    unit() * Fraction(p) ** c,
-                ),
-            )
-            got = (padic.bottom_minor_norm(g, 3, p), padic.bottom_minor_norm(g, 2, p))
-            want = padic.det_norms_closed(padic.TorusValuations(a, b, c), x, y, z, p)
-            if got != want:
-                ok = False
-    _report(
-        "criterion-6 p-adic shell integrals: shell integrals p in {2,3,5}, 500 minor configs per prime",
-        ok,
-    )
-
-
-def test_criterion_7_fpsi_closed_vs_brute():
-    ok = True
-    for p in (2, 3):
-        cfg = padic.PadicConfig.make(p)
-        for s, w in ((2, 9), (3, 11)):
-            u_val, v_val = Fraction(1, p ** (w - 2)), Fraction(1, p**s)
-            for a, b, c in itertools.product(range(3), repeat=3):
-                tv = padic.TorusValuations(a, b, c)
-                if padic.fpsi_brute(cfg, tv, s, w) != padic.fpsi_closed(tv).evaluate(u_val, v_val):
-                    ok = False
-    _report(
+CRITERIA = {
+    "test_criterion_1_chain_identity": (
+        "criterion-1 chain identity, five series pairwise equal on box (8,8)",
+        [(CHAIN, "local-vs-mult-m mult-m-vs-mult-n mult-n-vs-pieri pieri-vs-lfactor")]),
+    "test_criterion_2_normalization": (
+        "criterion-2 normalization by the two zeta factors on box (8,8)",
+        [(CHAIN, "normalization")]),
+    "test_criterion_3_pieri_vs_oracle": (
+        "criterion-3 pieri rule vs tensor oracle, row1<=5, k<=6, both flags",
+        [(CheckConfig("pieri"), "rule-vs-tensor-oracle")]),
+    "test_criterion_4_sym_power_closed_form": (
+        "criterion-4 closed symmetric-power expansion, l<=8",
+        [(CheckConfig("characters"), "sym-closed-vs-adams")]),
+    "test_criterion_5_coefficient_counts": (
+        "criterion-5 coefficient counts: m=m_brute (r=8), n=n_brute (r=6, cap>=30), m=n (r=10)",
+        [(CheckConfig("coeffs", radius=8), "m-closed-vs-brute"),
+         (CheckConfig("coeffs", radius=6), "n-interval-vs-brute"),
+         (CheckConfig("coeffs", radius=10), "m-vs-n")]),
+    "test_criterion_6_padic_shell_integrals": (
+        "criterion-6 p-adic shell integrals: p in {2,3,5}, 500 minor configs per prime",
+        [(CheckConfig("padic"), "max-kernel-integral psi-kernel-integral"),
+         (CheckConfig("padic", seed=1, primes=(2, 3)), "det-closed-vs-minors")]),
+    "test_criterion_7_fpsi_closed_vs_brute": (
         "criterion-7 twisted section integral closed form vs exact shell integral",
-        ok,
-    )
-
-
-def test_criterion_8_torus_reconstruction():
-    ok = padic.torus_term_sum(6, 6) == series.local_integral_series(6, 6)
-    _report("criterion-8 torus-sum reconstruction of the series on box (6,6)", ok)
-
-
-def test_criterion_9_orbits():
-    ok = symplectic.gamma5_check()
-    for q, total in ((2, 945), (3, 14560)):
-        flags = symplectic.enumerate_flags(q)
-        if len(flags) != total or symplectic.flag_counts(q)[1] != total:
-            ok = False
-        table, membership = symplectic.orbit_decompose(q, with_membership=True)
-        if len(table.entries) != 5 or table.total != total:
-            ok = False
-        reps = symplectic.orbit_representatives(q)
-        if [membership[r] for r in reps] != [1, 2, 3, 4, 5]:
-            ok = False
-        if membership[symplectic.alt_fifth_flag(q)] != 5:
-            ok = False
-        rep = symplectic.stab5_check(q)
-        if not (rep.product_ok and rep.shape_ok):
-            ok = False
-    if not symplectic.orbit_predicates(2):
-        ok = False
-    _report(
+        [(CheckConfig("padic", primes=(2, 3)), "fpsi-closed-vs-brute")]),
+    "test_criterion_8_torus_reconstruction": (
+        "criterion-8 torus-sum reconstruction of the series on box (6,6)",
+        [(CheckConfig("padic"), "torus-reconstruction")]),
+    "test_criterion_9_orbits": (
         "criterion-9 five orbits, totals 945/14560, stabilizer shape exhaustive at q=2",
-        ok,
-    )
-
-
-def test_criterion_10_specialization(chain_series, satake_points):
-    ok = True
-    for pt in satake_points:
-        if series.specialize(chain_series["local"], pt) != series.specialize(
-            chain_series["lfactor"], pt
-        ):
-            ok = False
-    box6 = series.lfactor_product_series(6, 6)
-    zz = box6.times_geometric(2, 0).times_geometric(0, 2)
-    for pt in satake_points:
-        sp = series.specialize(zz, pt)
-        a = series.lfactor_closed(pt, "std5", 6)
-        b = series.lfactor_closed(pt, "stdxspin", 6)
-        for i in range(7):
-            for j in range(7):
-                if sp.get(i, j) != a[i] * b[j]:
-                    ok = False
-    _report(
+        [(CheckConfig("orbits"), "gamma5 flag-count-q2 flag-count-q3 orbit-split-q2"
+                                 " orbit-split-q3 stab5-q2 stab5-q3 orbit-predicates-q2")]),
+    "test_criterion_10_specialization": (
         "criterion-10 specialization at 5 seeded points and closed Euler factors to degree 6",
-        ok,
-    )
+        [(CHAIN, "specialization-pt0 specialization-pt1 specialization-pt2"
+                 " specialization-pt3 specialization-pt4 lfactor-closed")]),
+}
+
+
+def _ids(cfg, names):
+    return ["%s/%s" % (cfg.suite, name) for name in names.split()]
+
+
+@pytest.fixture(scope="module")
+def reports(run_checks):
+    """Reports by id for a config, from one run of every id the criteria name for it."""
+    runs = {}
+    def get(cfg):
+        if repr(cfg) not in runs:
+            ids = [i for _, rows in CRITERIA.values() for c, names in rows if c == cfg
+                   for i in _ids(c, names)]
+            runs[repr(cfg)] = {r.check_id: r for r in run_checks(cfg, ids)}
+        return runs[repr(cfg)]
+
+    return get
+
+
+def _criterion_test(name):
+    def test(reports):
+        title, rows = CRITERIA[name]
+        problems = []
+        for cfg, names in rows:
+            got = reports(cfg)
+            for check_id in _ids(cfg, names):
+                r = got.get(check_id)
+                if r is None:
+                    problems.append("%s: not reported" % check_id)
+                elif r.status != "pass":
+                    problems.append("%s %s: lhs=%s rhs=%s" % (check_id, r.status, r.lhs, r.rhs))
+        print("[%s] %s" % ("FAIL" if problems else "PASS", title))
+        assert not problems, "; ".join(problems)
+
+    return test
+
+
+for _name in CRITERIA:  # one test per criterion, named by its key
+    globals()[_name] = _criterion_test(_name)

@@ -105,14 +105,17 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc, message",
     [
-        {"primes": 5},
-        {"radius": None},
-        {"satake": [[1, 2]]},
-        {"primes": "23"},
-        {"no_timing": "false"},
-        {"radius": 1.9},
+        ({"primes": 5}, "config key 'primes':"),
+        ({"radius": None}, "config key 'radius':"),
+        ({"satake": [[1, 2]]}, "config key 'satake':"),
+        ({"primes": "23"}, "config key 'primes':"),
+        ({"no_timing": "false"}, "config key 'no_timing':"),
+        ({"radius": 1.9}, "config key 'radius':"),
+        # well-typed, but a check over no primes or no (s, w) points compares nothing
+        ({"primes": []}, "primes must not be empty"),
+        ({"sw": []}, "sw points must not be empty"),
     ],
     ids=[
         "primes-not-a-list",
@@ -121,15 +124,17 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
         "primes-a-string",
         "no-timing-a-string",
         "radius-a-float",
+        "primes-empty",
+        "sw-empty",
     ],
 )
-def test_bad_config_value_exits_2(tmp_path, capsys, doc):
+def test_bad_config_value_exits_2(tmp_path, capsys, doc, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_main(capsys, ["chain", "--config", str(path), "--no-timing"])
     assert code == 2
     assert out == ""
-    assert "config error: config key %r:" % next(iter(doc)) in err
+    assert "config error: " + message in err
 
 
 def test_character_cache_is_gone(tmp_path, capsys, monkeypatch):
@@ -194,3 +199,12 @@ def test_coeffs_comparisons_count_the_points_in_a_branch():
     for r in reports:
         assert r.status == "pass"
         assert r.params["comparisons"] == want
+
+
+def test_parity_check_calls_delta_parity(monkeypatch, run_checks):
+    # the first branch's rule in both branches: wrong wherever a + c is odd in the second
+    monkeypatch.setattr(coeffs, "delta_parity", lambda x, y, a, b, c: (x + y + b) & 1)
+    reports = run_checks(CheckConfig(suite="coeffs", radius=2), ["coeffs/parity-consistency"])
+    assert [(r.check_id, r.status) for r in reports] == [("coeffs/parity-consistency", "fail")]
+    x, y, a, b, c = map(int, reports[0].lhs.split(":")[0].strip("()").split(","))
+    assert coeffs.in_second_branch(a, b, c) and (a + c) % 2 == 1

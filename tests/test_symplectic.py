@@ -243,16 +243,9 @@ Q2_ORBIT_CHECKS = (
 )
 
 
-def test_q2_orbit_checks_build_no_q3_space(monkeypatch):
+def test_q2_orbit_checks_build_no_q3_space(monkeypatch, run_checks):
     monkeypatch.setattr(symplectic, "_SPACES", {})
-    run_check = suites._run_check
-
-    def only_q2(reports, check_id, params, fn):
-        if check_id in Q2_ORBIT_CHECKS:
-            run_check(reports, check_id, params, fn)
-
-    monkeypatch.setattr(suites, "_run_check", only_q2)
-    reports = suites.run_suite(suites.CheckConfig(suite="orbits"))
+    reports = run_checks(suites.CheckConfig(suite="orbits"), Q2_ORBIT_CHECKS)
     assert sorted(r.check_id for r in reports) == sorted(Q2_ORBIT_CHECKS)
     assert all(r.status == "pass" for r in reports)
     assert sorted(symplectic._SPACES) == [2]
