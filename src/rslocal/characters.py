@@ -161,11 +161,36 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def evaluate(self, t: Fraction, y1: Fraction, y2: Fraction) -> Fraction:
-        total = Fraction(0)
-        for k, coeff in self._c.items():
-            et, e1, e2 = _unpack(k)
-            total += coeff * t**et * y1**e1 * y2**e2
-        return total
+        """Exact value at a rational torus point, summed in integers.
+
+        For a variable x = n/d with exponents in [lo, hi],
+        x^e = x^lo * n^(e-lo) d^(hi-e) / d^(hi-lo): one integer table per
+        variable, an integer sum over the monomials, and one Fraction at
+        the end.
+        """
+        c = self._c
+        if not c:
+            return Fraction(0)
+        scale = Fraction(1)
+        columns = []
+        # the packed fields t, d1, d2 of every key, each still offset by _OFF
+        for x, field in zip(
+            (t, y1, y2),
+            (
+                [k >> (2 * _SHIFT) for k in c],
+                [(k >> _SHIFT) & _MASK for k in c],
+                [k & _MASK for k in c],
+            ),
+        ):
+            x = Fraction(x)
+            n, d = x.numerator, x.denominator
+            lo = min(field)
+            span = max(field) - lo
+            table = [n**i * d ** (span - i) for i in range(span + 1)]
+            columns.append([table[f - lo] for f in field])
+            scale *= x ** (lo - _OFF) / d**span
+        total = sum(v * a * b * g for v, a, b, g in zip(c.values(), *columns))
+        return total * scale
 
     # -- symmetry ------------------------------------------------------------
 

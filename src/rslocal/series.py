@@ -13,7 +13,9 @@ from typing import Callable, NamedTuple
 
 from .characters import (
     VirtualCharacter,
-    product_char,
+    char_A1,
+    char_B2,
+    product_char,  # unused here; perfbench/test_perfbench.py traces this binding
     sym_power_decompose,
     tensor_decompose,
 )
@@ -55,10 +57,17 @@ _VALUE_CACHE: dict[tuple, Fraction] = {}
 
 
 def character_value(weight: tuple[int, int, int], pt: SatakePoint) -> Fraction:
+    """Value of the product character A1[m] B2[a, b] at pt.
+
+    The character is product_char(m, a, b) = char_A1(m) * char_B2(a, b), so
+    its value is the product of the two factors' values; the product
+    polynomial is never expanded.
+    """
     key = (weight, pt)
     val = _VALUE_CACHE.get(key)
     if val is None:
-        val = product_char(*weight).evaluate(pt.t, pt.y1, pt.y2)
+        m, a, b = weight
+        val = char_A1(m).evaluate(pt.t, 1, 1) * char_B2(a, b).evaluate(1, pt.y1, pt.y2)
         _VALUE_CACHE[key] = val
     return val
 

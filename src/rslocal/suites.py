@@ -56,13 +56,15 @@ class CheckConfig:
                     )
         if self.fmt not in ("text", "json"):
             errors.append("format must be text or json")
+        if self.satake_points is not None and not self.satake_points:
+            errors.append("satake points must not be empty")
         for pt in self.satake_points or ():
             if 0 in pt:
                 errors.append("satake coordinates must be nonzero")
         return errors
 
     def resolved_satake(self) -> tuple:
-        if self.satake_points:
+        if self.satake_points is not None:
             return tuple(series.SatakePoint.make(*pt) for pt in self.satake_points)
         rng = random.Random(self.seed)
 
@@ -646,10 +648,17 @@ def _suite_chain(cfg: CheckConfig, reports: list):
     _run_check(reports, "chain/normalization", box, normalization)
 
     points = cfg.resolved_satake()
+    local_at = {}  # point -> specialize(local, point), shared by the checks below
+
+    def specialized_local(pt):
+        if pt not in local_at:
+            local_at[pt] = series.specialize(get("local"), pt)
+        return local_at[pt]
+
     for n, pt in enumerate(points):
         def spec_eq(pt=pt):
             return _series_mismatch(
-                series.specialize(get("local"), pt), series.specialize(get("lfactor"), pt)
+                specialized_local(pt), series.specialize(get("lfactor"), pt)
             )
 
         _run_check(
@@ -659,9 +668,36 @@ def _suite_chain(cfg: CheckConfig, reports: list):
             spec_eq,
         )
 
+    def local_vs_closed():
+        # the two zeta normalizations 1/(1-U^2) and 1/(1-V^2)
+        zeta = series.RationalBiSeries(
+            du, dv,
+            {(2 * i, 2 * j): 1 for i in range(du // 2 + 1) for j in range(dv // 2 + 1)},
+        )
+        for pt in points:
+            a = series.lfactor_closed(pt, "std5", du)
+            b = series.lfactor_closed(pt, "stdxspin", dv)
+            closed = series.RationalBiSeries(
+                du, dv, {(i, j): a[i] * b[j] for i in range(du + 1) for j in range(dv + 1)}
+            )
+            outcome = _series_mismatch(specialized_local(pt) * zeta, closed)
+            if outcome is not True:
+                _, lhs, rhs = outcome
+                return (False, "pt=(%s) %s" % (", ".join(map(str, pt)), lhs), rhs)
+        return True
+
+    _run_check(
+        reports,
+        "chain/local-vs-closed",
+        {"box": [du, dv], "points": len(points)},
+        local_vs_closed,
+    )
+
     def lfactor_closed_route():
         deg = 6
-        box6 = series.lfactor_product_series(min(du, deg), min(dv, deg))
+        # adding a zero series truncates to the smaller box, and a truncated
+        # product is the product of the truncations
+        box6 = get("lfactor") + series.BiSeries.zero(min(du, deg), min(dv, deg))
         zz = box6.times_geometric(2, 0).times_geometric(0, 2)
         for pt in points:
             sp = series.specialize(zz, pt)

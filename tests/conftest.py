@@ -1,5 +1,7 @@
 """Shared test fixtures."""
 
+from fractions import Fraction
+
 import pytest
 
 from rslocal import suites
@@ -29,3 +31,16 @@ def _run_checks(cfg, ids):
 @pytest.fixture(scope="session")
 def run_checks():
     return _run_checks
+
+
+def _fraction_power_evaluate(poly, t, y1, y2):
+    """The value of a LaurentPoly as a sum of Fraction powers, one monomial at a time."""
+    total = Fraction(0)
+    for (et, e1, e2), coeff in poly.items():
+        total += coeff * t**et * y1**e1 * y2**e2
+    return total
+
+
+@pytest.fixture(scope="session")
+def fraction_power_evaluate():
+    return _fraction_power_evaluate

@@ -43,9 +43,10 @@ CRITERIA = {
         [(CheckConfig("orbits"), "gamma5 flag-count-q2 flag-count-q3 orbit-split-q2"
                                  " orbit-split-q3 stab5-q2 stab5-q3 orbit-predicates-q2")]),
     "test_criterion_10_specialization": (
-        "criterion-10 specialization at 5 seeded points and closed Euler factors to degree 6",
+        "criterion-10 specialization at 5 seeded points, closed Euler factors vs the local"
+        " integral on (8,8) and vs the L-factor series to degree 6",
         [(CHAIN, "specialization-pt0 specialization-pt1 specialization-pt2"
-                 " specialization-pt3 specialization-pt4 lfactor-closed")]),
+                 " specialization-pt3 specialization-pt4 local-vs-closed lfactor-closed")]),
 }
 
 

@@ -92,6 +92,53 @@ def test_dim_matches_trace_at_identity():
 
 
 # ---------------------------------------------------------------------------
+# Evaluation at rational torus points: the Fraction-power sum is the oracle.
+
+# (t, y1, y2): negative coordinates, t = +-1, y1 = +-y2, large numerators and denominators
+EVAL_POINTS = [
+    (Fraction(-3, 7), Fraction(-5, 2), Fraction(-9, 4)),
+    (ONE, Fraction(2, 3), Fraction(-5, 6)),
+    (-ONE, Fraction(-4, 5), Fraction(-4, 5)),
+    (Fraction(7, 2), Fraction(3, 8), Fraction(-3, 8)),
+    (-ONE, ONE, -ONE),
+    (Fraction(10**18 + 9, 3**25), Fraction(-(2**61 - 1), 10**15), Fraction(-(7**20), 11**17)),
+]
+
+
+def random_laurent(rng):
+    poly = LaurentPoly.zero()
+    for _ in range(rng.randint(1, 30)):
+        exps = (rng.randint(-12, 12) for _ in range(3))
+        poly = poly + LaurentPoly.monomial(*exps, coeff=rng.choice((-5, -2, -1, 1, 3, 4)))
+    return poly
+
+
+def test_evaluate_matches_fraction_powers(fraction_power_evaluate):
+    rng = random.Random(11)
+    polys = [random_laurent(rng) for _ in range(60)]
+    assert sum(1 for p in polys for exps, _ in p.items() if min(exps) < 0) > 500
+    polys += [
+        LaurentPoly.zero(),
+        LaurentPoly.one(),
+        LaurentPoly.monomial(-3, 0, 5, coeff=-2),
+        char_A1(7),
+        char_B2(3, 2),
+        char_A1(4) * char_B2(1, 3),
+    ]
+    for t, y1, y2 in EVAL_POINTS:
+        for p in polys:
+            got = p.evaluate(t, y1, y2)
+            assert type(got) is Fraction
+            assert got == fraction_power_evaluate(p, t, y1, y2), (p, t, y1, y2)
+
+
+def test_evaluate_at_a_zero_coordinate():
+    assert LaurentPoly.monomial(0, 2, 0, coeff=3).evaluate(ONE, Fraction(0), ONE) == 0
+    with pytest.raises(ZeroDivisionError):
+        LaurentPoly.monomial(0, -1, 0).evaluate(ONE, Fraction(0), ONE)
+
+
+# ---------------------------------------------------------------------------
 # Decomposition by peeling.
 
 

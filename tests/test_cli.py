@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rslocal import cli, coeffs, suites
+from rslocal import cli, coeffs, series, suites
 from rslocal.series import RationalBiSeries
 from rslocal.suites import CheckConfig, CheckReport, emit_report
 
@@ -113,9 +113,10 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
         ({"primes": "23"}, "config key 'primes':"),
         ({"no_timing": "false"}, "config key 'no_timing':"),
         ({"radius": 1.9}, "config key 'radius':"),
-        # well-typed, but a check over no primes or no (s, w) points compares nothing
+        # well-typed, but a check over no primes, (s, w) or Satake points compares nothing
         ({"primes": []}, "primes must not be empty"),
         ({"sw": []}, "sw points must not be empty"),
+        ({"satake": []}, "satake points must not be empty"),
     ],
     ids=[
         "primes-not-a-list",
@@ -126,6 +127,7 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
         "radius-a-float",
         "primes-empty",
         "sw-empty",
+        "satake-empty",
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, doc, message):
@@ -208,3 +210,22 @@ def test_parity_check_calls_delta_parity(monkeypatch, run_checks):
     assert [(r.check_id, r.status) for r in reports] == [("coeffs/parity-consistency", "fail")]
     x, y, a, b, c = map(int, reports[0].lhs.split(":")[0].strip("()").split(","))
     assert coeffs.in_second_branch(a, b, c) and (a + c) % 2 == 1
+
+
+def test_local_vs_closed_fails_on_a_wrong_euler_factor(monkeypatch, run_checks):
+    closed = series.lfactor_closed
+
+    def perturbed(pt, rep, deg):
+        out = closed(pt, rep, deg)
+        if rep == "stdxspin":
+            out[2] += 1
+        return out
+
+    monkeypatch.setattr(series, "lfactor_closed", perturbed)
+    cfg = CheckConfig(suite="chain", deg_u=2, deg_v=3, satake_points=((2, -3, Fraction(5, 7)),))
+    reports = run_checks(cfg, ["chain/local-vs-closed"])
+    assert [(r.check_id, r.status) for r in reports] == [("chain/local-vs-closed", "fail")]
+    # U^0 V^2 is the first box position that sees the perturbed coefficient
+    want = closed(series.SatakePoint.make(2, -3, Fraction(5, 7)), "stdxspin", 3)[2]
+    assert reports[0].lhs == "pt=(2, -3, 5/7) U^0 V^2: %r" % want
+    assert reports[0].rhs == repr(want + 1)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rslocal import coeffs
-from rslocal.characters import VirtualCharacter
+from rslocal.characters import VirtualCharacter, product_char
 from rslocal.series import (
     BiSeries,
     RationalBiSeries,
@@ -114,6 +114,24 @@ def test_specialize_chain_identity():
     lhs = specialize(local_integral_series(6, 6), pt)
     rhs = specialize(lfactor_product_series(6, 6), pt)
     assert lhs == rhs
+
+
+def test_character_value_is_the_product_character_value(fraction_power_evaluate):
+    # negative coordinates, t = +-1, y1 = +-y2, large numerators and denominators
+    points = [
+        SatakePoint.make(Fraction(-3, 7), Fraction(-5, 2), Fraction(-9, 4)),
+        SatakePoint.make(1, Fraction(2, 3), Fraction(-5, 6)),
+        SatakePoint.make(-1, Fraction(-4, 5), Fraction(-4, 5)),
+        SatakePoint.make(Fraction(7, 2), Fraction(3, 8), Fraction(-3, 8)),
+        SatakePoint.make(Fraction(10**18 + 9, 3**25), Fraction(-(2**61 - 1), 10**15),
+                         Fraction(-(7**20), 11**17)),
+    ]
+    weights = sorted({w for _, vc in local_integral_series(4, 4).items() for w, _ in vc.items()})
+    assert len(weights) > 30
+    for pt in points:
+        for w in weights:
+            want = fraction_power_evaluate(product_char(*w), *pt)
+            assert character_value(w, pt) == want, (w, pt)
 
 
 def test_satake_point_rejects_zero():
