@@ -411,6 +411,10 @@ class VirtualCharacter:
         out._m = m
         return out
 
+    def __mul__(self, other: "VirtualCharacter") -> "VirtualCharacter":
+        """The product in the representation ring (the tensor product)."""
+        return tensor_decompose(self, other)
+
     def scaled(self, mult: int) -> "VirtualCharacter":
         if not mult:
             return VirtualCharacter()

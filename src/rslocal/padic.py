@@ -20,7 +20,6 @@ __all__ = [
     "PadicConfig",
     "TorusValuations",
     "RationalFunction",
-    "UVPoly",
     "valuation",
     "mat_mul",
     "rref",
@@ -37,6 +36,7 @@ __all__ = [
     "integral_psi_max",
     "integral_psi_max_brute",
     "fpsi_closed",
+    "evaluate_uv",
     "fpsi_brute",
     "torus_term",
     "torus_term_sum",
@@ -154,7 +154,7 @@ _G5 = gamma5_matrix()
 _G5_INV = mat_inv(_G5)
 
 
-def similitude(g, p: int | None = None) -> Fraction:
+def similitude(g) -> Fraction:
     """The scalar mu with <vg, wg> = mu <v, w>; raises off the group."""
     gj = mat_mul(g, J_STD)
     gjgt = tuple(
@@ -442,53 +442,15 @@ def integral_psi_max_brute(a_val: int, p: int, u: int) -> Fraction:
 # The normalized twisted section integral.
 
 
-class UVPoly:
-    """Finitely supported map (i, j) -> rational coefficient of U^i V^j."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeff=None):
-        c = {}
-        if coeff:
-            for key, v in coeff.items():
-                v = Fraction(v)
-                if v:
-                    c[key] = v
-        self._c = c
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def items(self):
-        return sorted(self._c.items())
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __eq__(self, other):
-        return isinstance(other, UVPoly) and self._c == other._c
-
-    def evaluate(self, u_val: Fraction, v_val: Fraction) -> Fraction:
-        total = Fraction(0)
-        for (i, j), coeff in self._c.items():
-            total += coeff * u_val**i * v_val**j
-        return total
-
-    def __repr__(self):
-        return "UVPoly(%s)" % ", ".join(
-            "%s*U^%d V^%d" % (c, i, j) for (i, j), c in self.items()
-        )
-
-
-def fpsi_closed(tv: TorusValuations) -> UVPoly:
+def fpsi_closed(tv: TorusValuations) -> dict[tuple[int, int], int]:
     """Closed form of the normalized section integral at one torus point.
 
     With U, V the usual monomial substitutions, the value on the branch
     a <= c <= 2a is U^(c-a) V^(2b+c) (1 + ... + U^(2a-c)) times
     (1 + U/V^2 + ... + (U/V^2)^b); on c < a <= b+c it is
     U^(a-c) V^(2b+c) (1 + ... + U^c)(1 + ... + (U/V^2)^(b+c-a)); and the
-    integral vanishes for every other valuation triple.
+    integral vanishes for every other valuation triple.  Returned as the
+    map (i, j) -> coefficient of U^i V^j, empty where the integral vanishes.
     """
     a, b, c = tv
     if a <= c <= 2 * a:
@@ -496,13 +458,19 @@ def fpsi_closed(tv: TorusValuations) -> UVPoly:
     elif c < a <= b + c:
         base_u, dmax, emax = a - c, c, b + c - a
     else:
-        return UVPoly.zero()
+        return {}
     out: dict[tuple[int, int], int] = {}
     for d in range(dmax + 1):
         for e in range(emax + 1):
             key = (base_u + d + e, 2 * b + c - 2 * e)
             out[key] = out.get(key, 0) + 1
-    return UVPoly(out)
+    return out
+
+
+def evaluate_uv(poly: dict[tuple[int, int], int], u_val, v_val) -> Fraction:
+    """The value of sum coeff U^i V^j over poly at U = u_val, V = v_val."""
+    u_val, v_val = Fraction(u_val), Fraction(v_val)
+    return sum((c * u_val**i * v_val**j for (i, j), c in poly.items()), Fraction(0))
 
 
 def _spsi(p: int, k: int) -> Fraction:
@@ -627,24 +595,13 @@ def torus_term(tv: TorusValuations, deg_u: int, deg_v: int) -> BiSeries:
     local_integral_series exactly.
     """
     a, b, c = tv
-    poly = fpsi_closed(tv)
-    if not poly:
-        return BiSeries.zero(deg_u, deg_v)
     weight = (2 * a - c, b, c)
-    acc: dict[tuple[int, int], int] = {}
-    for (i0, j0), coeff in poly.items():
-        if coeff != int(coeff):
-            raise AssertionError("closed form should have integer coefficients")
-        f = 0
-        while i0 + f <= deg_u and j0 + 2 * f <= deg_v:
-            key = (i0 + f, j0 + 2 * f)
-            acc[key] = acc.get(key, 0) + int(coeff)
-            f += 1
-    return BiSeries(
-        deg_u,
-        deg_v,
-        {key: VirtualCharacter({weight: mult}) for key, mult in acc.items()},
-    )
+    boxed = {
+        (i, j): VirtualCharacter({weight: mult})
+        for (i, j), mult in fpsi_closed(tv).items()
+        if i <= deg_u and j <= deg_v
+    }
+    return BiSeries(deg_u, deg_v, boxed).times_geometric(1, 2)
 
 
 def torus_term_sum(deg_u: int, deg_v: int) -> BiSeries:

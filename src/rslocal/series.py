@@ -1,9 +1,10 @@
-"""Truncated bivariate power series over the virtual character ring.
+"""Truncated bivariate power series in U and V.
 
 A BiSeries keeps coefficients only inside the rectangular box
 0 <= i <= deg_u, 0 <= j <= deg_v; every generator below derives explicit
 finite loop bounds from that box, so each of the a priori infinite sums
-is assembled exactly.
+is assembled exactly.  The coefficients are virtual characters, or exact
+rationals once a series is specialized at a Satake point.
 """
 
 from __future__ import annotations
@@ -17,15 +18,13 @@ from .characters import (
     char_B2,
     product_char,  # unused here; perfbench/test_perfbench.py traces this binding
     sym_power_decompose,
-    tensor_decompose,
+    tensor_decompose,  # unused here (BiSeries multiplies with *); traced likewise
 )
 
 __all__ = [
     "BiSeries",
-    "RationalBiSeries",
     "SatakePoint",
     "first_mismatch",
-    "geometric_series",
     "series_from_univariate",
     "local_integral_series",
     "mult_series",
@@ -73,6 +72,13 @@ def character_value(weight: tuple[int, int, int], pt: SatakePoint) -> Fraction:
 
 
 class BiSeries:
+    """Map (i, j) -> coefficient of U^i V^j inside the truncation box.
+
+    Coefficients are any ring elements with +, * and truthiness (zero is
+    falsy): virtual characters, whose product is the tensor product, or
+    Fractions.
+    """
+
     __slots__ = ("deg_u", "deg_v", "_c")
 
     def __init__(self, deg_u: int, deg_v: int, coeff=None):
@@ -93,8 +99,9 @@ class BiSeries:
     def zero(cls, deg_u: int, deg_v: int) -> "BiSeries":
         return cls(deg_u, deg_v)
 
-    def get(self, i: int, j: int) -> VirtualCharacter:
-        return self._c.get((i, j), VirtualCharacter.zero())
+    def get(self, i: int, j: int):
+        """The coefficient of U^i V^j; the int 0 where none is stored."""
+        return self._c.get((i, j), 0)
 
     def items(self):
         return sorted(self._c.items())
@@ -121,7 +128,7 @@ class BiSeries:
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         du, dv = min(self.deg_u, other.deg_u), min(self.deg_v, other.deg_v)
-        out: dict[tuple[int, int], VirtualCharacter] = {}
+        out = {}
         for (i1, j1), v1 in self._c.items():
             if i1 > du or j1 > dv:
                 continue
@@ -129,7 +136,7 @@ class BiSeries:
                 i, j = i1 + i2, j1 + j2
                 if i > du or j > dv:
                     continue
-                prod = tensor_decompose(v1, v2)
+                prod = v1 * v2
                 cur = out.get((i, j))
                 out[(i, j)] = prod if cur is None else cur + prod
         return BiSeries(du, dv, out)
@@ -138,7 +145,7 @@ class BiSeries:
         """Multiply by the truncated geometric series in U^step_u V^step_v."""
         if step_u < 0 or step_v < 0 or step_u + step_v == 0:
             raise ValueError("geometric step must be nonzero and nonnegative")
-        out: dict[tuple[int, int], VirtualCharacter] = {}
+        out = {}
         for (i, j), v in self._c.items():
             n = 0
             while i + n * step_u <= self.deg_u and j + n * step_v <= self.deg_v:
@@ -152,27 +159,14 @@ class BiSeries:
 def first_mismatch(lhs, rhs):
     """Smallest box position where two series' coefficients differ, or None.
 
-    Serves BiSeries and RationalBiSeries alike: returns (key, lhs value,
-    rhs value).
+    Returns (key, lhs value, rhs value) for series of any coefficient ring;
+    a side with no coefficient at key gives the int 0.
     """
     for key in sorted(set(lhs._c) | set(rhs._c)):
         a, b = lhs.get(*key), rhs.get(*key)
         if a != b:
             return key, a, b
     return None
-
-
-def geometric_series(step_u: int, step_v: int, deg_u: int, deg_v: int) -> BiSeries:
-    """Truncation of 1/(1 - U^step_u V^step_v) with trivial coefficients."""
-    if step_u < 0 or step_v < 0 or step_u + step_v == 0:
-        raise ValueError("geometric step must be nonzero and nonnegative")
-    one = VirtualCharacter.weight(0, 0, 0)
-    out = {}
-    n = 0
-    while n * step_u <= deg_u and n * step_v <= deg_v:
-        out[(n * step_u, n * step_v)] = one
-        n += 1
-    return BiSeries(deg_u, deg_v, out)
 
 
 def series_from_univariate(coeffs, axis: str, deg_u: int, deg_v: int) -> BiSeries:
@@ -366,58 +360,7 @@ def sym_side_series(which: str, deg: int) -> list[VirtualCharacter]:
 # Specialization at exact rational Satake points.
 
 
-class RationalBiSeries:
-    __slots__ = ("deg_u", "deg_v", "_c")
-
-    def __init__(self, deg_u: int, deg_v: int, coeff=None):
-        self.deg_u = deg_u
-        self.deg_v = deg_v
-        c = {}
-        if coeff:
-            for (i, j), v in coeff.items():
-                if i < 0 or j < 0 or i > deg_u or j > deg_v:
-                    raise ValueError("coefficient outside truncation box")
-                v = Fraction(v)
-                if v:
-                    c[(i, j)] = v
-        self._c = c
-
-    def get(self, i: int, j: int) -> Fraction:
-        return self._c.get((i, j), Fraction(0))
-
-    def items(self):
-        return sorted(self._c.items())
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalBiSeries)
-            and (self.deg_u, self.deg_v) == (other.deg_u, other.deg_v)
-            and self._c == other._c
-        )
-
-    def __add__(self, other):
-        du, dv = min(self.deg_u, other.deg_u), min(self.deg_v, other.deg_v)
-        out = {}
-        for (i, j), v in list(self._c.items()) + list(other._c.items()):
-            if i <= du and j <= dv:
-                out[(i, j)] = out.get((i, j), Fraction(0)) + v
-        return RationalBiSeries(du, dv, out)
-
-    def __mul__(self, other):
-        du, dv = min(self.deg_u, other.deg_u), min(self.deg_v, other.deg_v)
-        out = {}
-        for (i1, j1), v1 in self._c.items():
-            for (i2, j2), v2 in other._c.items():
-                i, j = i1 + i2, j1 + j2
-                if i <= du and j <= dv:
-                    out[(i, j)] = out.get((i, j), Fraction(0)) + v1 * v2
-        return RationalBiSeries(du, dv, out)
-
-
-def specialize(series: BiSeries, pt: SatakePoint) -> RationalBiSeries:
+def specialize(series: BiSeries, pt: SatakePoint) -> BiSeries:
     """Replace every coefficient by its exact character value at pt."""
     out = {}
     for (i, j), vc in series._c.items():
@@ -426,7 +369,7 @@ def specialize(series: BiSeries, pt: SatakePoint) -> RationalBiSeries:
             val += mult * character_value(w, pt)
         if val:
             out[(i, j)] = val
-    return RationalBiSeries(series.deg_u, series.deg_v, out)
+    return BiSeries(series.deg_u, series.deg_v, out)
 
 
 def _satake_eigenvalues(pt: SatakePoint, rep: str) -> list[Fraction]:

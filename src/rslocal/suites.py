@@ -158,41 +158,44 @@ def _series_mismatch(lhs, rhs):
 
 def _suite_characters(cfg: CheckConfig, reports: list):
     one = Fraction(1)
+    m_max, ab_max = 12, 8
 
     def dims():
         count = 0
-        for m in range(13):
+        for m in range(m_max + 1):
             if characters.char_A1(m).evaluate(one, one, one) != characters.dim_irrep(m, 0, 0):
                 return (False, "A1[%d]" % m, None)
             count += 1
-        for a in range(9):
-            for b in range(9 - a):
+        for a in range(ab_max + 1):
+            for b in range(ab_max + 1 - a):
                 got = characters.char_B2(a, b).evaluate(one, one, one)
                 if got != characters.dim_irrep(0, a, b):
                     return (False, "B2[%d,%d] trace %s" % (a, b, got), None)
                 count += 1
         return (True, str(count), None)
 
-    _run_check(reports, "characters/dim-vs-trace", {"m_max": 12, "ab_max": 8}, dims)
+    _run_check(reports, "characters/dim-vs-trace", {"m_max": m_max, "ab_max": ab_max}, dims)
 
     def invariance():
-        for a in range(9):
-            for b in range(9 - a):
+        for a in range(ab_max + 1):
+            for b in range(ab_max + 1 - a):
                 if not characters.char_B2(a, b).is_weyl_invariant():
                     return (False, "B2[%d,%d]" % (a, b), None)
         return True
 
-    _run_check(reports, "characters/weyl-invariance", {"ab_max": 8}, invariance)
+    _run_check(reports, "characters/weyl-invariance", {"ab_max": ab_max}, invariance)
+
+    samples, support_max = 40, 6
 
     def roundtrip():
         rng = random.Random(cfg.seed + 1)
         weights = [
             (m, a, b)
-            for m in range(7)
-            for a in range(7)
-            for b in range(7 - a)
+            for m in range(support_max + 1)
+            for a in range(support_max + 1)
+            for b in range(support_max + 1 - a)
         ]
-        for _ in range(40):
+        for _ in range(samples):
             support = rng.sample(weights, rng.randint(1, 5))
             vc = characters.VirtualCharacter(
                 {w: rng.choice((-3, -2, -1, 1, 2, 3)) for w in support}
@@ -202,23 +205,30 @@ def _suite_characters(cfg: CheckConfig, reports: list):
         return True
 
     _run_check(
-        reports, "characters/decompose-roundtrip", {"samples": 40, "support_max": 6}, roundtrip
+        reports,
+        "characters/decompose-roundtrip",
+        {"samples": samples, "support_max": support_max},
+        roundtrip,
     )
+
+    l_max = 8
 
     def sym_closed():
         base = characters.VirtualCharacter.weight(1, 0, 1)
-        for ell in range(9):
+        for ell in range(l_max + 1):
             lhs = characters.sym_power_spin_closed(ell)
             rhs = characters.sym_power_decompose(base, ell)
             if lhs != rhs:
                 return (False, "l=%d: %r" % (ell, lhs), repr(rhs))
         return True
 
-    _run_check(reports, "characters/sym-closed-vs-adams", {"l_max": 8}, sym_closed)
+    _run_check(reports, "characters/sym-closed-vs-adams", {"l_max": l_max}, sym_closed)
+
+    tensor_samples = 25
 
     def tensor_dims():
         rng = random.Random(cfg.seed + 2)
-        for _ in range(25):
+        for _ in range(tensor_samples):
             w1 = (rng.randint(0, 4), rng.randint(0, 3), rng.randint(0, 3))
             w2 = (rng.randint(0, 4), rng.randint(0, 3), rng.randint(0, 3))
             prod = characters.tensor_decompose(
@@ -231,18 +241,22 @@ def _suite_characters(cfg: CheckConfig, reports: list):
                 return (False, "negative multiplicity in %r x %r" % (w1, w2), None)
         return True
 
-    _run_check(reports, "characters/tensor-dim-conservation", {"samples": 25}, tensor_dims)
+    _run_check(
+        reports, "characters/tensor-dim-conservation", {"samples": tensor_samples}, tensor_dims
+    )
 
 
 def _suite_pieri(cfg: CheckConfig, reports: list):
+    row1_max, k_max = 5, 6
+
     def rule():
         count = 0
-        for r1 in range(6):
+        for r1 in range(row1_max + 1):
             for r2 in range(r1 + 1):
                 for spin in (False, True):
                     lam = characters.Partition2(r1, r2, spin)
                     base = characters.VirtualCharacter.weight(*lam.to_weight())
-                    for k in range(7):
+                    for k in range(k_max + 1):
                         lhs = characters.pieri_tensor(lam, k)
                         rhs = characters.tensor_decompose(
                             base, characters.VirtualCharacter.weight(0, k, 0)
@@ -259,18 +273,24 @@ def _suite_pieri(cfg: CheckConfig, reports: list):
         return (True, str(count), None)
 
     _run_check(
-        reports, "pieri/rule-vs-tensor-oracle", {"row1_max": 5, "k_max": 6}, rule
+        reports, "pieri/rule-vs-tensor-oracle", {"row1_max": row1_max, "k_max": k_max}, rule
     )
 
+    box = _small_box(cfg)
+
     def positivity():
-        box = min(cfg.deg_u, 6), min(cfg.deg_v, 6)
         ps = series.pieri_product_series(*box)
         for _, vc in ps.items():
             if not vc.is_genuine():
                 return (False, repr(vc), None)
         return True
 
-    _run_check(reports, "pieri/series-positivity", {"box": [min(cfg.deg_u, 6), min(cfg.deg_v, 6)]}, positivity)
+    _run_check(reports, "pieri/series-positivity", {"box": list(box)}, positivity)
+
+
+def _small_box(cfg: CheckConfig) -> tuple[int, int]:
+    """The configured box capped at (6, 6)."""
+    return min(cfg.deg_u, 6), min(cfg.deg_v, 6)
 
 
 def _coeff_grid(radius: int):
@@ -338,8 +358,10 @@ def _random_unit(rng: random.Random, p: int) -> Fraction:
 
 
 def _suite_padic(cfg: CheckConfig, reports: list):
-    vals = range(-2, 5)
-    us = range(3, 9)
+    val_lo, val_hi, u_lo, u_hi = -2, 4, 3, 8
+    vals = range(val_lo, val_hi + 1)
+    us = range(u_lo, u_hi + 1)
+    kernel_params = {"primes": list(cfg.primes), "vals": [val_lo, val_hi], "u": [u_lo, u_hi]}
 
     def max_kernel():
         for p in cfg.primes:
@@ -351,12 +373,7 @@ def _suite_padic(cfg: CheckConfig, reports: list):
                         return (False, "p=%d v=%d u=%d: %s" % (p, v, u, closed), str(brute))
         return True
 
-    _run_check(
-        reports,
-        "padic/max-kernel-integral",
-        {"primes": list(cfg.primes), "vals": [-2, 4], "u": [3, 8]},
-        max_kernel,
-    )
+    _run_check(reports, "padic/max-kernel-integral", kernel_params, max_kernel)
 
     def psi_kernel():
         for p in cfg.primes:
@@ -369,19 +386,16 @@ def _suite_padic(cfg: CheckConfig, reports: list):
                         return (False, "p=%d v=%d u=%d: %s" % (p, v, u, closed), str(brute))
         return True
 
-    _run_check(
-        reports,
-        "padic/psi-kernel-integral",
-        {"primes": list(cfg.primes), "vals": [-2, 4], "u": [3, 8]},
-        psi_kernel,
-    )
+    _run_check(reports, "padic/psi-kernel-integral", kernel_params, psi_kernel)
+
+    configs, v_lo, v_hi = 500, -3, 3
 
     def det_sweep():
         for p in cfg.primes:
             rng = random.Random(cfg.seed * 1000 + p)
-            for _ in range(500):
+            for _ in range(configs):
                 a, b, c = (rng.randrange(0, 4) for _ in range(3))
-                xv, yv, zv = (rng.randrange(-3, 4) for _ in range(3))
+                xv, yv, zv = (rng.randrange(v_lo, v_hi + 1) for _ in range(3))
                 x = _random_unit(rng, p) * Fraction(p) ** xv
                 y = _random_unit(rng, p) * Fraction(p) ** yv
                 z = _random_unit(rng, p) * Fraction(p) ** zv
@@ -409,14 +423,16 @@ def _suite_padic(cfg: CheckConfig, reports: list):
     _run_check(
         reports,
         "padic/det-closed-vs-minors",
-        {"primes": list(cfg.primes), "configs": 500, "val_range": [-3, 3]},
+        {"primes": list(cfg.primes), "configs": configs, "val_range": [v_lo, v_hi]},
         det_sweep,
     )
 
+    section_primes, levi_samples, k_samples = (2, 3), 20, 10
+
     def section_levi():
-        for p in (2, 3):
+        for p in section_primes:
             rng = random.Random(cfg.seed * 77 + p)
-            for _ in range(20):
+            for _ in range(levi_samples):
                 # Levi data: m1 integral invertible, m2 and mu powers of p
                 # times units
                 while True:
@@ -446,34 +462,46 @@ def _suite_padic(cfg: CheckConfig, reports: list):
                     )
         return True
 
-    _run_check(reports, "padic/section-levi", {"primes": [2, 3], "samples": 20}, section_levi)
+    _run_check(
+        reports,
+        "padic/section-levi",
+        {"primes": list(section_primes), "samples": levi_samples},
+        section_levi,
+    )
 
     def section_k_invariance():
-        for p in (2, 3):
+        for p in section_primes:
             rng = random.Random(cfg.seed * 7070 + p)
             base = padic.mat_mul(
                 padic.u_element(Fraction(1, p), p, Fraction(3, p)),
                 padic.torus_element(p, Fraction(p**2), p),
             )
             ref = padic.fprime_section(base, p)
-            for _ in range(10):
+            for _ in range(k_samples):
                 k = _random_integral_k(rng, p)
                 got = padic.fprime_section(padic.mat_mul(base, k), p)
                 if got != ref:
                     return (False, "p=%d: %r" % (p, got), repr(ref))
         return True
 
-    _run_check(reports, "padic/section-k-invariance", {"primes": [2, 3], "samples": 10}, section_k_invariance)
+    _run_check(
+        reports,
+        "padic/section-k-invariance",
+        {"primes": list(section_primes), "samples": k_samples},
+        section_k_invariance,
+    )
+
+    abc_max = 2
 
     def fpsi():
         for p in cfg.primes:
             cfg_p = padic.PadicConfig.make(p)
             for s, w in cfg.sw_points:
-                for a, b, c in itertools.product(range(3), repeat=3):
+                for a, b, c in itertools.product(range(abc_max + 1), repeat=3):
                     tv = padic.TorusValuations(a, b, c)
                     brute = padic.fpsi_brute(cfg_p, tv, s, w)
-                    closed = padic.fpsi_closed(tv).evaluate(
-                        Fraction(1, p ** (w - 2)), Fraction(1, p**s)
+                    closed = padic.evaluate_uv(
+                        padic.fpsi_closed(tv), Fraction(1, p ** (w - 2)), Fraction(1, p**s)
                     )
                     if brute != closed:
                         return (
@@ -486,22 +514,16 @@ def _suite_padic(cfg: CheckConfig, reports: list):
     _run_check(
         reports,
         "padic/fpsi-closed-vs-brute",
-        {"primes": list(cfg.primes), "sw": [list(x) for x in cfg.sw_points], "abc_max": 2},
+        {"primes": list(cfg.primes), "sw": [list(x) for x in cfg.sw_points], "abc_max": abc_max},
         fpsi,
     )
 
-    def torus_reconstruction():
-        box = min(cfg.deg_u, 6), min(cfg.deg_v, 6)
-        lhs = padic.torus_term_sum(*box)
-        rhs = series.local_integral_series(*box)
-        return _series_mismatch(lhs, rhs)
+    box = _small_box(cfg)
 
-    _run_check(
-        reports,
-        "padic/torus-reconstruction",
-        {"box": [min(cfg.deg_u, 6), min(cfg.deg_v, 6)]},
-        torus_reconstruction,
-    )
+    def torus_reconstruction():
+        return _series_mismatch(padic.torus_term_sum(*box), series.local_integral_series(*box))
+
+    _run_check(reports, "padic/torus-reconstruction", {"box": list(box)}, torus_reconstruction)
 
 
 def _parabolic_levi(m1, m2, mu):
@@ -669,22 +691,11 @@ def _suite_chain(cfg: CheckConfig, reports: list):
         )
 
     def local_vs_closed():
-        # the two zeta normalizations 1/(1-U^2) and 1/(1-V^2)
-        zeta = series.RationalBiSeries(
-            du, dv,
-            {(2 * i, 2 * j): 1 for i in range(du // 2 + 1) for j in range(dv // 2 + 1)},
+        # times the two zeta normalizations 1/(1-U^2) and 1/(1-V^2)
+        return _vs_closed_product(
+            points,
+            lambda pt: specialized_local(pt).times_geometric(2, 0).times_geometric(0, 2),
         )
-        for pt in points:
-            a = series.lfactor_closed(pt, "std5", du)
-            b = series.lfactor_closed(pt, "stdxspin", dv)
-            closed = series.RationalBiSeries(
-                du, dv, {(i, j): a[i] * b[j] for i in range(du + 1) for j in range(dv + 1)}
-            )
-            outcome = _series_mismatch(specialized_local(pt) * zeta, closed)
-            if outcome is not True:
-                _, lhs, rhs = outcome
-                return (False, "pt=(%s) %s" % (", ".join(map(str, pt)), lhs), rhs)
-        return True
 
     _run_check(
         reports,
@@ -693,32 +704,44 @@ def _suite_chain(cfg: CheckConfig, reports: list):
         local_vs_closed,
     )
 
+    deg = 6
+
     def lfactor_closed_route():
-        deg = 6
         # adding a zero series truncates to the smaller box, and a truncated
         # product is the product of the truncations
         box6 = get("lfactor") + series.BiSeries.zero(min(du, deg), min(dv, deg))
         zz = box6.times_geometric(2, 0).times_geometric(0, 2)
-        for pt in points:
-            sp = series.specialize(zz, pt)
-            a = series.lfactor_closed(pt, "std5", min(du, deg))
-            b = series.lfactor_closed(pt, "stdxspin", min(dv, deg))
-            for i in range(min(du, deg) + 1):
-                for j in range(min(dv, deg) + 1):
-                    if sp.get(i, j) != a[i] * b[j]:
-                        return (
-                            False,
-                            "pt=%r U^%dV^%d %s" % (pt, i, j, sp.get(i, j)),
-                            str(a[i] * b[j]),
-                        )
-        return True
+        return _vs_closed_product(points, lambda pt: series.specialize(zz, pt))
 
     _run_check(
         reports,
         "chain/lfactor-closed",
-        {"deg": 6, "points": len(points)},
+        {"deg": deg, "points": len(points)},
         lfactor_closed_route,
     )
+
+
+def _vs_closed_product(points, specialized):
+    """Compare specialized(pt) with the closed std5 x stdxspin Euler product.
+
+    At every point the closed side is lfactor_closed(pt, "std5")[i] *
+    lfactor_closed(pt, "stdxspin")[j] at every U^i V^j of the box of
+    specialized(pt); a failure names the point and the first differing
+    coefficient.
+    """
+    for pt in points:
+        lhs = specialized(pt)
+        du, dv = lhs.deg_u, lhs.deg_v
+        a = series.lfactor_closed(pt, "std5", du)
+        b = series.lfactor_closed(pt, "stdxspin", dv)
+        closed = series.BiSeries(
+            du, dv, {(i, j): a[i] * b[j] for i in range(du + 1) for j in range(dv + 1)}
+        )
+        outcome = _series_mismatch(lhs, closed)
+        if outcome is not True:
+            _, got, want = outcome
+            return (False, "pt=(%s) %s" % (", ".join(map(str, pt)), got), want)
+    return True
 
 
 _SUITE_BODIES = {

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from rslocal import cli, coeffs, series, suites
-from rslocal.series import RationalBiSeries
+from rslocal.characters import VirtualCharacter
+from rslocal.series import BiSeries
 from rslocal.suites import CheckConfig, CheckReport, emit_report
 
 
@@ -156,12 +157,20 @@ def test_character_cache_is_gone(tmp_path, capsys, monkeypatch):
 
 
 def test_series_mismatch_names_first_differing_coefficient():
-    lhs = RationalBiSeries(1, 1, {(0, 1): Fraction(1, 2), (1, 1): Fraction(3)})
-    rhs = RationalBiSeries(1, 1, {(0, 1): Fraction(2), (1, 1): Fraction(5)})
+    lhs = BiSeries(1, 1, {(0, 1): Fraction(1, 2), (1, 1): Fraction(3)})
+    rhs = BiSeries(1, 1, {(0, 1): Fraction(2), (1, 1): Fraction(5)})
     assert suites._series_mismatch(lhs, rhs) == (
         False, "U^0 V^1: %r" % Fraction(1, 2), repr(Fraction(2))
     )
     assert suites._series_mismatch(lhs, lhs) is True
+    # a coefficient present on one side only reads as 0 on the other
+    absent = BiSeries(1, 1, {(1, 1): Fraction(3)})
+    assert suites._series_mismatch(lhs, absent) == (False, "U^0 V^1: %r" % Fraction(1, 2), "0")
+    assert suites._series_mismatch(absent, lhs) == (False, "U^0 V^1: 0", repr(Fraction(1, 2)))
+    triv = VirtualCharacter.weight(0, 0, 0)
+    assert suites._series_mismatch(BiSeries(0, 0, {(0, 0): triv}), BiSeries.zero(0, 0)) == (
+        False, "U^0 V^0: %r" % triv, "0"
+    )
 
 
 def test_exception_in_check_is_an_error(capsys, monkeypatch):

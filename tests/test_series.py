@@ -9,10 +9,8 @@ from rslocal import coeffs
 from rslocal.characters import VirtualCharacter, product_char
 from rslocal.series import (
     BiSeries,
-    RationalBiSeries,
     SatakePoint,
     character_value,
-    geometric_series,
     lfactor_closed,
     lfactor_product_series,
     local_integral_series,
@@ -71,8 +69,9 @@ def test_sym_side_std_chain():
     assert su[0] == TRIV
     lhs = series_from_univariate(su, "u", 4, 0)
     base = BiSeries(4, 0, {(k, 0): VirtualCharacter.weight(0, k, 0) for k in range(5)})
-    rhs = base * geometric_series(2, 0, 4, 0)
-    assert lhs == rhs
+    geometric = BiSeries(4, 0, {(0, 0): TRIV}).times_geometric(2, 0)
+    assert geometric == BiSeries(4, 0, {(0, 0): TRIV, (2, 0): TRIV, (4, 0): TRIV})
+    assert lhs == base * geometric == base.times_geometric(2, 0)
 
 
 def test_sym_side_spin_chain():
@@ -83,8 +82,9 @@ def test_sym_side_spin_chain():
         for n in range((4 - m) // 2 + 1):
             key = (0, m + 2 * n)
             acc[key] = acc.get(key, VirtualCharacter.zero()) + VirtualCharacter.weight(m, n, m)
-    rhs = BiSeries(0, 4, acc) * geometric_series(0, 2, 0, 4)
-    assert lhs == rhs
+    base = BiSeries(0, 4, acc)
+    geometric = BiSeries(0, 4, {(0, 0): TRIV}).times_geometric(0, 2)
+    assert lhs == base * geometric == base.times_geometric(0, 2)
 
 
 def test_sym_side_rejects_unknown():
@@ -161,6 +161,7 @@ def test_specialization_is_ring_homomorphism():
         s2 = random_biseries(rng, 2, 2)
         assert specialize(s1 + s2, pt) == specialize(s1, pt) + specialize(s2, pt)
         assert specialize(s1 * s2, pt) == specialize(s1, pt) * specialize(s2, pt)
+        assert specialize(s1.times_geometric(2, 0), pt) == specialize(s1, pt).times_geometric(2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,4 +198,13 @@ def test_box_containment_enforced():
     with pytest.raises(ValueError):
         BiSeries(1, 1, {(2, 0): TRIV})
     with pytest.raises(ValueError):
-        RationalBiSeries(1, 1, {(0, 2): Fraction(1)})
+        BiSeries(1, 1, {(0, 2): Fraction(1)})
+
+
+def test_rational_coefficients():
+    # a specialized series: zero Fractions are dropped and absent positions read 0
+    s = BiSeries(1, 1, {(0, 0): Fraction(1, 2), (1, 0): Fraction(-1, 3), (0, 1): Fraction(0)})
+    assert s.items() == [((0, 0), Fraction(1, 2)), ((1, 0), Fraction(-1, 3))]
+    assert s.get(0, 1) == 0 and s.get(1, 1) == 0
+    t = BiSeries(1, 2, {(0, 1): Fraction(2), (1, 0): Fraction(1, 3)})
+    assert s + t == BiSeries(1, 1, {(0, 0): Fraction(1, 2), (0, 1): Fraction(2)})
