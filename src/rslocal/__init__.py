@@ -23,7 +23,6 @@ from .characters import (
 )
 from .coeffs import m_brute, m_closed, n_brute, n_interval
 from .padic import (
-    PadicConfig,
     TorusValuations,
     bottom_minor_norm,
     det_norms_closed,

@@ -10,16 +10,13 @@ sums plus exactly summable geometric tails.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from .characters import VirtualCharacter
 from .series import BiSeries
 
 __all__ = [
-    "PadicConfig",
     "TorusValuations",
-    "RationalFunction",
     "valuation",
     "mat_mul",
     "rref",
@@ -41,18 +38,6 @@ __all__ = [
     "torus_term",
     "torus_term_sum",
 ]
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-class PadicConfig(NamedTuple):
-    p: int
-
-    @classmethod
-    def make(cls, p: int) -> "PadicConfig":
-        if p not in _SMALL_PRIMES:
-            raise ValueError("p must be a small prime, got %r" % (p,))
-        return cls(p)
 
 
 class TorusValuations(NamedTuple):
@@ -289,98 +274,16 @@ def fprime_section(g, p: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Rational functions of Z = p^(-u) and the two closed shell-integral kernels.
+# The two closed shell-integral kernels, as values at Z = p^(-u).
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def integral_max(c_val: int, p: int, u: int) -> Fraction:
+    """integral over F of max(|c|, |y|)^(-u) dy = |c|^(1-u) (1-Z)/(1-pZ).
 
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _poly_trim(a):
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        q[len(a) - len(b)] = f
-        for i in range(len(b)):
-            a[len(a) - len(b) + i] -= f * b[i]
-        _poly_trim(a)
-    return q, a
-
-
-def _poly_gcd(a, b):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return a if a else [Fraction(1)]
-
-
-class RationalFunction:
-    """Ratio of integer polynomials in one formal variable, kept reduced."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=(1,)):
-        n = _poly_trim([Fraction(v) for v in num])
-        d = _poly_trim([Fraction(v) for v in den])
-        if not d:
-            raise ZeroDivisionError("zero denominator")
-        if n:
-            g = _poly_gcd(n, d)
-            if len(g) > 1:
-                n = _poly_divmod(n, g)[0]
-                d = _poly_divmod(d, g)[0]
-        # clear denominators to primitive integer coefficients
-        from math import lcm
-
-        mult = lcm(*(c.denominator for c in n + d)) if (n or d) else 1
-        ni = [int(c * mult) for c in n]
-        di = [int(c * mult) for c in d]
-        g = 0
-        for v in ni + di:
-            g = gcd(g, v)
-        if g > 1:
-            ni = [v // g for v in ni]
-            di = [v // g for v in di]
-        if di[-1] < 0:
-            ni = [-v for v in ni]
-            di = [-v for v in di]
-        self.num = tuple(ni)
-        self.den = tuple(di)
-
-    def evaluate(self, z: Fraction) -> Fraction:
-        z = Fraction(z)
-        n = sum((c * z**i for i, c in enumerate(self.num)), Fraction(0))
-        d = sum((c * z**i for i, c in enumerate(self.den)), Fraction(0))
-        return n / d
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __repr__(self):
-        return "RationalFunction(num=%r, den=%r)" % (self.num, self.den)
-
-
-class MaxYIntegral(NamedTuple):
-    """Symbolic value of the max-kernel y-integral: |c|^(1-u) * ratio(Z)."""
-
-    prefactor_val: int
-    ratio: RationalFunction
-
-    def evaluate(self, p: int, u: int) -> Fraction:
-        z = _ppow(p, -u)
-        return _ppow(p, self.prefactor_val * (u - 1)) * self.ratio.evaluate(z)
-
-
-def integral_max(c_val: int, p: int) -> MaxYIntegral:
-    """integral over F of max(|c|, |y|)^(-u) dy = |c|^(1-u) (1-Z)/(1-pZ)."""
-    return MaxYIntegral(c_val, RationalFunction((1, -1), (1, -p)))
+    Here v(c) = c_val and Z = p^(-u).
+    """
+    z = _ppow(p, -u)
+    return _ppow(p, c_val * (u - 1)) * (1 - z) / (1 - p * z)
 
 
 def integral_max_brute(c_val: int, p: int, u: int) -> Fraction:
@@ -407,20 +310,16 @@ def integral_max_brute(c_val: int, p: int, u: int) -> Fraction:
     return total
 
 
-def integral_psi_max(a_val: int, p: int) -> RationalFunction:
-    """integral of psi(a x) max(1, |x|)^(-u) dx as a polynomial in Z.
+def integral_psi_max(a_val: int, p: int, u: int) -> Fraction:
+    """integral of psi(a x) max(1, |x|)^(-u) dx, with Z = p^(-u).
 
     Vanishes when a is not integral; otherwise equals
     (1 - Z)(1 + pZ + ... + (pZ)^a_val).
     """
     if a_val < 0:
-        return RationalFunction((0,))
-    poly = [Fraction(0)] * (a_val + 2)
-    for i in range(a_val + 1):
-        # (1 - Z) * (pZ)^i
-        poly[i] += p**i
-        poly[i + 1] -= p**i
-    return RationalFunction(poly)
+        return Fraction(0)
+    z = _ppow(p, -u)
+    return (1 - z) * sum((p * z) ** i for i in range(a_val + 1))
 
 
 def integral_psi_max_brute(a_val: int, p: int, u: int) -> Fraction:
@@ -482,7 +381,7 @@ def _spsi(p: int, k: int) -> Fraction:
     return _ppow(p, -k) * (1 - Fraction(1, p))
 
 
-def fpsi_brute(cfg: PadicConfig, tv: TorusValuations, s: int, w: int) -> Fraction:
+def fpsi_brute(p: int, tv: TorusValuations, s: int, w: int) -> Fraction:
     """Exact shell-decomposition evaluation of the section integral.
 
     Integrates psi(z) psi(x) f'(u(x,y,z) t, s, w) over F^3 directly from
@@ -493,7 +392,6 @@ def fpsi_brute(cfg: PadicConfig, tv: TorusValuations, s: int, w: int) -> Fractio
     three tails are exact geometric sums.  Only valuations enter, so the
     result is independent of every unit part.
     """
-    p = cfg.p
     a, b, c = tv
     if not (s >= 2 and w - 2 * s >= 4):
         raise ValueError("(s, w) outside the absolute-convergence region")

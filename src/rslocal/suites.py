@@ -367,7 +367,7 @@ def _suite_padic(cfg: CheckConfig, reports: list):
         for p in cfg.primes:
             for v in vals:
                 for u in us:
-                    closed = padic.integral_max(v, p).evaluate(p, u)
+                    closed = padic.integral_max(v, p, u)
                     brute = padic.integral_max_brute(v, p, u)
                     if closed != brute:
                         return (False, "p=%d v=%d u=%d: %s" % (p, v, u, closed), str(brute))
@@ -379,8 +379,7 @@ def _suite_padic(cfg: CheckConfig, reports: list):
         for p in cfg.primes:
             for v in vals:
                 for u in us:
-                    z = Fraction(1, p**u)
-                    closed = padic.integral_psi_max(v, p).evaluate(z)
+                    closed = padic.integral_psi_max(v, p, u)
                     brute = padic.integral_psi_max_brute(v, p, u)
                     if closed != brute:
                         return (False, "p=%d v=%d u=%d: %s" % (p, v, u, closed), str(brute))
@@ -495,11 +494,10 @@ def _suite_padic(cfg: CheckConfig, reports: list):
 
     def fpsi():
         for p in cfg.primes:
-            cfg_p = padic.PadicConfig.make(p)
             for s, w in cfg.sw_points:
                 for a, b, c in itertools.product(range(abc_max + 1), repeat=3):
                     tv = padic.TorusValuations(a, b, c)
-                    brute = padic.fpsi_brute(cfg_p, tv, s, w)
+                    brute = padic.fpsi_brute(p, tv, s, w)
                     closed = padic.evaluate_uv(
                         padic.fpsi_closed(tv), Fraction(1, p ** (w - 2)), Fraction(1, p**s)
                     )

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rslocal import suites
+from rslocal.symplectic import FlagState, rref_q
 
 
 def _run_checks(cfg, ids):
@@ -44,3 +45,33 @@ def _fraction_power_evaluate(poly, t, y1, y2):
 @pytest.fixture(scope="session")
 def fraction_power_evaluate():
     return _fraction_power_evaluate
+
+
+def _mat_mul_q(A, B, q):
+    """The matrix product over F_q."""
+    n = len(A)
+    return tuple(
+        tuple(sum(A[i][k] * B[k][j] for k in range(n)) % q for j in range(n))
+        for i in range(n)
+    )
+
+
+def _flag_apply(flag, g, q):
+    """The flag moved by the matrix g: rref of the images of both bases."""
+
+    def image(v):
+        return tuple(sum(v[k] * g[k][j] for k in range(6)) % q for j in range(6))
+
+    b2 = rref_q(tuple(image(v) for v in flag.basis2), q)
+    b3 = rref_q(tuple(image(v) for v in flag.basis3), q)
+    return FlagState(b2, b3)
+
+
+@pytest.fixture(scope="session")
+def mat_mul_q():
+    return _mat_mul_q
+
+
+@pytest.fixture(scope="session")
+def flag_apply():
+    return _flag_apply

@@ -7,8 +7,6 @@ from fractions import Fraction
 import pytest
 
 from rslocal.padic import (
-    PadicConfig,
-    RationalFunction,
     TorusValuations,
     bottom_minor_norm,
     det_norms_closed,
@@ -124,42 +122,32 @@ def test_section_rejects_non_similitude():
 
 
 def test_integral_max_unit_example():
-    assert integral_max(0, 2).evaluate(2, 3) == Fraction(7, 6)
-
-
-def test_integral_max_formal_shape_independent_of_c():
-    want = RationalFunction((1, -1), (1, -2))
-    assert integral_max(0, 2).ratio == want
-    assert integral_max(3, 2).ratio == want
-    assert integral_max(-2, 2).ratio == want
+    assert integral_max(0, 2, 3) == Fraction(7, 6)
 
 
 def test_integral_max_prefactor_valuation():
     # |c|^(1-u) contributes p^(c_val (u - 1))
-    got = integral_max(1, 3).evaluate(3, 4)
-    assert got == Fraction(3) ** 3 * integral_max(0, 3).evaluate(3, 4)
+    got = integral_max(1, 3, 4)
+    assert got == Fraction(3) ** 3 * integral_max(0, 3, 4)
+    # what remains is (1-Z)/(1-pZ) whatever c is
+    for c_val in (-2, 1, 3):
+        for u in range(3, 7):
+            z = Fraction(1, 2**u)
+            prefactor = Fraction(2) ** (c_val * (u - 1))
+            assert integral_max(c_val, 2, u) == prefactor * (1 - z) / (1 - 2 * z)
 
 
 def test_integral_psi_cases():
-    assert integral_psi_max(-1, 2).evaluate(Fraction(1, 8)) == 0
-    assert integral_psi_max(0, 2).evaluate(Fraction(1, 8)) == Fraction(7, 8)
+    assert integral_psi_max(-1, 2, 3) == 0
+    assert integral_psi_max(0, 2, 3) == Fraction(7, 8)
 
 
 def test_kernel_sweeps_match_brute():
     for p in (2, 3, 5):
         for val in range(-2, 5):
             for u in range(3, 9):
-                assert integral_max(val, p).evaluate(p, u) == integral_max_brute(val, p, u)
-                z = Fraction(1, p**u)
-                assert integral_psi_max(val, p).evaluate(z) == integral_psi_max_brute(val, p, u)
-
-
-def test_rational_function_reduction():
-    f = RationalFunction((2, -2), (2, -4))
-    g = RationalFunction((1, -1), (1, -2))
-    assert f == g
-    z = Fraction(1, 7)
-    assert f.evaluate(z) == (1 - z) / (1 - 2 * z)
+                assert integral_max(val, p, u) == integral_max_brute(val, p, u)
+                assert integral_psi_max(val, p, u) == integral_psi_max_brute(val, p, u)
 
 
 # ---------------------------------------------------------------------------
@@ -180,34 +168,29 @@ def test_fpsi_closed_branch_boundaries():
 
 
 def test_fpsi_brute_examples():
-    cfg2 = PadicConfig.make(2)
-    got = fpsi_brute(cfg2, TorusValuations(0, 0, 0), 2, 9)
+    got = fpsi_brute(2, TorusValuations(0, 0, 0), 2, 9)
     want = evaluate_uv(fpsi_closed(TorusValuations(0, 0, 0)), Fraction(1, 2**7), Fraction(1, 4))
     assert got == want == 1
-    cfg3 = PadicConfig.make(3)
-    got3 = fpsi_brute(cfg3, TorusValuations(1, 1, 1), 2, 9)
+    got3 = fpsi_brute(3, TorusValuations(1, 1, 1), 2, 9)
     want3 = evaluate_uv(fpsi_closed(TorusValuations(1, 1, 1)), Fraction(1, 3**7), Fraction(1, 9))
     assert got3 == want3
 
 
 def test_fpsi_brute_outside_branches_vanishes():
-    cfg = PadicConfig.make(2)
-    assert fpsi_brute(cfg, TorusValuations(2, 0, 0), 2, 9) == 0
+    assert fpsi_brute(2, TorusValuations(2, 0, 0), 2, 9) == 0
 
 
 def test_fpsi_brute_rejects_divergent_parameters():
-    cfg = PadicConfig.make(2)
     with pytest.raises(ValueError):
-        fpsi_brute(cfg, TorusValuations(0, 0, 0), 2, 7)
+        fpsi_brute(2, TorusValuations(0, 0, 0), 2, 7)
 
 
 def test_fpsi_sweep_small():
     for p in (2, 3):
-        cfg = PadicConfig.make(p)
         u_val, v_val = Fraction(1, p**7), Fraction(1, p**2)
         for a, b, c in itertools.product(range(2), repeat=3):
             tv = TorusValuations(a, b, c)
-            assert fpsi_brute(cfg, tv, 2, 9) == evaluate_uv(fpsi_closed(tv), u_val, v_val)
+            assert fpsi_brute(p, tv, 2, 9) == evaluate_uv(fpsi_closed(tv), u_val, v_val)
 
 
 # ---------------------------------------------------------------------------

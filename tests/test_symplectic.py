@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rslocal import suites, symplectic
+from rslocal import padic, suites, symplectic
 from rslocal.symplectic import (
     E1,
     E2,
@@ -15,7 +15,6 @@ from rslocal.symplectic import (
     FlagState,
     alt_fifth_flag,
     enumerate_flags,
-    flag_apply,
     flag_counts,
     flag_space,
     gamma5_check,
@@ -24,7 +23,6 @@ from rslocal.symplectic import (
     h_group_order,
     h_similitude,
     make_flag,
-    mat_mul_q,
     orbit_decompose,
     orbit_predicates,
     orbit_representatives,
@@ -70,7 +68,7 @@ def test_h_generators_are_similitudes():
             h_similitude(g, q)
 
 
-def test_h_closure_order_q2():
+def test_h_closure_order_q2(mat_mul_q):
     mul = lambda A, B: mat_mul_q(A, B, 2)
     closure = group_closure(h_generators(2), mul, limit=10000)
     assert len(closure) == 4320 == h_group_order(2)
@@ -124,6 +122,23 @@ def test_gamma5():
     assert gamma5_check()
 
 
+IDENTITY6 = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+GAMMA5_MUTANTS = {
+    # not symplectic: similitude raises, the check must still answer False
+    "row4-e1": padic.GAMMA5_ROWS[:4] + (E1,) + padic.GAMMA5_ROWS[5:],
+    # symplectic with similitude one, but it fixes <f1, f2> and <f1, f2, f3>
+    "identity": IDENTITY6,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA5_MUTANTS))
+def test_gamma5_check_rejects_mutated_constant(monkeypatch, run_checks, name):
+    monkeypatch.setattr(padic, "GAMMA5_ROWS", GAMMA5_MUTANTS[name])
+    assert gamma5_check() is False
+    reports = run_checks(suites.CheckConfig(suite="orbits"), ["orbits/gamma5"])
+    assert [(r.check_id, r.status) for r in reports] == [("orbits/gamma5", "fail")]
+
+
 def test_make_flag_rejects_bad_input():
     from rslocal.symplectic import E1, E2, F1, F2, F3
 
@@ -133,7 +148,7 @@ def test_make_flag_rejects_bad_input():
         make_flag((F1, E2), (F1, F2, F3), 2)  # plane not inside the 3-space
 
 
-def test_flag_apply_respects_action():
+def test_flag_apply_respects_action(flag_apply):
     q = 2
     flag = orbit_representatives(q)[1]
     for g in h_generators(q):
@@ -147,7 +162,7 @@ def test_flag_apply_respects_action():
 # The indexed flag space against the matrix definitions.
 
 
-def test_flag_perms_match_flag_apply_q2():
+def test_flag_perms_match_flag_apply_q2(flag_apply):
     space = flag_space(2)
     assert enumerate_flags(2) is space.flag_states
     for i, g in enumerate(h_generators(2)):
@@ -157,7 +172,7 @@ def test_flag_perms_match_flag_apply_q2():
             assert space.flag_states[perm[f]] == flag_apply(flag, g, 2)
 
 
-def test_flag_perms_match_flag_apply_q3_sample():
+def test_flag_perms_match_flag_apply_q3_sample(flag_apply):
     space = flag_space(3)
     rng = random.Random(2017)
     gens = h_generators(3)
@@ -168,7 +183,7 @@ def test_flag_perms_match_flag_apply_q3_sample():
             assert space.flag_states[space.flag_perms[i][f]] == flag_apply(flag, g, 3)
 
 
-def test_row_index_closure_matches_matrix_closure_q2():
+def test_row_index_closure_matches_matrix_closure_q2(mat_mul_q, flag_apply):
     space = flag_space(2)
     elements = space.group_elements()
     mul = lambda A, B: mat_mul_q(A, B, 2)
@@ -180,7 +195,7 @@ def test_row_index_closure_matches_matrix_closure_q2():
         assert space.flag_states[image] == flag_apply(flag5, space.matrix(a), 2)
 
 
-def test_index_arithmetic_matches_matrices():
+def test_index_arithmetic_matches_matrices(mat_mul_q, flag_apply):
     rng = random.Random(5)
     for q in (2, 3):
         space = flag_space(q)
