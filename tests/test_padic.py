@@ -125,16 +125,19 @@ def test_integral_max_unit_example():
     assert integral_max(0, 2, 3) == Fraction(7, 6)
 
 
-def test_integral_max_prefactor_valuation():
-    # |c|^(1-u) contributes p^(c_val (u - 1))
-    got = integral_max(1, 3, 4)
-    assert got == Fraction(3) ** 3 * integral_max(0, 3, 4)
-    # what remains is (1-Z)/(1-pZ) whatever c is
-    for c_val in (-2, 1, 3):
+def test_integral_max_formal_shape_independent_of_c():
+    # after the |c|^(1-u) prefactor, what remains is (1-Z)/(1-pZ) whatever c is
+    for c_val in (0, 3, -2, 1):
         for u in range(3, 7):
             z = Fraction(1, 2**u)
             prefactor = Fraction(2) ** (c_val * (u - 1))
             assert integral_max(c_val, 2, u) == prefactor * (1 - z) / (1 - 2 * z)
+
+
+def test_integral_max_prefactor_valuation():
+    # |c|^(1-u) contributes p^(c_val (u - 1))
+    got = integral_max(1, 3, 4)
+    assert got == Fraction(3) ** 3 * integral_max(0, 3, 4)
 
 
 def test_integral_psi_cases():
