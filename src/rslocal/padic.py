@@ -10,6 +10,8 @@ sums plus exactly summable geometric tails.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .characters import VirtualCharacter
@@ -52,21 +54,21 @@ def _ppow(p: int, e: int) -> Fraction:
     return Fraction(p**e) if e >= 0 else Fraction(1, p**-e)
 
 
+def _int_valuation(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def valuation(x, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of zero")
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
 
 
 # ---------------------------------------------------------------------------
@@ -135,25 +137,46 @@ def mat_inv(A):
     return tuple(row[n:] for row in reduced)
 
 
-_G5 = gamma5_matrix()
-_G5_INV = mat_inv(_G5)
+_G5_INV = mat_inv(gamma5_matrix())
+
+# Every entry of gamma5, of its inverse and of J_STD is 0 or +-1, so the
+# products below are signed sums over the nonzero entries, kept as
+# (index, sign) lists: the rows of gamma5, the columns of its inverse, and
+# the (i, j, sign) entries of J_STD.
+_G5_ROW_TERMS = tuple(tuple((k, v) for k, v in enumerate(row) if v) for row in GAMMA5_ROWS)
+_G5_INV_COL_TERMS = tuple(
+    tuple((k, int(_G5_INV[k][j])) for k in range(_N) if _G5_INV[k][j]) for j in range(_N)
+)
+_J_TERMS = tuple((i, j, J_STD[i][j]) for i in range(_N) for j in range(_N) if J_STD[i][j])
+_COLS2 = tuple(combinations(range(_N), 2))
+_COLS3 = tuple(combinations(range(_N), 3))
+
+
+def _cleared(g):
+    """(G, D): the integer matrix G = D g, D the lcm of the denominators of g."""
+    d = lcm(*(v.denominator for row in g for v in row))
+    return tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in g), d
 
 
 def similitude(g) -> Fraction:
-    """The scalar mu with <vg, wg> = mu <v, w>; raises off the group."""
-    gj = mat_mul(g, J_STD)
-    gjgt = tuple(
-        tuple(sum(gj[i][k] * g[j][k] for k in range(_N)) for j in range(_N))
-        for i in range(_N)
-    )
-    mu = gjgt[0][5]
-    if mu == 0:
+    """The scalar mu with <vg, wg> = mu <v, w>; raises off the group.
+
+    With G = D g integral this is G J G^T = mu D^2 J.  The Gram matrix
+    G J G^T is antisymmetric, so the pairings of rows i < j decide it.
+    """
+    G, d = _cleared(g)
+
+    def pair(x, y):
+        return sum(s * x[i] * y[j] for i, j, s in _J_TERMS)
+
+    m = pair(G[0], G[5])
+    if m == 0:
         raise ValueError("zero similitude")
     for i in range(_N):
-        for j in range(_N):
-            if gjgt[i][j] != mu * J_STD[i][j]:
+        for j in range(i + 1, _N):
+            if pair(G[i], G[j]) != m * J_STD[i][j]:
                 raise ValueError("matrix does not preserve the symplectic form")
-    return Fraction(mu)
+    return Fraction(m, d * d)
 
 
 def torus_element(alpha, beta, gamma):
@@ -190,36 +213,34 @@ def u_element(x, y, z):
 
 
 def _minor_valuations(g, r: int, p: int):
-    """Valuations of the r x r minors from the bottom r rows, gamma5 basis."""
-    m = mat_mul(mat_mul(_G5, g), _G5_INV)
-    rows = m[_N - r:]
-    best = None
-    if r == 2:
-        for j1 in range(_N):
-            for j2 in range(j1 + 1, _N):
-                det = rows[0][j1] * rows[1][j2] - rows[0][j2] * rows[1][j1]
-                if det:
-                    v = valuation(det, p)
-                    if best is None or v < best:
-                        best = v
-    elif r == 3:
-        for j1 in range(_N):
-            for j2 in range(j1 + 1, _N):
-                for j3 in range(j2 + 1, _N):
-                    det = (
-                        rows[0][j1] * (rows[1][j2] * rows[2][j3] - rows[1][j3] * rows[2][j2])
-                        - rows[0][j2] * (rows[1][j1] * rows[2][j3] - rows[1][j3] * rows[2][j1])
-                        + rows[0][j3] * (rows[1][j1] * rows[2][j2] - rows[1][j2] * rows[2][j1])
-                    )
-                    if det:
-                        v = valuation(det, p)
-                        if best is None or v < best:
-                            best = v
-    else:
+    """Least valuation of the r x r minors from the bottom r rows, gamma5 basis.
+
+    With G = D g integral, the bottom r rows of gamma5 G gamma5^(-1) are
+    signed sums of entries of G and their minors are D^r times those of g.
+    The 3 x 3 minors expand along their first row over the 2 x 2 minors of
+    the last two, and the least valuation of the minors is that of their gcd.
+    """
+    if r not in (2, 3):
         raise ValueError("minor size must be 2 or 3")
-    if best is None:
+    G, d = _cleared(g)
+    rows = []
+    for terms in _G5_ROW_TERMS[_N - r:]:
+        row = [sum(s * G[k][j] for k, s in terms) for j in range(_N)]
+        rows.append([sum(s * row[k] for k, s in col) for col in _G5_INV_COL_TERMS])
+    top, low = rows[-2], rows[-1]
+    minors2 = {(j1, j2): top[j1] * low[j2] - top[j2] * low[j1] for j1, j2 in _COLS2}
+    if r == 2:
+        minors = minors2.values()
+    else:
+        first = rows[0]
+        minors = [
+            first[j1] * minors2[j2, j3] - first[j2] * minors2[j1, j3] + first[j3] * minors2[j1, j2]
+            for j1, j2, j3 in _COLS3
+        ]
+    h = gcd(*minors)
+    if h == 0:
         raise ValueError("bottom rows are singular")
-    return best
+    return _int_valuation(h, p) - r * _int_valuation(d, p)
 
 
 def bottom_minor_norm(g, r: int, p: int) -> Fraction:

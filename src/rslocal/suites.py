@@ -357,6 +357,34 @@ def _random_unit(rng: random.Random, p: int) -> Fraction:
     return Fraction(rng.randrange(1, p) + p * rng.randrange(0, 30))
 
 
+_DET_CONFIGS, _DET_VAL_RANGE = 500, (-3, 3)
+
+
+def _det_configs(seed: int, p: int):
+    """The _DET_CONFIGS samples of padic/det-closed-vs-minors at the prime p.
+
+    Yields (tv, vals, (x, y, z), t, g): the torus valuations, the
+    valuations of x, y and z, the three values, t = torus_element(alpha,
+    beta, gamma) and g = u_element(x, y, z) t.  t is diagonal, so g is u
+    with column j scaled by t[j][j]; the zero entries of u stay zero.
+    """
+    v_lo, v_hi = _DET_VAL_RANGE
+    rng = random.Random(seed * 1000 + p)
+    for _ in range(_DET_CONFIGS):
+        a, b, c = (rng.randrange(0, 4) for _ in range(3))
+        vals = tuple(rng.randrange(v_lo, v_hi + 1) for _ in range(3))
+        x, y, z = (_random_unit(rng, p) * Fraction(p) ** v for v in vals)
+        alpha = _random_unit(rng, p) * Fraction(p) ** a
+        beta = _random_unit(rng, p) * Fraction(p) ** b
+        gamma = _random_unit(rng, p) * Fraction(p) ** c
+        t = padic.torus_element(alpha, beta, gamma)
+        g = tuple(
+            tuple(v * t[j][j] if v else v for j, v in enumerate(row))
+            for row in padic.u_element(x, y, z)
+        )
+        yield padic.TorusValuations(a, b, c), vals, (x, y, z), t, g
+
+
 def _suite_padic(cfg: CheckConfig, reports: list):
     val_lo, val_hi, u_lo, u_hi = -2, 4, 3, 8
     vals = range(val_lo, val_hi + 1)
@@ -387,34 +415,15 @@ def _suite_padic(cfg: CheckConfig, reports: list):
 
     _run_check(reports, "padic/psi-kernel-integral", kernel_params, psi_kernel)
 
-    configs, v_lo, v_hi = 500, -3, 3
-
     def det_sweep():
         for p in cfg.primes:
-            rng = random.Random(cfg.seed * 1000 + p)
-            for _ in range(configs):
-                a, b, c = (rng.randrange(0, 4) for _ in range(3))
-                xv, yv, zv = (rng.randrange(v_lo, v_hi + 1) for _ in range(3))
-                x = _random_unit(rng, p) * Fraction(p) ** xv
-                y = _random_unit(rng, p) * Fraction(p) ** yv
-                z = _random_unit(rng, p) * Fraction(p) ** zv
-                alpha = _random_unit(rng, p) * Fraction(p) ** a
-                beta = _random_unit(rng, p) * Fraction(p) ** b
-                gamma = _random_unit(rng, p) * Fraction(p) ** c
-                g = padic.mat_mul(
-                    padic.u_element(x, y, z), padic.torus_element(alpha, beta, gamma)
-                )
-                minors = (
-                    padic.bottom_minor_norm(g, 3, p),
-                    padic.bottom_minor_norm(g, 2, p),
-                )
-                closed = padic.det_norms_closed(
-                    padic.TorusValuations(a, b, c), x, y, z, p
-                )
+            for tv, vals, (x, y, z), _, g in _det_configs(cfg.seed, p):
+                minors = (padic.bottom_minor_norm(g, 3, p), padic.bottom_minor_norm(g, 2, p))
+                closed = padic.det_norms_closed(tv, x, y, z, p)
                 if minors != closed:
                     return (
                         False,
-                        "p=%d abc=(%d,%d,%d) v=(%d,%d,%d): %r" % (p, a, b, c, xv, yv, zv, minors),
+                        "p=%d abc=(%d,%d,%d) v=(%d,%d,%d): %r" % (p, *tv, *vals, minors),
                         repr(closed),
                     )
         return True
@@ -422,13 +431,15 @@ def _suite_padic(cfg: CheckConfig, reports: list):
     _run_check(
         reports,
         "padic/det-closed-vs-minors",
-        {"primes": list(cfg.primes), "configs": configs, "val_range": [v_lo, v_hi]},
+        {"primes": list(cfg.primes), "configs": _DET_CONFIGS, "val_range": list(_DET_VAL_RANGE)},
         det_sweep,
     )
 
     section_primes, levi_samples, k_samples = (2, 3), 20, 10
 
     def section_levi():
+        g5 = padic.gamma5_matrix()
+        g5_inv = padic.mat_inv(g5)
         for p in section_primes:
             rng = random.Random(cfg.seed * 77 + p)
             for _ in range(levi_samples):
@@ -442,7 +453,7 @@ def _suite_padic(cfg: CheckConfig, reports: list):
                 m2 = _random_unit(rng, p) * Fraction(p) ** rng.randrange(0, 3)
                 mu = _random_unit(rng, p) * Fraction(p) ** rng.randrange(0, 3)
                 g = _parabolic_levi(m1, m2, mu)
-                conj = padic.mat_mul(padic.mat_mul(padic.mat_inv(padic.gamma5_matrix()), g), padic.gamma5_matrix())
+                conj = padic.mat_mul(padic.mat_mul(g5_inv, g), g5)
                 v3, v2, vmu = padic.fprime_section(conj, p)
                 # p-exponents in f' = |det3|^(-2s)|det2|^(2s-w)|mu|^(s+w)
                 # versus the parabolic character of the Levi data

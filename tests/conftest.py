@@ -1,10 +1,12 @@
 """Shared test fixtures."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from rslocal import suites
+from rslocal.padic import J_STD, gamma5_matrix, mat_inv, mat_mul, valuation
 from rslocal.symplectic import FlagState, rref_q
 
 
@@ -75,3 +77,48 @@ def mat_mul_q():
 @pytest.fixture(scope="session")
 def flag_apply():
     return _flag_apply
+
+
+def _dense_minor_valuations(g, r, p):
+    """Least valuation of the bottom r x r minors of gamma5 g gamma5^(-1), in dense Fractions."""
+    g5 = gamma5_matrix()
+    rows = mat_mul(mat_mul(g5, g), mat_inv(g5))[6 - r:]
+    if r == 2:
+        dets = [
+            rows[0][j1] * rows[1][j2] - rows[0][j2] * rows[1][j1]
+            for j1 in range(6)
+            for j2 in range(j1 + 1, 6)
+        ]
+    elif r == 3:
+        dets = [
+            rows[0][j1] * (rows[1][j2] * rows[2][j3] - rows[1][j3] * rows[2][j2])
+            - rows[0][j2] * (rows[1][j1] * rows[2][j3] - rows[1][j3] * rows[2][j1])
+            + rows[0][j3] * (rows[1][j1] * rows[2][j2] - rows[1][j2] * rows[2][j1])
+            for j1 in range(6)
+            for j2 in range(j1 + 1, 6)
+            for j3 in range(j2 + 1, 6)
+        ]
+    else:
+        raise ValueError("minor size must be 2 or 3")
+    vals = [valuation(det, p) for det in dets if det]
+    if not vals:
+        raise ValueError("bottom rows are singular")
+    return min(vals)
+
+
+def _dense_similitude(g):
+    """The similitude of g from the dense Gram matrix g J g^T."""
+    gj = mat_mul(g, J_STD)
+    gjgt = [[sum(gj[i][k] * g[j][k] for k in range(6)) for j in range(6)] for i in range(6)]
+    mu = gjgt[0][5]
+    if mu == 0:
+        raise ValueError("zero similitude")
+    if any(gjgt[i][j] != mu * J_STD[i][j] for i in range(6) for j in range(6)):
+        raise ValueError("matrix does not preserve the symplectic form")
+    return Fraction(mu)
+
+
+@pytest.fixture(scope="session")
+def dense_section():
+    """The dense-Fraction reference for padic's minor valuations and similitude."""
+    return SimpleNamespace(minor_valuations=_dense_minor_valuations, similitude=_dense_similitude)

@@ -31,7 +31,7 @@ CRITERIA = {
     "test_criterion_6_padic_shell_integrals": (
         "criterion-6 p-adic shell integrals: p in {2,3,5}, 500 minor configs per prime",
         [(CheckConfig("padic"), "max-kernel-integral psi-kernel-integral"),
-         (CheckConfig("padic", seed=1, primes=(2, 3)), "det-closed-vs-minors")]),
+         (CheckConfig("padic", seed=1), "det-closed-vs-minors")]),
     "test_criterion_7_fpsi_closed_vs_brute": (
         "criterion-7 twisted section integral closed form vs exact shell integral",
         [(CheckConfig("padic", primes=(2, 3)), "fpsi-closed-vs-brute")]),

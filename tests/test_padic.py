@@ -1,11 +1,13 @@
 """Exact p-adic integrals: closed forms against shell-sum oracles."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from rslocal import suites
 from rslocal.padic import (
     TorusValuations,
     bottom_minor_norm,
@@ -38,6 +40,18 @@ def identity6():
 
 def random_unit(rng, p):
     return Fraction(rng.randrange(1, p) + p * rng.randrange(0, 30))
+
+
+def column_scaled(u, t):
+    """u t for the diagonal t: column j of u scaled by t[j][j]."""
+    return tuple(tuple(v * t[j][j] for j, v in enumerate(row)) for row in u)
+
+
+def raised(fn, *args):
+    """The message of the ValueError that fn(*args) raises."""
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    return str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +92,118 @@ def test_det_norms_vs_minors_seeded():
             alpha = random_unit(rng, p) * Fraction(p) ** a
             beta = random_unit(rng, p) * Fraction(p) ** b
             gamma = random_unit(rng, p) * Fraction(p) ** c
-            g = mat_mul(u_element(x, y, z), torus_element(alpha, beta, gamma))
+            g = column_scaled(u_element(x, y, z), torus_element(alpha, beta, gamma))
             got = (bottom_minor_norm(g, 3, p), bottom_minor_norm(g, 2, p))
             want = det_norms_closed(TorusValuations(a, b, c), x, y, z, p)
             assert got == want, (p, (a, b, c), (xv, yv, zv))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_det_norms_closed_cancelling_sum(p):
+    # the c < a branch, with y = -xz + p^(v(x)+v(z)+k) unit so that
+    # v(y + xz) >= min(v(y), v(xz)) + 2: there det2 needs y + xz itself
+    rng = random.Random(70 + p)
+    cancelled = 0
+    for _ in range(200):
+        a = rng.randrange(1, 4)
+        b, c = rng.randrange(0, 4), rng.randrange(0, a)
+        vx, vz, k = rng.randrange(-3, 4), rng.randrange(-3, 4), rng.randrange(2, 6)
+        x = random_unit(rng, p) * Fraction(p) ** vx
+        z = random_unit(rng, p) * Fraction(p) ** vz
+        y = -x * z + random_unit(rng, p) * Fraction(p) ** (vx + vz + k)
+        assert valuation(y + x * z, p) >= min(valuation(y, p), vx + vz) + 2
+        t = torus_element(*(random_unit(rng, p) * Fraction(p) ** e for e in (a, b, c)))
+        g = column_scaled(u_element(x, y, z), t)
+        tv = TorusValuations(a, b, c)
+        det3, det2 = det_norms_closed(tv, x, y, z, p)
+        assert (bottom_minor_norm(g, 3, p), bottom_minor_norm(g, 2, p)) == (det3, det2)
+        # det2 had v(y + xz) been min(v(y), v(xz)) = v(x) + v(z)
+        vx0, vz0 = vx + a - b - c, vz - c
+        exponent = max(0, -vx0, -vz0, -(vx0 + vz0), -(vx + vz - b - c))
+        cancelled += det2 != Fraction(p) ** (a - 2 * b - 2 * c + exponent)
+    # the cancellation changes det2 in a good share of the samples
+    assert cancelled >= 50
+
+
+def test_det_configs_are_the_column_scaled_products():
+    # 500 samples per prime in the valuation range [-3, 3]; the digest pins
+    # their seeding for the seeds 0 and 1 at p in {2, 3, 5}; at seed 0, the
+    # default of verify, each g is checked against the dense product
+    digest = hashlib.sha256()
+    for seed in (0, 1):
+        for p in (2, 3, 5):
+            samples = list(suites._det_configs(seed, p))
+            assert len(samples) == 500
+            for tv, vals, xyz, t, g in samples:
+                assert all(-3 <= v <= 3 for v in vals)
+                if seed == 0:
+                    assert g == mat_mul(u_element(*xyz), t)
+                diag = tuple(t[j][j] for j in range(6))
+                digest.update(repr((tuple(tv), vals, xyz, diag)).encode())
+    assert digest.hexdigest() == (
+        "b99a17f0ab65787fc19dd879f99c38f016a6ff568ae2f6727ec6a0587410c93d"
+    )
+
+
+def random_rational(rng, p):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randrange(-30, 31), rng.choice((1, p, p * p, 7, 3 * p**3, 11)))
+
+
+def random_similitude(rng, p):
+    """A product of random rational u, torus and gamma5 factors."""
+    g = identity6()
+    for _ in range(3):
+        x, y, z, alpha, beta, gamma = (random_rational(rng, p) or 1 for _ in range(6))
+        g = mat_mul(g, mat_mul(u_element(x, y, z), torus_element(alpha, beta, gamma)))
+        if rng.random() < 0.5:
+            g = mat_mul(g, gamma5_matrix())
+    return g
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_integer_section_matches_dense_reference(dense_section, p):
+    rng = random.Random(90 + p)
+    for _ in range(40):
+        g = tuple(tuple(random_rational(rng, p) for _ in range(6)) for _ in range(6))
+        for r in (2, 3):
+            assert bottom_minor_norm(g, r, p) == Fraction(p) ** -dense_section.minor_valuations(
+                g, r, p
+            )
+        # a random matrix is no similitude: both routes say so alike
+        assert raised(similitude, g) == raised(dense_section.similitude, g)
+    for _ in range(10):
+        g = random_similitude(rng, p)
+        mu = dense_section.similitude(g)
+        assert similitude(g) == mu
+        assert fprime_section(g, p) == (
+            dense_section.minor_valuations(g, 3, p),
+            dense_section.minor_valuations(g, 2, p),
+            valuation(mu, p),
+        )
+
+
+def test_integer_section_raises_like_dense_reference(dense_section):
+    rng = random.Random(7)
+    col = [random_rational(rng, 3) or 1 for _ in range(6)]
+    rank_one = tuple(tuple(a * Fraction(k - 2, 5) for k in range(6)) for a in col)
+    for r in (2, 3):
+        assert raised(bottom_minor_norm, rank_one, r, 3) == "bottom rows are singular"
+        assert raised(dense_section.minor_valuations, rank_one, r, 3) == "bottom rows are singular"
+    g = mat_mul(u_element(1, 2, 3), torus_element(2, 3, 5))
+    assert raised(bottom_minor_norm, g, 4, 3) == "minor size must be 2 or 3"
+    assert raised(dense_section.minor_valuations, g, 4, 3) == "minor size must be 2 or 3"
+    no_f1 = identity6()[:5] + ((Fraction(0),) * 6,)
+    sheared = [list(r) for r in identity6()]
+    sheared[0][1] = sheared[1][0] = Fraction(1)
+    sheared = tuple(tuple(r) for r in sheared)
+    for bad, message in (
+        (no_f1, "zero similitude"),
+        (sheared, "matrix does not preserve the symplectic form"),
+    ):
+        assert raised(similitude, bad) == raised(dense_section.similitude, bad) == message
+        assert raised(fprime_section, bad, 2) == message
 
 
 def test_rref_and_mat_inv():
