@@ -45,14 +45,6 @@ from .series import (
     sym_side_series,
 )
 from .suites import CheckConfig, CheckReport, emit_report, run_suite
-from .symplectic import (
-    FlagState,
-    OrbitTable,
-    enumerate_flags,
-    gamma5_check,
-    h_generators,
-    orbit_decompose,
-    stab5_check,
-)
+from .symplectic import FlagState, gamma5_check, h_generators, stab5_check
 
 __version__ = "0.1.0"

@@ -86,6 +86,12 @@ J_STD = tuple(
     for i in range(_N)
 )
 
+
+def _pairing(x, y) -> int:
+    """The form x J_STD y^T of two integer rows."""
+    return sum(x[i] * y[j] - x[j] * y[i] for i, j in _PAIRS)
+
+
 # gamma5 sends (e1, e2, e3, f3, f2, f1) to (e3, -f1, e2, f2, e1-e3, f1+f3);
 # its rows double as the change of basis used by the minor norms.
 GAMMA5_ROWS = (
@@ -139,15 +145,13 @@ def mat_inv(A):
 
 _G5_INV = mat_inv(gamma5_matrix())
 
-# Every entry of gamma5, of its inverse and of J_STD is 0 or +-1, so the
-# products below are signed sums over the nonzero entries, kept as
-# (index, sign) lists: the rows of gamma5, the columns of its inverse, and
-# the (i, j, sign) entries of J_STD.
+# Every entry of gamma5 and of its inverse is 0 or +-1, so the products
+# below are signed sums over the nonzero entries, kept as (index, sign)
+# lists: the rows of gamma5 and the columns of its inverse.
 _G5_ROW_TERMS = tuple(tuple((k, v) for k, v in enumerate(row) if v) for row in GAMMA5_ROWS)
 _G5_INV_COL_TERMS = tuple(
     tuple((k, int(_G5_INV[k][j])) for k in range(_N) if _G5_INV[k][j]) for j in range(_N)
 )
-_J_TERMS = tuple((i, j, J_STD[i][j]) for i in range(_N) for j in range(_N) if J_STD[i][j])
 _COLS2 = tuple(combinations(range(_N), 2))
 _COLS3 = tuple(combinations(range(_N), 3))
 
@@ -165,18 +169,18 @@ def similitude(g) -> Fraction:
     G J G^T is antisymmetric, so the pairings of rows i < j decide it.
     """
     G, d = _cleared(g)
-
-    def pair(x, y):
-        return sum(s * x[i] * y[j] for i, j, s in _J_TERMS)
-
-    m = pair(G[0], G[5])
+    m = _pairing(G[0], G[5])
     if m == 0:
         raise ValueError("zero similitude")
     for i in range(_N):
         for j in range(i + 1, _N):
-            if pair(G[i], G[j]) != m * J_STD[i][j]:
+            if _pairing(G[i], G[j]) != m * J_STD[i][j]:
                 raise ValueError("matrix does not preserve the symplectic form")
     return Fraction(m, d * d)
+
+
+# the constant entries of torus_element and u_element, shared by every call
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def torus_element(alpha, beta, gamma):
@@ -186,12 +190,10 @@ def torus_element(alpha, beta, gamma):
         beta * beta * gamma,
         beta * gamma,
         beta,
-        Fraction(1),
+        _ONE,
         beta * gamma / alpha,
     )
-    return tuple(
-        tuple(diag[i] if i == j else Fraction(0) for j in range(_N)) for i in range(_N)
-    )
+    return tuple(tuple(diag[i] if i == j else _ZERO for j in range(_N)) for i in range(_N))
 
 
 def u_element(x, y, z):
@@ -203,7 +205,7 @@ def u_element(x, y, z):
     but a different matrix.
     """
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
-    rows = [[Fraction(int(i == j)) for j in range(_N)] for i in range(_N)]
+    rows = [[_ONE if i == j else _ZERO for j in range(_N)] for i in range(_N)]
     rows[0][5] = z          # e1 -> e1 + z f1
     rows[1][2] = x          # e2 -> e2 + x e3 - y f3
     rows[1][3] = -y

@@ -588,7 +588,7 @@ def _suite_orbits(cfg: CheckConfig, reports: list):
     expected_sizes = {2: [45, 135, 135, 270, 360], 3: [160, 640, 1280, 3840, 8640]}
     for q in (2, 3):
         def flag_count(q=q):
-            got = len(symplectic.enumerate_flags(q))
+            got = len(symplectic.flag_space(q).flags)
             formula = symplectic.flag_counts(q)
             want = expected_totals[q]
             if got != want[1] or formula != want:
@@ -598,15 +598,16 @@ def _suite_orbits(cfg: CheckConfig, reports: list):
         _run_check(reports, "orbits/flag-count-q%d" % q, {"q": q}, flag_count)
 
         def split(q=q):
-            table, membership = symplectic.orbit_decompose(q, with_membership=True)
-            if len(table.entries) != 5:
-                return (False, "%d orbits" % len(table.entries), "5")
-            sizes = [e.size for e in table.entries]
-            if sizes != expected_sizes[q] or sum(sizes) != table.total:
+            space = symplectic.flag_space(q)
+            sizes, orbit_of = space.orbit_split()
+            sizes = list(sizes)  # the failure text shows the list repr
+            if len(sizes) != 5:
+                return (False, "%d orbits" % len(sizes), "5")
+            if sizes != expected_sizes[q] or sum(sizes) != len(space.flags):
                 return (False, "sizes %r" % sizes, repr(expected_sizes[q]))
-            alt = symplectic.alt_fifth_flag(q)
-            if membership[alt] != 5:
-                return (False, "variant flag in orbit %d" % membership[alt], "5")
+            alt = orbit_of[space.flag_index(symplectic.alt_fifth_flag(q))]
+            if alt != 5:
+                return (False, "variant flag in orbit %d" % alt, "5")
             return True
 
         _run_check(

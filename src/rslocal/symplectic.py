@@ -10,8 +10,9 @@ Computational Group Theory*, ch. 4):
   its rref basis and the set of its nonzero vectors, built once per
   subspace: the Lagrangians come from the rref enumeration, the planes from
   the 2-dimensional coefficient subspaces of each Lagrangian;
-* a flag is a (plane id, Lagrangian id) pair with a flag index, and its
-  ``FlagState`` is the pair of rref bases;
+* a flag is a (plane id, Lagrangian id) pair with a flag index, which
+  ``flag_index`` finds from its ``FlagState``, the pair of rref bases that
+  ``make_flag`` builds;
 * each generator of ``h_generators(q)`` has a vector table (v -> vg), the
   rows of its inverse, and the permutation of the flags that it induces
   through its permutations of the planes and the Lagrangians.
@@ -22,6 +23,10 @@ transversal and Schreier step of the fifth stabilizer, the closure of the
 whole group at q = 2 and the orbit predicates all run on these integers.
 The tuple definitions (``rref_q``, ``make_flag``) are the reference the
 tests compare the tables with.  The group acts on the right of row vectors.
+
+The form and the basis order (e1, e2, e3, f3, f2, f1) are padic's: the
+generators are integer matrices that ``padic.similitude`` checks before
+they are reduced mod q.
 """
 
 from __future__ import annotations
@@ -29,38 +34,26 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import NamedTuple
 
+from . import padic
+from .padic import _N, _pairing
+
 __all__ = [
     "FlagSpace",
     "FlagState",
-    "OrbitEntry",
-    "OrbitTable",
     "Stab5Report",
-    "enumerate_flags",
     "flag_counts",
     "flag_space",
     "h_generators",
     "h_group_order",
-    "orbit_decompose",
     "orbit_representatives",
     "alt_fifth_flag",
     "orbit_predicates",
-    "predicate_index",
     "stab5_check",
     "gamma5_check",
     "group_closure",
     "sl2_generators",
     "sp4_generators",
 ]
-
-_N = 6
-_PAIRS = ((0, 5), (1, 4), (2, 3))
-_JQ = tuple(
-    tuple(
-        1 if (i, j) in _PAIRS else (-1 if (j, i) in _PAIRS else 0)
-        for j in range(_N)
-    )
-    for i in range(_N)
-)
 
 E1, E2, E3 = (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)
 F3, F2, F1 = (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)
@@ -71,17 +64,6 @@ class FlagState(NamedTuple):
 
     basis2: tuple
     basis3: tuple
-
-
-class OrbitEntry(NamedTuple):
-    representative: FlagState
-    size: int
-    rep_index: int
-
-
-class OrbitTable(NamedTuple):
-    entries: tuple
-    total: int
 
 
 class Stab5Report(NamedTuple):
@@ -128,16 +110,9 @@ def _neg_q(u, q):
     return tuple((-a) % q for a in u)
 
 
-def _pairing(u, v, q):
-    total = 0
-    for i, j in _PAIRS:
-        total += u[i] * v[j] - u[j] * v[i]
-    return total % q
-
-
 def _isotropic(rows, q) -> bool:
     return all(
-        _pairing(rows[i], rows[j], q) == 0
+        _pairing(rows[i], rows[j]) % q == 0
         for i in range(len(rows))
         for j in range(i + 1, len(rows))
     )
@@ -186,10 +161,10 @@ class FlagSpace:
     ``vectors[v]`` is the coordinate tuple of vector index v.  Planes and
     Lagrangians are listed by id with their rref bases and their sets of
     nonzero member vectors; ``flags[i]`` is the (plane id, Lagrangian id)
-    pair of flag i and ``flag_states[i]`` its ``FlagState``.  Generator i
-    of ``h_generators(q)`` has the vector table ``vector_tables[i]``, its
-    inverse's rows ``gen_inverses[i]``, and the flag permutation
-    ``flag_perms[i]``.  A group element is the tuple of its row indices.
+    pair of flag i.  Generator i of ``h_generators(q)`` has the vector
+    table ``vector_tables[i]``, its inverse's rows ``gen_inverses[i]``, and
+    the flag permutation ``flag_perms[i]``.  A group element is the tuple of
+    its row indices.
     """
 
     def __init__(self, q: int):
@@ -249,9 +224,6 @@ class FlagSpace:
         self._plane_by_basis = plane_by_basis
         self._lag_by_basis = {b3: lag for lag, b3 in enumerate(self.lag_bases)}
         self._flag_id = {pair: i for i, pair in enumerate(self.flags)}
-        self.flag_states = [
-            FlagState(self.plane_bases[p], self.lag_bases[l]) for p, l in self.flags
-        ]
 
         self.vector_tables, self.gen_inverses, self.flag_perms = [], [], []
         self._plane_by_members = plane_of = {m: p for p, m in enumerate(self.plane_members)}
@@ -414,15 +386,6 @@ def flag_space(q: int) -> FlagSpace:
     return _SPACES[q]
 
 
-# ---------------------------------------------------------------------------
-# Flag enumeration.
-
-
-def enumerate_flags(q: int) -> list[FlagState]:
-    """All isotropic flags plane-inside-3-space, canonicalized, no duplicates."""
-    return flag_space(q).flag_states
-
-
 def flag_counts(q: int) -> tuple[int, int]:
     """(number of isotropic 3-spaces, flags) from the subgroup chain formula."""
     lag = (q + 1) * (q * q + 1) * (q**3 + 1)
@@ -433,20 +396,19 @@ def flag_counts(q: int) -> tuple[int, int]:
 # Generators of the fiber product of GL2 with GSp4 inside GSp6.
 
 
-def _embed_gl2(m, q):
+def _embed_gl2(m):
     """2x2 matrix on (e1, f1), identity on the middle four coordinates."""
     rows = [[int(i == j) for j in range(_N)] for i in range(_N)]
-    rows[0][0], rows[0][5] = m[0][0] % q, m[0][1] % q
-    rows[5][0], rows[5][5] = m[1][0] % q, m[1][1] % q
+    rows[0][0], rows[0][5] = m[0]
+    rows[5][0], rows[5][5] = m[1]
     return tuple(tuple(r) for r in rows)
 
 
-def _embed_sp4(m, q):
+def _embed_sp4(m):
     """4x4 matrix on (e2, e3, f3, f2), identity on (e1, f1)."""
     rows = [[int(i == j) for j in range(_N)] for i in range(_N)]
     for i in range(4):
-        for j in range(4):
-            rows[1 + i][1 + j] = m[i][j] % q
+        rows[1 + i][1:5] = m[i]
     return tuple(tuple(r) for r in rows)
 
 
@@ -454,9 +416,9 @@ def sl2_generators():
     return [((1, 1), (0, 1)), ((1, 0), (1, 1))]
 
 
-def sp4_generators(q: int):
+def sp4_generators():
     """Upper and lower root elements in the basis (e2, e3, f3, f2)."""
-    gens = [
+    return [
         # short-root shears and their transposed partners
         ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, -1), (0, 0, 0, 1)),
         ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1)),
@@ -468,35 +430,21 @@ def sp4_generators(q: int):
         ((1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
         ((1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (0, 0, 0, 1)),
     ]
-    return [tuple(tuple(v % q for v in row) for row in g) for g in gens]
-
-
-def h_similitude(g, q) -> int:
-    mu = 0
-    for i, j in _PAIRS:
-        v = _pairing(g[i], g[j], q)
-        if mu and v != mu:
-            raise ValueError("not a similitude matrix")
-        mu = v
-    for i in range(_N):
-        for j in range(i + 1, _N):
-            if _pairing(g[i], g[j], q) != (mu * _JQ[i][j]) % q:
-                raise ValueError("not a similitude matrix")
-    if mu == 0:
-        raise ValueError("not a similitude matrix")
-    return mu
 
 
 def h_generators(q: int):
     """Generators of the matched-similitude product group in GSp6(F_q).
 
     SL2 shear pairs on (e1, f1), the eight Sp4 root elements on the middle
-    block, and one matched torus pair per generator of F_q^*.
+    block, and one matched torus pair per generator of F_q^*.  Each is built
+    over the integers and must be a similitude whose multiplier is a unit
+    mod q, so that its reduction mod q is a similitude over F_q; otherwise
+    ValueError.
     """
     if q not in (2, 3):
         raise ValueError("q must be 2 or 3")
-    gens = [_embed_gl2(m, q) for m in sl2_generators()]
-    gens += [_embed_sp4(m, q) for m in sp4_generators(q)]
+    gens = [_embed_gl2(m) for m in sl2_generators()]
+    gens += [_embed_sp4(m) for m in sp4_generators()]
     if q == 3:  # F_3^* is generated by 2; F_2^* is trivial
         rows = [[int(i == j) for j in range(_N)] for i in range(_N)]
         rows[0][0] = 2  # det = 2 on (e1, f1)
@@ -504,8 +452,9 @@ def h_generators(q: int):
         rows[2][2] = 2
         gens.append(tuple(tuple(r) for r in rows))
     for g in gens:
-        h_similitude(g, q)
-    return gens
+        if padic.similitude(g) % q == 0:
+            raise ValueError("generator multiplier is 0 mod %d" % q)
+    return [tuple(tuple(v % q for v in row) for row in g) for g in gens]
 
 
 def h_group_order(q: int) -> int:
@@ -557,40 +506,8 @@ def alt_fifth_flag(q: int) -> FlagState:
     return make_flag((f13, e1m3), (f13, e1m3, F2), q)
 
 
-def orbit_decompose(q: int, with_membership: bool = False):
-    """BFS orbit split of all flags under the generator action.
-
-    Raises if the five stated representatives do not exhaust the flags in
-    five distinct orbits; optionally also returns the flag -> orbit-index
-    map.
-    """
-    space = flag_space(q)
-    sizes, orbit_of = space.orbit_split()
-    entries = tuple(
-        OrbitEntry(rep, size, idx)
-        for idx, (rep, size) in enumerate(zip(orbit_representatives(q), sizes), start=1)
-    )
-    table = OrbitTable(entries, len(space.flags))
-    if with_membership:
-        return table, dict(zip(space.flag_states, orbit_of))
-    return table
-
-
 # ---------------------------------------------------------------------------
 # Qualitative orbit predicates (proof-level characterizations).
-
-
-def predicate_index(flag: FlagState, q: int) -> int:
-    """Which of the five qualitative descriptions the flag satisfies.
-
-    The bases need not be in rref; a flag that is not an isotropic
-    (plane, Lagrangian) pair raises ValueError.
-    """
-    space = flag_space(q)
-    f = space.flag_index(FlagState(rref_q(flag.basis2, q), rref_q(flag.basis3, q)))
-    if f is None:
-        raise ValueError("not an isotropic flag over F_%d" % q)
-    return space.predicate(f)
 
 
 def orbit_predicates(q: int) -> bool:
@@ -721,18 +638,17 @@ def gamma5_check() -> bool:
     carries <f1, f2> to <f1+f3, e1-e3> and <f1, f2, f3> to
     <f1+f3, e1-e3, f2>.
     """
-    from .padic import GAMMA5_ROWS, rref, similitude
-
+    rows = padic.GAMMA5_ROWS
     try:
-        mu = similitude(GAMMA5_ROWS)
+        mu = padic.similitude(rows)
     except ValueError:  # not a similitude at all
         return False
     if mu != 1:
         return False
     # the rows are the images of (e1, e2, e3, f3, f2, f1)
-    f1_image, f2_image, f3_image = GAMMA5_ROWS[5], GAMMA5_ROWS[4], GAMMA5_ROWS[3]
+    f1_image, f2_image, f3_image = rows[5], rows[4], rows[3]
     f13 = tuple(a + b for a, b in zip(F1, F3))
     e1m3 = tuple(a - b for a, b in zip(E1, E3))
-    plane_ok = rref([f1_image, f2_image]) == rref([f13, e1m3])
-    space_ok = rref([f1_image, f2_image, f3_image]) == rref([f13, e1m3, F2])
+    plane_ok = padic.rref([f1_image, f2_image]) == padic.rref([f13, e1m3])
+    space_ok = padic.rref([f1_image, f2_image, f3_image]) == padic.rref([f13, e1m3, F2])
     return plane_ok and space_ok

@@ -53,3 +53,34 @@ def _unused_top_level_imports(path):
 def test_no_unused_top_level_imports(path):
     unused = {(path.stem, name) for name in _unused_top_level_imports(path)}
     assert unused - UNUSED_IMPORTS_ALLOWED == set()
+
+
+def _public_functions_no_other_code_names(src):
+    """(module, function) for each public top-level function of ``src`` named by no other code.
+
+    A use is a name or an attribute read anywhere in ``src`` outside the
+    function's own definition.  ``__all__`` strings are constants, not
+    names, and ``__init__.py`` only re-exports, so neither counts.
+    """
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in src.glob("*.py")}
+    del trees["__init__"]
+    defined, readers = [], {}
+    for stem, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+                defined.append((stem, top.name))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                readers.setdefault(name, set()).add((stem, getattr(top, "name", None)))
+    return sorted(
+        (stem, name) for stem, name in defined if not readers.get(name, set()) - {(stem, name)}
+    )
+
+
+def test_every_public_function_is_named_by_other_src_code():
+    assert _public_functions_no_other_code_names(SRC) == []

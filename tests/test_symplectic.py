@@ -14,19 +14,15 @@ from rslocal.symplectic import (
     F3,
     FlagState,
     alt_fifth_flag,
-    enumerate_flags,
     flag_counts,
     flag_space,
     gamma5_check,
     group_closure,
     h_generators,
     h_group_order,
-    h_similitude,
     make_flag,
-    orbit_decompose,
     orbit_predicates,
     orbit_representatives,
-    predicate_index,
     rref_q,
     stab5_check,
     stab5_shape_ok,
@@ -37,22 +33,27 @@ ORBIT_SIZES_Q2 = [45, 135, 135, 270, 360]
 ORBIT_SIZES_Q3 = [160, 640, 1280, 3840, 8640]
 
 
+def flag_states(space):
+    """The ``FlagState`` of every flag of the space, by flag index."""
+    return [FlagState(space.plane_bases[p], space.lag_bases[l]) for p, l in space.flags]
+
+
 def test_flag_count_q2():
-    flags = enumerate_flags(2)
+    flags = flag_states(flag_space(2))
     assert len(flags) == 945
     assert flag_counts(2) == (135, 945)
     assert len(set(flags)) == 945
 
 
 def test_flag_isotropy_invariant():
-    for flag in enumerate_flags(2)[:50]:
+    for flag in flag_states(flag_space(2))[:50]:
         # re-canonicalizing is the identity on canonical flags
         assert make_flag(flag.basis2, flag.basis3, 2) == flag
 
 
 def test_canonicalization_stability():
     rng = random.Random(3)
-    flags = enumerate_flags(2)
+    flags = flag_states(flag_space(2))
     for _ in range(30):
         flag = rng.choice(flags)
         # random invertible row mixes of each basis give back the same key
@@ -63,9 +64,37 @@ def test_canonicalization_stability():
 
 
 def test_h_generators_are_similitudes():
+    # over F_q: the Gram matrix g J g^T is mu J for a unit mu
     for q in (2, 3):
         for g in h_generators(q):
-            h_similitude(g, q)
+            gram = [[padic._pairing(g[i], g[j]) % q for j in range(6)] for i in range(6)]
+            mu = gram[0][5]
+            assert mu and gram == [[mu * v % q for v in row] for row in padic.J_STD]
+
+
+# the q = 3 torus pair, an integer similitude with multiplier 2
+TORUS_LIFT = ((2, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0),
+              (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+
+
+def test_h_generators_reject_bad_lifts(monkeypatch):
+    with monkeypatch.context() as m:
+        # det 2 on (e1, f1) against the identity on the middle block
+        m.setattr(symplectic, "sl2_generators", lambda: [((2, 0), (0, 1))])
+        with pytest.raises(ValueError):
+            h_generators(2)
+    with monkeypatch.context() as m:
+        # a short-root shear without its partner is not symplectic
+        shear = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        m.setattr(symplectic, "sp4_generators", lambda: [shear])
+        with pytest.raises(ValueError, match="does not preserve the symplectic form"):
+            h_generators(3)
+    with monkeypatch.context() as m:
+        # a similitude whose multiplier vanishes mod 2 but not mod 3
+        m.setattr(symplectic, "_embed_gl2", lambda _: TORUS_LIFT)
+        with pytest.raises(ValueError, match="multiplier is 0 mod 2"):
+            h_generators(2)
+        assert h_generators(3)[0] == tuple(tuple(v % 3 for v in row) for row in TORUS_LIFT)
 
 
 def test_h_closure_order_q2(mat_mul_q):
@@ -79,31 +108,38 @@ def test_h_group_order_q3_formula():
 
 
 def test_orbit_decompose_q2():
-    table = orbit_decompose(2)
-    assert len(table.entries) == 5
-    assert [e.size for e in table.entries] == ORBIT_SIZES_Q2
-    assert table.total == 945
+    space = flag_space(2)
+    sizes, orbit_of = space.orbit_split()
+    assert len(sizes) == 5
+    assert list(sizes) == ORBIT_SIZES_Q2
+    assert len(space.flags) == len(orbit_of) == 945
 
 
 def test_stated_representatives_distinct_q2():
-    _, membership = orbit_decompose(2, with_membership=True)
+    space = flag_space(2)
+    _, orbit_of = space.orbit_split()
     reps = orbit_representatives(2)
-    assert [membership[r] for r in reps] == [1, 2, 3, 4, 5]
+    assert [orbit_of[space.flag_index(r)] for r in reps] == [1, 2, 3, 4, 5]
 
 
 def test_alt_flag_in_fifth_orbit_q2():
-    _, membership = orbit_decompose(2, with_membership=True)
-    assert membership[alt_fifth_flag(2)] == 5
+    space = flag_space(2)
+    _, orbit_of = space.orbit_split()
+    assert orbit_of[space.flag_index(alt_fifth_flag(2))] == 5
 
 
 def test_orbit_predicates_q2():
     assert orbit_predicates(2)
 
 
+def test_orbit_predicates_q3():
+    assert orbit_predicates(3)
+
+
 def test_predicate_spot_values():
-    q = 2
-    reps = orbit_representatives(q)
-    assert [predicate_index(r, q) for r in reps] == [1, 2, 3, 4, 5]
+    space = flag_space(2)
+    reps = orbit_representatives(2)
+    assert [space.predicate(space.flag_index(r)) for r in reps] == [1, 2, 3, 4, 5]
 
 
 def test_stab5_q2():
@@ -164,23 +200,24 @@ def test_flag_apply_respects_action(flag_apply):
 
 def test_flag_perms_match_flag_apply_q2(flag_apply):
     space = flag_space(2)
-    assert enumerate_flags(2) is space.flag_states
+    states = flag_states(space)
     for i, g in enumerate(h_generators(2)):
         perm = space.flag_perms[i]
         assert sorted(perm) == list(range(945))
-        for f, flag in enumerate(space.flag_states):
-            assert space.flag_states[perm[f]] == flag_apply(flag, g, 2)
+        for f, flag in enumerate(states):
+            assert states[perm[f]] == flag_apply(flag, g, 2)
 
 
 def test_flag_perms_match_flag_apply_q3_sample(flag_apply):
     space = flag_space(3)
+    states = flag_states(space)
     rng = random.Random(2017)
     gens = h_generators(3)
-    for f in rng.sample(range(len(space.flag_states)), 200):
-        flag = space.flag_states[f]
+    for f in rng.sample(range(len(states)), 200):
+        flag = states[f]
         assert space.flag_index(flag) == f
         for i, g in enumerate(gens):
-            assert space.flag_states[space.flag_perms[i][f]] == flag_apply(flag, g, 3)
+            assert states[space.flag_perms[i][f]] == flag_apply(flag, g, 3)
 
 
 def test_row_index_closure_matches_matrix_closure_q2(mat_mul_q, flag_apply):
@@ -191,14 +228,16 @@ def test_row_index_closure_matches_matrix_closure_q2(mat_mul_q, flag_apply):
     assert {space.matrix(a) for a in elements} == closure
     # the carried image of the variant fifth flag is the matrix action's
     flag5 = alt_fifth_flag(2)
+    states = flag_states(space)
     for a, image in elements.items():
-        assert space.flag_states[image] == flag_apply(flag5, space.matrix(a), 2)
+        assert states[image] == flag_apply(flag5, space.matrix(a), 2)
 
 
 def test_index_arithmetic_matches_matrices(mat_mul_q, flag_apply):
     rng = random.Random(5)
     for q in (2, 3):
         space = flag_space(q)
+        states = flag_states(space)
         gens = h_generators(q)
         identity = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
         for i, g in enumerate(gens):
@@ -213,8 +252,8 @@ def test_index_arithmetic_matches_matrices(mat_mul_q, flag_apply):
             ab = space.mul(a, b)
             assert space.matrix(ab) == mat_mul_q(space.matrix(a), space.matrix(b), q)
             f = rng.randrange(len(space.flags))
-            want = flag_apply(space.flag_states[f], space.matrix(ab), q)
-            assert space.flag_states[space.apply(f, ab)] == want
+            want = flag_apply(states[f], space.matrix(ab), q)
+            assert states[space.apply(f, ab)] == want
 
 
 def test_predicates_match_rank_definition_q2():
@@ -225,8 +264,8 @@ def test_predicates_match_rank_definition_q2():
         rank = lambda rows: len(rref_q(rows, 2))
         return rank(rows_a) + rank(rows_b) - rank(tuple(rows_a) + tuple(rows_b))
 
-    for flag in enumerate_flags(2):
-        b2, b3 = flag
+    space = flag_space(2)
+    for f, (b2, b3) in enumerate(flag_states(space)):
         if meet(b2, v2) == 2:
             want = 1
         elif meet(b2, v1) >= 1:
@@ -235,17 +274,20 @@ def test_predicates_match_rank_definition_q2():
             want = 3 if meet(b3, v2) >= 2 else 4
         else:
             want = 5
-        assert predicate_index(flag, 2) == want
+        assert space.predicate(f) == want
 
 
 def test_predicate_index_canonicalizes_and_rejects_non_flags():
     for q in (2, 3):
+        space = flag_space(q)
         for idx, rep in enumerate(orbit_representatives(q), start=1):
             (r0, r1), b3 = rep.basis2, rep.basis3
             mixed = tuple((a + b) % q for a, b in zip(r0, r1))
-            assert predicate_index(FlagState((mixed, r1), b3[::-1]), q) == idx
-    with pytest.raises(ValueError, match="not an isotropic flag"):
-        predicate_index(FlagState((E1, F1), (E1, F1, E2)), 2)
+            assert space.predicate(space.flag_index(make_flag((mixed, r1), b3[::-1], q))) == idx
+    non_flag = FlagState((E1, F1), (E1, F1, E2))
+    assert flag_space(2).flag_index(non_flag) is None
+    with pytest.raises(ValueError, match="flag is not isotropic"):
+        make_flag(*non_flag, 2)
 
 
 Q2_ORBIT_CHECKS = (
@@ -264,3 +306,11 @@ def test_q2_orbit_checks_build_no_q3_space(monkeypatch, run_checks):
     assert sorted(r.check_id for r in reports) == sorted(Q2_ORBIT_CHECKS)
     assert all(r.status == "pass" for r in reports)
     assert sorted(symplectic._SPACES) == [2]
+
+
+def test_orbit_split_check_names_the_orbit_of_a_misplaced_variant_flag(monkeypatch, run_checks):
+    monkeypatch.setattr(symplectic, "alt_fifth_flag", lambda q: orbit_representatives(q)[3])
+    reports = run_checks(suites.CheckConfig(suite="orbits"), ["orbits/orbit-split-q2"])
+    assert [(r.check_id, r.status, r.lhs, r.rhs) for r in reports] == [
+        ("orbits/orbit-split-q2", "fail", "variant flag in orbit 4", "5")
+    ]
