@@ -112,16 +112,6 @@ class LaurentPoly:
                 c.pop(k, None)
         return LaurentPoly(c)
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            nv = c.get(k, 0) - v
-            if nv:
-                c[k] = nv
-            else:
-                c.pop(k, None)
-        return LaurentPoly(c)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         a, b = self._c, other._c
         if len(a) > len(b):
@@ -391,18 +381,6 @@ class VirtualCharacter:
         m = dict(self._m)
         for w, c in other._m.items():
             nv = m.get(w, 0) + c
-            if nv:
-                m[w] = nv
-            else:
-                del m[w]
-        out = VirtualCharacter()
-        out._m = m
-        return out
-
-    def __sub__(self, other: "VirtualCharacter") -> "VirtualCharacter":
-        m = dict(self._m)
-        for w, c in other._m.items():
-            nv = m.get(w, 0) - c
             if nv:
                 m[w] = nv
             else:

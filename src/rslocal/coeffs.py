@@ -6,15 +6,18 @@ U^x V^(2y) arises inside the per-weight geometric blocks of the integral
 the same weight and monomial (n_interval / n_brute).  The first of each
 pair is a closed form, the second an independent enumeration oracle.
 
-Both families split on the branch a <= c <= 2a versus c < a <= b + c, and
-the second branch is obtained from the first by the substitution
-x -> x + 2(a - c), y -> y + (a - c) rather than being re-derived, so a
-single audited code path serves both.
+Every triple (a, b, c) in the branch a <= c <= 2a or c < a <= b + c
+adds one geometric block to the integral, and block(a, b, c) is the
+single audited description of it that m_closed, m_brute, delta_parity
+and n_brute read, as do the series builders.  n_interval instead maps
+the second branch onto the first by the substitution x -> x + 2(a - c),
+y -> y + (a - c).
 """
 
 from __future__ import annotations
 
 __all__ = [
+    "block",
     "m_closed",
     "m_brute",
     "n_interval",
@@ -39,17 +42,23 @@ def _check_args(x, y, a, b, c):
         raise ValueError("coefficient arguments must be nonnegative")
 
 
-def _branch_guard(a, b, c):
-    if not (in_first_branch(a, c) or in_second_branch(a, b, c)):
-        raise ValueError("(a, b, c)=(%d, %d, %d) lies in neither index branch" % (a, b, c))
+def block(a: int, b: int, c: int) -> tuple[int, int, int, int]:
+    """(base_u, base_v, dmax, emax) of the weight block of (a, b, c).
+
+    The block is U^base_u V^base_v times the sum over 0 <= d <= dmax,
+    0 <= e <= emax, 0 <= f of U^(emax + d - e + f) V^(2(e + f)).
+    """
+    if in_first_branch(a, c):
+        return c - a, c, 2 * a - c, b
+    if in_second_branch(a, b, c):
+        return a - c, 2 * a - c, c, -a + b + c
+    raise ValueError("(a, b, c)=(%d, %d, %d) lies in neither index branch" % (a, b, c))
 
 
 # ---------------------------------------------------------------------------
-# m: solutions (d, e, f) of the exponent equations inside one weight block.
-#
-# The generic block has 0 <= d <= dmax, 0 <= e <= emax, 0 <= f, and emits
-# U^(emax + d - e + f) V^(2(e + f)).  The first branch uses
-# (dmax, emax) = (2a - c, b) and the second (c, -a + b + c).
+# m: solutions (d, e, f) of the exponent equations inside one weight block,
+# which emits U^(emax + d - e + f) V^(2(e + f)) for 0 <= d <= dmax,
+# 0 <= e <= emax and 0 <= f.
 
 
 def _support_ok(x, y, dmax, emax) -> bool:
@@ -89,27 +98,20 @@ def _m_brute_core(x, y, dmax, emax) -> int:
 
 def m_closed(x: int, y: int, a: int, b: int, c: int) -> int:
     _check_args(x, y, a, b, c)
-    _branch_guard(a, b, c)
-    if in_first_branch(a, c):
-        return _m_core(x, y, 2 * a - c, b)
-    return _m_core(x, y, c, -a + b + c)
+    _, _, dmax, emax = block(a, b, c)
+    return _m_core(x, y, dmax, emax)
 
 
 def m_brute(x: int, y: int, a: int, b: int, c: int) -> int:
     _check_args(x, y, a, b, c)
-    _branch_guard(a, b, c)
-    if in_first_branch(a, c):
-        return _m_brute_core(x, y, 2 * a - c, b)
-    return _m_brute_core(x, y, c, -a + b + c)
+    _, _, dmax, emax = block(a, b, c)
+    return _m_brute_core(x, y, dmax, emax)
 
 
 def delta_parity(x: int, y: int, a: int, b: int, c: int) -> int:
     """Parity offset of the active branch; also the epsilon of n_interval."""
     _check_args(x, y, a, b, c)
-    _branch_guard(a, b, c)
-    if in_first_branch(a, c):
-        return (x + y + b) & 1
-    return (x + y + a + b + c) & 1
+    return (x + y + block(a, b, c)[3]) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +134,7 @@ def n_interval(x: int, y: int, a: int, b: int, c: int) -> int:
     handled by exact ceil/floor on doubled integers.
     """
     _check_args(x, y, a, b, c)
-    _branch_guard(a, b, c)
+    block(a, b, c)  # the branch guard
     xx, yy = _first_branch_point(x, y, a, c)
     odd = c & 1
     even = 1 - odd
@@ -163,10 +165,8 @@ def n_brute_required_cap(x: int, y: int, a: int, b: int, c: int) -> int:
     and i <= alpha - beta then bound every remaining component.
     """
     odd = c & 1
-    if in_first_branch(a, c):
-        uexp, vexp = c - a + x, c + 2 * y
-    else:
-        uexp, vexp = a - c + x, 2 * a - c + 2 * y
+    base_u, base_v, _, _ = block(a, b, c)
+    uexp, vexp = base_u + x, base_v + 2 * y
     m0 = (2 * a - c - odd) // 2
     n0 = (vexp - 2 * m0 - odd) // 2
     return max(uexp, m0 + n0, 1)
@@ -181,15 +181,12 @@ def n_brute(x: int, y: int, a: int, b: int, c: int, cap: int = 30) -> int:
     degree tests as early as possible.
     """
     _check_args(x, y, a, b, c)
-    _branch_guard(a, b, c)
     need = n_brute_required_cap(x, y, a, b, c)
     if cap < need:
         raise ValueError("cap %d below required enumeration radius %d" % (cap, need))
     odd = c & 1
-    if in_first_branch(a, c):
-        uexp, vexp = c - a + x, c + 2 * y
-    else:
-        uexp, vexp = a - c + x, 2 * a - c + 2 * y
+    base_u, base_v, _, _ = block(a, b, c)
+    uexp, vexp = base_u + x, base_v + 2 * y
     a1_index = 2 * a - c
     count = 0
     for k in range(cap + 1):

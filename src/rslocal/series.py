@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from . import coeffs
 from .characters import (
     VirtualCharacter,
     char_A1,
@@ -200,97 +201,62 @@ def _finish(acc: dict, deg_u: int, deg_v: int) -> BiSeries:
     )
 
 
+def _weight_blocks(deg_u: int, deg_v: int):
+    """(a, b, c, base_u, base_v, dmax, emax) for every weight whose block
+    starts inside the box, over both index branches.
+
+    a runs from ceil(c/2) to c in the first branch and on to
+    floor((deg_v + c)/2) in the second, where base_v = 2a - c; b starts at
+    max(0, a - c), where emax = 0, and stops once emax passes
+    deg_u - base_u + (deg_v - base_v)/2, beyond which every term
+    U^(base_u+emax-e+d+f) V^(base_v+2(e+f)) of the block leaves the box.
+    """
+    for c in range(deg_v + 1):
+        for a in range((c + 1) // 2, (deg_v + c) // 2 + 1):
+            b0 = max(0, a - c)
+            base_u, base_v, dmax, _ = coeffs.block(a, b0, c)
+            if base_u > deg_u:
+                continue
+            for emax in range(deg_u - base_u + (deg_v - base_v) // 2 + 1):
+                yield a, b0 + emax, c, base_u, base_v, dmax, emax
+
+
 def local_integral_series(deg_u: int, deg_v: int) -> BiSeries:
     """Both branch sums of the normalized local integral, truncated.
 
-    First branch (a <= c <= 2a): U^(c-a) V^c (1 + ... + U^(2a-c)) times
-    sum over 0 <= e <= b, 0 <= f of U^(b-e+f) V^(2(e+f)), with coefficient
-    A1[2a-c] B2[b,c]; second branch (c < a <= b+c) analogously with
-    U^(a-c) V^(2a-c), d <= c and e <= -a+b+c.  The box forces c <= deg_v,
-    c-a+d+b-e+f <= deg_u and so on, giving finite loops.
+    Each weight A1[2a-c] B2[b,c] of either branch contributes its block
+    U^base_u V^base_v (1 + ... + U^dmax) times the sum over 0 <= e <= emax,
+    0 <= f of U^(emax-e+f) V^(2(e+f)), with (base_u, base_v, dmax, emax)
+    from coeffs.block; the box bounds d, e and f.
     """
     acc: dict = {}
-    # branch a <= c <= 2a
-    for cc in range(deg_v + 1):
-        for aa in range((cc + 1) // 2, cc + 1):
-            base_u = cc - aa
-            if base_u > deg_u:
-                continue
-            wt_m = 2 * aa - cc
-            bmax = deg_u - base_u + (deg_v - cc) // 2
-            for bb in range(bmax + 1):
-                weight = (wt_m, bb, cc)
-                for d in range(min(2 * aa - cc, deg_u - base_u) + 1):
-                    for e in range(bb + 1):
-                        fmax = (deg_v - cc) // 2 - e
-                        for f in range(max(0, fmax + 1)):
-                            i = base_u + d + bb - e + f
-                            j = cc + 2 * (e + f)
-                            if i <= deg_u and j <= deg_v:
-                                _accumulate(acc, i, j, weight, 1)
-    # branch c < a <= b + c
-    for cc in range(deg_v + 1):
-        amax = (deg_v + cc) // 2
-        for aa in range(cc + 1, amax + 1):
-            base_u, base_v = aa - cc, 2 * aa - cc
-            if base_u > deg_u or base_v > deg_v:
-                continue
-            wt_m = 2 * aa - cc
-            emax_hi = deg_u - base_u + (deg_v - base_v) // 2
-            for bb in range(aa - cc, aa - cc + emax_hi + 1):
-                weight = (wt_m, bb, cc)
-                emax = -aa + bb + cc
-                for d in range(min(cc, deg_u - base_u) + 1):
-                    for e in range(emax + 1):
-                        fmax = (deg_v - base_v) // 2 - e
-                        for f in range(max(0, fmax + 1)):
-                            i = base_u + d + emax - e + f
-                            j = base_v + 2 * (e + f)
-                            if i <= deg_u and j <= deg_v:
-                                _accumulate(acc, i, j, weight, 1)
+    for a, b, c, base_u, base_v, dmax, emax in _weight_blocks(deg_u, deg_v):
+        weight = (2 * a - c, b, c)
+        fspan = (deg_v - base_v) // 2
+        for d in range(min(dmax, deg_u - base_u) + 1):
+            for e in range(emax + 1):
+                for f in range(max(0, fspan - e + 1)):
+                    i = base_u + d + emax - e + f
+                    if i <= deg_u:
+                        _accumulate(acc, i, base_v + 2 * (e + f), weight, 1)
     return _finish(acc, deg_u, deg_v)
 
 
 def mult_series(deg_u: int, deg_v: int, counter: Callable[[int, int, int, int, int], int]) -> BiSeries:
     """The same series through a coefficient function of (x, y, a, b, c).
 
-    Emits counter(x,y,a,b,c) U^(c-a+x) V^(c+2y) A1[2a-c]B2[b,c] over the
-    first branch and counter(x,y,a,b,c) U^(a-c+x) V^(2a-c+2y) A1[2a-c]B2[b,c]
-    over the second; b is bounded because every counter vanishes once
-    x + y falls below the block width.
+    Emits counter(x,y,a,b,c) U^(base_u+x) V^(base_v+2y) A1[2a-c]B2[b,c]
+    over both branches; b is bounded because every counter vanishes once
+    x + y falls below the block width emax.
     """
     acc: dict = {}
-    for cc in range(deg_v + 1):
-        for aa in range((cc + 1) // 2, cc + 1):
-            base_u = cc - aa
-            if base_u > deg_u:
-                continue
-            wt_m = 2 * aa - cc
-            xmax = deg_u - base_u
-            ymax = (deg_v - cc) // 2
-            for bb in range(xmax + ymax + 1):
-                weight = (wt_m, bb, cc)
-                for x in range(xmax + 1):
-                    for y in range(ymax + 1):
-                        mult = counter(x, y, aa, bb, cc)
-                        if mult:
-                            _accumulate(acc, base_u + x, cc + 2 * y, weight, mult)
-    for cc in range(deg_v + 1):
-        amax = (deg_v + cc) // 2
-        for aa in range(cc + 1, amax + 1):
-            base_u, base_v = aa - cc, 2 * aa - cc
-            if base_u > deg_u or base_v > deg_v:
-                continue
-            wt_m = 2 * aa - cc
-            xmax = deg_u - base_u
-            ymax = (deg_v - base_v) // 2
-            for bb in range(aa - cc, aa - cc + xmax + ymax + 1):
-                weight = (wt_m, bb, cc)
-                for x in range(xmax + 1):
-                    for y in range(ymax + 1):
-                        mult = counter(x, y, aa, bb, cc)
-                        if mult:
-                            _accumulate(acc, base_u + x, base_v + 2 * y, weight, mult)
+    for a, b, c, base_u, base_v, _, _ in _weight_blocks(deg_u, deg_v):
+        weight = (2 * a - c, b, c)
+        for x in range(deg_u - base_u + 1):
+            for y in range((deg_v - base_v) // 2 + 1):
+                mult = counter(x, y, a, b, c)
+                if mult:
+                    _accumulate(acc, base_u + x, base_v + 2 * y, weight, mult)
     return _finish(acc, deg_u, deg_v)
 
 

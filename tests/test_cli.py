@@ -89,20 +89,39 @@ def test_emit_report_empty_list():
 
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"radius": 1, "deg_u": 2, "deg_v": 2, "no_timing": True}))
+    path.write_text(
+        json.dumps({"radius": 1, "deg_u": 2, "deg_v": 2, "no_timing": True, "sw": [[3, 11]]})
+    )
     code, out, _ = run_main(
         capsys, ["coeffs", "--config", str(path), "--format", "json"]
     )
     assert code == 0
     doc = json.loads(out)
     assert doc["config"]["radius"] == 1
+    assert doc["config"]["sw_points"] == [[3, 11]]
     # the flag wins over the config file
     code, out, _ = run_main(
         capsys,
-        ["coeffs", "--config", str(path), "--radius", "2", "--format", "json"],
+        ["coeffs", "--config", str(path), "--radius", "2", "--sw", "2,9", "--format", "json"],
     )
     doc = json.loads(out)
     assert doc["config"]["radius"] == 2
+    assert doc["config"]["sw_points"] == [[2, 9]]
+
+
+def test_satake_flags(capsys):
+    argv = ["chain", "--deg-u", "1", "--deg-v", "1", "--no-timing", "--format", "json"]
+    code, out, _ = run_main(capsys, argv + ["--satake", "2,3,5", "--satake", "1/2,-3,5/7"])
+    assert code == 0
+    assert json.loads(out)["config"]["satake_points"] == [["2", "3", "5"], ["1/2", "-3", "5/7"]]
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--satake", "1,2"])
+    assert err.value.code == 2
+    assert "expected t,y1,y2" in capsys.readouterr().err
+    code, out, err = run_main(capsys, argv + ["--satake", "1,0,2"])
+    assert code == 2
+    assert out == ""
+    assert "config error: satake coordinates must be nonzero" in err
 
 
 @pytest.mark.parametrize(
@@ -114,6 +133,8 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
         ({"primes": "23"}, "config key 'primes':"),
         ({"no_timing": "false"}, "config key 'no_timing':"),
         ({"radius": 1.9}, "config key 'radius':"),
+        ({"sw": [[2]]}, "config key 'sw': expected two integers s,w, got [2]"),
+        ({"sw": [[2, "9"]]}, 'config key \'sw\': expected an integer, got "9"'),
         # well-typed, but a check over no primes, (s, w) or Satake points compares nothing
         ({"primes": []}, "primes must not be empty"),
         ({"sw": []}, "sw points must not be empty"),
@@ -126,6 +147,8 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
         "primes-a-string",
         "no-timing-a-string",
         "radius-a-float",
+        "sw-one-coordinate",
+        "sw-a-string",
         "primes-empty",
         "sw-empty",
         "satake-empty",
@@ -238,3 +261,22 @@ def test_local_vs_closed_fails_on_a_wrong_euler_factor(monkeypatch, run_checks):
     want = closed(series.SatakePoint.make(2, -3, Fraction(5, 7)), "stdxspin", 3)[2]
     assert reports[0].lhs == "pt=(2, -3, 5/7) U^0 V^2: %r" % want
     assert reports[0].rhs == repr(want + 1)
+
+
+def test_wrong_block_fails_the_independent_routes(monkeypatch, run_checks):
+    # the second branch's base_v 2 too high, in every builder that reads the block
+    block = coeffs.block
+
+    def shifted(a, b, c):
+        base_u, base_v, dmax, emax = block(a, b, c)
+        return base_u, base_v + 2 * (c < a), dmax, emax
+
+    monkeypatch.setattr(coeffs, "block", shifted)
+    ids = ["chain/local-vs-mult-m", "chain/mult-m-vs-mult-n", "chain/mult-n-vs-pieri"]
+    reports = run_checks(CheckConfig(suite="chain", deg_u=4, deg_v=4), ids)
+    # the three block-walking builders agree with each other; the Pieri expansion does not
+    assert [(r.check_id, r.status) for r in reports] == list(zip(ids, ("pass", "pass", "fail")))
+    reports = run_checks(
+        CheckConfig(suite="padic", deg_u=4, deg_v=4), ["padic/torus-reconstruction"]
+    )
+    assert [(r.check_id, r.status) for r in reports] == [("padic/torus-reconstruction", "fail")]

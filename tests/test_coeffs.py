@@ -73,6 +73,8 @@ def test_branch_guard_raises():
         m_closed(0, 0, 2, 0, 0)  # c < a but a > b + c
     with pytest.raises(ValueError):
         n_interval(0, 0, 1, 0, 3)  # c > 2a
+    with pytest.raises(ValueError):
+        n_brute_required_cap(0, 0, 2, 0, 0)
 
 
 def test_cap_precondition():
