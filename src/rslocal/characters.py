@@ -11,6 +11,15 @@ order-8 Weyl group (sign flips and the coordinate swap), with the quotient
 taken by exact division.  Decompositions peel highest weights under the
 lexicographic order on (t, d1, d2), which refines the dominance order of
 both factors, so peeling is deterministic and terminates.
+
+Tensor products of irreducibles never expand a character: the SL2 factor
+follows Clebsch-Gordan (m from |m1 - m2| to m1 + m2 in steps of 2) and the
+Spin5 factor Brauer-Klimyk, which reflects the weights of the smaller
+factor, shifted by the other highest weight and rho = (3, 1), into the
+dominant chamber (Humphreys, Introduction to Lie Algebras and
+Representation Theory, section 24).  The route "expand both characters,
+multiply, decompose" survives only as the oracle of the check
+characters/tensor-dim-conservation.
 """
 
 from __future__ import annotations
@@ -184,26 +193,22 @@ class LaurentPoly:
 
     # -- symmetry ------------------------------------------------------------
 
-    def _mapped(self, fn) -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for k, v in self._c.items():
-            t, d1, d2 = _unpack(k)
-            kk = _pack(*fn(t, d1, d2))
-            out[kk] = out.get(kk, 0) + v
-        return LaurentPoly(out)
-
     def is_weyl_invariant(self) -> bool:
         """Invariance under t -> 1/t, the Spin5 swap and a Spin5 sign flip.
 
         These three involutions generate the full {+-1} wreath symmetry on the
-        doubled coordinates together with the SL2 flip.
+        doubled coordinates together with the SL2 flip.  Each acts on the
+        packed fields directly: a field f = e + _OFF negates to 2*_OFF - f,
+        and the swap moves (f2 - f1) units between the two low fields.
         """
-        for fn in (
-            lambda t, d1, d2: (-t, d1, d2),
-            lambda t, d1, d2: (t, d2, d1),
-            lambda t, d1, d2: (t, d1, -d2),
-        ):
-            if self._mapped(fn)._c != self._c:
+        c = self._c
+        for k, v in c.items():
+            f1, f2 = (k >> _SHIFT) & _MASK, k & _MASK
+            if (
+                c.get(k + ((_OFF - (k >> (2 * _SHIFT))) << (2 * _SHIFT + 1))) != v
+                or c.get(k + (f2 - f1) * _MASK) != v
+                or c.get(k + 2 * (_OFF - f2)) != v
+            ):
                 return False
         return True
 
@@ -464,10 +469,40 @@ def decompose(p: LaurentPoly) -> VirtualCharacter:
 
 
 def _tensor_weights(w1: tuple[int, int, int], w2: tuple[int, int, int]) -> VirtualCharacter:
+    """A1[m1]B2[a1,b1] (x) A1[m2]B2[a2,b2]: Clebsch-Gordan times Brauer-Klimyk.
+
+    Spin5: each weight nu of the smaller factor, with its multiplicity,
+    moves lam + nu + rho (lam the other highest weight, rho = (3, 1)) into
+    the dominant chamber by a signed permutation; a point on a wall
+    (d2 = 0 or d1 = d2) drops out, any other one adds the reflection's
+    sign at that point minus rho.
+    """
     key = (w1, w2) if w1 <= w2 else (w2, w1)
     got = _TENSOR_CACHE.get(key)
     if got is None:
-        got = decompose(product_char(*key[0]) * product_char(*key[1]))
+        (m1, a1, b1), (m2, a2, b2) = key
+        if dim_irrep(0, a1, b1) > dim_irrep(0, a2, b2):
+            a1, b1, a2, b2 = a2, b2, a1, b1
+        spin5: dict[tuple[int, int], int] = {}
+        for (_, n1, n2), mult in char_B2(a1, b1).items():
+            x1, x2, sign = 2 * a2 + b2 + 3 + n1, b2 + 1 + n2, mult
+            if x1 < 0:
+                x1, sign = -x1, -sign
+            if x2 < 0:
+                x2, sign = -x2, -sign
+            if x1 < x2:
+                x1, x2, sign = x2, x1, -sign
+            if x2 == 0 or x1 == x2:
+                continue
+            w = ((x1 - x2 - 2) // 2, x2 - 1)
+            spin5[w] = spin5.get(w, 0) + sign
+        got = VirtualCharacter(
+            {
+                (m, a, b): c
+                for m in range(abs(m1 - m2), m1 + m2 + 1, 2)
+                for (a, b), c in spin5.items()
+            }
+        )
         _TENSOR_CACHE[key] = got
     return got
 

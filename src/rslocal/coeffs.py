@@ -24,6 +24,7 @@ __all__ = [
     "n_brute",
     "n_brute_required_cap",
     "delta_parity",
+    "first_branch_point",
     "in_first_branch",
     "in_second_branch",
 ]
@@ -42,6 +43,10 @@ def _check_args(x, y, a, b, c):
         raise ValueError("coefficient arguments must be nonnegative")
 
 
+def _neither_branch(a: int, b: int, c: int) -> ValueError:
+    return ValueError("(a, b, c)=(%d, %d, %d) lies in neither index branch" % (a, b, c))
+
+
 def block(a: int, b: int, c: int) -> tuple[int, int, int, int]:
     """(base_u, base_v, dmax, emax) of the weight block of (a, b, c).
 
@@ -52,7 +57,7 @@ def block(a: int, b: int, c: int) -> tuple[int, int, int, int]:
         return c - a, c, 2 * a - c, b
     if in_second_branch(a, b, c):
         return a - c, 2 * a - c, c, -a + b + c
-    raise ValueError("(a, b, c)=(%d, %d, %d) lies in neither index branch" % (a, b, c))
+    raise _neither_branch(a, b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +123,18 @@ def delta_parity(x: int, y: int, a: int, b: int, c: int) -> int:
 # n: one-parameter interval count over the Pieri-rule index alpha.
 
 
-def _first_branch_point(x: int, y: int, a: int, c: int) -> tuple[int, int]:
+def first_branch_point(x: int, y: int, a: int, b: int, c: int) -> tuple[int, int]:
     """(x, y) in the first branch's coordinates: unchanged there, and
-    x -> x + 2(a - c), y -> y + (a - c) in the second branch."""
+    x -> x + 2(a - c), y -> y + (a - c) in the second branch.
+
+    n_interval reads its branch here, once; its eps is (x + y + b) & 1 at
+    this point.
+    """
     if in_first_branch(a, c):
         return x, y
-    return x + 2 * (a - c), y + (a - c)
+    if in_second_branch(a, b, c):
+        return x + 2 * (a - c), y + (a - c)
+    raise _neither_branch(a, b, c)
 
 
 def n_interval(x: int, y: int, a: int, b: int, c: int) -> int:
@@ -134,8 +145,7 @@ def n_interval(x: int, y: int, a: int, b: int, c: int) -> int:
     handled by exact ceil/floor on doubled integers.
     """
     _check_args(x, y, a, b, c)
-    block(a, b, c)  # the branch guard
-    xx, yy = _first_branch_point(x, y, a, c)
+    xx, yy = first_branch_point(x, y, a, b, c)
     odd = c & 1
     even = 1 - odd
     gam = c // 2

@@ -109,10 +109,12 @@ def gamma5_matrix():
 
 
 def mat_mul(A, B):
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(_N)) for j in range(_N))
-        for i in range(_N)
-    )
+    """The product AB, summed over the nonzero entries of each row of A."""
+    out = []
+    for row in A:
+        terms = [(a, B[k]) for k, a in enumerate(row) if a]
+        out.append(tuple(sum(a * b[j] for a, b in terms) for j in range(_N)))
+    return tuple(out)
 
 
 def rref(rows):

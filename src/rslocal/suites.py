@@ -232,6 +232,12 @@ def _suite_characters(cfg: CheckConfig, reports: list):
                 characters.VirtualCharacter.weight(*w1),
                 characters.VirtualCharacter.weight(*w2),
             )
+            # the one place a tensor product is expanded, multiplied and peeled
+            oracle = characters.decompose(
+                characters.product_char(*w1) * characters.product_char(*w2)
+            )
+            if prod != oracle:
+                return (False, "%r x %r: %r" % (w1, w2, prod), repr(oracle))
             if prod.dim() != characters.dim_irrep(*w1) * characters.dim_irrep(*w2):
                 return (False, "%r x %r" % (w1, w2), None)
             if not prod.is_genuine():
@@ -307,7 +313,7 @@ def _suite_coeffs(cfg: CheckConfig, reports: list):
 
     def interval_eps(x, y, a, b, c):
         # the eps n_interval takes after its branch substitution
-        xx, yy = coeffs._first_branch_point(x, y, a, c)
+        xx, yy = coeffs.first_branch_point(x, y, a, b, c)
         return (xx + yy + b) & 1
 
     pairs = [

@@ -1,5 +1,6 @@
 """Character arithmetic against independent enumeration oracles."""
 
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rslocal import characters
 from rslocal.characters import (
     LaurentPoly,
     Partition2,
@@ -17,10 +19,12 @@ from rslocal.characters import (
     decompose,
     dim_irrep,
     pieri_tensor,
+    product_char,
     sym_power_decompose,
     sym_power_spin_closed,
     tensor_decompose,
 )
+from rslocal.suites import CheckConfig
 
 ONE = Fraction(1)
 
@@ -160,8 +164,32 @@ def test_decompose_vector_square():
 
 
 def test_decompose_rejects_non_invariant():
-    with pytest.raises(ValueError):
-        decompose(LaurentPoly.monomial(1, 0, 0))
+    # each breaks exactly one involution: t -> 1/t, the y1/y2 swap, y2 -> 1/y2
+    for poly in (
+        LaurentPoly.monomial(1, 0, 0),
+        LaurentPoly.monomial(0, 2, 0) + LaurentPoly.monomial(0, -2, 0),
+        LaurentPoly.monomial(0, 1, 1),
+    ):
+        assert not poly.is_weyl_invariant()
+        with pytest.raises(ValueError, match="not Weyl invariant"):
+            decompose(poly)
+
+
+def test_weyl_invariance_at_the_packed_range_edges():
+    e = 2047
+    orbit = [
+        (s0 * e, s1 * d1, s2 * d2)
+        for s0 in (1, -1)
+        for s1 in (1, -1)
+        for s2 in (1, -1)
+        for d1, d2 in ((e, 1), (1, e))
+    ]
+    poly = LaurentPoly.zero()
+    for w in orbit:
+        poly = poly + LaurentPoly.monomial(*w)
+    assert len(poly) == 16 and poly.is_weyl_invariant()
+    for w in orbit:
+        assert not (poly + LaurentPoly.monomial(*w, coeff=-1)).is_weyl_invariant(), w
 
 
 def test_decompose_roundtrip_seeded():
@@ -223,6 +251,31 @@ def test_tensor_dimension_conservation():
         )
         assert prod.dim() == dim_irrep(*w1) * dim_irrep(*w2)
         assert prod.is_genuine()
+
+
+def test_tensor_matches_expand_multiply_decompose_on_small_grid():
+    # every pair with m <= 3 and a + b <= 3: spinor x spinor, wall weights and m1 = m2 included
+    weights = [(m, a, b) for m in range(4) for a in range(4) for b in range(4 - a)]
+    for w1, w2 in itertools.combinations_with_replacement(weights, 2):
+        got = tensor_decompose(VirtualCharacter.weight(*w1), VirtualCharacter.weight(*w2))
+        assert got == decompose(product_char(*w1) * product_char(*w2)), (w1, w2)
+
+
+def test_wrong_reflection_sign_fails_both_tensor_routes(monkeypatch, run_checks):
+    # the mutant keeps the sign when it swaps d1 and d2
+    source = inspect.getsource(characters._tensor_weights)
+    swap = "x1, x2, sign = x2, x1, -sign"
+    assert source.count(swap) == 1
+    namespace = {**vars(characters), "_TENSOR_CACHE": {}}  # the real cache stays clean
+    exec(source.replace(swap, "x1, x2, sign = x2, x1, sign"), namespace)
+    monkeypatch.setattr(characters, "_tensor_weights", namespace["_tensor_weights"])
+    reports = run_checks(CheckConfig(suite="pieri"), ["pieri/rule-vs-tensor-oracle"])
+    assert [(r.check_id, r.status) for r in reports] == [("pieri/rule-vs-tensor-oracle", "fail")]
+    assert reports[0].lhs.startswith("lam=Partition2(row1=1, row2=1, spinor=True) k=2: ")
+    cfg = CheckConfig(suite="chain", deg_u=5, deg_v=5)
+    reports = run_checks(cfg, ["chain/pieri-vs-lfactor"])
+    assert [(r.check_id, r.status) for r in reports] == [("chain/pieri-vs-lfactor", "fail")]
+    assert reports[0].lhs.startswith("U^2 V^3: ")
 
 
 # ---------------------------------------------------------------------------

@@ -97,10 +97,14 @@ def test_h_generators_reject_bad_lifts(monkeypatch):
         assert h_generators(3)[0] == tuple(tuple(v % 3 for v in row) for row in TORUS_LIFT)
 
 
-def test_h_closure_order_q2(mat_mul_q):
-    mul = lambda A, B: mat_mul_q(A, B, 2)
-    closure = group_closure(h_generators(2), mul, limit=10000)
-    assert len(closure) == 4320 == h_group_order(2)
+@pytest.fixture(scope="module")
+def h_closure_q2(mat_mul_q):
+    """The 4,320 matrices of H(F_2), closed from its generators by matrix products."""
+    return group_closure(h_generators(2), lambda A, B: mat_mul_q(A, B, 2), limit=10000)
+
+
+def test_h_closure_order_q2(h_closure_q2):
+    assert len(h_closure_q2) == 4320 == h_group_order(2)
 
 
 def test_h_group_order_q3_formula():
@@ -220,12 +224,10 @@ def test_flag_perms_match_flag_apply_q3_sample(flag_apply):
             assert states[space.flag_perms[i][f]] == flag_apply(flag, g, 3)
 
 
-def test_row_index_closure_matches_matrix_closure_q2(mat_mul_q, flag_apply):
+def test_row_index_closure_matches_matrix_closure_q2(h_closure_q2, flag_apply):
     space = flag_space(2)
     elements = space.group_elements()
-    mul = lambda A, B: mat_mul_q(A, B, 2)
-    closure = group_closure(h_generators(2), mul, limit=10000)
-    assert {space.matrix(a) for a in elements} == closure
+    assert {space.matrix(a) for a in elements} == h_closure_q2
     # the carried image of the variant fifth flag is the matrix action's
     flag5 = alt_fifth_flag(2)
     states = flag_states(space)
