@@ -5,6 +5,9 @@ U^x V^(2y) arises inside the per-weight geometric blocks of the integral
 (m_closed / m_brute) and how many seven-tuples of Pieri-rule indices emit
 the same weight and monomial (n_interval / n_brute).  The first of each
 pair is a closed form, the second an independent enumeration oracle.
+Each oracle enumerates only its free indices and solves the rest from
+the target: m_brute loops over e and solves f and d; n_brute solves k,
+m, n and i and loops over eps, alpha and beta.
 
 Every triple (a, b, c) in the branch a <= c <= 2a or c < a <= b + c
 adds one geometric block to the integral, and block(a, b, c) is the
@@ -92,12 +95,13 @@ def _m_core(x, y, dmax, emax) -> int:
 
 
 def _m_brute_core(x, y, dmax, emax) -> int:
+    # e + f = y and emax + d - e + f = x leave e as the only free index
     count = 0
-    for d in range(dmax + 1):
-        for e in range(emax + 1):
-            for f in range(y + 1):
-                if e + f == y and emax + d - e + f == x:
-                    count += 1
+    for e in range(emax + 1):
+        f = y - e
+        d = x - emax + e - f
+        if f >= 0 and 0 <= d <= dmax:
+            count += 1
     return count
 
 
@@ -168,11 +172,12 @@ def n_interval(x: int, y: int, a: int, b: int, c: int) -> int:
 
 
 def n_brute_required_cap(x: int, y: int, a: int, b: int, c: int) -> int:
-    """Smallest enumeration radius that provably sees every matching tuple.
+    """Smallest cap that provably bounds every component of a matching tuple.
 
-    A tuple matching the target monomial has k pinned to the U-degree and
-    (m, n) pinned by the SL2 index and V-degree; alpha <= m + n, beta <= m
-    and i <= alpha - beta then bound every remaining component.
+    n_brute solves k (the U-degree), m (the SL2 index) and n (the
+    V-degree) from the target; alpha <= m + n, beta <= m and
+    i <= alpha - beta then bound every remaining component, so a cap of at
+    least this value changes no count.
     """
     odd = c & 1
     base_u, base_v, _, _ = block(a, b, c)
@@ -182,13 +187,24 @@ def n_brute_required_cap(x: int, y: int, a: int, b: int, c: int) -> int:
     return max(uexp, m0 + n0, 1)
 
 
+def _pinned(twice: int, cap: int) -> int | None:
+    """The solution v of 2v = twice when it is an integer in [0, cap]."""
+    if twice < 0 or twice & 1 or twice > 2 * cap:
+        return None
+    return twice // 2
+
+
 def n_brute(x: int, y: int, a: int, b: int, c: int, cap: int = 30) -> int:
     """Count the seven-tuples (k, m, n, eps, alpha, beta, i) directly.
 
-    Enumerates every component from 0 to cap (eps to 1), keeping only
-    tuples that satisfy the three Pieri-rule inequalities and emit exactly
-    the target monomial and weight.  Loops are pruned by the monomial
-    degree tests as early as possible.
+    The target monomial pins four components, each solved exactly from
+    its equation: k = U-degree, 2m + odd = 2a - c, 2m + 2n + odd =
+    V-degree and 2beta + 2i + odd = c (odd = c & 1).  A solution that is
+    not an integer in [0, cap] admits no tuple.  The free components are
+    enumerated: eps in {0, 1}, alpha in [m, m + n] and beta in
+    [eps_low, m], each capped at cap; a tuple counts when it satisfies the
+    Pieri-rule inequalities on i and emits the weight index b.  cap must
+    be at least n_brute_required_cap, above which no count changes.
     """
     _check_args(x, y, a, b, c)
     need = n_brute_required_cap(x, y, a, b, c)
@@ -197,35 +213,24 @@ def n_brute(x: int, y: int, a: int, b: int, c: int, cap: int = 30) -> int:
     odd = c & 1
     base_u, base_v, _, _ = block(a, b, c)
     uexp, vexp = base_u + x, base_v + 2 * y
-    a1_index = 2 * a - c
+    k = uexp
+    m = _pinned(2 * a - c - odd, cap)
+    n = None if m is None else _pinned(vexp - 2 * m - odd, cap)
+    if not 0 <= k <= cap or m is None or n is None:
+        return 0
     count = 0
-    for k in range(cap + 1):
-        if k != uexp:
-            continue
-        for m in range(cap + 1):
-            if 2 * m + odd != a1_index:
-                continue
-            for n in range(cap + 1):
-                if 2 * m + 2 * n + odd != vexp:
+    for eps in (0, 1):
+        eps_low = eps if odd == 0 else 0
+        for alpha in range(m, min(m + n, cap) + 1):
+            for beta in range(eps_low, min(m, cap) + 1):
+                i = _pinned(c - 2 * beta - odd, cap)
+                if i is None:
                     continue
-                for eps in (0, 1):
-                    eps_low = eps if odd == 0 else 0
-                    for alpha in range(cap + 1):
-                        if alpha < m or alpha > m + n:
-                            continue
-                        for beta in range(cap + 1):
-                            if 2 * beta + odd > c:
-                                continue
-                            if beta < eps_low or beta > m:
-                                continue
-                            for i in range(cap + 1):
-                                if 2 * beta + 2 * i + odd != c:
-                                    continue
-                                if i > alpha - beta:
-                                    continue
-                                if i > k - 2 * m - n + alpha + beta - eps:
-                                    continue
-                                if 2 * alpha + k - n - 2 * m - eps - 2 * i != b:
-                                    continue
-                                count += 1
+                if i > alpha - beta:
+                    continue
+                if i > k - 2 * m - n + alpha + beta - eps:
+                    continue
+                if 2 * alpha + k - n - 2 * m - eps - 2 * i != b:
+                    continue
+                count += 1
     return count

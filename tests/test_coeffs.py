@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from rslocal.coeffs import (
+    block,
     delta_parity,
     in_first_branch,
     in_second_branch,
@@ -21,6 +22,82 @@ def grid(radius):
         x, y, a, b, c = point
         if in_first_branch(a, c) or in_second_branch(a, b, c):
             yield point
+
+
+# The conditions of the seven-loop tuple enumeration below, by name; a name
+# in `drop` switches its test off.
+N_CONDITIONS = (
+    "beta >= eps_low",
+    "beta <= m",
+    "alpha >= m",
+    "alpha <= m + n",
+    "i <= alpha - beta",
+    "i <= k - 2m - n + alpha + beta - eps",
+)
+
+
+def n_brute_reference(x, y, a, b, c, cap=30, drop=()):
+    """Seven-tuple count with every component looped over 0..cap (eps 0..1).
+
+    Each equation and inequality is tested on the looped values, none is
+    solved; n_brute must equal this count at every cap.
+    """
+    if n_brute_required_cap(x, y, a, b, c) > cap:
+        raise ValueError("cap below required enumeration radius")
+
+    def fails(name, holds):
+        return not holds and name not in drop
+
+    odd = c & 1
+    base_u, base_v, _, _ = block(a, b, c)
+    uexp, vexp = base_u + x, base_v + 2 * y
+    a1_index = 2 * a - c
+    count = 0
+    for k in range(cap + 1):
+        if k != uexp:
+            continue
+        for m in range(cap + 1):
+            if 2 * m + odd != a1_index:
+                continue
+            for n in range(cap + 1):
+                if 2 * m + 2 * n + odd != vexp:
+                    continue
+                for eps in (0, 1):
+                    eps_low = eps if odd == 0 else 0
+                    for alpha in range(cap + 1):
+                        if fails("alpha >= m", alpha >= m) or fails("alpha <= m + n", alpha <= m + n):
+                            continue
+                        for beta in range(cap + 1):
+                            if 2 * beta + odd > c:
+                                continue
+                            if fails("beta >= eps_low", beta >= eps_low) or fails("beta <= m", beta <= m):
+                                continue
+                            for i in range(cap + 1):
+                                if 2 * beta + 2 * i + odd != c:
+                                    continue
+                                if fails("i <= alpha - beta", i <= alpha - beta):
+                                    continue
+                                if fails(
+                                    "i <= k - 2m - n + alpha + beta - eps",
+                                    i <= k - 2 * m - n + alpha + beta - eps,
+                                ):
+                                    continue
+                                if 2 * alpha + k - n - 2 * m - eps - 2 * i != b:
+                                    continue
+                                count += 1
+    return count
+
+
+def m_brute_reference(x, y, a, b, c):
+    """Lattice-point count with d, e and f each looped over its whole range."""
+    _, _, dmax, emax = block(a, b, c)
+    count = 0
+    for d in range(dmax + 1):
+        for e in range(emax + 1):
+            for f in range(y + 1):
+                if e + f == y and emax + d - e + f == x:
+                    count += 1
+    return count
 
 
 def test_m_base_point():
@@ -90,10 +167,44 @@ def test_all_evaluators_agree_radius_4():
         assert mc == n_interval(x, y, a, b, c), (x, y, a, b, c)
 
 
-def test_n_brute_agrees_radius_3():
-    for x, y, a, b, c in grid(3):
+def test_n_brute_agrees_radius_4():
+    for x, y, a, b, c in grid(4):
         cap = max(30, n_brute_required_cap(x, y, a, b, c))
         assert n_interval(x, y, a, b, c) == n_brute(x, y, a, b, c, cap), (x, y, a, b, c)
+
+
+def test_n_brute_at_required_cap_equals_cap_30():
+    for point in ((0, 0, 0, 0, 0), (1, 1, 1, 1, 1), (2, 0, 1, 1, 2), (3, 2, 3, 1, 4), (4, 3, 2, 2, 1)):
+        need = n_brute_required_cap(*point)
+        assert need <= 30, point
+        assert n_brute(*point, need) == n_brute(*point, 30), point
+
+
+def test_n_brute_matches_reference_at_every_cap():
+    for point in grid(3):
+        for cap in range(13):
+            try:
+                expected = n_brute_reference(*point, cap)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    n_brute(*point, cap)
+            else:
+                assert n_brute(*point, cap) == expected, (point, cap)
+
+
+def test_m_brute_matches_reference_radius_4():
+    for point in grid(4):
+        assert m_brute(*point) == m_brute_reference(*point), point
+
+
+def test_every_n_oracle_condition_binds():
+    # dropping any one condition of the tuple enumeration makes it disagree
+    # with the interval count somewhere on the radius-3 grid
+    for name in N_CONDITIONS:
+        assert any(
+            n_brute_reference(*point, n_brute_required_cap(*point), drop=(name,)) != n_interval(*point)
+            for point in grid(3)
+        ), name
 
 
 def test_delta_equals_interval_parity():
