@@ -362,10 +362,10 @@ class VirtualCharacter:
         return cls()
 
     @classmethod
-    def weight(cls, m: int, a: int, b: int, mult: int = 1) -> "VirtualCharacter":
+    def weight(cls, m: int, a: int, b: int) -> "VirtualCharacter":
         if m < 0 or a < 0 or b < 0:
             raise ValueError("dominant weights only")
-        return cls({(m, a, b): mult})
+        return cls({(m, a, b): 1})
 
     def items(self):
         return self._m.items()

@@ -7,7 +7,8 @@ the same weight and monomial (n_interval / n_brute).  The first of each
 pair is a closed form, the second an independent enumeration oracle.
 Each oracle enumerates only its free indices and solves the rest from
 the target: m_brute loops over e and solves f and d; n_brute solves k,
-m, n and i and loops over eps, alpha and beta.
+m, n and i and loops over eps, alpha and beta.  The target bounds every
+range, so neither oracle takes a loop limit.
 
 Every triple (a, b, c) in the branch a <= c <= 2a or c < a <= b + c
 adds one geometric block to the integral, and block(a, b, c) is the
@@ -25,7 +26,6 @@ __all__ = [
     "m_brute",
     "n_interval",
     "n_brute",
-    "n_brute_required_cap",
     "delta_parity",
     "first_branch_point",
     "in_first_branch",
@@ -171,59 +171,38 @@ def n_interval(x: int, y: int, a: int, b: int, c: int) -> int:
     return max(0, hi - lo + 1)
 
 
-def n_brute_required_cap(x: int, y: int, a: int, b: int, c: int) -> int:
-    """Smallest cap that provably bounds every component of a matching tuple.
-
-    n_brute solves k (the U-degree), m (the SL2 index) and n (the
-    V-degree) from the target; alpha <= m + n, beta <= m and
-    i <= alpha - beta then bound every remaining component, so a cap of at
-    least this value changes no count.
-    """
-    odd = c & 1
-    base_u, base_v, _, _ = block(a, b, c)
-    uexp, vexp = base_u + x, base_v + 2 * y
-    m0 = (2 * a - c - odd) // 2
-    n0 = (vexp - 2 * m0 - odd) // 2
-    return max(uexp, m0 + n0, 1)
-
-
-def _pinned(twice: int, cap: int) -> int | None:
-    """The solution v of 2v = twice when it is an integer in [0, cap]."""
-    if twice < 0 or twice & 1 or twice > 2 * cap:
+def _pinned(twice: int) -> int | None:
+    """The solution v of 2v = twice when it is a nonnegative integer."""
+    if twice < 0 or twice & 1:
         return None
     return twice // 2
 
 
-def n_brute(x: int, y: int, a: int, b: int, c: int, cap: int = 30) -> int:
+def n_brute(x: int, y: int, a: int, b: int, c: int) -> int:
     """Count the seven-tuples (k, m, n, eps, alpha, beta, i) directly.
 
     The target monomial pins four components, each solved exactly from
     its equation: k = U-degree, 2m + odd = 2a - c, 2m + 2n + odd =
     V-degree and 2beta + 2i + odd = c (odd = c & 1).  A solution that is
-    not an integer in [0, cap] admits no tuple.  The free components are
+    not a nonnegative integer admits no tuple.  The free components are
     enumerated: eps in {0, 1}, alpha in [m, m + n] and beta in
-    [eps_low, m], each capped at cap; a tuple counts when it satisfies the
-    Pieri-rule inequalities on i and emits the weight index b.  cap must
-    be at least n_brute_required_cap, above which no count changes.
+    [eps_low, m]; a tuple counts when it satisfies the Pieri-rule
+    inequalities on i and emits the weight index b.
     """
     _check_args(x, y, a, b, c)
-    need = n_brute_required_cap(x, y, a, b, c)
-    if cap < need:
-        raise ValueError("cap %d below required enumeration radius %d" % (cap, need))
     odd = c & 1
     base_u, base_v, _, _ = block(a, b, c)
-    uexp, vexp = base_u + x, base_v + 2 * y
-    k = uexp
-    m = _pinned(2 * a - c - odd, cap)
-    n = None if m is None else _pinned(vexp - 2 * m - odd, cap)
-    if not 0 <= k <= cap or m is None or n is None:
+    k = base_u + x
+    m = _pinned(2 * a - c - odd)
+    n = None if m is None else _pinned(base_v + 2 * y - 2 * m - odd)
+    if m is None or n is None:
         return 0
     count = 0
     for eps in (0, 1):
         eps_low = eps if odd == 0 else 0
-        for alpha in range(m, min(m + n, cap) + 1):
-            for beta in range(eps_low, min(m, cap) + 1):
-                i = _pinned(c - 2 * beta - odd, cap)
+        for alpha in range(m, m + n + 1):
+            for beta in range(eps_low, m + 1):
+                i = _pinned(c - 2 * beta - odd)
                 if i is None:
                     continue
                 if i > alpha - beta:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -289,9 +290,13 @@ def _suite_pieri(cfg: CheckConfig, reports: list):
     _run_check(reports, "pieri/series-positivity", {"box": list(box)}, positivity)
 
 
+# the degree bound of the small-box checks and of chain/lfactor-closed
+_SMALL_DEG = 6
+
+
 def _small_box(cfg: CheckConfig) -> tuple[int, int]:
-    """The configured box capped at (6, 6)."""
-    return min(cfg.deg_u, 6), min(cfg.deg_v, 6)
+    """The configured box capped at (_SMALL_DEG, _SMALL_DEG)."""
+    return min(cfg.deg_u, _SMALL_DEG), min(cfg.deg_v, _SMALL_DEG)
 
 
 def _coeff_grid(radius: int):
@@ -308,34 +313,30 @@ def _suite_coeffs(cfg: CheckConfig, reports: list):
     ]
     npts = len(points)
 
-    def n_brute_capped(x, y, a, b, c):
-        return coeffs.n_brute(x, y, a, b, c, max(30, coeffs.n_brute_required_cap(x, y, a, b, c)))
-
     def interval_eps(x, y, a, b, c):
         # the eps n_interval takes after its branch substitution
         xx, yy = coeffs.first_branch_point(x, y, a, b, c)
         return (xx + yy + b) & 1
 
+    @functools.cache
+    def column(fn):
+        # fn's values over points, built by the first check that reads them
+        return [fn(*pt) for pt in points]
+
     pairs = [
-        ("coeffs/m-closed-vs-brute", {}, coeffs.m_closed, coeffs.m_brute),
-        (
-            "coeffs/n-interval-vs-brute",
-            {"cap": "max(30, required)"},
-            coeffs.n_interval,
-            n_brute_capped,
-        ),
-        ("coeffs/m-vs-n", {}, coeffs.m_closed, coeffs.n_interval),
-        ("coeffs/parity-consistency", {}, coeffs.delta_parity, interval_eps),
+        ("coeffs/m-closed-vs-brute", coeffs.m_closed, coeffs.m_brute),
+        ("coeffs/n-interval-vs-brute", coeffs.n_interval, coeffs.n_brute),
+        ("coeffs/m-vs-n", coeffs.m_closed, coeffs.n_interval),
+        ("coeffs/parity-consistency", coeffs.delta_parity, interval_eps),
     ]
-    for check_id, extra, lhs, rhs in pairs:
+    for check_id, lhs, rhs in pairs:
         def compare(lhs=lhs, rhs=rhs):
-            for pt in points:
-                got, want = lhs(*pt), rhs(*pt)
+            for pt, got, want in zip(points, column(lhs), column(rhs)):
                 if got != want:
                     return (False, "(%d,%d,%d,%d,%d): %d" % (*pt, got), str(want))
             return True
 
-        _run_check(reports, check_id, {"radius": r, **extra, "comparisons": npts}, compare)
+        _run_check(reports, check_id, {"radius": r, "comparisons": npts}, compare)
 
 
 def _random_unit(rng: random.Random, p: int) -> Fraction:
@@ -625,21 +626,18 @@ def _suite_orbits(cfg: CheckConfig, reports: list):
 
 def _suite_chain(cfg: CheckConfig, reports: list):
     du, dv = cfg.deg_u, cfg.deg_v
-    built = {}
+    builders = {
+        "local": lambda: series.local_integral_series(du, dv),
+        "mult_m": lambda: series.mult_series(du, dv, coeffs.m_closed),
+        "mult_n": lambda: series.mult_series(du, dv, coeffs.n_interval),
+        "pieri": lambda: series.pieri_product_series(du, dv),
+        "lfactor": lambda: series.lfactor_product_series(du, dv),
+    }
 
+    @functools.cache
     def get(name):
-        if name not in built:
-            if name == "local":
-                built[name] = series.local_integral_series(du, dv)
-            elif name == "mult_m":
-                built[name] = series.mult_series(du, dv, coeffs.m_closed)
-            elif name == "mult_n":
-                built[name] = series.mult_series(du, dv, coeffs.n_interval)
-            elif name == "pieri":
-                built[name] = series.pieri_product_series(du, dv)
-            elif name == "lfactor":
-                built[name] = series.lfactor_product_series(du, dv)
-        return built[name]
+        # each series is built by the first check that reads it
+        return builders[name]()
 
     links = [
         ("chain/local-vs-mult-m", "local", "mult_m"),
@@ -663,12 +661,11 @@ def _suite_chain(cfg: CheckConfig, reports: list):
     _run_check(reports, "chain/normalization", box, normalization)
 
     points = cfg.resolved_satake()
-    local_at = {}  # point -> specialize(local, point), shared by the checks below
 
+    @functools.cache
     def specialized_local(pt):
-        if pt not in local_at:
-            local_at[pt] = series.specialize(get("local"), pt)
-        return local_at[pt]
+        # specialize(local, pt), shared by the checks below
+        return series.specialize(get("local"), pt)
 
     for n, pt in enumerate(points):
         def spec_eq(pt=pt):
@@ -697,19 +694,17 @@ def _suite_chain(cfg: CheckConfig, reports: list):
         local_vs_closed,
     )
 
-    deg = 6
-
     def lfactor_closed_route():
         # adding a zero series truncates to the smaller box, and a truncated
         # product is the product of the truncations
-        box6 = get("lfactor") + series.BiSeries.zero(min(du, deg), min(dv, deg))
-        zz = box6.times_geometric(2, 0).times_geometric(0, 2)
+        small = get("lfactor") + series.BiSeries.zero(*_small_box(cfg))
+        zz = small.times_geometric(2, 0).times_geometric(0, 2)
         return _vs_closed_product(points, lambda pt: series.specialize(zz, pt))
 
     _run_check(
         reports,
         "chain/lfactor-closed",
-        {"deg": deg, "points": len(points)},
+        {"deg": _SMALL_DEG, "points": len(points)},
         lfactor_closed_route,
     )
 

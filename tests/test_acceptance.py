@@ -24,7 +24,7 @@ CRITERIA = {
         "criterion-4 closed symmetric-power expansion, l<=8",
         [(CheckConfig("characters"), "sym-closed-vs-adams")]),
     "test_criterion_5_coefficient_counts": (
-        "criterion-5 coefficient counts: m=m_brute (r=8), n=n_brute (r=6, cap>=30), m=n (r=10)",
+        "criterion-5 coefficient counts: m=m_brute (r=8), n=n_brute (r=6), m=n (r=10)",
         [(CheckConfig("coeffs", radius=8), "m-closed-vs-brute"),
          (CheckConfig("coeffs", radius=6), "n-interval-vs-brute"),
          (CheckConfig("coeffs", radius=10), "m-vs-n")]),

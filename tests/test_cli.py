@@ -235,6 +235,70 @@ def test_coeffs_comparisons_count_the_points_in_a_branch():
         assert r.params["comparisons"] == want
 
 
+COUNTERS = ("m_closed", "m_brute", "n_interval", "n_brute")
+
+
+def _coeffs_radius_3(capsys):
+    code, out, _ = run_main(capsys, ["coeffs", "--radius", "3", "--format", "json", "--no-timing"])
+    return code, {ch["id"]: ch for ch in json.loads(out)["checks"]}
+
+
+def test_coeffs_checks_call_each_counter_once_per_point(capsys, monkeypatch):
+    points = [
+        pt
+        for pt in suites._coeff_grid(3)
+        if coeffs.in_first_branch(pt[2], pt[4]) or coeffs.in_second_branch(*pt[2:])
+    ]
+    calls = {name: [] for name in COUNTERS}
+    for name in COUNTERS:
+        def counted(*pt, real=getattr(coeffs, name), seen=calls[name]):
+            seen.append(pt)
+            return real(*pt)
+
+        monkeypatch.setattr(coeffs, name, counted)
+    code, checks = _coeffs_radius_3(capsys)
+    assert code == 0 and len(checks) == 4
+    for name in COUNTERS:
+        assert sorted(calls[name]) == points, name
+
+
+def test_wrong_m_closed_fails_both_of_its_checks(capsys, monkeypatch):
+    bad = (2, 1, 1, 1, 1)
+    real = coeffs.m_closed
+    monkeypatch.setattr(coeffs, "m_closed", lambda *pt: real(*pt) + (pt == bad))
+    code, checks = _coeffs_radius_3(capsys)
+    assert code == 1
+    want = real(*bad)
+    for check_id in ("coeffs/m-closed-vs-brute", "coeffs/m-vs-n"):
+        assert (checks[check_id]["status"], checks[check_id]["lhs"], checks[check_id]["rhs"]) == (
+            "fail", "(2,1,1,1,1): %d" % (want + 1), str(want)
+        ), check_id
+    for check_id in ("coeffs/n-interval-vs-brute", "coeffs/parity-consistency"):
+        assert checks[check_id]["status"] == "pass", check_id
+
+
+def test_raising_n_interval_errs_both_of_its_checks(capsys, monkeypatch):
+    bad = (2, 1, 1, 1, 1)
+    real = coeffs.n_interval
+
+    def broken(*pt):
+        if pt == bad:
+            raise ArithmeticError("no interval at %r" % (pt,))
+        return real(*pt)
+
+    monkeypatch.setattr(coeffs, "n_interval", broken)
+    code, checks = _coeffs_radius_3(capsys)
+    assert code == 1
+    erred = [checks["coeffs/n-interval-vs-brute"], checks["coeffs/m-vs-n"]]
+    for check in erred:
+        assert check["status"] == "error", check["id"]
+        assert check["lhs"] == "ArithmeticError: no interval at (2, 1, 1, 1, 1)"
+        assert check["rhs"].startswith("test_cli.py:") and check["rhs"].endswith(" in broken")
+    assert erred[0]["rhs"] == erred[1]["rhs"]
+    for check_id in ("coeffs/m-closed-vs-brute", "coeffs/parity-consistency"):
+        assert checks[check_id]["status"] == "pass", check_id
+
+
 def test_parity_check_calls_delta_parity(monkeypatch, run_checks):
     # the first branch's rule in both branches: wrong wherever a + c is odd in the second
     monkeypatch.setattr(coeffs, "delta_parity", lambda x, y, a, b, c: (x + y + b) & 1)

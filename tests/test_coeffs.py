@@ -12,7 +12,6 @@ from rslocal.coeffs import (
     m_brute,
     m_closed,
     n_brute,
-    n_brute_required_cap,
     n_interval,
 )
 
@@ -36,13 +35,31 @@ N_CONDITIONS = (
 )
 
 
-def n_brute_reference(x, y, a, b, c, cap=30, drop=()):
+def reference_cap(x, y, a, b, c):
+    """Smallest loop bound of n_brute_reference that misses no matching tuple.
+
+    k is the U-degree, m + n is fixed by the V-degree, and alpha <= m + n,
+    beta <= m and i <= alpha - beta bound every other component.
+    """
+    odd = c & 1
+    base_u, base_v, _, _ = block(a, b, c)
+    uexp, vexp = base_u + x, base_v + 2 * y
+    m0 = (2 * a - c - odd) // 2
+    n0 = (vexp - 2 * m0 - odd) // 2
+    return max(uexp, m0 + n0, 1)
+
+
+def n_brute_reference(x, y, a, b, c, cap=None, drop=()):
     """Seven-tuple count with every component looped over 0..cap (eps 0..1).
 
     Each equation and inequality is tested on the looped values, none is
-    solved; n_brute must equal this count at every cap.
+    solved; cap defaults to reference_cap, and every cap at least that
+    large gives the same count.
     """
-    if n_brute_required_cap(x, y, a, b, c) > cap:
+    need = reference_cap(x, y, a, b, c)
+    if cap is None:
+        cap = need
+    elif cap < need:
         raise ValueError("cap below required enumeration radius")
 
     def fails(name, holds):
@@ -132,17 +149,17 @@ def test_parity_vanishing_on_branch_edge():
 
 def test_n_base_point():
     assert n_interval(0, 0, 0, 0, 0) == 1
-    assert n_brute(0, 0, 0, 0, 0, 3) == 1
+    assert n_brute(0, 0, 0, 0, 0) == 1
 
 
 def test_n_empty_interval():
     assert n_interval(0, 1, 0, 0, 0) == 0
-    assert n_brute(0, 1, 0, 0, 0, 4) == 0
+    assert n_brute(0, 1, 0, 0, 0) == 0
 
 
 def test_n_spot_values():
-    assert n_interval(1, 1, 1, 1, 1) == n_brute(1, 1, 1, 1, 1, 20)
-    assert n_interval(2, 0, 1, 1, 2) == n_brute(2, 0, 1, 1, 2, 9)
+    assert n_interval(1, 1, 1, 1, 1) == n_brute(1, 1, 1, 1, 1)
+    assert n_interval(2, 0, 1, 1, 2) == n_brute(2, 0, 1, 1, 2)
 
 
 def test_branch_guard_raises():
@@ -151,13 +168,7 @@ def test_branch_guard_raises():
     with pytest.raises(ValueError):
         n_interval(0, 0, 1, 0, 3)  # c > 2a
     with pytest.raises(ValueError):
-        n_brute_required_cap(0, 0, 2, 0, 0)
-
-
-def test_cap_precondition():
-    with pytest.raises(ValueError):
-        n_brute(5, 0, 2, 1, 3, 2)
-    assert n_brute_required_cap(0, 0, 0, 0, 0) >= 1
+        n_brute(0, 0, 2, 0, 0)
 
 
 def test_all_evaluators_agree_radius_4():
@@ -169,27 +180,14 @@ def test_all_evaluators_agree_radius_4():
 
 def test_n_brute_agrees_radius_4():
     for x, y, a, b, c in grid(4):
-        cap = max(30, n_brute_required_cap(x, y, a, b, c))
-        assert n_interval(x, y, a, b, c) == n_brute(x, y, a, b, c, cap), (x, y, a, b, c)
-
-
-def test_n_brute_at_required_cap_equals_cap_30():
-    for point in ((0, 0, 0, 0, 0), (1, 1, 1, 1, 1), (2, 0, 1, 1, 2), (3, 2, 3, 1, 4), (4, 3, 2, 2, 1)):
-        need = n_brute_required_cap(*point)
-        assert need <= 30, point
-        assert n_brute(*point, need) == n_brute(*point, 30), point
+        assert n_interval(x, y, a, b, c) == n_brute(x, y, a, b, c), (x, y, a, b, c)
 
 
 def test_n_brute_matches_reference_at_every_cap():
     for point in grid(3):
-        for cap in range(13):
-            try:
-                expected = n_brute_reference(*point, cap)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    n_brute(*point, cap)
-            else:
-                assert n_brute(*point, cap) == expected, (point, cap)
+        got = n_brute(*point)
+        for cap in range(reference_cap(*point), 13):
+            assert got == n_brute_reference(*point, cap), (point, cap)
 
 
 def test_m_brute_matches_reference_radius_4():
@@ -202,7 +200,7 @@ def test_every_n_oracle_condition_binds():
     # with the interval count somewhere on the radius-3 grid
     for name in N_CONDITIONS:
         assert any(
-            n_brute_reference(*point, n_brute_required_cap(*point), drop=(name,)) != n_interval(*point)
+            n_brute_reference(*point, drop=(name,)) != n_interval(*point)
             for point in grid(3)
         ), name
 
