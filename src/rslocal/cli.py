@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="satake_points",
         metavar="T,Y1,Y2",
-        help="rational Satake point (repeatable; default: 5 seeded points)",
+        help="rational Satake point, written --satake=T,Y1,Y2 so that a negative T is not "
+        "read as an option (repeatable; default: 5 seeded points)",
     )
     parser.add_argument("--seed", type=int, default=None, help="seed for the randomized sweeps")
     parser.add_argument("--format", choices=("text", "json"), default=None, dest="fmt")

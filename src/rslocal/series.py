@@ -5,10 +5,18 @@ A BiSeries keeps coefficients only inside the rectangular box
 finite loop bounds from that box, so each of the a priori infinite sums
 is assembled exactly.  The coefficients are virtual characters, or exact
 rationals once a series is specialized at a Satake point.
+
+Specialization values each distinct weight of a series once per point, as
+the product of two memoized factor values: char_A1(m) at t, keyed by
+(m, t), and char_B2(a, b) at (y1, y2), keyed by (a, b, y1, y2), so a
+Spin5 factor is evaluated once for all the SL2 indices it meets.  Each
+coefficient is then summed in integers over the values' common
+denominator.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -53,7 +61,8 @@ class SatakePoint(NamedTuple):
         return pt
 
 
-_VALUE_CACHE: dict[tuple, Fraction] = {}
+_A1_VALUES: dict[tuple, Fraction] = {}
+_B2_VALUES: dict[tuple, Fraction] = {}
 
 
 def character_value(weight: tuple[int, int, int], pt: SatakePoint) -> Fraction:
@@ -61,15 +70,21 @@ def character_value(weight: tuple[int, int, int], pt: SatakePoint) -> Fraction:
 
     The character is product_char(m, a, b) = char_A1(m) * char_B2(a, b), so
     its value is the product of the two factors' values; the product
-    polynomial is never expanded.
+    polynomial is never expanded.  Each factor value is memoized on the
+    coordinates it reads: char_A1(m) at t on (m, t), char_B2(a, b) at
+    (y1, y2) on (a, b, y1, y2).
     """
-    key = (weight, pt)
-    val = _VALUE_CACHE.get(key)
-    if val is None:
-        m, a, b = weight
-        val = char_A1(m).evaluate(pt.t, 1, 1) * char_B2(a, b).evaluate(1, pt.y1, pt.y2)
-        _VALUE_CACHE[key] = val
-    return val
+    m, a, b = weight
+    t, y1, y2 = pt
+    key = (m, t)
+    sl2 = _A1_VALUES.get(key)
+    if sl2 is None:
+        sl2 = _A1_VALUES[key] = char_A1(m).evaluate(t, 1, 1)
+    key = (a, b, y1, y2)
+    spin5 = _B2_VALUES.get(key)
+    if spin5 is None:
+        spin5 = _B2_VALUES[key] = char_B2(a, b).evaluate(1, y1, y2)
+    return sl2 * spin5
 
 
 class BiSeries:
@@ -327,15 +342,25 @@ def sym_side_series(which: str, deg: int) -> list[VirtualCharacter]:
 
 
 def specialize(series: BiSeries, pt: SatakePoint) -> BiSeries:
-    """Replace every coefficient by its exact character value at pt."""
-    out = {}
-    for (i, j), vc in series._c.items():
-        val = Fraction(0)
-        for w, mult in vc.items():
-            val += mult * character_value(w, pt)
-        if val:
-            out[(i, j)] = val
-    return BiSeries(series.deg_u, series.deg_v, out)
+    """Replace every coefficient by its exact character value at pt.
+
+    Each distinct weight of the series is valued once by character_value;
+    the values are put over their common denominator (math.lcm), each
+    coefficient is summed as an integer numerator and becomes one Fraction,
+    and a zero sum leaves its position absent.
+    """
+    values = {}
+    for vc in series._c.values():
+        for w, _ in vc.items():
+            if w not in values:
+                values[w] = character_value(w, pt)
+    den = math.lcm(*(v.denominator for v in values.values()))
+    nums = {w: v.numerator * (den // v.denominator) for w, v in values.items()}
+    out = {
+        key: Fraction(sum(mult * nums[w] for w, mult in vc.items()), den)
+        for key, vc in series._c.items()
+    }
+    return BiSeries(series.deg_u, series.deg_v, out)  # drops the zero sums
 
 
 def _satake_eigenvalues(pt: SatakePoint, rep: str) -> list[Fraction]:

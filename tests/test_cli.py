@@ -114,6 +114,14 @@ def test_satake_flags(capsys):
     code, out, _ = run_main(capsys, argv + ["--satake", "2,3,5", "--satake", "1/2,-3,5/7"])
     assert code == 0
     assert json.loads(out)["config"]["satake_points"] == [["2", "3", "5"], ["1/2", "-3", "5/7"]]
+    # a negative t must be attached with "=": with a space argparse reads it as an option
+    code, out, _ = run_main(capsys, argv + ["--satake=-3/7,5/2,-9/4"])
+    assert code == 0
+    assert json.loads(out)["config"]["satake_points"] == [["-3/7", "5/2", "-9/4"]]
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--satake", "-1,-1,1"])
+    assert err.value.code == 2
+    assert "argument --satake: expected one argument" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
         cli.main(argv + ["--satake", "1,2"])
     assert err.value.code == 2

@@ -1,11 +1,13 @@
 """Truncated series builders and their cross identities on small boxes."""
 
+import collections
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
-from rslocal import coeffs
+from rslocal import coeffs, series
 from rslocal.characters import VirtualCharacter, product_char
 from rslocal.series import (
     BiSeries,
@@ -20,6 +22,7 @@ from rslocal.series import (
     specialize,
     sym_side_series,
 )
+from rslocal.suites import CheckConfig
 
 TRIV = VirtualCharacter.weight(0, 0, 0)
 
@@ -116,22 +119,119 @@ def test_specialize_chain_identity():
     assert lhs == rhs
 
 
-def test_character_value_is_the_product_character_value(fraction_power_evaluate):
-    # negative coordinates, t = +-1, y1 = +-y2, large numerators and denominators
-    points = [
-        SatakePoint.make(Fraction(-3, 7), Fraction(-5, 2), Fraction(-9, 4)),
-        SatakePoint.make(1, Fraction(2, 3), Fraction(-5, 6)),
-        SatakePoint.make(-1, Fraction(-4, 5), Fraction(-4, 5)),
-        SatakePoint.make(Fraction(7, 2), Fraction(3, 8), Fraction(-3, 8)),
-        SatakePoint.make(Fraction(10**18 + 9, 3**25), Fraction(-(2**61 - 1), 10**15),
-                         Fraction(-(7**20), 11**17)),
-    ]
-    weights = sorted({w for _, vc in local_integral_series(4, 4).items() for w, _ in vc.items()})
+# negative coordinates, t = +-1, y1 = +-y2, large numerators and denominators
+POINTS = [
+    SatakePoint.make(Fraction(-3, 7), Fraction(-5, 2), Fraction(-9, 4)),
+    SatakePoint.make(1, Fraction(2, 3), Fraction(-5, 6)),
+    SatakePoint.make(-1, Fraction(-4, 5), Fraction(-4, 5)),
+    SatakePoint.make(Fraction(7, 2), Fraction(3, 8), Fraction(-3, 8)),
+    SatakePoint.make(Fraction(10**18 + 9, 3**25), Fraction(-(2**61 - 1), 10**15),
+                     Fraction(-(7**20), 11**17)),
+]
+
+
+def series_weights(s):
+    return {w for _, vc in s.items() for w, _ in vc.items()}
+
+
+@pytest.fixture(scope="module")
+def reference_value(fraction_power_evaluate):
+    """The value of product_char(w) at pt as a sum of Fraction powers, memoized on (w, pt)."""
+    memo = {}
+
+    def value(w, pt):
+        if (w, pt) not in memo:
+            memo[(w, pt)] = fraction_power_evaluate(product_char(*w), *pt)
+        return memo[(w, pt)]
+
+    return value
+
+
+def test_character_value_is_the_product_character_value(reference_value):
+    weights = sorted(series_weights(local_integral_series(4, 4)))
     assert len(weights) > 30
-    for pt in points:
+    for pt in POINTS:
         for w in weights:
-            want = fraction_power_evaluate(product_char(*w), *pt)
-            assert character_value(w, pt) == want, (w, pt)
+            assert character_value(w, pt) == reference_value(w, pt), (w, pt)
+
+
+@pytest.mark.parametrize("build", [local_integral_series, lfactor_product_series])
+def test_specialize_matches_the_per_entry_reference(build, reference_value):
+    # the reference sums mult * (value of product_char(w) at pt) entry by entry
+    s = build(6, 6)
+    for pt in POINTS:
+        want = {
+            key: sum(mult * reference_value(w, pt) for w, mult in vc.items())
+            for key, vc in s.items()
+        }
+        assert specialize(s, pt) == BiSeries(6, 6, want), pt
+
+
+def test_specialize_drops_a_coefficient_that_cancels():
+    # A1[1] - 2 A1[0]B2[0,0] is 2 - 2 = 0 at (1, 1, 1)
+    s = BiSeries(1, 1, {(0, 0): VirtualCharacter({(1, 0, 0): 1, (0, 0, 0): -2}), (1, 0): TRIV})
+    got = specialize(s, SatakePoint.make(1, 1, 1))
+    assert got.items() == [((1, 0), Fraction(1))]
+    assert got.get(0, 0) == 0
+
+
+def test_specialize_values_each_distinct_weight_once(monkeypatch):
+    s = local_integral_series(6, 6)
+    calls = collections.Counter()
+    value = series.character_value
+
+    def counted(w, pt):
+        calls[w] += 1
+        return value(w, pt)
+
+    monkeypatch.setattr(series, "character_value", counted)
+    specialize(s, POINTS[0])
+    assert set(calls) == series_weights(s)
+    assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        # the same t and y1, another y2: the Spin5 factor must not be reused
+        (SatakePoint.make(Fraction(-3, 7), Fraction(5, 2), Fraction(-9, 4)),
+         SatakePoint.make(Fraction(-3, 7), Fraction(5, 2), Fraction(2, 9))),
+        # the same (y1, y2), another t: the SL2 factor must not be reused
+        (SatakePoint.make(Fraction(-3, 7), Fraction(5, 2), Fraction(-9, 4)),
+         SatakePoint.make(Fraction(11, 3), Fraction(5, 2), Fraction(-9, 4))),
+    ],
+)
+def test_factor_memos_key_on_the_coordinates_they_read(monkeypatch, reference_value, first, second):
+    weights = sorted(series_weights(local_integral_series(4, 4)))
+    want = {pt: [reference_value(w, pt) for w in weights] for pt in (first, second)}
+    for order in ((first, second), (second, first)):
+        # empty memos, so the first point of the order fills them
+        monkeypatch.setattr(series, "_A1_VALUES", {})
+        monkeypatch.setattr(series, "_B2_VALUES", {})
+        for pt in order:
+            assert [character_value(w, pt) for w in weights] == want[pt], (order, pt)
+
+
+def test_spin5_memo_keyed_without_y2_fails_local_vs_closed(monkeypatch, run_checks):
+    # the mutant memoizes char_B2(a, b) at (y1, y2) on (a, b, y1) alone
+    source = inspect.getsource(series.character_value)
+    key = "key = (a, b, y1, y2)"
+    assert source.count(key) == 1
+    namespace = {**vars(series), "_A1_VALUES": {}, "_B2_VALUES": {}}  # the real memos stay clean
+    exec(source.replace(key, "key = (a, b, y1)"), namespace)
+    monkeypatch.setattr(series, "character_value", namespace["character_value"])
+    points = ((2, 3, 5), (2, 3, Fraction(-1, 4)))
+    cfg = CheckConfig(suite="chain", deg_u=3, deg_v=3, satake_points=points)
+    ids = ["chain/specialization-pt0", "chain/specialization-pt1", "chain/local-vs-closed"]
+    reports = run_checks(cfg, ids)
+    # both sides of specialization-pt* read the same wrong values, so those
+    # checks still pass; only the closed Euler product catches the mutant
+    assert [(r.check_id, r.status) for r in reports] == [
+        ("chain/local-vs-closed", "fail"),
+        ("chain/specialization-pt0", "pass"),
+        ("chain/specialization-pt1", "pass"),
+    ]
+    assert reports[0].lhs.startswith("pt=(2, 3, -1/4) ")
 
 
 def test_satake_point_rejects_zero():
