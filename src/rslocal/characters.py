@@ -12,6 +12,11 @@ taken by exact division.  Decompositions peel highest weights under the
 lexicographic order on (t, d1, d2), which refines the dominance order of
 both factors, so peeling is deterministic and terminates.
 
+Sparse integer combinations, Laurent polynomials and virtual characters
+alike, are summed in place by one helper, ``_add_into``, which drops each
+key whose coefficient reaches zero; only ``LaurentPoly.__mul__`` keeps its
+own pairwise loop.
+
 Tensor products of irreducibles never expand a character: the SL2 factor
 follows Clebsch-Gordan (m from |m1 - m2| to m1 + m2 in steps of 2) and the
 Spin5 factor Brauer-Klimyk, which reflects the weights of the smaller
@@ -66,6 +71,17 @@ def _unpack(key: int) -> tuple[int, int, int]:
     )
 
 
+def _add_into(acc: dict, terms, mult: int = 1) -> dict:
+    """Add mult times each (key, coefficient) of terms into acc, dropping zeros."""
+    for k, v in terms:
+        nv = acc.get(k, 0) + mult * v
+        if nv:
+            acc[k] = nv
+        else:
+            acc.pop(k, None)
+    return acc
+
+
 class LaurentPoly:
     """Integer Laurent polynomial in (t, y1, y2), exponents doubled for Spin5."""
 
@@ -112,14 +128,7 @@ class LaurentPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            nv = c.get(k, 0) + v
-            if nv:
-                c[k] = nv
-            else:
-                c.pop(k, None)
-        return LaurentPoly(c)
+        return LaurentPoly(_add_into(dict(self._c), other._c.items()))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         a, b = self._c, other._c
@@ -128,6 +137,7 @@ class LaurentPoly:
         out: dict[int, int] = {}
         for k1, v1 in a.items():
             base = k1 - _P0
+            # inline rather than _add_into: a call per row costs a quarter more
             for k2, v2 in b.items():
                 k = base + k2
                 nv = out.get(k, 0) + v1 * v2
@@ -136,11 +146,6 @@ class LaurentPoly:
                 else:
                     del out[k]
         return LaurentPoly(out)
-
-    def scaled(self, mult: int) -> "LaurentPoly":
-        if mult == 0:
-            return LaurentPoly({})
-        return LaurentPoly({k: mult * v for k, v in self._c.items()})
 
     def divided_by_int(self, n: int) -> "LaurentPoly":
         out = {}
@@ -246,13 +251,7 @@ def _div_exact(num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
         qk = k - dlead + _P0
         quot[qk] = quot.get(qk, 0) + qc
         base = qk - _P0
-        for dk, dv in den.items():
-            kk = base + dk
-            nv = rem.get(kk, 0) - qc * dv
-            if nv:
-                rem[kk] = nv
-            else:
-                rem.pop(kk, None)
+        _add_into(rem, ((base + dk, dv) for dk, dv in den.items()), -qc)
         steps += 1
         if steps > bound:
             raise ArithmeticError("non-exact Laurent division (no termination)")
@@ -289,16 +288,11 @@ def char_A1(m: int) -> LaurentPoly:
 
 
 def _b2_alternating_sum(d1: int, d2: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for sgn, swap, s1, s2 in _B2_WEYL:
-        i1, i2 = (d2, d1) if swap else (d1, d2)
-        k = _pack(0, s1 * i1, s2 * i2)
-        nv = out.get(k, 0) + sgn
-        if nv:
-            out[k] = nv
-        else:
-            del out[k]
-    return out
+    terms = (
+        (_pack(0, s1 * d2, s2 * d1) if swap else _pack(0, s1 * d1, s2 * d2), sgn)
+        for sgn, swap, s1, s2 in _B2_WEYL
+    )
+    return _add_into({}, terms)
 
 
 def char_B2(a: int, b: int) -> LaurentPoly:
@@ -350,12 +344,7 @@ class VirtualCharacter:
     __slots__ = ("_m",)
 
     def __init__(self, mult: dict[tuple[int, int, int], int] | None = None):
-        m = {}
-        if mult:
-            for w, c in mult.items():
-                if c:
-                    m[w] = c
-        self._m = m
+        self._m = {w: c for w, c in mult.items() if c} if mult else {}
 
     @classmethod
     def zero(cls) -> "VirtualCharacter":
@@ -383,27 +372,13 @@ class VirtualCharacter:
         return isinstance(other, VirtualCharacter) and self._m == other._m
 
     def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
-        m = dict(self._m)
-        for w, c in other._m.items():
-            nv = m.get(w, 0) + c
-            if nv:
-                m[w] = nv
-            else:
-                del m[w]
         out = VirtualCharacter()
-        out._m = m
+        out._m = _add_into(dict(self._m), other._m.items())
         return out
 
     def __mul__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         """The product in the representation ring (the tensor product)."""
         return tensor_decompose(self, other)
-
-    def scaled(self, mult: int) -> "VirtualCharacter":
-        if not mult:
-            return VirtualCharacter()
-        out = VirtualCharacter()
-        out._m = {w: mult * c for w, c in self._m.items()}
-        return out
 
     def is_genuine(self) -> bool:
         return all(c >= 0 for c in self._m.values())
@@ -412,10 +387,10 @@ class VirtualCharacter:
         return sum(c * dim_irrep(*w) for w, c in self._m.items())
 
     def expand(self) -> LaurentPoly:
-        total = LaurentPoly.zero()
-        for (m, a, b), c in self._m.items():
-            total = total + product_char(m, a, b).scaled(c)
-        return total
+        acc: dict[int, int] = {}
+        for w, c in self._m.items():
+            _add_into(acc, product_char(*w)._c.items(), c)
+        return LaurentPoly(acc)
 
     def __repr__(self) -> str:
         if not self._m:
@@ -456,12 +431,7 @@ def decompose(p: LaurentPoly) -> VirtualCharacter:
         a, b = (d1 - d2) // 2, d2
         mult = rem[k]
         out[(t, a, b)] = mult
-        for kk, cc in product_char(t, a, b)._c.items():
-            nv = rem.get(kk, 0) - mult * cc
-            if nv:
-                rem[kk] = nv
-            else:
-                rem.pop(kk, None)
+        _add_into(rem, product_char(t, a, b)._c.items(), -mult)
         steps += 1
         if steps > bound:
             raise ArithmeticError("peeling failed to terminate")
@@ -509,11 +479,13 @@ def _tensor_weights(w1: tuple[int, int, int], w2: tuple[int, int, int]) -> Virtu
 
 def tensor_decompose(v1: VirtualCharacter, v2: VirtualCharacter) -> VirtualCharacter:
     """Decomposition of the product character; bilinear in both arguments."""
-    total = VirtualCharacter()
+    acc: dict[tuple[int, int, int], int] = {}
     for w1, c1 in v1.items():
         for w2, c2 in v2.items():
-            total = total + _tensor_weights(w1, w2).scaled(c1 * c2)
-    return total
+            _add_into(acc, _tensor_weights(w1, w2).items(), c1 * c2)
+    out = VirtualCharacter()
+    out._m = acc
+    return out
 
 
 def sym_power_decompose(v: VirtualCharacter, power: int) -> VirtualCharacter:

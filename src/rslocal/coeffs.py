@@ -28,6 +28,7 @@ __all__ = [
     "n_brute",
     "delta_parity",
     "first_branch_point",
+    "interval_eps",
     "in_first_branch",
     "in_second_branch",
 ]
@@ -131,14 +132,18 @@ def first_branch_point(x: int, y: int, a: int, b: int, c: int) -> tuple[int, int
     """(x, y) in the first branch's coordinates: unchanged there, and
     x -> x + 2(a - c), y -> y + (a - c) in the second branch.
 
-    n_interval reads its branch here, once; its eps is (x + y + b) & 1 at
-    this point.
+    n_interval reads its branch here, once, and its eps at this point.
     """
     if in_first_branch(a, c):
         return x, y
     if in_second_branch(a, b, c):
         return x + 2 * (a - c), y + (a - c)
     raise _neither_branch(a, b, c)
+
+
+def interval_eps(xx: int, yy: int, b: int) -> int:
+    """The eps of n_interval at the first-branch point (xx, yy) of weight index b."""
+    return (xx + yy + b) & 1
 
 
 def n_interval(x: int, y: int, a: int, b: int, c: int) -> int:
@@ -153,7 +158,7 @@ def n_interval(x: int, y: int, a: int, b: int, c: int) -> int:
     odd = c & 1
     even = 1 - odd
     gam = c // 2
-    eps = (xx + yy + b) & 1
+    eps = interval_eps(xx, yy, b)
     # bounds stored doubled: alpha >= lo/2, alpha <= hi/2
     lowers = (
         2 * (a - gam - odd),

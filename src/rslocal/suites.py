@@ -44,23 +44,33 @@ class CheckConfig:
         if not self.primes:
             errors.append("primes must not be empty")
         for p in self.primes:
-            if p not in (2, 3, 5):
+            if type(p) is not int:
+                errors.append("prime %r is not an integer" % (p,))
+            elif p not in (2, 3, 5):
                 errors.append("primes must lie in {2, 3, 5}, got %r" % (p,))
         if not self.sw_points:
             errors.append("sw points must not be empty")
-        if self.suite in ("padic", "all"):
-            for s, w in self.sw_points:
-                if not (s >= 2 and w - 2 * s >= 4):
-                    errors.append(
-                        "(s, w)=(%s, %s) is outside the convergence region "
-                        "s >= 2, w - 2s >= 4" % (s, w)
-                    )
+        for pt in self.sw_points:
+            if not (isinstance(pt, (tuple, list)) and len(pt) == 2
+                    and all(type(v) is int for v in pt)):
+                errors.append("sw point %r is not a pair of integers s,w" % (pt,))
+            elif self.suite in ("padic", "all") and not (pt[0] >= 2 and pt[1] - 2 * pt[0] >= 4):
+                errors.append(
+                    "(s, w)=(%s, %s) is outside the convergence region "
+                    "s >= 2, w - 2s >= 4" % tuple(pt)
+                )
         if self.fmt not in ("text", "json"):
             errors.append("format must be text or json")
         if self.satake_points is not None and not self.satake_points:
             errors.append("satake points must not be empty")
         for pt in self.satake_points or ():
-            if 0 in pt:
+            try:
+                coords = [Fraction(c) for c in pt]
+            except (TypeError, ValueError, ZeroDivisionError):
+                coords = None
+            if coords is None or len(coords) != 3:
+                errors.append("satake point %r does not have three rational coordinates" % (pt,))
+            elif 0 in coords:
                 errors.append("satake coordinates must be nonzero")
         return errors
 
@@ -314,9 +324,8 @@ def _suite_coeffs(cfg: CheckConfig, reports: list):
     npts = len(points)
 
     def interval_eps(x, y, a, b, c):
-        # the eps n_interval takes after its branch substitution
-        xx, yy = coeffs.first_branch_point(x, y, a, b, c)
-        return (xx + yy + b) & 1
+        # the eps n_interval takes, at the point after its branch substitution
+        return coeffs.interval_eps(*coeffs.first_branch_point(x, y, a, b, c), b)
 
     @functools.cache
     def column(fn):
@@ -377,29 +386,19 @@ def _suite_padic(cfg: CheckConfig, reports: list):
     us = range(u_lo, u_hi + 1)
     kernel_params = {"primes": list(cfg.primes), "vals": [val_lo, val_hi], "u": [u_lo, u_hi]}
 
-    def max_kernel():
-        for p in cfg.primes:
-            for v in vals:
-                for u in us:
-                    closed = padic.integral_max(v, p, u)
-                    brute = padic.integral_max_brute(v, p, u)
-                    if closed != brute:
-                        return (False, "p=%d v=%d u=%d: %s" % (p, v, u, closed), str(brute))
-        return True
+    kernels = [
+        ("padic/max-kernel-integral", padic.integral_max, padic.integral_max_brute),
+        ("padic/psi-kernel-integral", padic.integral_psi_max, padic.integral_psi_max_brute),
+    ]
+    for check_id, closed_fn, brute_fn in kernels:
+        def kernel(closed_fn=closed_fn, brute_fn=brute_fn):
+            for p, v, u in itertools.product(cfg.primes, vals, us):
+                closed, brute = closed_fn(v, p, u), brute_fn(v, p, u)
+                if closed != brute:
+                    return (False, "p=%d v=%d u=%d: %s" % (p, v, u, closed), str(brute))
+            return True
 
-    _run_check(reports, "padic/max-kernel-integral", kernel_params, max_kernel)
-
-    def psi_kernel():
-        for p in cfg.primes:
-            for v in vals:
-                for u in us:
-                    closed = padic.integral_psi_max(v, p, u)
-                    brute = padic.integral_psi_max_brute(v, p, u)
-                    if closed != brute:
-                        return (False, "p=%d v=%d u=%d: %s" % (p, v, u, closed), str(brute))
-        return True
-
-    _run_check(reports, "padic/psi-kernel-integral", kernel_params, psi_kernel)
+        _run_check(reports, check_id, kernel_params, kernel)
 
     def det_sweep():
         for p in cfg.primes:

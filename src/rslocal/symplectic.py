@@ -20,7 +20,9 @@ Computational Group Theory*, ch. 4):
 A group element is the 6-tuple of the indices of its rows, so right
 multiplication by a generator is six table lookups.  The orbit search, the
 transversal and Schreier step of the fifth stabilizer, the closure of the
-whole group at q = 2 and the orbit predicates all run on these integers.
+whole group at q = 2 and the orbit predicates all run on these integers;
+the orbit search, the transversal and both closures are one breadth-first
+walk, ``_walk``.
 The tuple definitions (``rref_q``, ``make_flag``) are the reference the
 tests compare the tables with.  The group acts on the right of row vectors.
 
@@ -283,7 +285,7 @@ class FlagSpace:
         return self._flag_id[self._plane_by_members[plane_image], self._lag_by_members[lag_image]]
 
     def orbit_split(self):
-        """(orbit sizes, orbit index of each flag), by BFS from the five representatives.
+        """(orbit sizes, orbit index of each flag), walking from the five representatives.
 
         Memoized.  Raises if the representatives do not exhaust the flags
         in five distinct orbits.
@@ -291,6 +293,7 @@ class FlagSpace:
         if self._orbits is None:
             orbit_of = [0] * len(self.flags)
             sizes = []
+            steps = [perm.__getitem__ for perm in self.flag_perms]
             for idx, rep in enumerate(orbit_representatives(self.q), start=1):
                 f = self.flag_index(rep)
                 if f is None:
@@ -300,20 +303,10 @@ class FlagSpace:
                         "representative %d already reached from representative %d"
                         % (idx, orbit_of[f])
                     )
-                orbit_of[f] = idx
-                frontier = [f]
-                size = 1
-                while frontier:
-                    nxt = []
-                    for f in frontier:
-                        for perm in self.flag_perms:
-                            image = perm[f]
-                            if not orbit_of[image]:
-                                orbit_of[image] = idx
-                                nxt.append(image)
-                                size += 1
-                    frontier = nxt
-                sizes.append(size)
+                orbit = _walk([f], steps, len(self.flags))
+                for g in orbit:
+                    orbit_of[g] = idx
+                sizes.append(len(orbit))
             if sum(sizes) != len(self.flags):
                 raise RuntimeError(
                     "only %d of %d flags reached: orbit count exceeds five"
@@ -325,27 +318,19 @@ class FlagSpace:
     def group_elements(self) -> dict:
         """Every group element, mapped to the index of its image of the variant fifth flag.
 
-        Memoized.  A BFS from the identity under right multiplication by
+        Memoized.  A walk from the identity under right multiplication by
         the generators; it raises once more than 10000 elements are found,
-        so use it at q = 2 (4320 elements).
+        so use it at q = 2 (4320 elements).  Images overwrite the walk's
+        own entries in walk order, each from its parent's.
         """
         if self._group is None:
+            # times_gen, with the table lookup bound once per generator
+            steps = [lambda a, t=t.__getitem__: tuple(map(t, a)) for t in self.vector_tables]
+            group = _walk([self.identity], steps, 10000)
             f5 = self.flag_index(alt_fifth_flag(self.q))
-            seen = {self.identity: f5}
-            frontier = [self.identity]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    image = seen[a]
-                    for i, perm in enumerate(self.flag_perms):
-                        b = self.times_gen(a, i)
-                        if b not in seen:
-                            seen[b] = perm[image]
-                            nxt.append(b)
-                            if len(seen) > 10000:
-                                raise RuntimeError("closure exceeded 10000 elements")
-                frontier = nxt
-            self._group = seen
+            for a, link in group.items():
+                group[a] = f5 if link is None else self.flag_perms[link[1]][group[link[0]]]
+            self._group = group
         return self._group
 
     def predicate(self, f: int) -> int:
@@ -464,22 +449,29 @@ def h_group_order(q: int) -> int:
     return gl2 * sp4
 
 
+def _walk(start, steps, limit: int) -> dict:
+    """Breadth-first search from the start nodes; each step maps a node to a node.
+
+    Returns {node: (parent, step index)} in the order the nodes were
+    found, with None for a start node.  Raises once more than limit nodes
+    are found.
+    """
+    tree = dict.fromkeys(start)
+    queue = list(tree)
+    for node in queue:  # the queue grows while it is read
+        for i, step in enumerate(steps):
+            image = step(node)
+            if image not in tree:
+                tree[image] = (node, i)
+                queue.append(image)
+                if len(tree) > limit:
+                    raise RuntimeError("closure exceeded limit %d" % limit)
+    return tree
+
+
 def group_closure(gens, mul, limit: int) -> set:
-    """BFS closure of a generator list under the group product."""
-    seen = set(gens)
-    frontier = list(gens)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = mul(g, s)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-                    if len(seen) > limit:
-                        raise RuntimeError("closure exceeded limit %d" % limit)
-        frontier = nxt
-    return seen
+    """Closure of a generator list under the group product."""
+    return set(_walk(gens, [lambda g, s=s: mul(g, s) for s in gens], limit))
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +553,8 @@ def _h_block_ok(g) -> bool:
 def stab5_check(q: int) -> Stab5Report:
     """Orbit-stabilizer consistency and the stabilizer shape at the 5th flag.
 
-    Runs a BFS with transversal rooted at the variant fifth flag, carrying
-    each transversal element's inverse; the Schreier elements generate
+    Takes a transversal of the variant fifth flag's orbit from one walk,
+    carrying each element's inverse; the Schreier elements generate
     exactly its stabilizer, whose closure is small enough to check the
     shape predicate on every element.  For q = 2 the stabilizer is
     additionally recomputed by filtering the full 4320-element group, and
@@ -572,19 +564,15 @@ def stab5_check(q: int) -> Stab5Report:
     space = flag_space(q)
     flag5 = space.flag_index(alt_fifth_flag(q))
     gens = range(len(space.flag_perms))
-    trans = {flag5: space.identity}
-    trans_inv = {flag5: space.identity}
-    frontier = [flag5]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for i in gens:
-                image = space.flag_perms[i][f]
-                if image not in trans:
-                    trans[image] = space.times_gen(trans[f], i)
-                    trans_inv[image] = space.mul(space.gen_inverses[i], trans_inv[f])
-                    nxt.append(image)
-        frontier = nxt
+    trans, trans_inv = {}, {}
+    steps = [perm.__getitem__ for perm in space.flag_perms]
+    for f, link in _walk([flag5], steps, len(space.flags)).items():
+        if link is None:
+            trans[f] = trans_inv[f] = space.identity
+        else:
+            parent, i = link
+            trans[f] = space.times_gen(trans[parent], i)
+            trans_inv[f] = space.mul(space.gen_inverses[i], trans_inv[parent])
     schreier = set()
     for f, t in trans.items():
         for i in gens:

@@ -377,3 +377,57 @@ def test_sym_spin_closed_vs_adams():
     base = VirtualCharacter.weight(1, 0, 1)
     for ell in range(9):
         assert sym_power_spin_closed(ell) == sym_power_decompose(base, ell)
+
+
+
+# ---------------------------------------------------------------------------
+# Sums that cancel keep no zero coefficient.
+
+
+def _negated(poly):
+    out = LaurentPoly.zero()
+    for exps, c in poly.items():
+        out = out + LaurentPoly.monomial(*exps, coeff=-c)
+    return out
+
+
+def test_cancelling_laurent_sums_hold_no_zero_coefficient():
+    vector = char_B2(1, 0)  # the weights (+-2, 0), (0, +-2) and (0, 0)
+    total = vector + LaurentPoly.monomial(0, 0, 0, coeff=-1)
+    short_roots = ((-2, 0), (0, -2), (0, 2), (2, 0))
+    assert sorted(total.items()) == [((0, d1, d2), 1) for d1, d2 in short_roots]
+    assert len(vector + _negated(vector)) == 0
+
+
+def test_cancelling_character_sums_hold_no_zero_multiplicity():
+    x = VirtualCharacter({(0, 1, 0): 2, (1, 0, 1): -1, (2, 0, 0): 3})
+    y = VirtualCharacter({(0, 1, 0): -2, (1, 0, 1): 1, (0, 0, 0): 5})
+    assert sorted((x + y).items()) == [((0, 0, 0), 5), ((2, 0, 0), 3)]
+    assert len(x + VirtualCharacter({w: -c for w, c in x.items()})) == 0
+
+
+def test_expand_of_a_virtual_character_cancels_exactly():
+    # the zero weight of B2[1,0] against the trivial character
+    got = VirtualCharacter({(0, 1, 0): 1, (0, 0, 0): -1}).expand()
+    assert got == char_B2(1, 0) + LaurentPoly.monomial(0, 0, 0, coeff=-1)
+    assert len(got) == 4 and all(c for _, c in got.items())
+    x = VirtualCharacter({(0, 1, 0): 2, (1, 0, 1): -3})
+    want = product_char(0, 1, 0) + product_char(0, 1, 0)
+    for _ in range(3):
+        want = want + _negated(product_char(1, 0, 1))
+    assert x.expand() == want
+    assert decompose(x.expand()) == x
+
+
+def test_tensor_of_virtual_characters_cancels_exactly():
+    # (A1[1] - B2[0,1]) (x) (A1[1] + B2[0,1]) = A1[1]^2 - B2[0,1]^2: the cross terms
+    # cancel, and so does the trivial summand of A1[1]^2 against that of B2[0,1]^2
+    u = VirtualCharacter({(1, 0, 0): 1, (0, 0, 1): -1})
+    v = VirtualCharacter({(1, 0, 0): 1, (0, 0, 1): 1})
+    got = tensor_decompose(u, v)
+    assert got == VirtualCharacter({(2, 0, 0): 1, (0, 0, 2): -1, (0, 1, 0): -1})
+    assert got == decompose(u.expand() * v.expand())
+    x = VirtualCharacter({(0, 1, 0): 2, (1, 0, 1): -1})
+    y = VirtualCharacter({(1, 0, 0): -3, (0, 0, 1): 2})
+    assert tensor_decompose(x, y) == decompose(x.expand() * y.expand())
+    assert not tensor_decompose(x, VirtualCharacter())

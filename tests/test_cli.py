@@ -352,3 +352,35 @@ def test_wrong_block_fails_the_independent_routes(monkeypatch, run_checks):
         CheckConfig(suite="padic", deg_u=4, deg_v=4), ["padic/torus-reconstruction"]
     )
     assert [(r.check_id, r.status) for r in reports] == [("padic/torus-reconstruction", "fail")]
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (CheckConfig("chain", satake_points=((1, 2),)),
+         "satake point (1, 2) does not have three rational coordinates"),
+        (CheckConfig("chain", satake_points=((1, "x", 2),)),
+         "satake point (1, 'x', 2) does not have three rational coordinates"),
+        (CheckConfig("padic", sw_points=((2,),)), "sw point (2,) is not a pair of integers s,w"),
+        (CheckConfig("coeffs", sw_points=((2, 9.0),)),
+         "sw point (2, 9.0) is not a pair of integers s,w"),
+        (CheckConfig("padic", primes=(2.0,)), "prime 2.0 is not an integer"),
+    ],
+    ids=["satake-two-coordinates", "satake-not-rational", "sw-one-coordinate",
+         "sw-a-float-outside-padic", "prime-a-float"],
+)
+def test_run_suite_names_a_malformed_entry(cfg, message):
+    assert cfg.validate() == [message]
+    with pytest.raises(ValueError) as err:
+        suites.run_suite(cfg)
+    assert str(err.value) == message
+
+
+def test_parity_check_reads_the_eps_of_n_interval(monkeypatch, run_checks):
+    monkeypatch.setattr(coeffs, "interval_eps", lambda xx, yy, b: (xx + yy + b + 1) & 1)
+    ids = ["coeffs/parity-consistency", "coeffs/m-vs-n"]
+    reports = run_checks(CheckConfig(suite="coeffs", radius=2), ids)
+    assert [(r.check_id, r.status) for r in reports] == [
+        ("coeffs/m-vs-n", "fail"), ("coeffs/parity-consistency", "fail")
+    ]
+    assert reports[1].lhs == "(0,0,0,0,0): 0"

@@ -55,8 +55,11 @@ def test_no_unused_top_level_imports(path):
     assert unused - UNUSED_IMPORTS_ALLOWED == set()
 
 
-def _public_functions_no_other_code_names(src):
-    """(module, function) for each public top-level function of ``src`` named by no other code.
+def _top_level_functions_no_other_code_names(src):
+    """(module, function) for each top-level function of ``src`` named by no other code.
+
+    Private helpers count too, so a helper that a refactor leaves without
+    callers is caught.
 
     A use is a name or an attribute read anywhere in ``src`` outside the
     function's own definition.  ``__all__`` strings are constants, not
@@ -67,7 +70,7 @@ def _public_functions_no_other_code_names(src):
     defined, readers = [], {}
     for stem, tree in trees.items():
         for top in tree.body:
-            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+            if isinstance(top, ast.FunctionDef):
                 defined.append((stem, top.name))
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
@@ -82,5 +85,5 @@ def _public_functions_no_other_code_names(src):
     )
 
 
-def test_every_public_function_is_named_by_other_src_code():
-    assert _public_functions_no_other_code_names(SRC) == []
+def test_every_top_level_function_is_named_by_other_src_code():
+    assert _top_level_functions_no_other_code_names(SRC) == []

@@ -316,3 +316,33 @@ def test_orbit_split_check_names_the_orbit_of_a_misplaced_variant_flag(monkeypat
     assert [(r.check_id, r.status, r.lhs, r.rhs) for r in reports] == [
         ("orbits/orbit-split-q2", "fail", "variant flag in orbit 4", "5")
     ]
+
+
+# ---------------------------------------------------------------------------
+# Failure paths of the orbit layer.
+
+
+@pytest.mark.parametrize(
+    "reps, message",
+    [
+        (lambda q: [FlagState((E1, F1), (E1, F1, E2))],
+         "representative 1 is not an enumerated flag"),
+        (lambda q: orbit_representatives(q)[:1] * 2,
+         "representative 2 already reached from representative 1"),
+        (lambda q: orbit_representatives(q)[:4],
+         "only 585 of 945 flags reached: orbit count exceeds five"),
+    ],
+    ids=["not-a-flag", "same-orbit-twice", "orbits-missed"],
+)
+def test_orbit_split_raises_on_bad_representatives(monkeypatch, reps, message):
+    monkeypatch.setattr(symplectic, "_SPACES", {})  # the real space keeps its memoized split
+    monkeypatch.setattr(symplectic, "orbit_representatives", reps)
+    with pytest.raises(RuntimeError) as err:
+        flag_space(2).orbit_split()
+    assert str(err.value) == message
+
+
+def test_group_closure_raises_past_its_limit(mat_mul_q):
+    with pytest.raises(RuntimeError) as err:
+        group_closure(h_generators(2), lambda A, B: mat_mul_q(A, B, 2), limit=100)
+    assert str(err.value) == "closure exceeded limit 100"
