@@ -16,24 +16,19 @@ from fractions import Fraction
 from .suites import SUITES, CheckConfig, emit_report, run_suite
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected s,w")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _comma_tuple(convert, form: str):
+    """An argparse type that reads the comma-separated parts of ``form`` with ``convert``."""
 
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        if len(parts) != len(form.split(",")):
+            raise argparse.ArgumentTypeError("expected " + form)
+        try:
+            return tuple(map(convert, parts))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc))
 
-def _parse_satake(text: str) -> tuple[Fraction, Fraction, Fraction]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected t,y1,y2")
-    try:
-        return tuple(Fraction(part) for part in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--sw",
-        type=_parse_pair,
+        type=_comma_tuple(int, "s,w"),
         action="append",
         default=None,
         dest="sw_points",
@@ -77,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--satake",
-        type=_parse_satake,
+        type=_comma_tuple(Fraction, "t,y1,y2"),
         action="append",
         default=None,
         dest="satake_points",
@@ -97,56 +92,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_type(kind, what: str):
-    """A config conversion that accepts only JSON values of one type."""
-
-    def check(value):
-        # a JSON true is a Python int, but not an integer option value
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise TypeError("expected %s, got %s" % (what, json.dumps(value)))
-        return value
-
-    return check
-
-
-_config_int = _json_type(int, "an integer")
-_config_list = _json_type(list, "a list")
-
-
-def _config_pair(value) -> tuple[int, int]:
-    if len(_config_list(value)) != 2:
-        raise ValueError("expected two integers s,w, got %s" % json.dumps(value))
-    return _config_int(value[0]), _config_int(value[1])
-
-
-def _config_satake(pt) -> tuple[Fraction, Fraction, Fraction]:
-    coords = tuple(Fraction(str(c)) for c in _config_list(pt))
-    if len(coords) != 3:
-        raise ValueError("expected three coordinates t,y1,y2, got %r" % (pt,))
-    return coords
-
-
-# config-file key -> the CheckConfig field it sets, and the check and
-# conversion of its JSON value
+# config-file key -> the CheckConfig field it sets
 _CONFIG_KEYS = {
-    "deg_u": ("deg_u", _config_int),
-    "deg_v": ("deg_v", _config_int),
-    "radius": ("radius", _config_int),
-    "primes": ("primes", lambda value: tuple(_config_int(v) for v in _config_list(value))),
-    "sw": ("sw_points", lambda value: tuple(_config_pair(pt) for pt in _config_list(value))),
-    "satake": (
-        "satake_points",
-        lambda value: tuple(_config_satake(pt) for pt in _config_list(value)),
-    ),
-    "seed": ("seed", _config_int),
-    "format": ("fmt", _json_type(str, "a string")),
-    "no_timing": ("no_timing", _json_type(bool, "true or false")),
+    "deg_u": "deg_u", "deg_v": "deg_v", "radius": "radius", "primes": "primes",
+    "sw": "sw_points", "satake": "satake_points", "seed": "seed", "format": "fmt",
+    "no_timing": "no_timing",
 }
+
+
+def _tuples(value):
+    """A JSON value with every list made a tuple, as a repeatable flag's list is."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def _merge_config(args) -> CheckConfig:
     """The run's config: explicit flags win over the config file, and
-    fields set by neither keep CheckConfig's defaults."""
+    fields set by neither keep CheckConfig's defaults.
+
+    The file's values are validated on their own, with the run's suite,
+    so a malformed value is an error even where a flag overrides it.
+    """
     values = {}
     if args.config:
         try:
@@ -159,11 +124,10 @@ def _merge_config(args) -> CheckConfig:
         for key, value in raw.items():
             if key not in _CONFIG_KEYS:
                 raise ValueError("unknown config key %r" % key)
-            field, convert = _CONFIG_KEYS[key]
-            try:
-                values[field] = convert(value)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ValueError("config key %r: %s" % (key, exc))
+            values[_CONFIG_KEYS[key]] = _tuples(value)
+        errors = CheckConfig(args.suite, **values).validate()
+        if errors:
+            raise ValueError("; ".join("config file: %s" % err for err in errors))
     for field in dataclasses.fields(CheckConfig):
         flag = getattr(args, field.name)
         if flag is not None:

@@ -34,49 +34,70 @@ class CheckConfig:
     no_timing: bool = False
 
     def validate(self) -> list[str]:
+        """One message per malformed field, naming the field or its first bad entry.
+
+        This is the only check of a config value, whether it comes from a
+        flag, the config file or code; it never raises.
+        """
         errors = []
         if self.suite not in SUITES:
             errors.append("unknown suite %r (choose from %s)" % (self.suite, ", ".join(SUITES)))
-        if self.deg_u < 0 or self.deg_v < 0:
-            errors.append("degrees must be nonnegative")
-        if self.radius < 0:
-            errors.append("radius must be nonnegative")
-        if not self.primes:
-            errors.append("primes must not be empty")
-        for p in self.primes:
-            if type(p) is not int:
-                errors.append("prime %r is not an integer" % (p,))
-            elif p not in (2, 3, 5):
-                errors.append("primes must lie in {2, 3, 5}, got %r" % (p,))
-        if not self.sw_points:
-            errors.append("sw points must not be empty")
-        for pt in self.sw_points:
-            if not (isinstance(pt, (tuple, list)) and len(pt) == 2
-                    and all(type(v) is int for v in pt)):
-                errors.append("sw point %r is not a pair of integers s,w" % (pt,))
-            elif self.suite in ("padic", "all") and not (pt[0] >= 2 and pt[1] - 2 * pt[0] >= 4):
-                errors.append(
-                    "(s, w)=(%s, %s) is outside the convergence region "
-                    "s >= 2, w - 2s >= 4" % tuple(pt)
-                )
+        for name in ("deg_u", "deg_v", "radius", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                errors.append("%s must be an integer, got %r" % (name, value))
+            elif value < 0 and name != "seed":
+                errors.append("%s must be nonnegative, got %d" % (name, value))
+        for name in ("primes", "sw_points", "satake_points"):
+            value = getattr(self, name)
+            if value is None and name == "satake_points":
+                continue  # the seeded points
+            if not isinstance(value, (list, tuple)):
+                errors.append("%s must be a list or tuple, got %r" % (name, value))
+            elif not value:
+                # a check over no primes, (s, w) or Satake points compares nothing
+                errors.append("%s must not be empty" % name)
+            else:
+                bad = [self._entry_error(name, entry) for entry in value]
+                errors.extend([err for err in bad if err][:1])
         if self.fmt not in ("text", "json"):
-            errors.append("format must be text or json")
-        if self.satake_points is not None and not self.satake_points:
-            errors.append("satake points must not be empty")
-        for pt in self.satake_points or ():
-            try:
-                coords = [Fraction(c) for c in pt]
-            except (TypeError, ValueError, ZeroDivisionError):
-                coords = None
-            if coords is None or len(coords) != 3:
-                errors.append("satake point %r does not have three rational coordinates" % (pt,))
-            elif 0 in coords:
-                errors.append("satake coordinates must be nonzero")
+            errors.append("format must be text or json, got %r" % (self.fmt,))
+        if type(self.no_timing) is not bool:
+            errors.append("no_timing must be true or false, got %r" % (self.no_timing,))
         return errors
+
+    def _entry_error(self, name: str, entry) -> str | None:
+        if name == "primes":
+            if type(entry) is not int:
+                return "prime %r is not an integer" % (entry,)
+            if entry not in (2, 3, 5):
+                return "primes must lie in {2, 3, 5}, got %r" % (entry,)
+        elif name == "sw_points":
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                    and all(type(v) is int for v in entry)):
+                return "sw point %r is not a pair of integers s,w" % (entry,)
+            s, w = entry
+            if self.suite in ("padic", "all") and not (s >= 2 and w - 2 * s >= 4):
+                return (
+                    "(s, w)=(%s, %s) is outside the convergence region "
+                    "s >= 2, w - 2s >= 4" % (s, w)
+                )
+        else:
+            try:
+                coords = [_rational(c) for c in entry] if isinstance(entry, (tuple, list)) else ()
+            except (ValueError, ZeroDivisionError):
+                coords = ()
+            if len(coords) != 3:
+                return "satake point %r does not have three rational coordinates" % (entry,)
+            if 0 in coords:
+                return "satake coordinates must be nonzero"
+        return None
 
     def resolved_satake(self) -> tuple:
         if self.satake_points is not None:
-            return tuple(series.SatakePoint.make(*pt) for pt in self.satake_points)
+            return tuple(
+                series.SatakePoint.make(*map(_rational, pt)) for pt in self.satake_points
+            )
         rng = random.Random(self.seed)
 
         def coord():
@@ -103,6 +124,11 @@ class CheckConfig:
         }
 
 
+def _rational(c) -> Fraction:
+    """A Satake coordinate read through its text, so a float 0.1 is 1/10 and a bool is refused."""
+    return Fraction(str(c))
+
+
 @dataclass
 class CheckReport:
     check_id: str
@@ -126,9 +152,11 @@ class CheckReport:
 def _run_check(reports: list, check_id: str, params: dict, fn):
     """Run one check body.
 
-    A mismatch is a failure (``fail``); an exception is an ``error``, with
-    the exception type and message as ``lhs`` and its innermost frame
-    (``file:line in function``) as ``rhs``.
+    The body returns True, False or an (ok, lhs, rhs) triple.  A mismatch
+    is a failure (``fail``).  An exception is an ``error``, with the
+    exception type and message as ``lhs`` and its innermost frame
+    (``file:line in function``) as ``rhs``; any other result, such as a
+    forgotten ``return`` (None), is an ``error`` that shows the result.
     """
     start = time.monotonic()
     try:
@@ -142,14 +170,16 @@ def _run_check(reports: list, check_id: str, params: dict, fn):
         lhs = "%s: %s" % (type(exc).__name__, exc)
         rhs = "%s:%d in %s" % (os.path.basename(code.co_filename), tb.tb_lineno, code.co_name)
     else:
-        if outcome is True or outcome is None:
-            outcome = (True, None, None)
-        elif outcome is False:
-            outcome = (False, None, None)
-        ok, lhs, rhs = outcome
-        if ok:
+        if outcome is True or outcome is False:
+            outcome = (outcome, None, None)
+        if not (type(outcome) is tuple and len(outcome) == 3 and type(outcome[0]) is bool
+                and all(side is None or type(side) is str for side in outcome[1:])):
+            status, rhs = "error", None
+            lhs = "malformed outcome %r: expected True, False or (ok, lhs, rhs)" % (outcome,)
+        elif outcome[0]:
             status, lhs, rhs = "pass", None, None
         else:
+            _, lhs, rhs = outcome
             status, lhs = "fail", "mismatch" if lhs is None else lhs
     elapsed = int((time.monotonic() - start) * 1000)
     reports.append(CheckReport(check_id, params, status, lhs, rhs, elapsed))

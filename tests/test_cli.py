@@ -107,6 +107,36 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["config"]["radius"] == 2
     assert doc["config"]["sw_points"] == [[2, 9]]
+    # a malformed file value is an error even where a flag overrides it
+    path.write_text(json.dumps({"radius": 1.9}))
+    code, out, err = run_main(capsys, ["coeffs", "--config", str(path), "--radius", "1"])
+    assert (code, out) == (2, "")
+    assert "config error: config file: radius must be an integer, got 1.9" in err
+    # a file's (s, w) point is checked for convergence only under padic and all
+    path.write_text(json.dumps({"sw": [[2, 7]], "radius": 1, "no_timing": True}))
+    assert run_main(capsys, ["coeffs", "--config", str(path)])[0] == 0
+    code, out, err = run_main(capsys, ["padic", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert "config error: config file: (s, w)=(2, 7) is outside the convergence region" in err
+    # a file that sets every key reports byte for byte as the same values given as flags
+    path.write_text(json.dumps({
+        "deg_u": 2, "deg_v": 1, "radius": 1, "primes": [3, 2], "sw": [[3, 11], [2, 9]],
+        # a float coordinate reads through its decimal text: 0.1 is 1/10
+        "satake": [[0.1, -2, "3/7"], [2, 1.5, 7]],
+        "seed": 4, "format": "json", "no_timing": True,
+    }))
+    assert len(json.loads(path.read_text())) == len(cli._CONFIG_KEYS)
+    code, from_file, _ = run_main(capsys, ["chain", "--config", str(path)])
+    assert code == 0
+    flags = [
+        "--deg-u", "2", "--deg-v", "1", "--radius", "1", "--prime", "3", "--prime", "2",
+        "--sw", "3,11", "--sw", "2,9", "--satake=1/10,-2,3/7", "--satake=2,3/2,7",
+        "--seed", "4", "--format", "json", "--no-timing",
+    ]
+    code, from_flags, _ = run_main(capsys, ["chain"] + flags)
+    assert code == 0
+    assert from_file == from_flags
+    assert json.loads(from_file)["config"]["satake_points"][0] == ["1/10", "-2", "3/7"]
 
 
 def test_satake_flags(capsys):
@@ -135,18 +165,19 @@ def test_satake_flags(capsys):
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"primes": 5}, "config key 'primes':"),
-        ({"radius": None}, "config key 'radius':"),
-        ({"satake": [[1, 2]]}, "config key 'satake':"),
-        ({"primes": "23"}, "config key 'primes':"),
-        ({"no_timing": "false"}, "config key 'no_timing':"),
-        ({"radius": 1.9}, "config key 'radius':"),
-        ({"sw": [[2]]}, "config key 'sw': expected two integers s,w, got [2]"),
-        ({"sw": [[2, "9"]]}, 'config key \'sw\': expected an integer, got "9"'),
+        ({"primes": 5}, "config file: primes must be a list or tuple, got 5"),
+        ({"radius": None}, "config file: radius must be an integer, got None"),
+        ({"satake": [[1, 2]]},
+         "config file: satake point (1, 2) does not have three rational coordinates"),
+        ({"primes": "23"}, "config file: primes must be a list or tuple, got '23'"),
+        ({"no_timing": "false"}, "config file: no_timing must be true or false, got 'false'"),
+        ({"radius": 1.9}, "config file: radius must be an integer, got 1.9"),
+        ({"sw": [[2]]}, "config file: sw point (2,) is not a pair of integers s,w"),
+        ({"sw": [[2, "9"]]}, "config file: sw point (2, '9') is not a pair of integers s,w"),
         # well-typed, but a check over no primes, (s, w) or Satake points compares nothing
-        ({"primes": []}, "primes must not be empty"),
-        ({"sw": []}, "sw points must not be empty"),
-        ({"satake": []}, "satake points must not be empty"),
+        ({"primes": []}, "config file: primes must not be empty"),
+        ({"sw": []}, "config file: sw_points must not be empty"),
+        ({"satake": []}, "config file: satake_points must not be empty"),
     ],
     ids=[
         "primes-not-a-list",
@@ -209,8 +240,13 @@ def test_exception_in_check_is_an_error(capsys, monkeypatch):
         def body():
             raise TypeError("bad table")
 
+        def no_return():
+            pass
+
         suites._run_check(reports, "characters/raises", {}, body)
         suites._run_check(reports, "characters/passes", {}, lambda: True)
+        suites._run_check(reports, "characters/returns-none", {}, no_return)
+        suites._run_check(reports, "characters/returns-a-pair", {}, lambda: (False, "a"))
 
     monkeypatch.setitem(suites._SUITE_BODIES, "characters", raising_suite)
     code, out, _ = run_main(capsys, ["characters", "--no-timing"])
@@ -226,6 +262,16 @@ def test_exception_in_check_is_an_error(capsys, monkeypatch):
     assert raised["lhs"] == "TypeError: bad table"
     assert raised["rhs"].startswith("test_cli.py:") and raised["rhs"].endswith(" in body")
     assert checks["characters/passes"] == {"id": "characters/passes", "params": {}, "status": "pass"}
+    # a result that is not True, False or (ok, lhs, rhs) is an error, not a pass
+    expected = "expected True, False or (ok, lhs, rhs)"
+    assert checks["characters/returns-none"] == {
+        "id": "characters/returns-none", "params": {}, "status": "error",
+        "lhs": "malformed outcome None: " + expected,
+    }
+    assert checks["characters/returns-a-pair"] == {
+        "id": "characters/returns-a-pair", "params": {}, "status": "error",
+        "lhs": "malformed outcome (False, 'a'): " + expected,
+    }
 
 
 def test_coeffs_comparisons_count_the_points_in_a_branch():
@@ -365,9 +411,17 @@ def test_wrong_block_fails_the_independent_routes(monkeypatch, run_checks):
         (CheckConfig("coeffs", sw_points=((2, 9.0),)),
          "sw point (2, 9.0) is not a pair of integers s,w"),
         (CheckConfig("padic", primes=(2.0,)), "prime 2.0 is not an integer"),
+        (CheckConfig("coeffs", radius=1.5), "radius must be an integer, got 1.5"),
+        (CheckConfig("chain", deg_u=2.0), "deg_u must be an integer, got 2.0"),
+        (CheckConfig("chain", seed=True), "seed must be an integer, got True"),
+        (CheckConfig("chain", no_timing="false"),
+         "no_timing must be true or false, got 'false'"),
+        (CheckConfig("chain", primes=5), "primes must be a list or tuple, got 5"),
+        (CheckConfig("chain", sw_points=5), "sw_points must be a list or tuple, got 5"),
     ],
     ids=["satake-two-coordinates", "satake-not-rational", "sw-one-coordinate",
-         "sw-a-float-outside-padic", "prime-a-float"],
+         "sw-a-float-outside-padic", "prime-a-float", "radius-a-float", "deg-u-a-float",
+         "seed-a-bool", "no-timing-a-string", "primes-not-a-list", "sw-points-not-a-list"],
 )
 def test_run_suite_names_a_malformed_entry(cfg, message):
     assert cfg.validate() == [message]

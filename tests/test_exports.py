@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ EXPORTING = ("characters", "coeffs", "padic", "series", "suites", "symplectic")
 
 
 def test_import_rslocal_in_a_fresh_interpreter():
-    subprocess.run([sys.executable, "-c", "import rslocal"], check=True, timeout=60)
+    # pytest's pythonpath option reaches only this process, so the child gets src/ itself
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    subprocess.run([sys.executable, "-c", "import rslocal"], check=True, timeout=60, env=env)
 
 
 @pytest.mark.parametrize("name", EXPORTING)
