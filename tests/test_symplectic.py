@@ -7,11 +7,15 @@ import pytest
 from rslocal import padic, suites, symplectic
 from rslocal.symplectic import (
     E1,
+    E1M2,
+    E1M3,
     E2,
     E3,
     F1,
     F2,
     F3,
+    F12,
+    F13,
     FlagState,
     alt_fifth_flag,
     flag_counts,
@@ -188,6 +192,16 @@ def test_make_flag_rejects_bad_input():
         make_flag((F1, E2), (F1, F2, F3), 2)  # plane not inside the 3-space
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_make_flag_reduces_integer_rows_mod_q(q):
+    def reduced(rows):
+        return tuple(tuple(v % q for v in row) for row in rows)
+
+    # the special vectors carry -1 entries; make_flag reduces them itself
+    for rows2, rows3 in [((F12, E1M2), (F12, E1M2, F3)), ((F13, E1M3), (F13, E1M3, F2))]:
+        assert make_flag(rows2, rows3, q) == make_flag(reduced(rows2), reduced(rows3), q)
+
+
 def test_flag_apply_respects_action(flag_apply):
     q = 2
     flag = orbit_representatives(q)[1]
@@ -340,6 +354,62 @@ def test_orbit_split_raises_on_bad_representatives(monkeypatch, reps, message):
     with pytest.raises(RuntimeError) as err:
         flag_space(2).orbit_split()
     assert str(err.value) == message
+
+
+def _stab5_outcomes(run_checks, qs):
+    """(id, status, offending text) of ``orbits/stab5-q{q}`` for each q."""
+    reports = run_checks(suites.CheckConfig(suite="orbits"), ["orbits/stab5-q%d" % q for q in qs])
+    out = []
+    for r in reports:
+        reason = None
+        if r.status == "fail":
+            assert r.lhs.startswith("Stab5Report(")
+            reason = r.lhs.split("offending=(")[1].split("'")[1]
+        out.append((r.check_id, r.status, reason))
+    return out
+
+
+def _shape_after(change):
+    """A shape predicate that applies ``change`` to a copy of g before the real one."""
+    real = stab5_shape_ok
+
+    def shape(g, q):
+        rows = [list(row) for row in g]
+        change(rows, q)
+        return real(tuple(map(tuple, rows)), q)
+
+    return shape
+
+
+def test_stab5_check_reports_a_predicate_wider_than_the_stabilizer(monkeypatch, run_checks):
+    def drop_mid30(rows, q):
+        rows[4][1] = 0  # mid[3][0]
+
+    monkeypatch.setattr(symplectic, "stab5_shape_ok", _shape_after(drop_mid30))
+    assert _stab5_outcomes(run_checks, [2]) == [
+        ("orbits/stab5-q2", "fail", "shape predicate and stabilizer disagree")
+    ]
+
+
+def test_stab5_check_reports_a_closure_that_leaves_the_flag(monkeypatch, run_checks):
+    monkeypatch.setattr(
+        symplectic.FlagSpace, "apply", lambda self, f, a: (f + 1) % len(self.flags)
+    )
+    assert _stab5_outcomes(run_checks, [2]) == [
+        ("orbits/stab5-q2", "fail", "stabilizer closure left the stabilizer")
+    ]
+
+
+def test_stab5_signs_are_checked_only_at_q3(monkeypatch, run_checks):
+    def negate_b_c(rows, q):
+        rows[0][5], rows[5][0] = -rows[0][5] % q, -rows[5][0] % q
+
+    # -b = b mod 2, so only q = 3 tells the mirrored signs apart
+    monkeypatch.setattr(symplectic, "stab5_shape_ok", _shape_after(negate_b_c))
+    assert _stab5_outcomes(run_checks, [2, 3]) == [
+        ("orbits/stab5-q2", "pass", None),
+        ("orbits/stab5-q3", "fail", "stabilizer element off the stated shape"),
+    ]
 
 
 def test_group_closure_raises_past_its_limit(mat_mul_q):
