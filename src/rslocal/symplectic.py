@@ -8,7 +8,8 @@ Computational Group Theory*, ch. 4):
   the first coordinate most significant, with addition and scalar tables;
 * each Lagrangian (isotropic 3-space) and each isotropic plane has an id,
   its rref basis and the set of its nonzero vectors, built once per
-  subspace: the Lagrangians come from the rref enumeration, the planes from
+  subspace: the Lagrangians come from the rref enumeration, which drops a
+  partial basis as soon as two of its rows pair nonzero, the planes from
   the 2-dimensional coefficient subspaces of each Lagrangian;
 * a flag is a (plane id, Lagrangian id) pair with a flag index, which
   ``flag_index`` finds from its ``FlagState``, the pair of rref bases that
@@ -19,10 +20,13 @@ Computational Group Theory*, ch. 4):
 
 A group element is the 6-tuple of the indices of its rows, so right
 multiplication by a generator is six table lookups.  The orbit search, the
-transversal and Schreier step of the fifth stabilizer, the closure of the
-whole group at q = 2 and the orbit predicates all run on these integers;
-the orbit search, the transversal and both closures are one breadth-first
-walk, ``_walk``.
+fifth stabilizer, the closure of the whole group at q = 2 and the orbit
+predicates all run on these integers; the orbit search, the transversal
+and both closures are one breadth-first walk, ``_walk``.  The stabilizer
+of a flag (``FlagSpace.stabilizer``) sifts Schreier elements into a
+closure and stops at the order that the orbit-stabilizer count demands;
+the orbit predicates test each vector's support, a bitmask of its nonzero
+coordinates.
 The tuple definitions (``rref_q``, ``make_flag``) are the reference the
 tests compare the tables with.  The group acts on the right of row vectors.
 
@@ -123,30 +127,40 @@ def make_flag(rows2, rows3, q) -> FlagState:
     return FlagState(b2, b3)
 
 
-def _all_subspace_rrefs(dim: int, q: int, n: int = _N):
-    """Every rref basis of a dim-dimensional subspace of F_q^n."""
+def _all_subspace_rrefs(dim: int, q: int, n: int = _N, isotropic: bool = False):
+    """Every rref basis of a dim-dimensional subspace of F_q^n, in lexicographic order.
+
+    The free entries are chosen row by row.  With ``isotropic``, a partial
+    basis is dropped as soon as its newest row pairs nonzero with an
+    earlier one, so only the isotropic bases come out, in the same order.
+    """
     for pivots in combinations(range(n), dim):
-        free_pos = [
-            (r, col)
-            for r in range(dim)
-            for col in range(pivots[r] + 1, n)
-            if col not in pivots
-        ]
-        for values in product(range(q), repeat=len(free_pos)):
-            rows = [[0] * n for _ in range(dim)]
-            for r, c in zip(range(dim), pivots):
-                rows[r][c] = 1
-            for (r, col), val in zip(free_pos, values):
-                rows[r][col] = val
-            yield tuple(tuple(r) for r in rows)
+        bases = [()]
+        for p in pivots:
+            free = [col for col in range(p + 1, n) if col not in pivots]
+            rows = []
+            for values in product(range(q), repeat=len(free)):
+                row = [0] * n
+                row[p] = 1
+                for col, val in zip(free, values):
+                    row[col] = val
+                rows.append(tuple(row))
+            bases = [
+                basis + (row,)
+                for basis in bases
+                for row in rows
+                if not (isotropic and any(_pairing(row, r) % q for r in basis))
+            ]
+        yield from bases
 
 
 # ---------------------------------------------------------------------------
 # The indexed flag space.
 
-# V1 = <e1, f1> and V2 = <e2, e3, f3, f2>: the coordinates each one leaves free
-_V1_COORDS = (0, 5)
-_V2_COORDS = (1, 2, 3, 4)
+# V1 = <e1, f1> and V2 = <e2, e3, f3, f2>: bit j is set for each coordinate j
+# that the subspace leaves free
+_V1_MASK = 1 << 0 | 1 << 5
+_V2_MASK = 1 << 1 | 1 << 2 | 1 << 3 | 1 << 4
 
 
 class FlagSpace:
@@ -167,6 +181,8 @@ class FlagSpace:
         self.vectors = tuple(product(range(q), repeat=_N))
         self._weights = tuple(q ** (_N - 1 - j) for j in range(_N))
         self.identity = self._weights  # the unit vectors e_j, j = 0..5
+        # the support of each vector: bit j is set when coordinate j is nonzero
+        self._support = tuple(sum(1 << j for j, c in enumerate(v) if c) for v in self.vectors)
         self._scale = tuple(
             tuple(self.index(tuple(c * x % q for x in v)) for v in self.vectors)
             for c in range(q)
@@ -198,9 +214,7 @@ class FlagSpace:
         self.plane_bases, self.plane_members = [], []
         plane_by_basis = {}
         self.flags = []
-        for b3 in _all_subspace_rrefs(3, q):
-            if not _isotropic(b3, q):
-                continue
+        for b3 in _all_subspace_rrefs(3, q, isotropic=True):
             lag = len(self.lag_bases)
             rows = tuple(self.index(r) for r in b3)
             members = [self.combine(c[3:], rows) for c in self.vectors[: q**3]]
@@ -325,25 +339,59 @@ class FlagSpace:
             self._group = group
         return self._group
 
+    def stabilizer(self, f: int, order: int):
+        """(size of the orbit of flag f, a subgroup of its stabilizer), up to the counting bound.
+
+        The transversal walk gives the orbit O exactly.  Schreier elements
+        are then formed in transversal order; one outside the current
+        closure is kept as a generator and the closure is recomputed.  The
+        loop stops once the closure has order / |O| elements, or when the
+        Schreier elements run out.  A transversal element's inverse is
+        built, from its parent's, only when a Schreier element needs it.
+        """
+        tree = _walk([f], [perm.__getitem__ for perm in self.flag_perms], len(self.flags))
+        trans = {}
+        for g, link in tree.items():
+            trans[g] = self.identity if link is None else self.times_gen(trans[link[0]], link[1])
+        trans_inv = {f: self.identity}
+
+        def inverse(g):
+            if g not in trans_inv:
+                parent, i = tree[g]
+                trans_inv[g] = self.mul(self.gen_inverses[i], inverse(parent))
+            return trans_inv[g]
+
+        schreier = (
+            self.mul(self.times_gen(t, i), inverse(perm[g]))
+            for g, t in trans.items()
+            for i, perm in enumerate(self.flag_perms)
+        )
+        gens, stab = [], {self.identity}
+        for s in schreier:
+            if s not in stab:
+                gens.append(s)
+                stab = group_closure(gens, self.mul, limit=100000)
+                if len(stab) * len(trans) == order:
+                    break
+        return len(trans), stab
+
     def predicate(self, f: int) -> int:
         """Which of the five qualitative descriptions flag f satisfies."""
         plane, lag = self.flags[f]
-        if self._meet(self.plane_members[plane], _V2_COORDS) == 2:
+        plane_v2 = self._meet(self.plane_members[plane], _V2_MASK)
+        if plane_v2 == 2:
             return 1
-        if self._meet(self.plane_members[plane], _V1_COORDS) >= 1:
+        if self._meet(self.plane_members[plane], _V1_MASK) >= 1:
             return 2
-        if self._meet(self.plane_members[plane], _V2_COORDS) >= 1:
+        if plane_v2 >= 1:
             # distinguished by whether the 3-space holds a Lagrangian of V2
-            return 3 if self._meet(self.lag_members[lag], _V2_COORDS) >= 2 else 4
+            return 3 if self._meet(self.lag_members[lag], _V2_MASK) >= 2 else 4
         return 5
 
-    def _meet(self, members, free) -> int:
-        """Dimension of a subspace (its nonzero members) meet the span of the coordinates in free."""
-        size = 1 + sum(
-            1
-            for v in members
-            if all(c == 0 or j in free for j, c in enumerate(self.vectors[v]))
-        )
+    def _meet(self, members, free_mask: int) -> int:
+        """Dimension of a subspace (its nonzero members) meet the coordinates in free_mask."""
+        support = self._support
+        size = 1 + sum(1 for v in members if not support[v] & ~free_mask)
         dim = 0
         while size > 1:
             size //= self.q
@@ -511,17 +559,17 @@ def stab5_shape_ok(g, q: int) -> bool:
     for it; every element generated by ``h_generators`` is block-diagonal,
     so the block test can fail only on a fault of ``FlagSpace.mul``.
     """
-    mid = [[g[1 + i][1 + j] for j in range(4)] for i in range(4)]
+    # the middle block, rows and columns (e2, e3, f3, f2), is g[1..4][1..4]
     zero_pattern = (
-        mid[0][1] == 0 and mid[0][2] == 0
-        and mid[1][0] == 0 and mid[1][3] == 0
-        and mid[2][0] == 0 and mid[2][3] == 0
-        and mid[3][0] == 0 and mid[3][1] == 0 and mid[3][2] == 0
+        g[1][2] == 0 and g[1][3] == 0
+        and g[2][1] == 0 and g[2][4] == 0
+        and g[3][1] == 0 and g[3][4] == 0
+        and g[4][1] == 0 and g[4][2] == 0 and g[4][3] == 0
     )
     if not zero_pattern:
         return False
-    a, b = mid[1][1], mid[1][2]
-    c, d = mid[2][1], mid[2][2]
+    a, b = g[2][2], g[2][3]
+    c, d = g[3][2], g[3][3]
     return (
         g[0][0] == a % q
         and g[0][5] == (-b) % q
@@ -535,35 +583,27 @@ def stab5_shape_ok(g, q: int) -> bool:
 def stab5_check(q: int) -> Stab5Report:
     """Orbit-stabilizer consistency and the stabilizer shape at the 5th flag.
 
-    Takes a transversal of the variant fifth flag's orbit from one walk,
-    carrying each element's inverse; the Schreier elements generate
-    exactly its stabilizer, whose closure is small enough to check on
-    every element that it fixes the flag and has the stated shape.  For
-    q = 2 the stabilizer is also recomputed by filtering the full
-    4320-element group, and the same loop runs over the whole group, so
-    the shape predicate must also reject every element outside the
-    stabilizer.
+    ``FlagSpace.stabilizer`` walks a transversal of the variant fifth
+    flag's orbit O, then sifts Schreier elements into a closure S until
+    |S| * |O| = |H|, the order ``h_group_order(q)``.  The counting argument
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+    section 4.4, a known group order stops Schreier-Sims): let G be the
+    group the generators generate, so G <= H and O is a G-orbit.  Every
+    Schreier element fixes the flag, so S <= Stab_G(flag), whose order is
+    |G| / |O| <= |H| / |O|.  Once |S| = |H| / |O|, S is the whole
+    stabilizer and G = H; the Schreier elements not yet formed could add
+    nothing, so the early stop certifies as much as the full Schreier set.
+    If they run out first, ``product_ok`` is False.  The closure is small
+    enough to check on every element that it fixes the flag and has the
+    stated shape.  For q = 2 the stabilizer is also recomputed by filtering
+    the full 4320-element group, and the same loop runs over the whole
+    group, so the shape predicate must also reject every element outside
+    the stabilizer.
     """
     space = flag_space(q)
     flag5 = space.flag_index(alt_fifth_flag(q))
-    gens = range(len(space.flag_perms))
-    trans, trans_inv = {}, {}
-    steps = [perm.__getitem__ for perm in space.flag_perms]
-    for f, link in _walk([flag5], steps, len(space.flags)).items():
-        if link is None:
-            trans[f] = trans_inv[f] = space.identity
-        else:
-            parent, i = link
-            trans[f] = space.times_gen(trans[parent], i)
-            trans_inv[f] = space.mul(space.gen_inverses[i], trans_inv[parent])
-    schreier = set()
-    for f, t in trans.items():
-        for i in gens:
-            u = space.times_gen(t, i)
-            schreier.add(space.mul(u, trans_inv[space.flag_perms[i][f]]))
-    stab = group_closure(sorted(schreier), space.mul, limit=100000)
-    orbit5 = len(trans)
     order = h_group_order(q)
+    orbit5, stab = space.stabilizer(flag5, order)
     product_ok = len(stab) * orbit5 == order
     shape_ok = True
     offending = None

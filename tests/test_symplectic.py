@@ -1,5 +1,6 @@
 """Flag enumeration, orbits, and stabilizers over F_2, and the indexed flag space."""
 
+import itertools
 import random
 
 import pytest
@@ -416,3 +417,161 @@ def test_group_closure_raises_past_its_limit(mat_mul_q):
     with pytest.raises(RuntimeError) as err:
         group_closure(h_generators(2), lambda A, B: mat_mul_q(A, B, 2), limit=100)
     assert str(err.value) == "closure exceeded limit 100"
+
+
+# ---------------------------------------------------------------------------
+# The fast paths against the definitions they replaced.
+
+
+def _flat_subspace_rrefs(dim, q, n=6):
+    """Every rref basis of a dim-dimensional subspace, all free entries in one product."""
+    for pivots in itertools.combinations(range(n), dim):
+        free_pos = [
+            (r, col) for r in range(dim) for col in range(pivots[r] + 1, n) if col not in pivots
+        ]
+        for values in itertools.product(range(q), repeat=len(free_pos)):
+            rows = [[0] * n for _ in range(dim)]
+            for r, c in enumerate(pivots):
+                rows[r][c] = 1
+            for (r, col), val in zip(free_pos, values):
+                rows[r][col] = val
+            yield tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_pruned_lagrangians_are_the_filtered_full_enumeration(q):
+    want = [b for b in _flat_subspace_rrefs(3, q) if symplectic._isotropic(b, q)]
+    assert len(want) == flag_counts(q)[0]
+    assert flag_space(q).lag_bases == want
+
+
+def _stab5_shape_by_mid_matrix(g, q):
+    """The shape predicate on a copied 4x4 middle block, as first stated."""
+    mid = [[g[1 + i][1 + j] for j in range(4)] for i in range(4)]
+    zero_pattern = (
+        mid[0][1] == 0 and mid[0][2] == 0
+        and mid[1][0] == 0 and mid[1][3] == 0
+        and mid[2][0] == 0 and mid[2][3] == 0
+        and mid[3][0] == 0 and mid[3][1] == 0 and mid[3][2] == 0
+    )
+    if not zero_pattern:
+        return False
+    a, b = mid[1][1], mid[1][2]
+    c, d = mid[2][1], mid[2][2]
+    return (
+        g[0][0] == a % q
+        and g[0][5] == (-b) % q
+        and g[5][0] == (-c) % q
+        and g[5][5] == d % q
+        and not any(g[i][j] for i in (0, 5) for j in (1, 2, 3, 4))
+        and not any(g[i][j] for i in (1, 2, 3, 4) for j in (0, 5))
+    )
+
+
+def test_stab5_shape_matches_the_mid_matrix_definition_q2():
+    space = flag_space(2)
+    matrices = [space.matrix(a) for a in space.group_elements()]
+    verdicts = [stab5_shape_ok(g, 2) for g in matrices]
+    assert verdicts == [_stab5_shape_by_mid_matrix(g, 2) for g in matrices]
+    assert verdicts.count(True) == 12
+
+
+def test_stab5_shape_matches_the_mid_matrix_definition_q3():
+    space = flag_space(3)
+    _, stab = space.stabilizer(space.flag_index(alt_fifth_flag(3)), h_group_order(3))
+    stab = [space.matrix(a) for a in sorted(stab)]
+    rng = random.Random(18)
+    # one entry of a stabilizer element changed, so every conjunct gets to fail
+    nudged = []
+    for g in stab:
+        rows = [list(row) for row in g]
+        rows[rng.randrange(6)][rng.randrange(6)] = rng.randrange(3)
+        nudged.append(tuple(map(tuple, rows)))
+    noise = [tuple(tuple(rng.randrange(3) for _ in range(6)) for _ in range(6)) for _ in range(500)]
+    for g in stab + nudged + noise:
+        assert stab5_shape_ok(g, 3) == _stab5_shape_by_mid_matrix(g, 3), g
+    assert all(stab5_shape_ok(g, 3) for g in stab)
+    assert 0 < sum(stab5_shape_ok(g, 3) for g in nudged) < len(nudged)
+
+
+def _meet_by_coordinates(space, members, free):
+    """Dimension of a subspace meet the span of the coordinates in free, read off the tuples."""
+    size = 1 + sum(
+        1 for v in members if all(c == 0 or j in free for j, c in enumerate(space.vectors[v]))
+    )
+    dim = 0
+    while size > 1:
+        size //= space.q
+        dim += 1
+    return dim
+
+
+def _predicate_by_coordinates(space, f):
+    plane, lag = space.flags[f]
+    v1, v2 = (0, 5), (1, 2, 3, 4)
+    if _meet_by_coordinates(space, space.plane_members[plane], v2) == 2:
+        return 1
+    if _meet_by_coordinates(space, space.plane_members[plane], v1) >= 1:
+        return 2
+    if _meet_by_coordinates(space, space.plane_members[plane], v2) >= 1:
+        return 3 if _meet_by_coordinates(space, space.lag_members[lag], v2) >= 2 else 4
+    return 5
+
+
+@pytest.mark.parametrize("q, sample", [(2, None), (3, 1500)])
+def test_support_mask_predicates_match_the_coordinate_definition(q, sample):
+    space = flag_space(q)
+    flags = range(len(space.flags))
+    if sample:
+        flags = random.Random(q).sample(flags, sample)
+    masks = {symplectic._V1_MASK: (0, 5), symplectic._V2_MASK: (1, 2, 3, 4)}
+    for f in flags:
+        plane, lag = space.flags[f]
+        for members in (space.plane_members[plane], space.lag_members[lag]):
+            for mask, coords in masks.items():
+                assert space._meet(members, mask) == _meet_by_coordinates(space, members, coords)
+        assert space.predicate(f) == _predicate_by_coordinates(space, f)
+
+
+# ---------------------------------------------------------------------------
+# The counting stop of the fifth stabilizer.
+
+
+def _counting(monkeypatch, name):
+    """Wrap the FlagSpace method ``name``; returns the list whose length is its call count."""
+    calls = []
+    real = getattr(symplectic.FlagSpace, name)
+
+    def counted(self, *args):
+        calls.append(None)
+        return real(self, *args)
+
+    monkeypatch.setattr(symplectic.FlagSpace, name, counted)
+    return calls
+
+
+def test_stab5_check_stops_at_the_counting_bound(monkeypatch):
+    space = flag_space(2)
+    flag5 = space.flag_index(alt_fifth_flag(2))
+    full = space.group_elements()  # built before counting; it takes no products
+    muls = _counting(monkeypatch, "mul")
+    assert stab5_check(2) == (2, 360, 12, 4320, True, True, None)
+    assert len(muls) < 1000  # 4,103 when every Schreier element was formed
+    _, stab = space.stabilizer(flag5, h_group_order(2))
+    assert stab == {g for g, image in full.items() if image == flag5}
+    muls.clear()
+    rep = stab5_check(3)
+    assert rep == (3, 8640, 288, h_group_order(3), True, True, None)
+    assert len(muls) < 15000  # 185,183 when every Schreier element was formed
+
+
+def test_stab5_check_fails_when_the_counting_bound_is_out_of_reach(monkeypatch, run_checks):
+    true_order = h_group_order(2)
+    monkeypatch.setattr(symplectic, "h_group_order", lambda q: 2 * true_order)
+    flag_space(2)  # built before counting
+    steps = _counting(monkeypatch, "times_gen")
+    reports = run_checks(suites.CheckConfig(suite="orbits"), ["orbits/stab5-q2"])
+    assert [(r.check_id, r.status) for r in reports] == [("orbits/stab5-q2", "fail")]
+    assert "stabilizer_order=12, group_order=8640, product_ok=False" in reports[0].lhs
+    # one step per transversal element but the root, one per Schreier element
+    assert len(steps) == (360 - 1) + 360 * len(h_generators(2))
