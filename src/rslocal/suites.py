@@ -630,13 +630,9 @@ def _suite_orbits(cfg: CheckConfig, reports: list):
             split,
         )
 
-        def stab(q=q):
-            rep = symplectic.stab5_check(q)
-            if not (rep.product_ok and rep.shape_ok):
-                return (False, repr(rep), None)
-            return True
-
-        _run_check(reports, "orbits/stab5-q%d" % q, {"q": q}, stab)
+        _run_check(
+            reports, "orbits/stab5-q%d" % q, {"q": q}, functools.partial(symplectic.stab5_check, q)
+        )
 
     def h_order():
         closure = symplectic.flag_space(2).group_elements()

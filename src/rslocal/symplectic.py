@@ -19,14 +19,12 @@ Computational Group Theory*, ch. 4):
   through its permutations of the planes and the Lagrangians.
 
 A group element is the 6-tuple of the indices of its rows, so right
-multiplication by a generator is six table lookups.  The orbit search, the
-fifth stabilizer, the closure of the whole group at q = 2 and the orbit
-predicates all run on these integers; the orbit search, the transversal
-and both closures are one breadth-first walk, ``_walk``.  The stabilizer
-of a flag (``FlagSpace.stabilizer``) sifts Schreier elements into a
-closure and stops at the order that the orbit-stabilizer count demands;
-the orbit predicates test each vector's support, a bitmask of its nonzero
-coordinates.
+multiplication by a generator is six table lookups; the orbit search, the
+transversal and both closures are one breadth-first walk, ``_walk``.
+``FlagSpace.stabilizer`` sifts Schreier elements into a closure until the
+orbit-stabilizer count is met, and ``stab5_check`` compares that closure,
+as a set, with the similitudes of the stated shape.  The orbit predicates
+test each vector's support, a bitmask of its nonzero coordinates.
 The tuple definitions (``rref_q``, ``make_flag``) are the reference the
 tests compare the tables with.  The group acts on the right of row vectors.
 
@@ -41,12 +39,11 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from . import padic
-from .padic import _N, _pairing
+from .padic import _N, J_STD, _pairing
 
 __all__ = [
     "FlagSpace",
     "FlagState",
-    "Stab5Report",
     "flag_counts",
     "flag_space",
     "h_generators",
@@ -74,16 +71,6 @@ class FlagState(NamedTuple):
 
     basis2: tuple
     basis3: tuple
-
-
-class Stab5Report(NamedTuple):
-    q: int
-    orbit_size: int
-    stabilizer_order: int
-    group_order: int
-    product_ok: bool
-    shape_ok: bool
-    offending: tuple | None
 
 
 def rref_q(rows, q):
@@ -321,22 +308,16 @@ class FlagSpace:
             self._orbits = (tuple(sizes), orbit_of)
         return self._orbits
 
-    def group_elements(self) -> dict:
-        """Every group element, mapped to the index of its image of the variant fifth flag.
+    def group_elements(self):
+        """The set of every group element, as row-index tuples; memoized.
 
-        Memoized.  A walk from the identity under right multiplication by
-        the generators; it raises once more than 10000 elements are found,
-        so use it at q = 2 (4320 elements).  Images overwrite the walk's
-        own entries in walk order, each from its parent's.
+        A walk from the identity under right multiplication by the
+        generators; it raises past 10000 elements, so use it at q = 2.
         """
         if self._group is None:
             # times_gen, with the table lookup bound once per generator
             steps = [lambda a, t=t.__getitem__: tuple(map(t, a)) for t in self.vector_tables]
-            group = _walk([self.identity], steps, 10000)
-            f5 = self.flag_index(alt_fifth_flag(self.q))
-            for a, link in group.items():
-                group[a] = f5 if link is None else self.flag_perms[link[1]][group[link[0]]]
-            self._group = group
+            self._group = _walk([self.identity], steps, 10000).keys()
         return self._group
 
     def stabilizer(self, f: int, order: int):
@@ -538,121 +519,113 @@ def alt_fifth_flag(q: int) -> FlagState:
 # Qualitative orbit predicates (proof-level characterizations).
 
 
-def orbit_predicates(q: int) -> bool:
-    """Exhaustively check that each orbit is cut out by its predicate."""
+def orbit_predicates(q: int):
+    """Check exhaustively that each orbit is cut out by its predicate.
+
+    True, or (False, "flag f: predicate p", "orbit o") at the first flag that disagrees.
+    """
     space = flag_space(q)
     _, orbit_of = space.orbit_split()
-    return all(space.predicate(f) == idx for f, idx in enumerate(orbit_of))
+    for f, idx in enumerate(orbit_of):
+        got = space.predicate(f)
+        if got != idx:
+            return (False, "flag %d: predicate %d" % (f, got), "orbit %d" % idx)
+    return True
 
 
 # ---------------------------------------------------------------------------
 # The fifth stabilizer.
 
 
-def stab5_shape_ok(g, q: int) -> bool:
-    """Shape of the fifth stabilizer: paired 2x2 action with mirrored signs.
+def _rows_text(rows) -> str:
+    """A matrix as its rows, entries comma-separated and rows slash-separated."""
+    return "/".join(",".join(map(str, row)) for row in rows)
 
-    g1 = [[a, -b], [-c, d]] on (e1, f1) while the middle block acts by
-    [[a, b], [c, d]] on (e3, f3), scales f2, and sends e2 into the span of
-    e2 and f2.  The shape thus preserves <e1, f1> and <e2, e3, f3, f2>.
-    That block test comes last, so only elements that pass the rest pay
-    for it; every element generated by ``h_generators`` is block-diagonal,
-    so the block test can fail only on a fault of ``FlagSpace.mul``.
+
+def _stab5_shape(q: int):
+    """Every matrix of the fifth stabilizer's stated shape over F_q.
+
+    One for each (a, b, c, d, x, y, z) in F_q^7: [[a, -b], [-c, d]] on
+    (e1, f1) while [[a, b], [c, d]] acts on (e3, f3), e2 goes to
+    x e2 + y f2 and f2 to z f2; every other entry is 0.
     """
-    # the middle block, rows and columns (e2, e3, f3, f2), is g[1..4][1..4]
-    zero_pattern = (
-        g[1][2] == 0 and g[1][3] == 0
-        and g[2][1] == 0 and g[2][4] == 0
-        and g[3][1] == 0 and g[3][4] == 0
-        and g[4][1] == 0 and g[4][2] == 0 and g[4][3] == 0
-    )
-    if not zero_pattern:
-        return False
-    a, b = g[2][2], g[2][3]
-    c, d = g[3][2], g[3][3]
-    return (
-        g[0][0] == a % q
-        and g[0][5] == (-b) % q
-        and g[5][0] == (-c) % q
-        and g[5][5] == d % q
-        and not any(g[i][j] for i in (0, 5) for j in (1, 2, 3, 4))
-        and not any(g[i][j] for i in (1, 2, 3, 4) for j in (0, 5))
-    )
+    for a, b, c, d, x, y, z in product(range(q), repeat=7):
+        yield (
+            (a, 0, 0, 0, 0, -b % q),
+            (0, x, 0, 0, y, 0),
+            (0, 0, a, b, 0, 0),
+            (0, 0, c, d, 0, 0),
+            (0, 0, 0, 0, z, 0),
+            (-c % q, 0, 0, 0, 0, d),
+        )
 
 
-def stab5_check(q: int) -> Stab5Report:
-    """Orbit-stabilizer consistency and the stabilizer shape at the 5th flag.
+def _is_similitude(g, q: int) -> bool:
+    """Whether g J g^T = mu J over F_q for a unit mu; the rows i < j decide it."""
+    mu = _pairing(g[0], g[5]) % q
+    pairs = ((i, j) for i in range(_N) for j in range(i + 1, _N))
+    return mu != 0 and all((_pairing(g[i], g[j]) - mu * J_STD[i][j]) % q == 0 for i, j in pairs)
 
-    ``FlagSpace.stabilizer`` walks a transversal of the variant fifth
-    flag's orbit O, then sifts Schreier elements into a closure S until
-    |S| * |O| = |H|, the order ``h_group_order(q)``.  The counting argument
-    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
-    section 4.4, a known group order stops Schreier-Sims): let G be the
-    group the generators generate, so G <= H and O is a G-orbit.  Every
-    Schreier element fixes the flag, so S <= Stab_G(flag), whose order is
-    |G| / |O| <= |H| / |O|.  Once |S| = |H| / |O|, S is the whole
-    stabilizer and G = H; the Schreier elements not yet formed could add
-    nothing, so the early stop certifies as much as the full Schreier set.
-    If they run out first, ``product_ok`` is False.  The closure is small
-    enough to check on every element that it fixes the flag and has the
-    stated shape.  For q = 2 the stabilizer is also recomputed by filtering
-    the full 4320-element group, and the same loop runs over the whole
-    group, so the shape predicate must also reject every element outside
-    the stabilizer.
+
+def stab5_check(q: int):
+    """The stabilizer of the variant fifth flag is Shape & H, certified by one count.
+
+    ``FlagSpace.stabilizer`` gives the orbit O of the flag and a closure S
+    of Schreier elements.  Let G <= H be the group the generators generate.
+    If every element of S fixes the flag, S <= Stab_G(flag), whose order is
+    |G| / |O| <= |H| / |O|; so |S| * |O| = |H| forces S = Stab_G(flag) =
+    Stab_H(flag) and G = H (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, section 4.4).  The similitudes among the
+    q^7 matrices of ``_stab5_shape`` are block-diagonal, hence in H: they
+    are Shape & H, and S must equal them as a set of row-index tuples,
+    which gives both inclusions.  Returns True, or (False, lhs, rhs) at the
+    first failing step (count, fixed flag, set), naming the first offender.
     """
     space = flag_space(q)
     flag5 = space.flag_index(alt_fifth_flag(q))
     order = h_group_order(q)
     orbit5, stab = space.stabilizer(flag5, order)
-    product_ok = len(stab) * orbit5 == order
-    shape_ok = True
-    offending = None
-    checked = stab
-    if q == 2 and product_ok:
-        full = space.group_elements()
-        if len(full) != order:
-            product_ok = False
-            offending = ("full group closure has order %d" % len(full),)
-        elif {g for g, image in full.items() if image == flag5} != stab:
-            shape_ok = False
-            offending = ("Schreier stabilizer differs from the filtered one",)
-        checked = () if offending else full
-    for g in checked:
-        m = space.matrix(g)
-        if g not in stab:  # only at q = 2
-            if stab5_shape_ok(m, q):
-                offending = ("shape predicate and stabilizer disagree", m)
-        elif space.apply(flag5, g) != flag5:
-            offending = ("stabilizer closure left the stabilizer", m)
-        elif not stab5_shape_ok(m, q):
-            offending = ("stabilizer element off the stated shape", m)
-        if offending:
-            shape_ok = False
-            break
-    return Stab5Report(q, orbit5, len(stab), order, product_ok, shape_ok, offending)
+    if len(stab) * orbit5 != order:
+        return (False, "|S| * |O| = %d * %d" % (len(stab), orbit5), "|H| = %d" % order)
+    for s in sorted(stab):
+        image = space.apply(flag5, s)
+        if image != flag5:
+            text = _rows_text(space.matrix(s))
+            return (False, "stabilizer element %s sends flag %d to %d" % (text, flag5, image),
+                    "flag %d" % flag5)
+    shape = {tuple(map(space.index, g)) for g in _stab5_shape(q) if _is_similitude(g, q)}
+    if shape != stab:
+        g = min(shape ^ stab)
+        where = ("stabilizer element off the shape" if g in stab
+                 else "shape similitude outside the stabilizer")
+        return (False, "%s: %s" % (where, _rows_text(space.matrix(g))),
+                "|S| = %d, shape similitudes %d" % (len(stab), len(shape)))
+    return True
 
 
 # ---------------------------------------------------------------------------
 # The rational change-of-basis element.
 
 
-def gamma5_check() -> bool:
+def gamma5_check():
     """Exact rational checks for the flag-moving symplectic element.
 
     (e3, -f1, e2, f2, e1-e3, f1+f3) is an ordered symplectic basis; the map
     sending the standard basis to it is symplectic with similitude one and
     carries <f1, f2> to <f1+f3, e1-e3> and <f1, f2, f3> to
-    <f1+f3, e1-e3, f2>.
+    <f1+f3, e1-e3, f2>.  Returns True, or (False, lhs, rhs) at the first of
+    the multiplier, the plane image and the 3-space image that is wrong.
     """
     rows = padic.GAMMA5_ROWS
     try:
         mu = padic.similitude(rows)
-    except ValueError:  # not a similitude at all
-        return False
+    except ValueError as exc:  # not a similitude at all
+        return (False, "multiplier: %s" % exc, "1")
     if mu != 1:
-        return False
-    # the rows are the images of (e1, e2, e3, f3, f2, f1)
-    f1_image, f2_image, f3_image = rows[5], rows[4], rows[3]
-    plane_ok = padic.rref([f1_image, f2_image]) == padic.rref([F13, E1M3])
-    space_ok = padic.rref([f1_image, f2_image, f3_image]) == padic.rref([F13, E1M3, F2])
-    return plane_ok and space_ok
+        return (False, "multiplier %s" % mu, "1")
+    images = (rows[5], rows[4], rows[3])  # of f1, f2, f3: the rows follow (e1, ..., f3, f2, f1)
+    for name, want in (("plane", (F13, E1M3)), ("3-space", (F13, E1M3, F2))):
+        got, want = padic.rref(images[: len(want)]), padic.rref(want)
+        if got != want:
+            return (False, "%s image %s" % (name, _rows_text(got)), _rows_text(want))
+    return True

@@ -39,9 +39,10 @@ CRITERIA = {
         "criterion-8 torus-sum reconstruction of the series on box (6,6)",
         [(CheckConfig("padic"), "torus-reconstruction")]),
     "test_criterion_9_orbits": (
-        "criterion-9 five orbits, totals 945/14560, stabilizer shape exhaustive at q=2",
+        "criterion-9 five orbits, totals 945/14560, stabilizer = shape ∩ H by count, q=2 and 3",
         [(CheckConfig("orbits"), "gamma5 flag-count-q2 flag-count-q3 orbit-split-q2"
-                                 " orbit-split-q3 stab5-q2 stab5-q3 orbit-predicates-q2")]),
+                                 " orbit-split-q3 stab5-q2 stab5-q3 h-order-q2"
+                                 " orbit-predicates-q2")]),
     "test_criterion_10_specialization": (
         "criterion-10 specialization at 5 seeded points, closed Euler factors vs the local"
         " integral on (8,8) and vs the L-factor series to degree 6",

@@ -30,7 +30,6 @@ from rslocal.symplectic import (
     orbit_representatives,
     rref_q,
     stab5_check,
-    stab5_shape_ok,
 )
 
 # frozen after the first computation; regression values for the orbit sizes
@@ -68,13 +67,17 @@ def test_canonicalization_stability():
         assert make_flag(rows2, rows3, 2) == flag
 
 
+def similitude_by_gram(g, q):
+    """Whether the whole Gram matrix g J g^T is mu J over F_q for a unit mu."""
+    gram = [[padic._pairing(g[i], g[j]) % q for j in range(6)] for i in range(6)]
+    mu = gram[0][5]
+    return mu != 0 and gram == [[mu * v % q for v in row] for row in padic.J_STD]
+
+
 def test_h_generators_are_similitudes():
-    # over F_q: the Gram matrix g J g^T is mu J for a unit mu
     for q in (2, 3):
         for g in h_generators(q):
-            gram = [[padic._pairing(g[i], g[j]) % q for j in range(6)] for i in range(6)]
-            mu = gram[0][5]
-            assert mu and gram == [[mu * v % q for v in row] for row in padic.J_STD]
+            assert similitude_by_gram(g, q)
 
 
 # the q = 3 torus pair, an integer similitude with multiplier 2
@@ -138,11 +141,25 @@ def test_alt_flag_in_fifth_orbit_q2():
 
 
 def test_orbit_predicates_q2():
-    assert orbit_predicates(2)
+    assert orbit_predicates(2) is True
 
 
 def test_orbit_predicates_q3():
-    assert orbit_predicates(3)
+    assert orbit_predicates(3) is True
+
+
+def test_orbit_predicates_name_the_first_disagreeing_flag(monkeypatch, run_checks):
+    space = flag_space(2)
+    _, orbit_of = space.orbit_split()
+    flag = orbit_of.index(3)
+    real = symplectic.FlagSpace.predicate
+    monkeypatch.setattr(
+        symplectic.FlagSpace, "predicate", lambda self, f: 4 if f == flag else real(self, f)
+    )
+    want = (False, "flag %d: predicate 4" % flag, "orbit 3")
+    assert orbit_predicates(2) == want
+    reports = run_checks(suites.CheckConfig(suite="orbits"), ["orbits/orbit-predicates-q2"])
+    assert [(r.status, r.lhs, r.rhs) for r in reports] == [("fail",) + want[1:]]
 
 
 def test_predicate_spot_values():
@@ -152,36 +169,45 @@ def test_predicate_spot_values():
 
 
 def test_stab5_q2():
-    rep = stab5_check(2)
-    assert rep.product_ok and rep.shape_ok
-    assert rep.orbit_size * rep.stabilizer_order == h_group_order(2)
-    assert rep.orbit_size == 360 and rep.stabilizer_order == 12
-
-
-def test_stab5_shape_on_identity():
-    identity = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
-    assert stab5_shape_ok(identity, 2)
-
-
-def test_gamma5():
-    assert gamma5_check()
+    assert stab5_check(2) is True
+    space = flag_space(2)
+    orbit5, stab = space.stabilizer(space.flag_index(alt_fifth_flag(2)), h_group_order(2))
+    assert (orbit5, len(stab)) == (360, 12)
 
 
 IDENTITY6 = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+
+
+def test_stab5_shape_on_identity():
+    for q in (2, 3):
+        assert IDENTITY6 in list(symplectic._stab5_shape(q))
+        assert symplectic._is_similitude(IDENTITY6, q)
+
+
+def test_gamma5():
+    assert gamma5_check() is True
+
+
 GAMMA5_MUTANTS = {
     # not symplectic: similitude raises, the check must still answer False
-    "row4-e1": padic.GAMMA5_ROWS[:4] + (E1,) + padic.GAMMA5_ROWS[5:],
+    "row4-e1": (padic.GAMMA5_ROWS[:4] + (E1,) + padic.GAMMA5_ROWS[5:],
+                "multiplier: matrix does not preserve the symplectic form"),
     # symplectic with similitude one, but it fixes <f1, f2> and <f1, f2, f3>
-    "identity": IDENTITY6,
+    "identity": (IDENTITY6, "plane image 0,0,0,0,1,0/0,0,0,0,0,1"),
+    # e3 -> -f2 and f3 -> e2: still symplectic with similitude one and the
+    # right plane, but the 3-space image holds e2 in place of f2
+    "f3-to-e2": (padic.GAMMA5_ROWS[:2] + ((0, 0, 0, 0, -1, 0), E2) + padic.GAMMA5_ROWS[4:],
+                 "3-space image 1,0,-1,0,0,0/0,1,0,0,0,0/0,0,0,1,0,1"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GAMMA5_MUTANTS))
 def test_gamma5_check_rejects_mutated_constant(monkeypatch, run_checks, name):
-    monkeypatch.setattr(padic, "GAMMA5_ROWS", GAMMA5_MUTANTS[name])
-    assert gamma5_check() is False
+    rows, lhs = GAMMA5_MUTANTS[name]
+    monkeypatch.setattr(padic, "GAMMA5_ROWS", rows)
+    assert gamma5_check()[:2] == (False, lhs)
     reports = run_checks(suites.CheckConfig(suite="orbits"), ["orbits/gamma5"])
-    assert [(r.check_id, r.status) for r in reports] == [("orbits/gamma5", "fail")]
+    assert [(r.check_id, r.status, r.lhs) for r in reports] == [("orbits/gamma5", "fail", lhs)]
 
 
 def test_make_flag_rejects_bad_input():
@@ -239,15 +265,11 @@ def test_flag_perms_match_flag_apply_q3_sample(flag_apply):
             assert states[space.flag_perms[i][f]] == flag_apply(flag, g, 3)
 
 
-def test_row_index_closure_matches_matrix_closure_q2(h_closure_q2, flag_apply):
+def test_row_index_closure_matches_matrix_closure_q2(h_closure_q2):
     space = flag_space(2)
     elements = space.group_elements()
+    assert len(elements) == 4320
     assert {space.matrix(a) for a in elements} == h_closure_q2
-    # the carried image of the variant fifth flag is the matrix action's
-    flag5 = alt_fifth_flag(2)
-    states = flag_states(space)
-    for a, image in elements.items():
-        assert states[image] == flag_apply(flag5, space.matrix(a), 2)
 
 
 def test_index_arithmetic_matches_matrices(mat_mul_q, flag_apply):
@@ -358,59 +380,80 @@ def test_orbit_split_raises_on_bad_representatives(monkeypatch, reps, message):
 
 
 def _stab5_outcomes(run_checks, qs):
-    """(id, status, offending text) of ``orbits/stab5-q{q}`` for each q."""
+    """(id, status, lhs, rhs) of ``orbits/stab5-q{q}`` for each q."""
     reports = run_checks(suites.CheckConfig(suite="orbits"), ["orbits/stab5-q%d" % q for q in qs])
-    out = []
-    for r in reports:
-        reason = None
-        if r.status == "fail":
-            assert r.lhs.startswith("Stab5Report(")
-            reason = r.lhs.split("offending=(")[1].split("'")[1]
-        out.append((r.check_id, r.status, reason))
-    return out
+    return [(r.check_id, r.status, r.lhs, r.rhs) for r in reports]
 
 
 def _shape_after(change):
-    """A shape predicate that applies ``change`` to a copy of g before the real one."""
-    real = stab5_shape_ok
+    """The shape enumeration with ``change(rows, q)`` applied to a copy of each matrix."""
+    real = symplectic._stab5_shape
 
-    def shape(g, q):
-        rows = [list(row) for row in g]
-        change(rows, q)
-        return real(tuple(map(tuple, rows)), q)
+    def shape(q):
+        for g in real(q):
+            rows = [list(row) for row in g]
+            change(rows, q)
+            yield tuple(map(tuple, rows))
 
     return shape
 
 
 def test_stab5_check_reports_a_predicate_wider_than_the_stabilizer(monkeypatch, run_checks):
-    def drop_mid30(rows, q):
-        rows[4][1] = 0  # mid[3][0]
+    # g[4][1], the e2-coordinate of the image of f2, is the one zero of the
+    # shape that the form does not force; freeing it adds similitudes
+    # that move the flag
+    real = symplectic._stab5_shape
 
-    monkeypatch.setattr(symplectic, "stab5_shape_ok", _shape_after(drop_mid30))
-    assert _stab5_outcomes(run_checks, [2]) == [
-        ("orbits/stab5-q2", "fail", "shape predicate and stabilizer disagree")
+    def free_41(q):
+        for g in real(q):
+            for t in range(q):
+                rows = [list(row) for row in g]
+                rows[4][1] = t
+                yield tuple(map(tuple, rows))
+
+    monkeypatch.setattr(symplectic, "_stab5_shape", free_41)
+    outcomes = _stab5_outcomes(run_checks, [2, 3])
+    assert [(check_id, status, rhs) for check_id, status, _, rhs in outcomes] == [
+        ("orbits/stab5-q2", "fail", "|S| = 12, shape similitudes 36"),
+        ("orbits/stab5-q3", "fail", "|S| = 288, shape similitudes 1152"),
     ]
+    for _, _, lhs, _ in outcomes:
+        where, text = lhs.split(": ")
+        assert where == "shape similitude outside the stabilizer"
+        assert text.split("/")[4].split(",")[1] != "0"  # the named element has g[4][1] != 0
 
 
 def test_stab5_check_reports_a_closure_that_leaves_the_flag(monkeypatch, run_checks):
     monkeypatch.setattr(
         symplectic.FlagSpace, "apply", lambda self, f, a: (f + 1) % len(self.flags)
     )
-    assert _stab5_outcomes(run_checks, [2]) == [
-        ("orbits/stab5-q2", "fail", "stabilizer closure left the stabilizer")
-    ]
+    space = flag_space(2)
+    flag5 = space.flag_index(alt_fifth_flag(2))
+    [(check_id, status, lhs, rhs)] = _stab5_outcomes(run_checks, [2])
+    assert (check_id, status, rhs) == ("orbits/stab5-q2", "fail", "flag %d" % flag5)
+    # the first stabilizer element in row-index order is named
+    first = space.matrix(min(space.stabilizer(flag5, h_group_order(2))[1]))
+    text = symplectic._rows_text(first)
+    assert lhs == "stabilizer element %s sends flag %d to %d" % (text, flag5, flag5 + 1)
 
 
 def test_stab5_signs_are_checked_only_at_q3(monkeypatch, run_checks):
-    def negate_b_c(rows, q):
+    def unmirror(rows, q):
         rows[0][5], rows[5][0] = -rows[0][5] % q, -rows[5][0] % q
 
-    # -b = b mod 2, so only q = 3 tells the mirrored signs apart
-    monkeypatch.setattr(symplectic, "stab5_shape_ok", _shape_after(negate_b_c))
-    assert _stab5_outcomes(run_checks, [2, 3]) == [
-        ("orbits/stab5-q2", "pass", None),
-        ("orbits/stab5-q3", "fail", "stabilizer element off the stated shape"),
-    ]
+    # -b = b mod 2, so only q = 3 tells the mirrored signs apart; the
+    # un-mirrored set has 288 similitudes too, so only the set comparison sees it
+    monkeypatch.setattr(symplectic, "_stab5_shape", _shape_after(unmirror))
+    outcomes = _stab5_outcomes(run_checks, [2, 3])
+    assert outcomes[0] == ("orbits/stab5-q2", "pass", None, None)
+    check_id, status, lhs, rhs = outcomes[1]
+    assert (check_id, status) == ("orbits/stab5-q3", "fail")
+    assert rhs == "|S| = 288, shape similitudes 288"
+    where, text = lhs.split(": ")
+    rows = [row.split(",") for row in text.split("/")]
+    # the named element carries b, not -b, on (e1, f1)
+    assert where == "shape similitude outside the stabilizer"
+    assert rows[0][5] == rows[2][3] != "0"
 
 
 def test_group_closure_raises_past_its_limit(mat_mul_q):
@@ -468,30 +511,50 @@ def _stab5_shape_by_mid_matrix(g, q):
     )
 
 
+def _shape_similitudes(space):
+    """The similitudes of the enumerated shape, as row-index tuples."""
+    q = space.q
+    return {
+        tuple(map(space.index, g)) for g in symplectic._stab5_shape(q) if similitude_by_gram(g, q)
+    }
+
+
 def test_stab5_shape_matches_the_mid_matrix_definition_q2():
+    # the reference runs over all 4,320 elements of H(F_2)
     space = flag_space(2)
-    matrices = [space.matrix(a) for a in space.group_elements()]
-    verdicts = [stab5_shape_ok(g, 2) for g in matrices]
-    assert verdicts == [_stab5_shape_by_mid_matrix(g, 2) for g in matrices]
-    assert verdicts.count(True) == 12
+    by_mid = {a for a in space.group_elements() if _stab5_shape_by_mid_matrix(space.matrix(a), 2)}
+    assert _shape_similitudes(space) == by_mid
+    assert len(by_mid) == 12
 
 
 def test_stab5_shape_matches_the_mid_matrix_definition_q3():
     space = flag_space(3)
-    _, stab = space.stabilizer(space.flag_index(alt_fifth_flag(3)), h_group_order(3))
-    stab = [space.matrix(a) for a in sorted(stab)]
+    shape = _shape_similitudes(space)
+    matrices = [space.matrix(a) for a in sorted(shape)]
+    assert len(matrices) == 288
+    assert all(_stab5_shape_by_mid_matrix(g, 3) for g in matrices)
     rng = random.Random(18)
-    # one entry of a stabilizer element changed, so every conjunct gets to fail
+    # one entry of a shape similitude changed, so every conjunct gets to fail
     nudged = []
-    for g in stab:
+    for g in matrices:
         rows = [list(row) for row in g]
         rows[rng.randrange(6)][rng.randrange(6)] = rng.randrange(3)
         nudged.append(tuple(map(tuple, rows)))
     noise = [tuple(tuple(rng.randrange(3) for _ in range(6)) for _ in range(6)) for _ in range(500)]
-    for g in stab + nudged + noise:
-        assert stab5_shape_ok(g, 3) == _stab5_shape_by_mid_matrix(g, 3), g
-    assert all(stab5_shape_ok(g, 3) for g in stab)
-    assert 0 < sum(stab5_shape_ok(g, 3) for g in nudged) < len(nudged)
+    for g in nudged + noise:
+        want = _stab5_shape_by_mid_matrix(g, 3) and similitude_by_gram(g, 3)
+        assert (tuple(map(space.index, g)) in shape) == want, g
+    assert 0 < sum(tuple(map(space.index, g)) in shape for g in nudged) < len(nudged)
+
+
+def test_similitude_test_matches_the_gram_matrix():
+    rng = random.Random(19)
+    for q in (2, 3):
+        candidates = list(symplectic._stab5_shape(q))
+        candidates += [tuple(tuple(rng.randrange(q) for _ in range(6)) for _ in range(6))
+                       for _ in range(300)]
+        for g in candidates:
+            assert symplectic._is_similitude(g, q) == similitude_by_gram(g, q), g
 
 
 def _meet_by_coordinates(space, members, free):
@@ -555,13 +618,13 @@ def test_stab5_check_stops_at_the_counting_bound(monkeypatch):
     flag5 = space.flag_index(alt_fifth_flag(2))
     full = space.group_elements()  # built before counting; it takes no products
     muls = _counting(monkeypatch, "mul")
-    assert stab5_check(2) == (2, 360, 12, 4320, True, True, None)
+    assert stab5_check(2) is True
     assert len(muls) < 1000  # 4,103 when every Schreier element was formed
     _, stab = space.stabilizer(flag5, h_group_order(2))
-    assert stab == {g for g, image in full.items() if image == flag5}
+    # the stabilizer filtered from the whole group
+    assert stab == {g for g in full if space.apply(flag5, g) == flag5}
     muls.clear()
-    rep = stab5_check(3)
-    assert rep == (3, 8640, 288, h_group_order(3), True, True, None)
+    assert stab5_check(3) is True
     assert len(muls) < 15000  # 185,183 when every Schreier element was formed
 
 
@@ -570,8 +633,8 @@ def test_stab5_check_fails_when_the_counting_bound_is_out_of_reach(monkeypatch, 
     monkeypatch.setattr(symplectic, "h_group_order", lambda q: 2 * true_order)
     flag_space(2)  # built before counting
     steps = _counting(monkeypatch, "times_gen")
-    reports = run_checks(suites.CheckConfig(suite="orbits"), ["orbits/stab5-q2"])
-    assert [(r.check_id, r.status) for r in reports] == [("orbits/stab5-q2", "fail")]
-    assert "stabilizer_order=12, group_order=8640, product_ok=False" in reports[0].lhs
+    assert _stab5_outcomes(run_checks, [2]) == [
+        ("orbits/stab5-q2", "fail", "|S| * |O| = 12 * 360", "|H| = 8640")
+    ]
     # one step per transversal element but the root, one per Schreier element
     assert len(steps) == (360 - 1) + 360 * len(h_generators(2))
