@@ -216,40 +216,36 @@ def u_element(x, y, z):
     return tuple(tuple(r) for r in rows)
 
 
-def _minor_valuations(g, r: int, p: int):
-    """Least valuation of the r x r minors from the bottom r rows, gamma5 basis.
+def _minor_valuations(g, p: int) -> tuple[int, int]:
+    """(v3, v2): least valuations of the bottom 3 x 3 and 2 x 2 minors, gamma5 basis.
 
-    With G = D g integral, the bottom r rows of gamma5 G gamma5^(-1) are
-    signed sums of entries of G and their minors are D^r times those of g.
-    The 3 x 3 minors expand along their first row over the 2 x 2 minors of
-    the last two, and the least valuation of the minors is that of their gcd.
+    With G = D g integral, the bottom three rows of gamma5 G gamma5^(-1)
+    are signed sums of entries of G and their r x r minors are D^r times
+    those of g.  The 3 x 3 minors expand along their first row over the
+    2 x 2 minors of the last two; the least valuation of each size is that
+    of its gcd, and the 2 x 2 gcd is nonzero when the 3 x 3 one is.
     """
-    if r not in (2, 3):
-        raise ValueError("minor size must be 2 or 3")
     G, d = _cleared(g)
     rows = []
-    for terms in _G5_ROW_TERMS[_N - r:]:
+    for terms in _G5_ROW_TERMS[_N - 3:]:
         row = [sum(s * G[k][j] for k, s in terms) for j in range(_N)]
         rows.append([sum(s * row[k] for k, s in col) for col in _G5_INV_COL_TERMS])
-    top, low = rows[-2], rows[-1]
+    first, top, low = rows
     minors2 = {(j1, j2): top[j1] * low[j2] - top[j2] * low[j1] for j1, j2 in _COLS2}
-    if r == 2:
-        minors = minors2.values()
-    else:
-        first = rows[0]
-        minors = [
-            first[j1] * minors2[j2, j3] - first[j2] * minors2[j1, j3] + first[j3] * minors2[j1, j2]
-            for j1, j2, j3 in _COLS3
-        ]
-    h = gcd(*minors)
-    if h == 0:
+    h3 = gcd(*(
+        first[j1] * minors2[j2, j3] - first[j2] * minors2[j1, j3] + first[j3] * minors2[j1, j2]
+        for j1, j2, j3 in _COLS3
+    ))
+    if h3 == 0:
         raise ValueError("bottom rows are singular")
-    return _int_valuation(h, p) - r * _int_valuation(d, p)
+    vd = _int_valuation(d, p)
+    return _int_valuation(h3, p) - 3 * vd, _int_valuation(gcd(*minors2.values()), p) - 2 * vd
 
 
-def bottom_minor_norm(g, r: int, p: int) -> Fraction:
-    """Largest p-adic absolute value of the bottom-row r x r minors."""
-    return _ppow(p, -_minor_valuations(g, r, p))
+def bottom_minor_norm(g, p: int) -> tuple[Fraction, Fraction]:
+    """(|det3|, |det2|), the largest p-adic norms of the bottom minors, as det_norms_closed."""
+    v3, v2 = _minor_valuations(g, p)
+    return _ppow(p, -v3), _ppow(p, -v2)
 
 
 def det_norms_closed(tv: TorusValuations, x, y, z, p: int) -> tuple[Fraction, Fraction]:
@@ -291,11 +287,7 @@ def fprime_section(g, p: int) -> tuple[int, int, int]:
     triple fixes it as a monomial in p^(-s), p^(-w).
     """
     mu = similitude(g)
-    return (
-        _minor_valuations(g, 3, p),
-        _minor_valuations(g, 2, p),
-        valuation(mu, p),
-    )
+    return (*_minor_valuations(g, p), valuation(mu, p))
 
 
 # ---------------------------------------------------------------------------

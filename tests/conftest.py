@@ -1,4 +1,9 @@
-"""Shared test fixtures."""
+"""Shared test fixtures.
+
+``run_checks`` runs a chosen few of the checks that ``suites._checks``
+yields as (id, params, body) entries, each through ``suites._run_check``
+as ``suites.run_suite``, the one runner, would.
+"""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -11,24 +16,17 @@ from rslocal.symplectic import FlagState, rref_q
 
 
 def _run_checks(cfg, ids):
-    """Run ``suites.run_suite(cfg)`` but start only the checks named in ``ids``.
+    """The reports, by id, of the checks of ``cfg`` named in ``ids``.
 
-    Every check goes through the module-global ``suites._run_check``; the
-    wrapper drops the others before their bodies run, so nothing they
-    would build is built.
+    The other entries of ``suites._checks(cfg)`` are skipped before their
+    bodies run, so nothing they would build is built.
     """
     wanted = frozenset(ids)
-    run_check = suites._run_check
-
-    def selected(reports, check_id, params, fn):
+    reports = []
+    for check_id, params, body in suites._checks(cfg):
         if check_id in wanted:
-            run_check(reports, check_id, params, fn)
-
-    suites._run_check = selected
-    try:
-        return suites.run_suite(cfg)
-    finally:
-        suites._run_check = run_check
+            suites._run_check(reports, check_id, params, body)
+    return sorted(reports, key=lambda r: r.check_id)
 
 
 @pytest.fixture(scope="session")

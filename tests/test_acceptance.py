@@ -1,7 +1,8 @@
 """Acceptance criteria: the ten exact-equality gates, one test each.
 
-A criterion passes when ``run_suite`` reports each ``suite/name`` of its (CheckConfig, names)
-rows as ``pass``; checks and bounds live only in rslocal.suites.  Each prints PASS or FAIL.
+A criterion passes when each ``suite/name`` of its (CheckConfig, names) rows, run through
+``suites._run_check`` as ``run_suite`` runs it, reports ``pass``; checks and bounds live only
+in rslocal.suites.  Each prints PASS or FAIL.
 """
 
 import pytest

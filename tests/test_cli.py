@@ -8,7 +8,7 @@ import pytest
 from rslocal import cli, coeffs, series, suites
 from rslocal.characters import VirtualCharacter
 from rslocal.series import BiSeries
-from rslocal.suites import CheckConfig, CheckReport, emit_report
+from rslocal.suites import CheckConfig, emit_report
 
 
 def run_main(capsys, argv):
@@ -69,10 +69,8 @@ def test_unknown_suite_exits_2():
 
 
 def test_failing_check_exit_code_and_digest(capsys, monkeypatch):
-    def fake_suite(cfg, reports):
-        reports.append(
-            CheckReport("characters/forced-failure", {}, "fail", "lhs-digest", "rhs-digest", 0)
-        )
+    def fake_suite(cfg):
+        yield "characters/forced-failure", {}, lambda: (False, "lhs-digest", "rhs-digest")
 
     monkeypatch.setitem(suites._SUITE_BODIES, "characters", fake_suite)
     code, out, _ = run_main(capsys, ["characters", "--no-timing"])
@@ -236,17 +234,17 @@ def test_series_mismatch_names_first_differing_coefficient():
 
 
 def test_exception_in_check_is_an_error(capsys, monkeypatch):
-    def raising_suite(cfg, reports):
+    def raising_suite(cfg):
         def body():
             raise TypeError("bad table")
 
         def no_return():
             pass
 
-        suites._run_check(reports, "characters/raises", {}, body)
-        suites._run_check(reports, "characters/passes", {}, lambda: True)
-        suites._run_check(reports, "characters/returns-none", {}, no_return)
-        suites._run_check(reports, "characters/returns-a-pair", {}, lambda: (False, "a"))
+        yield "characters/raises", {}, body
+        yield "characters/passes", {}, lambda: True
+        yield "characters/returns-none", {}, no_return
+        yield "characters/returns-a-pair", {}, lambda: (False, "a")
 
     monkeypatch.setitem(suites._SUITE_BODIES, "characters", raising_suite)
     code, out, _ = run_main(capsys, ["characters", "--no-timing"])

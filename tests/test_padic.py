@@ -60,19 +60,18 @@ def raised(fn, *args):
 
 def test_bottom_minor_identity():
     g = identity6()
-    assert bottom_minor_norm(g, 2, 5) == 1
-    assert bottom_minor_norm(g, 3, 5) == 1
+    assert bottom_minor_norm(g, 5) == (1, 1)
 
 
 def test_bottom_minor_unit_configuration():
     # all torus coordinates and all of x, y, z units: |det3| = |alpha beta^2| = 1
     g = mat_mul(u_element(1, 1, 1), torus_element(1, 1, 1))
-    assert bottom_minor_norm(g, 3, 2) == 1
+    assert bottom_minor_norm(g, 2)[0] == 1
 
 
 def test_det3_detects_large_z():
     g = mat_mul(u_element(1, 1, Fraction(1, 9)), torus_element(1, 1, 1))
-    assert bottom_minor_norm(g, 3, 3) == 9
+    assert bottom_minor_norm(g, 3)[0] == 9
 
 
 def test_det_norms_unit_point():
@@ -93,7 +92,7 @@ def test_det_norms_vs_minors_seeded():
             beta = random_unit(rng, p) * Fraction(p) ** b
             gamma = random_unit(rng, p) * Fraction(p) ** c
             g = column_scaled(u_element(x, y, z), torus_element(alpha, beta, gamma))
-            got = (bottom_minor_norm(g, 3, p), bottom_minor_norm(g, 2, p))
+            got = bottom_minor_norm(g, p)
             want = det_norms_closed(TorusValuations(a, b, c), x, y, z, p)
             assert got == want, (p, (a, b, c), (xv, yv, zv))
 
@@ -116,7 +115,7 @@ def test_det_norms_closed_cancelling_sum(p):
         g = column_scaled(u_element(x, y, z), t)
         tv = TorusValuations(a, b, c)
         det3, det2 = det_norms_closed(tv, x, y, z, p)
-        assert (bottom_minor_norm(g, 3, p), bottom_minor_norm(g, 2, p)) == (det3, det2)
+        assert bottom_minor_norm(g, p) == (det3, det2)
         # det2 had v(y + xz) been min(v(y), v(xz)) = v(x) + v(z)
         vx0, vz0 = vx + a - b - c, vz - c
         exponent = max(0, -vx0, -vz0, -(vx0 + vz0), -(vx + vz - b - c))
@@ -167,10 +166,9 @@ def test_integer_section_matches_dense_reference(dense_section, p):
     rng = random.Random(90 + p)
     for _ in range(40):
         g = tuple(tuple(random_rational(rng, p) for _ in range(6)) for _ in range(6))
-        for r in (2, 3):
-            assert bottom_minor_norm(g, r, p) == Fraction(p) ** -dense_section.minor_valuations(
-                g, r, p
-            )
+        assert bottom_minor_norm(g, p) == tuple(
+            Fraction(p) ** -dense_section.minor_valuations(g, r, p) for r in (3, 2)
+        )
         # a random matrix is no similitude: both routes say so alike
         assert raised(similitude, g) == raised(dense_section.similitude, g)
     for _ in range(10):
@@ -188,12 +186,9 @@ def test_integer_section_raises_like_dense_reference(dense_section):
     rng = random.Random(7)
     col = [random_rational(rng, 3) or 1 for _ in range(6)]
     rank_one = tuple(tuple(a * Fraction(k - 2, 5) for k in range(6)) for a in col)
+    assert raised(bottom_minor_norm, rank_one, 3) == "bottom rows are singular"
     for r in (2, 3):
-        assert raised(bottom_minor_norm, rank_one, r, 3) == "bottom rows are singular"
         assert raised(dense_section.minor_valuations, rank_one, r, 3) == "bottom rows are singular"
-    g = mat_mul(u_element(1, 2, 3), torus_element(2, 3, 5))
-    assert raised(bottom_minor_norm, g, 4, 3) == "minor size must be 2 or 3"
-    assert raised(dense_section.minor_valuations, g, 4, 3) == "minor size must be 2 or 3"
     no_f1 = identity6()[:5] + ((Fraction(0),) * 6,)
     sheared = [list(r) for r in identity6()]
     sheared[0][1] = sheared[1][0] = Fraction(1)
