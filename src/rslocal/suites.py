@@ -2,9 +2,9 @@
 
 Each suite is a generator of checks: ``_suite_<name>(cfg)`` yields one
 ``(check_id, params, body)`` entry per check and builds nothing between
-its yields.  ``_checks(cfg)`` chains the configured suites, and
-``run_suite`` is the one runner: it runs each body through ``_run_check``
-and sorts the reports by id.
+its yields.  ``_checks(cfg)`` chains the configured suites, and ``_run``
+is the one runner: it runs each body through ``_run_check`` and sorts the
+reports by id.  ``run_suite`` runs every entry of ``_checks(cfg)`` with it.
 """
 
 from __future__ import annotations
@@ -744,18 +744,19 @@ def _checks(cfg: CheckConfig):
     return itertools.chain.from_iterable(_SUITE_BODIES[name](cfg) for name in names)
 
 
-def run_suite(cfg: CheckConfig) -> list[CheckReport]:
-    """Run every check of the configured suite, by id; deterministic for a fixed config.
-
-    The one runner: each entry of ``_checks(cfg)`` goes through the
-    module-global ``_run_check``, so replacing that function filters or
-    records the checks without changing the suites.
-    """
+def _run(checks) -> list[CheckReport]:
+    """The one runner: each (check_id, params, body) entry goes through the
+    module-global ``_run_check``, which can be replaced to filter or record
+    the checks; returns the reports sorted by id."""
     reports: list[CheckReport] = []
-    for check in _checks(cfg):
+    for check in checks:
         _run_check(reports, *check)
-    reports.sort(key=lambda r: r.check_id)
-    return reports
+    return sorted(reports, key=lambda r: r.check_id)
+
+
+def run_suite(cfg: CheckConfig) -> list[CheckReport]:
+    """Run every check of the configured suite, by id; deterministic for a fixed config."""
+    return _run(_checks(cfg))
 
 
 def emit_report(reports: list[CheckReport], cfg: CheckConfig) -> str:

@@ -1,8 +1,8 @@
 """Shared test fixtures.
 
 ``run_checks`` runs a chosen few of the checks that ``suites._checks``
-yields as (id, params, body) entries, each through ``suites._run_check``
-as ``suites.run_suite``, the one runner, would.
+yields as (id, params, body) entries, through ``suites._run``, the runner
+that ``suites.run_suite`` uses.
 """
 
 from fractions import Fraction
@@ -22,11 +22,7 @@ def _run_checks(cfg, ids):
     bodies run, so nothing they would build is built.
     """
     wanted = frozenset(ids)
-    reports = []
-    for check_id, params, body in suites._checks(cfg):
-        if check_id in wanted:
-            suites._run_check(reports, check_id, params, body)
-    return sorted(reports, key=lambda r: r.check_id)
+    return suites._run(check for check in suites._checks(cfg) if check[0] in wanted)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 """Acceptance criteria: the ten exact-equality gates, one test each.
 
 A criterion passes when each ``suite/name`` of its (CheckConfig, names) rows, run through
-``suites._run_check`` as ``run_suite`` runs it, reports ``pass``; checks and bounds live only
+``suites._run`` as ``run_suite`` runs it, reports ``pass``; checks and bounds live only
 in rslocal.suites.  Each prints PASS or FAIL.
 """
 

@@ -189,6 +189,8 @@ def test_integer_section_raises_like_dense_reference(dense_section):
     assert raised(bottom_minor_norm, rank_one, 3) == "bottom rows are singular"
     for r in (2, 3):
         assert raised(dense_section.minor_valuations, rank_one, r, 3) == "bottom rows are singular"
+    g = mat_mul(u_element(1, 2, 3), torus_element(2, 3, 5))
+    assert raised(dense_section.minor_valuations, g, 4, 3) == "minor size must be 2 or 3"
     no_f1 = identity6()[:5] + ((Fraction(0),) * 6,)
     sheared = [list(r) for r in identity6()]
     sheared[0][1] = sheared[1][0] = Fraction(1)
