@@ -61,16 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="prime to use (repeatable; default %s)" % " ".join(map(str, default.primes)),
     )
     parser.add_argument(
-        "--sw",
-        type=_comma_tuple(int, "s,w"),
-        action="append",
-        default=None,
-        dest="sw_points",
-        metavar="S,W",
-        help="evaluation point s,w (repeatable; default %s)"
-        % " and ".join("%d,%d" % pt for pt in default.sw_points),
-    )
-    parser.add_argument(
         "--satake",
         type=_comma_tuple(Fraction, "t,y1,y2"),
         action="append",
@@ -95,8 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 # config-file key -> the CheckConfig field it sets
 _CONFIG_KEYS = {
     "deg_u": "deg_u", "deg_v": "deg_v", "radius": "radius", "primes": "primes",
-    "sw": "sw_points", "satake": "satake_points", "seed": "seed", "format": "fmt",
-    "no_timing": "no_timing",
+    "satake": "satake_points", "seed": "seed", "format": "fmt", "no_timing": "no_timing",
 }
 
 

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .characters import VirtualCharacter
+from .characters import LaurentPoly, VirtualCharacter, _add_into, _pack
 from .series import BiSeries
 
 __all__ = [
@@ -35,8 +35,9 @@ __all__ = [
     "integral_psi_max",
     "integral_psi_max_brute",
     "fpsi_closed",
-    "evaluate_uv",
     "fpsi_brute",
+    "FPSI_DENOMINATOR",
+    "fpsi_closed_numerator",
     "torus_term",
     "torus_term_sum",
 ]
@@ -291,67 +292,66 @@ def fprime_section(g, p: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# The two closed shell-integral kernels, as values at Z = p^(-u).
+# The integrals as integer Laurent polynomials.  Every p-power in them has an
+# exponent affine in u, or in (s, w), with integer coefficients, and their
+# shell sums branch on valuations only, so each integral is a rational
+# function of P = 1/p and Z = p^(-u), or S = p^(-s) and W = p^(-w), with a
+# denominator D that no prime changes (Igusa, An Introduction to the Theory
+# of Local Zeta Functions, 2000; Denef, Invent. Math. 77, 1984).  Each
+# function below returns the numerator D F as a LaurentPoly whose (t, y1, y2)
+# stand for (P, Z, -) or (P, S, W).  One identity of numerators is then an
+# identity for every prime, every u and every (s, w); at a prime p and a
+# point where the integral converges, its value is N / D evaluated there.
 
 
-def integral_max(c_val: int, p: int, u: int) -> Fraction:
-    """integral over F of max(|c|, |y|)^(-u) dy = |c|^(1-u) (1-Z)/(1-pZ).
+def _poly(terms) -> LaurentPoly:
+    """The sum of coeff P^i X^j Y^k over the (i, j, k, coeff) terms."""
+    return LaurentPoly(_add_into({}, ((_pack(i, j, k), v) for i, j, k, v in terms)))
 
-    Here v(c) = c_val and Z = p^(-u).
+
+def integral_max(c_val: int) -> LaurentPoly:
+    """(1 - Z/P) times the integral over F of max(|c|, |y|)^(-u) dy, v(c) = c_val.
+
+    The integral is |c|^(1-u) (1 - Z)/(1 - pZ), so this is P^c Z^(-c) (1 - Z).
     """
-    z = _ppow(p, -u)
-    return _ppow(p, c_val * (u - 1)) * (1 - z) / (1 - p * z)
+    return _poly([(c_val, -c_val, 0, 1), (c_val, 1 - c_val, 0, -1)])
 
 
-def integral_max_brute(c_val: int, p: int, u: int) -> Fraction:
-    """Shell-by-shell oracle for integral_max with an exact geometric tail.
+def integral_max_brute(c_val: int) -> LaurentPoly:
+    """Shell-by-shell oracle for integral_max, over the same 1 - Z/P.
 
-    Shells v(y) = k have measure p^(-k)(1 - 1/p); on them the integrand is
-    p^(u min(c_val, k)).  The window below c_val is an explicit finite sum
-    once the geometric tail (ratio p^(u-1) per step towards -infinity, in
-    measure times value) is summed in closed form.
+    Shells v(y) = k have measure P^k (1 - P) and the integrand
+    Z^(-min(c_val, k)).  The shells k >= c_val make up measure P^c_val at
+    the value Z^(-c_val); those below sum from k = c_val - 1 to an exact
+    geometric tail, ratio Z/P per step: (1 - P) P^(c-1) Z^(1-c) / (1 - Z/P).
     """
-    if u < 2:
-        raise ValueError("need u >= 2 for absolute convergence")
-    unit = 1 - Fraction(1, p)
-    total = Fraction(0)
-    # shells with k >= c_val: constant integrand, total measure p^(-c_val)
-    total += _ppow(p, -c_val) * _ppow(p, u * c_val)
-    # shells with k < c_val: explicit window plus exact tail
-    window = 12
-    for k in range(c_val - window, c_val):
-        total += _ppow(p, -k) * unit * _ppow(p, u * k)
-    ratio = _ppow(p, u - 1)
-    low = c_val - window - 1
-    total += unit * _ppow(p, low * (u - 1)) / (1 - 1 / ratio)
-    return total
+    c = c_val
+    inner = [(c, -c, 0, 1), (c - 1, 1 - c, 0, -1)]  # (1 - Z/P) P^c Z^(-c)
+    tail = [(c - 1, 1 - c, 0, 1), (c, 1 - c, 0, -1)]  # (1 - P) P^(c-1) Z^(1-c)
+    return _poly(inner + tail)
 
 
-def integral_psi_max(a_val: int, p: int, u: int) -> Fraction:
-    """integral of psi(a x) max(1, |x|)^(-u) dx, with Z = p^(-u).
+def integral_psi_max(a_val: int) -> LaurentPoly:
+    """The integral of psi(a x) max(1, |x|)^(-u) dx, v(a) = a_val, with Z = p^(-u).
 
     Vanishes when a is not integral; otherwise equals
-    (1 - Z)(1 + pZ + ... + (pZ)^a_val).
+    (1 - Z)(1 + Z/P + ... + (Z/P)^a_val).  No denominator.
     """
-    if a_val < 0:
-        return Fraction(0)
-    z = _ppow(p, -u)
-    return (1 - z) * sum((p * z) ** i for i in range(a_val + 1))
+    return _poly(t for i in range(a_val + 1) for t in ((-i, i, 0, 1), (-i, i + 1, 0, -1)))
 
 
-def integral_psi_max_brute(a_val: int, p: int, u: int) -> Fraction:
+def integral_psi_max_brute(a_val: int) -> LaurentPoly:
     """Shell oracle for integral_psi_max via character orthogonality.
 
-    The ball integral of psi(a x) over |x| <= p^k is p^k when v(a) >= k and
-    0 otherwise, so the shell integrals vanish for k > v(a) + 1 and the sum
-    is finite with no tail at all.
+    The ball integral of psi(a x) over |x| <= p^k is P^(-k) when v(a) >= k
+    and 0 otherwise, so the shell integrals vanish for k > v(a) + 1 and the
+    sum is finite with no tail at all.
     """
-    total = Fraction(1) if a_val >= 0 else Fraction(0)  # the unit ball
-    for k in range(1, max(a_val + 1, 0) + 1):
-        ball_k = _ppow(p, k) if a_val >= k else Fraction(0)
-        ball_km1 = _ppow(p, k - 1) if a_val >= k - 1 else Fraction(0)
-        total += _ppow(p, -u * k) * (ball_k - ball_km1)
-    return total
+    terms = [(0, 0, 0, 1)] if a_val >= 0 else []  # the unit ball
+    for k in range(1, a_val + 2):
+        # Z^k times the ball integral at k less the one at k - 1 <= v(a)
+        terms += [(-k, k, 0, 1)] * (a_val >= k) + [(1 - k, k, 0, -1)]
+    return _poly(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -383,123 +383,114 @@ def fpsi_closed(tv: TorusValuations) -> dict[tuple[int, int], int]:
     return out
 
 
-def evaluate_uv(poly: dict[tuple[int, int], int], u_val, v_val) -> Fraction:
-    """The value of sum coeff U^i V^j over poly at U = u_val, V = v_val."""
-    u_val, v_val = Fraction(u_val), Fraction(v_val)
-    return sum((c * u_val**i * v_val**j for (i, j), c in poly.items()), Fraction(0))
+_ONE_MINUS_P = _poly([(0, 0, 0, 1), (1, 0, 0, -1)])
+_Y_TAIL = _poly([(0, 0, 0, 1), (-1, -2, 1, -1)])  # 1 - W/(S^2 P)
+# the y tail's denominator times 1/zeta(w - 2s) = 1 - W/S^2 and 1/zeta(w - 1) = 1 - W/P
+FPSI_DENOMINATOR = (
+    _Y_TAIL * _poly([(0, 0, 0, 1), (0, -2, 1, -1)]) * _poly([(0, 0, 0, 1), (-1, 0, 1, -1)])
+)
 
 
-def _spsi(p: int, k: int) -> Fraction:
-    """Shell integral of the standard character over v(x) = k."""
-    if k <= -2:
-        return Fraction(0)
-    if k == -1:
-        return Fraction(-1)
-    return _ppow(p, -k) * (1 - Fraction(1, p))
+def _fpsi_cutoffs(tv: TorusValuations) -> tuple[int, int, int]:
+    """(t_x, t_z, v_cap): where fpsi_brute's shell sums may stop.
+
+    Let mn = min(0, a - c) and consts0 = b + min(a, c, 2a - c).  On the
+    shells v(x) = vx, v(z) = vz the integrand is S^(-2 m3) Y(vx + vz, sc),
+    with m3 = 2b + min(a, c, 2c - a, c - a + vz), sc = min(consts0,
+    a + mn + vx, b + vz) <= consts0, and Y(v0, sc) the y integral.
+    - Y(v0, sc) is constant once v0 >= sc - mn: where v(y') < v0 the
+      integrand is that of w0 = 0, and where v(y') >= v0 every argument
+      of its minimum is at least sc.  So v0 is clamped at v_cap = consts0 - mn.
+    - Nothing changes with vx from t_x on: the x-term of sc is at least
+      consts0, and v0 >= sc - mn holds for every vz >= -1, as sc <= b + vz
+      (vx >= b - mn) or as sc <= consts0 (vx >= consts0 - mn + 1).
+    - Nothing changes with vz from t_z on: m3 and the z-term of sc are
+      constant from vz = consts0 - b, and v0 >= sc - mn holds for every
+      vx >= -1, as sc <= a + mn + vx (vz >= a) or as sc <= consts0
+      (vz >= consts0 - mn + 1).
+    - Both are at least 0, where the psi shell integrals from T on sum to P^T.
+    One less than any of the three breaks the identity on some (a, b, c).
+    """
+    a, b, c = tv
+    mn = min(0, a - c)
+    consts0 = b + min(a, c, 2 * a - c)
+    t_x = max(0, consts0 - a - mn, min(b, consts0 + 1) - mn)
+    t_z = max(0, consts0 - b, min(a, consts0 - mn + 1))
+    return t_x, t_z, consts0 - mn
 
 
-def fpsi_brute(p: int, tv: TorusValuations, s: int, w: int) -> Fraction:
-    """Exact shell-decomposition evaluation of the section integral.
+def fpsi_brute(tv: TorusValuations) -> LaurentPoly:
+    """FPSI_DENOMINATOR times the section integral, by exact shell decomposition.
 
     Integrates psi(z) psi(x) f'(u(x,y,z) t, s, w) over F^3 directly from
     the minor-maximum description of the section, then multiplies by
     zeta(w-2s) zeta(w-1) delta_B^(-1/2)(t).  The (x, z) shells truncate by
-    character orthogonality; the y integral is split along v(y + xz),
-    whose interaction with v(y) is resolved exactly on each subshell; all
-    three tails are exact geometric sums.  Only valuations enter, so the
-    result is independent of every unit part.
+    character orthogonality at _fpsi_cutoffs; the y integral is split along
+    v(y + xz), whose interaction with v(y) is resolved exactly on each
+    subshell, and its tail is an exact geometric sum over
+    1 - W/(S^2 P).  Only valuations enter, so the result is independent of
+    every unit part.  The returned N is a polynomial in (P, S, W) =
+    (1/p, p^(-s), p^(-w)); D = FPSI_DENOMINATOR also clears the zeta
+    factors.  For s >= 2 and w - 2s >= 4 the integral converges absolutely
+    and is N/D there.
     """
     a, b, c = tv
-    if not (s >= 2 and w - 2 * s >= 4):
-        raise ValueError("(s, w) outside the absolute-convergence region")
-    e0 = w - 2 * s
     acm = a - c
     mn = min(0, acm)
-    zeta_pref = 1 / ((1 - _ppow(p, -(w - 2 * s))) * (1 - _ppow(p, -(w - 1))))
-    # constant exponents: delta_B^(-1/2), |mu|^(s+w), and the monomial part
-    # of |det2|^(2s-w)
-    const_exp = (a + 2 * b + c) - (2 * b + c) * (s + w) + e0 * (-a + b + c)
-    consts0 = min(b + c, a + b, 2 * a + b - c)
-    vstar_max = consts0 - mn + 1
+    consts0 = b + min(a, c, 2 * a - c)
+    t_x, t_z, v_cap = _fpsi_cutoffs(tv)
 
-    ycache: dict[tuple[int, int], Fraction] = {}
+    def shells(terms) -> LaurentPoly:
+        """The sum of coeff P^j p^(e0 e) over (j, e, coeff), e0 = w - 2s."""
+        return _poly((j, 2 * e, -e, v) for j, e, v in terms)
 
-    def y_integral(v0: int, sconst: int) -> Fraction:
-        """integral over F of p^(e0 min(sconst, v(y'), acm + v(y' - w0))) dy'
-        with v(w0) = v0."""
-        got = ycache.get((v0, sconst))
-        if got is not None:
-            return got
-        unit = 1 - Fraction(1, p)
-        total = Fraction(0)
-        # region A: v(y') = j < v0, hence v(y' - w0) = j
+    def y_integral(v0: int, sconst: int) -> LaurentPoly:
+        """1 - W/(S^2 P) times the integral over F of
+        p^(e0 min(sconst, v(y'), acm + v(y' - w0))) dy', v(w0) = v0."""
+        units, rest = [], []  # shells of measure P^j (1 - P) and P^j
+        # region A: v(y') = j < v0, hence v(y' - w0) = j; below jl the
+        # minimum is j + mn and the shells sum geometrically
         jl = min(v0 - 1, sconst - mn)
-        for j in range(jl, v0):
-            e = min(sconst, j, acm + j)
-            total += _ppow(p, -j) * unit * _ppow(p, e0 * e)
-        # tail j < jl: the minimum is j + mn throughout
-        total += unit * _ppow(p, e0 * mn) * _ppow(p, (jl - 1) * (e0 - 1)) / (
-            1 - _ppow(p, -(e0 - 1))
-        )
+        units += [(j, min(sconst, j + mn), 1) for j in range(jl, v0)]
         # region B: v(y') = j > v0, hence v(y' - w0) = v0
         eb_inf = min(sconst, acm + v0)
         jh = max(v0 + 1, eb_inf)
-        for j in range(v0 + 1, jh + 1):
-            e = min(sconst, j, acm + v0)
-            total += _ppow(p, -j) * unit * _ppow(p, e0 * e)
-        total += _ppow(p, -(jh + 1)) * _ppow(p, e0 * eb_inf)
-        # region C: v(y') = v0; split on i = v(y' - w0) - v0 >= 0
-        ec0 = min(sconst, v0, acm + v0)
-        if p > 2:
-            total += _ppow(p, -v0) * Fraction(p - 2, p) * _ppow(p, e0 * ec0)
-        ec_inf = min(sconst, v0)
+        units += [(j, min(sconst, j, acm + v0), 1) for j in range(v0 + 1, jh + 1)]
+        rest.append((jh + 1, eb_inf, 1))
+        # region C: v(y') = v0; split on i = v(y' - w0) - v0 >= 0.  At i = 0
+        # the measure is P^v0 (1 - 2P) = P^v0 (1 - P) - P^(v0 + 1).
+        ec0, ec_inf = min(sconst, v0 + mn), min(sconst, v0)
         ih = max(0, ec_inf - acm - v0)
-        for i in range(1, ih + 1):
-            e = min(sconst, v0, acm + v0 + i)
-            total += _ppow(p, -v0 - i) * unit * _ppow(p, e0 * e)
-        total += _ppow(p, -v0) * _ppow(p, -(ih + 1)) * _ppow(p, e0 * ec_inf)
-        ycache[(v0, sconst)] = total
-        return total
+        units += [(v0 + i, min(sconst, v0, acm + v0 + i), 1) for i in range(ih + 1)]
+        rest += [(v0 + 1, ec0, -1), (v0 + ih + 1, ec_inf, 1)]
+        tail = shells([(jl - 1, jl - 1 + mn, 1)])
+        return _Y_TAIL * (_ONE_MINUS_P * shells(units) + shells(rest)) + _ONE_MINUS_P * tail
 
-    def det3_min(vz: int) -> int:
-        return 2 * b + min(a, c, 2 * c - a, c - a + vz)
+    def weights(t: int) -> list:
+        """psi's shell integrals on v = -1, ..., t - 1, then on the ball v >= t."""
+        shell = [_poly([(k, 0, 0, 1), (k + 1, 0, 0, -1)]) for k in range(t)]
+        return [_poly([(0, 0, 0, -1)])] + shell + [_poly([(t, 0, 0, 1)])]
 
-    def sconst_of(vx: int, vz: int) -> int:
-        return min(consts0, a + vx, 2 * a - c + vx, b + vz)
+    # group the cells by their y integral, summing psi weights times S^(-2 m3)
+    coef: dict[tuple[int, int], LaurentPoly] = {}
+    wx = weights(t_x)
+    for vz, wz in zip(range(-1, t_z + 1), weights(t_z)):
+        m3 = 2 * b + min(a, c, 2 * c - a, c - a + vz)
+        wz = wz * LaurentPoly.monomial(0, -2 * m3, 0)
+        for vx, wxs in zip(range(-1, t_x + 1), wx):
+            key = (min(vx + vz, v_cap), min(consts0, a + vx, 2 * a - c + vx, b + vz))
+            coef[key] = coef.get(key, LaurentPoly.zero()) + wxs * wz
+    total = LaurentPoly.zero()
+    for key, weight in coef.items():
+        total = total + weight * y_integral(*key)
+    # times delta_B^(-1/2), |mu|^(s+w) and the monomial part of |det2|^(2s-w)
+    return total * LaurentPoly.monomial(-(a + 2 * b + c), 4 * b + 3 * c - 2 * a, a + b)
 
-    def cell_value(vx: int | None, vz: int | None) -> Fraction:
-        """Integrand factor for one (v(x), v(z)) shell pair; None = beyond
-        the threshold where the variable has dropped out."""
-        big = 10 * (consts0 + abs(acm) + a + b + c + 8) + 40
-        evx = big if vx is None else vx
-        evz = big if vz is None else vz
-        m3 = det3_min(evz)
-        sc = sconst_of(evx, evz)
-        v0 = evx + evz
-        if v0 > vstar_max + 2:
-            v0 = vstar_max + 2
-        return _ppow(p, 2 * s * m3) * y_integral(v0, sc)
 
-    # thresholds past which the summand is exactly constant
-    t_x = max(consts0 - min(a, 2 * a - c) + 2, vstar_max + 2, 1)
-    t_z = max(
-        consts0 - b + 2,
-        max(a, c, 2 * c - a) - (c - a) + 2,
-        vstar_max + 2,
-        1,
-    )
-    total = Fraction(0)
-    for vx in range(-1, t_x):
-        for vz in range(-1, t_z):
-            total += _spsi(p, vx) * _spsi(p, vz) * cell_value(vx, vz)
-    # strips and corner: sum of the psi shell integrals over v >= T is the
-    # ball measure p^(-T)
-    for vz in range(-1, t_z):
-        total += _ppow(p, -t_x) * _spsi(p, vz) * cell_value(None, vz)
-    for vx in range(-1, t_x):
-        total += _spsi(p, vx) * _ppow(p, -t_z) * cell_value(vx, None)
-    total += _ppow(p, -t_x) * _ppow(p, -t_z) * cell_value(None, None)
-    return zeta_pref * _ppow(p, const_exp) * total
+def fpsi_closed_numerator(tv: TorusValuations) -> LaurentPoly:
+    """FPSI_DENOMINATOR times fpsi_closed at U = W/P^2, V = S: what fpsi_brute must equal."""
+    closed = _poly((-2 * i, j, i, v) for (i, j), v in fpsi_closed(tv).items())
+    return FPSI_DENOMINATOR * closed
 
 
 def torus_term(tv: TorusValuations, deg_u: int, deg_v: int) -> BiSeries:

@@ -34,7 +34,6 @@ class CheckConfig:
     deg_v: int = 8
     radius: int = 6
     primes: tuple = (2, 3, 5)
-    sw_points: tuple = ((2, 9), (3, 11))
     satake_points: tuple | None = None
     seed: int = 0
     fmt: str = "text"
@@ -55,14 +54,14 @@ class CheckConfig:
                 errors.append("%s must be an integer, got %r" % (name, value))
             elif value < 0 and name != "seed":
                 errors.append("%s must be nonnegative, got %d" % (name, value))
-        for name in ("primes", "sw_points", "satake_points"):
+        for name in ("primes", "satake_points"):
             value = getattr(self, name)
             if value is None and name == "satake_points":
                 continue  # the seeded points
             if not isinstance(value, (list, tuple)):
                 errors.append("%s must be a list or tuple, got %r" % (name, value))
             elif not value:
-                # a check over no primes, (s, w) or Satake points compares nothing
+                # a check over no primes or Satake points compares nothing
                 errors.append("%s must not be empty" % name)
             else:
                 bad = [self._entry_error(name, entry) for entry in value]
@@ -79,16 +78,6 @@ class CheckConfig:
                 return "prime %r is not an integer" % (entry,)
             if entry not in (2, 3, 5):
                 return "primes must lie in {2, 3, 5}, got %r" % (entry,)
-        elif name == "sw_points":
-            if not (isinstance(entry, (tuple, list)) and len(entry) == 2
-                    and all(type(v) is int for v in entry)):
-                return "sw point %r is not a pair of integers s,w" % (entry,)
-            s, w = entry
-            if self.suite in ("padic", "all") and not (s >= 2 and w - 2 * s >= 4):
-                return (
-                    "(s, w)=(%s, %s) is outside the convergence region "
-                    "s >= 2, w - 2s >= 4" % (s, w)
-                )
         else:
             try:
                 coords = [_rational(c) for c in entry] if isinstance(entry, (tuple, list)) else ()
@@ -122,7 +111,6 @@ class CheckConfig:
             "deg_v": self.deg_v,
             "radius": self.radius,
             "primes": list(self.primes),
-            "sw_points": [list(p) for p in self.sw_points],
             "satake_points": [
                 [str(c) for c in pt] for pt in self.resolved_satake()
             ],
@@ -377,8 +365,10 @@ def _suite_coeffs(cfg: CheckConfig):
         yield check_id, {"radius": r, "comparisons": npts}, compare
 
 
-def _random_unit(rng: random.Random, p: int) -> Fraction:
-    return Fraction(rng.randrange(1, p) + p * rng.randrange(0, 30))
+def _random_unit(rng: random.Random, p: int, v: int = 0) -> Fraction:
+    """A random unit times p^v, made as one Fraction."""
+    unit = rng.randrange(1, p) + p * rng.randrange(0, 30)
+    return Fraction(unit * p**v) if v >= 0 else Fraction(unit, p**-v)
 
 
 _DET_CONFIGS, _DET_VAL_RANGE = 500, (-3, 3)
@@ -390,41 +380,40 @@ def _det_configs(seed: int, p: int):
     Yields (tv, vals, (x, y, z), t, g): the torus valuations, the
     valuations of x, y and z, the three values, t = torus_element(alpha,
     beta, gamma) and g = u_element(x, y, z) t.  t is diagonal, so g is u
-    with column j scaled by t[j][j]; the zero entries of u stay zero.
+    with column j scaled by t[j][j]: its 11 nonzero entries are written
+    from that diagonal d and x, y, z.
     """
     v_lo, v_hi = _DET_VAL_RANGE
     rng = random.Random(seed * 1000 + p)
+    zero = Fraction(0)
     for _ in range(_DET_CONFIGS):
         a, b, c = (rng.randrange(0, 4) for _ in range(3))
         vals = tuple(rng.randrange(v_lo, v_hi + 1) for _ in range(3))
-        x, y, z = (_random_unit(rng, p) * Fraction(p) ** v for v in vals)
-        alpha = _random_unit(rng, p) * Fraction(p) ** a
-        beta = _random_unit(rng, p) * Fraction(p) ** b
-        gamma = _random_unit(rng, p) * Fraction(p) ** c
-        t = padic.torus_element(alpha, beta, gamma)
-        g = tuple(
-            tuple(v * t[j][j] if v else v for j, v in enumerate(row))
-            for row in padic.u_element(x, y, z)
-        )
-        yield padic.TorusValuations(a, b, c), vals, (x, y, z), t, g
+        x, y, z = (_random_unit(rng, p, v) for v in vals)
+        t = padic.torus_element(*(_random_unit(rng, p, e) for e in (a, b, c)))
+        d = [t[j][j] for j in range(6)]
+        g = [[zero] * 6 for _ in range(6)]
+        for j in range(6):
+            g[j][j] = d[j]
+        g[0][5], g[1][2], g[1][3] = z * d[5], x * d[2], -y * d[3]
+        g[2][4], g[3][4] = -y * d[4], -x * d[4]
+        yield padic.TorusValuations(a, b, c), vals, (x, y, z), t, tuple(map(tuple, g))
 
 
 def _suite_padic(cfg: CheckConfig):
-    val_lo, val_hi, u_lo, u_hi = -2, 4, 3, 8
-    vals = range(val_lo, val_hi + 1)
-    us = range(u_lo, u_hi + 1)
-    kernel_params = {"primes": list(cfg.primes), "vals": [val_lo, val_hi], "u": [u_lo, u_hi]}
-
+    # each kernel check is an identity of Laurent polynomials in (1/p, p^-u)
+    val_lo, val_hi = -2, 4
+    kernel_params = {"vals": [val_lo, val_hi], "scope": "every p, every u"}
     kernels = [
         ("padic/max-kernel-integral", padic.integral_max, padic.integral_max_brute),
         ("padic/psi-kernel-integral", padic.integral_psi_max, padic.integral_psi_max_brute),
     ]
     for check_id, closed_fn, brute_fn in kernels:
         def kernel(closed_fn=closed_fn, brute_fn=brute_fn):
-            for p, v, u in itertools.product(cfg.primes, vals, us):
-                closed, brute = closed_fn(v, p, u), brute_fn(v, p, u)
+            for v in range(val_lo, val_hi + 1):
+                closed, brute = closed_fn(v), brute_fn(v)
                 if closed != brute:
-                    return (False, "p=%d v=%d u=%d: %s" % (p, v, u, closed), str(brute))
+                    return (False, "v=%d: %r" % (v, closed), repr(brute))
             return True
 
         yield check_id, kernel_params, kernel
@@ -508,27 +497,16 @@ def _suite_padic(cfg: CheckConfig):
     abc_max = 2
 
     def fpsi():
-        for p in cfg.primes:
-            for s, w in cfg.sw_points:
-                for a, b, c in itertools.product(range(abc_max + 1), repeat=3):
-                    tv = padic.TorusValuations(a, b, c)
-                    brute = padic.fpsi_brute(p, tv, s, w)
-                    closed = padic.evaluate_uv(
-                        padic.fpsi_closed(tv), Fraction(1, p ** (w - 2)), Fraction(1, p**s)
-                    )
-                    if brute != closed:
-                        return (
-                            False,
-                            "p=%d (s,w)=(%d,%d) abc=(%d,%d,%d): %s" % (p, s, w, a, b, c, brute),
-                            str(closed),
-                        )
+        # an identity of Laurent polynomials in (1/p, p^-s, p^-w)
+        for a, b, c in itertools.product(range(abc_max + 1), repeat=3):
+            tv = padic.TorusValuations(a, b, c)
+            brute, closed = padic.fpsi_brute(tv), padic.fpsi_closed_numerator(tv)
+            if brute != closed:
+                return (False, "abc=(%d,%d,%d): %r" % (a, b, c, brute), repr(closed))
         return True
 
-    yield (
-        "padic/fpsi-closed-vs-brute",
-        {"primes": list(cfg.primes), "sw": [list(x) for x in cfg.sw_points], "abc_max": abc_max},
-        fpsi,
-    )
+    params = {"abc_max": abc_max, "scope": "every p, every (s, w)"}
+    yield "padic/fpsi-closed-vs-brute", params, fpsi
 
     box = _small_box(cfg)
 

@@ -30,12 +30,14 @@ CRITERIA = {
          (CheckConfig("coeffs", radius=6), "n-interval-vs-brute"),
          (CheckConfig("coeffs", radius=10), "m-vs-n")]),
     "test_criterion_6_padic_shell_integrals": (
-        "criterion-6 p-adic shell integrals: p in {2,3,5}, 500 minor configs per prime",
+        "criterion-6 p-adic shell integrals: kernels for every p, every u;"
+        " 500 minor configs per prime in {2,3,5}",
         [(CheckConfig("padic"), "max-kernel-integral psi-kernel-integral"),
          (CheckConfig("padic", seed=1), "det-closed-vs-minors")]),
     "test_criterion_7_fpsi_closed_vs_brute": (
-        "criterion-7 twisted section integral closed form vs exact shell integral",
-        [(CheckConfig("padic", primes=(2, 3)), "fpsi-closed-vs-brute")]),
+        "criterion-7 twisted section integral closed form vs exact shell integral,"
+        " every p, every (s, w), abc in [0,2]^3",
+        [(CheckConfig("padic"), "fpsi-closed-vs-brute")]),
     "test_criterion_8_torus_reconstruction": (
         "criterion-8 torus-sum reconstruction of the series on box (6,6)",
         [(CheckConfig("padic"), "torus-reconstruction")]),

@@ -51,17 +51,6 @@ def test_config_error_exit_code(capsys):
     assert "primes" in err
 
 
-def test_sw_validation_only_for_padic(capsys):
-    code, _, err = run_main(capsys, ["padic", "--sw", "2,7", "--no-timing"])
-    assert code == 2
-    assert "convergence" in err
-    # the same point is accepted when the p-adic suite is not selected
-    code, _, _ = run_main(
-        capsys, ["coeffs", "--sw", "2,7", "--radius", "1", "--no-timing"]
-    )
-    assert code == 0
-
-
 def test_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as err:
         cli.main(["nonsense"])
@@ -88,7 +77,7 @@ def test_emit_report_empty_list():
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(
-        json.dumps({"radius": 1, "deg_u": 2, "deg_v": 2, "no_timing": True, "sw": [[3, 11]]})
+        json.dumps({"radius": 1, "deg_u": 2, "deg_v": 2, "no_timing": True, "primes": [3]})
     )
     code, out, _ = run_main(
         capsys, ["coeffs", "--config", str(path), "--format", "json"]
@@ -96,29 +85,23 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["config"]["radius"] == 1
-    assert doc["config"]["sw_points"] == [[3, 11]]
+    assert doc["config"]["primes"] == [3]
     # the flag wins over the config file
     code, out, _ = run_main(
         capsys,
-        ["coeffs", "--config", str(path), "--radius", "2", "--sw", "2,9", "--format", "json"],
+        ["coeffs", "--config", str(path), "--radius", "2", "--prime", "5", "--format", "json"],
     )
     doc = json.loads(out)
     assert doc["config"]["radius"] == 2
-    assert doc["config"]["sw_points"] == [[2, 9]]
+    assert doc["config"]["primes"] == [5]
     # a malformed file value is an error even where a flag overrides it
     path.write_text(json.dumps({"radius": 1.9}))
     code, out, err = run_main(capsys, ["coeffs", "--config", str(path), "--radius", "1"])
     assert (code, out) == (2, "")
     assert "config error: config file: radius must be an integer, got 1.9" in err
-    # a file's (s, w) point is checked for convergence only under padic and all
-    path.write_text(json.dumps({"sw": [[2, 7]], "radius": 1, "no_timing": True}))
-    assert run_main(capsys, ["coeffs", "--config", str(path)])[0] == 0
-    code, out, err = run_main(capsys, ["padic", "--config", str(path)])
-    assert (code, out) == (2, "")
-    assert "config error: config file: (s, w)=(2, 7) is outside the convergence region" in err
     # a file that sets every key reports byte for byte as the same values given as flags
     path.write_text(json.dumps({
-        "deg_u": 2, "deg_v": 1, "radius": 1, "primes": [3, 2], "sw": [[3, 11], [2, 9]],
+        "deg_u": 2, "deg_v": 1, "radius": 1, "primes": [3, 2],
         # a float coordinate reads through its decimal text: 0.1 is 1/10
         "satake": [[0.1, -2, "3/7"], [2, 1.5, 7]],
         "seed": 4, "format": "json", "no_timing": True,
@@ -128,7 +111,7 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     assert code == 0
     flags = [
         "--deg-u", "2", "--deg-v", "1", "--radius", "1", "--prime", "3", "--prime", "2",
-        "--sw", "3,11", "--sw", "2,9", "--satake=1/10,-2,3/7", "--satake=2,3/2,7",
+        "--satake=1/10,-2,3/7", "--satake=2,3/2,7",
         "--seed", "4", "--format", "json", "--no-timing",
     ]
     code, from_flags, _ = run_main(capsys, ["chain"] + flags)
@@ -170,11 +153,12 @@ def test_satake_flags(capsys):
         ({"primes": "23"}, "config file: primes must be a list or tuple, got '23'"),
         ({"no_timing": "false"}, "config file: no_timing must be true or false, got 'false'"),
         ({"radius": 1.9}, "config file: radius must be an integer, got 1.9"),
-        ({"sw": [[2]]}, "config file: sw point (2,) is not a pair of integers s,w"),
-        ({"sw": [[2, "9"]]}, "config file: sw point (2, '9') is not a pair of integers s,w"),
-        # well-typed, but a check over no primes, (s, w) or Satake points compares nothing
+        # the (s, w) points are gone: the key is refused whatever its value
+        ({"sw": [[2]]}, "unknown config key 'sw'"),
+        ({"sw": [[2, "9"]]}, "unknown config key 'sw'"),
+        # well-typed, but a check over no primes or Satake points compares nothing
         ({"primes": []}, "config file: primes must not be empty"),
-        ({"sw": []}, "config file: sw_points must not be empty"),
+        ({"sw": []}, "unknown config key 'sw'"),
         ({"satake": []}, "config file: satake_points must not be empty"),
     ],
     ids=[
@@ -214,6 +198,14 @@ def test_character_cache_is_gone(tmp_path, capsys, monkeypatch):
     code, _, _ = run_main(capsys, ["characters", "--no-timing"])
     assert code == 0
     assert not cache.exists()
+
+
+def test_sw_flag_is_gone(capsys):
+    # the p-adic identities hold for every (s, w), so no point is chosen
+    with pytest.raises(SystemExit) as err:
+        cli.main(["padic", "--sw", "2,9"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --sw" in capsys.readouterr().err
 
 
 def test_series_mismatch_names_first_differing_coefficient():
@@ -405,9 +397,8 @@ def test_wrong_block_fails_the_independent_routes(monkeypatch, run_checks):
          "satake point (1, 2) does not have three rational coordinates"),
         (CheckConfig("chain", satake_points=((1, "x", 2),)),
          "satake point (1, 'x', 2) does not have three rational coordinates"),
-        (CheckConfig("padic", sw_points=((2,),)), "sw point (2,) is not a pair of integers s,w"),
-        (CheckConfig("coeffs", sw_points=((2, 9.0),)),
-         "sw point (2, 9.0) is not a pair of integers s,w"),
+        (CheckConfig("padic", primes=((2, 3),)), "prime (2, 3) is not an integer"),
+        (CheckConfig("coeffs", primes=(2, 7)), "primes must lie in {2, 3, 5}, got 7"),
         (CheckConfig("padic", primes=(2.0,)), "prime 2.0 is not an integer"),
         (CheckConfig("coeffs", radius=1.5), "radius must be an integer, got 1.5"),
         (CheckConfig("chain", deg_u=2.0), "deg_u must be an integer, got 2.0"),
@@ -415,11 +406,12 @@ def test_wrong_block_fails_the_independent_routes(monkeypatch, run_checks):
         (CheckConfig("chain", no_timing="false"),
          "no_timing must be true or false, got 'false'"),
         (CheckConfig("chain", primes=5), "primes must be a list or tuple, got 5"),
-        (CheckConfig("chain", sw_points=5), "sw_points must be a list or tuple, got 5"),
+        (CheckConfig("chain", satake_points=5), "satake_points must be a list or tuple, got 5"),
     ],
-    ids=["satake-two-coordinates", "satake-not-rational", "sw-one-coordinate",
-         "sw-a-float-outside-padic", "prime-a-float", "radius-a-float", "deg-u-a-float",
-         "seed-a-bool", "no-timing-a-string", "primes-not-a-list", "sw-points-not-a-list"],
+    ids=["satake-two-coordinates", "satake-not-rational", "prime-a-pair",
+         "prime-outside-the-set-outside-padic", "prime-a-float", "radius-a-float",
+         "deg-u-a-float", "seed-a-bool", "no-timing-a-string", "primes-not-a-list",
+         "satake-points-not-a-list"],
 )
 def test_run_suite_names_a_malformed_entry(cfg, message):
     assert cfg.validate() == [message]

@@ -7,15 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from rslocal import suites
+from rslocal import padic, suites
 from rslocal.padic import (
+    FPSI_DENOMINATOR,
     TorusValuations,
     bottom_minor_norm,
     det_norms_closed,
-    evaluate_uv,
     fprime_section,
     fpsi_brute,
     fpsi_closed,
+    fpsi_closed_numerator,
     gamma5_matrix,
     integral_max,
     integral_max_brute,
@@ -237,11 +238,37 @@ def test_section_rejects_non_similitude():
 
 
 # ---------------------------------------------------------------------------
-# The two closed shell-integral kernels.
+# The two closed shell-integral kernels.  Each is an integer Laurent
+# polynomial in (P, Z) = (1/p, p^(-u)); integral_max over 1 - Z/P.
+
+
+def at_prime(poly, p, *exponents):
+    """poly at P = 1/p and p^(-e) for each of the exponents e; an unused variable is 1."""
+    point = [Fraction(1, p)] + [Fraction(1, p**e) for e in exponents]
+    return poly.evaluate(*point, *[Fraction(1)] * (3 - len(point)))
+
+
+MAX_DENOMINATOR = padic._poly([(0, 0, 0, 1), (-1, 1, 0, -1)])  # 1 - Z/P
+
+
+def max_value(poly, p, u):
+    return at_prime(poly, p, u) / at_prime(MAX_DENOMINATOR, p, u)
+
+
+def integral_max_reference(c_val, p, u):
+    """The textbook value |c|^(1-u) (1 - Z)/(1 - pZ), Z = p^(-u), in Fractions."""
+    z = Fraction(1, p**u)
+    return Fraction(p) ** (c_val * (u - 1)) * (1 - z) / (1 - p * z)
+
+
+def integral_psi_reference(a_val, p, u):
+    """The textbook value (1 - Z)(1 + pZ + ... + (pZ)^a_val), 0 for a_val < 0."""
+    z = Fraction(1, p**u)
+    return (1 - z) * sum((p * z) ** i for i in range(a_val + 1))
 
 
 def test_integral_max_unit_example():
-    assert integral_max(0, 2, 3) == Fraction(7, 6)
+    assert max_value(integral_max(0), 2, 3) == Fraction(7, 6)
 
 
 def test_integral_max_formal_shape_independent_of_c():
@@ -250,26 +277,31 @@ def test_integral_max_formal_shape_independent_of_c():
         for u in range(3, 7):
             z = Fraction(1, 2**u)
             prefactor = Fraction(2) ** (c_val * (u - 1))
-            assert integral_max(c_val, 2, u) == prefactor * (1 - z) / (1 - 2 * z)
+            assert max_value(integral_max(c_val), 2, u) == prefactor * (1 - z) / (1 - 2 * z)
 
 
 def test_integral_max_prefactor_valuation():
     # |c|^(1-u) contributes p^(c_val (u - 1))
-    got = integral_max(1, 3, 4)
-    assert got == Fraction(3) ** 3 * integral_max(0, 3, 4)
+    got = max_value(integral_max(1), 3, 4)
+    assert got == Fraction(3) ** 3 * max_value(integral_max(0), 3, 4)
 
 
 def test_integral_psi_cases():
-    assert integral_psi_max(-1, 2, 3) == 0
-    assert integral_psi_max(0, 2, 3) == Fraction(7, 8)
+    assert not integral_psi_max(-1)
+    assert at_prime(integral_psi_max(0), 2, 3) == Fraction(7, 8)
 
 
 def test_kernel_sweeps_match_brute():
+    # both kernel polynomials, at the primes and u of the former sampled check
     for p in (2, 3, 5):
         for val in range(-2, 5):
             for u in range(3, 9):
-                assert integral_max(val, p, u) == integral_max_brute(val, p, u)
-                assert integral_psi_max(val, p, u) == integral_psi_max_brute(val, p, u)
+                want = integral_max_reference(val, p, u)
+                assert max_value(integral_max(val), p, u) == want
+                assert max_value(integral_max_brute(val), p, u) == want
+                want = integral_psi_reference(val, p, u)
+                assert at_prime(integral_psi_max(val), p, u) == want
+                assert at_prime(integral_psi_max_brute(val), p, u) == want
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +321,116 @@ def test_fpsi_closed_branch_boundaries():
     assert not fpsi_closed(TorusValuations(2, 0, 0))
 
 
+def fpsi_value(tv, p, s, w):
+    """fpsi_brute's value at the prime p and the point (s, w): N / D there."""
+    if not (s >= 2 and w - 2 * s >= 4):
+        raise ValueError("(s, w) outside the absolute-convergence region")
+    return at_prime(fpsi_brute(tv), p, s, w) / at_prime(FPSI_DENOMINATOR, p, s, w)
+
+
+def evaluate_uv(poly, u_val, v_val):
+    """The value of sum coeff U^i V^j over poly at U = u_val, V = v_val."""
+    return sum((c * u_val**i * v_val**j for (i, j), c in poly.items()), Fraction(0))
+
+
+def ppow(p, e):
+    return Fraction(p) ** e
+
+
+def spsi(p, k):
+    """Shell integral of the standard character over v(x) = k."""
+    if k <= -2:
+        return Fraction(0)
+    if k == -1:
+        return Fraction(-1)
+    return ppow(p, -k) * (1 - Fraction(1, p))
+
+
+def fpsi_reference(p, tv, s, w):
+    """The section integral at one prime and one (s, w), summed shell by shell in Fractions.
+
+    The reference for fpsi_brute: the same shell decomposition at given p,
+    s and w, with cut-offs 2 or more above _fpsi_cutoffs' and region C's
+    (p - 2)/p branching on p.
+    """
+    a, b, c = tv
+    if not (s >= 2 and w - 2 * s >= 4):
+        raise ValueError("(s, w) outside the absolute-convergence region")
+    e0 = w - 2 * s
+    acm = a - c
+    mn = min(0, acm)
+    zeta_pref = 1 / ((1 - ppow(p, -(w - 2 * s))) * (1 - ppow(p, -(w - 1))))
+    const_exp = (a + 2 * b + c) - (2 * b + c) * (s + w) + e0 * (-a + b + c)
+    consts0 = min(b + c, a + b, 2 * a + b - c)
+    vstar_max = consts0 - mn + 1
+    unit = 1 - Fraction(1, p)
+
+    def y_integral(v0, sconst):
+        total = Fraction(0)
+        jl = min(v0 - 1, sconst - mn)
+        for j in range(jl, v0):
+            total += ppow(p, -j) * unit * ppow(p, e0 * min(sconst, j, acm + j))
+        total += unit * ppow(p, e0 * mn) * ppow(p, (jl - 1) * (e0 - 1)) / (
+            1 - ppow(p, -(e0 - 1))
+        )
+        eb_inf = min(sconst, acm + v0)
+        jh = max(v0 + 1, eb_inf)
+        for j in range(v0 + 1, jh + 1):
+            total += ppow(p, -j) * unit * ppow(p, e0 * min(sconst, j, acm + v0))
+        total += ppow(p, -(jh + 1)) * ppow(p, e0 * eb_inf)
+        ec0 = min(sconst, v0, acm + v0)
+        if p > 2:
+            total += ppow(p, -v0) * Fraction(p - 2, p) * ppow(p, e0 * ec0)
+        ec_inf = min(sconst, v0)
+        ih = max(0, ec_inf - acm - v0)
+        for i in range(1, ih + 1):
+            total += ppow(p, -v0 - i) * unit * ppow(p, e0 * min(sconst, v0, acm + v0 + i))
+        total += ppow(p, -v0) * ppow(p, -(ih + 1)) * ppow(p, e0 * ec_inf)
+        return total
+
+    def cell_value(vx, vz):
+        big = 10 * (consts0 + abs(acm) + a + b + c + 8) + 40
+        evx = big if vx is None else vx
+        evz = big if vz is None else vz
+        m3 = 2 * b + min(a, c, 2 * c - a, c - a + evz)
+        sc = min(consts0, a + evx, 2 * a - c + evx, b + evz)
+        return ppow(p, 2 * s * m3) * y_integral(min(evx + evz, vstar_max + 2), sc)
+
+    t_x = max(consts0 - min(a, 2 * a - c) + 2, vstar_max + 2, 1)
+    t_z = max(consts0 - b + 2, max(a, c, 2 * c - a) - (c - a) + 2, vstar_max + 2, 1)
+    total = Fraction(0)
+    for vx in range(-1, t_x):
+        for vz in range(-1, t_z):
+            total += spsi(p, vx) * spsi(p, vz) * cell_value(vx, vz)
+    for vz in range(-1, t_z):
+        total += ppow(p, -t_x) * spsi(p, vz) * cell_value(None, vz)
+    for vx in range(-1, t_x):
+        total += spsi(p, vx) * ppow(p, -t_z) * cell_value(vx, None)
+    total += ppow(p, -t_x) * ppow(p, -t_z) * cell_value(None, None)
+    return zeta_pref * ppow(p, const_exp) * total
+
+
 def test_fpsi_brute_examples():
-    got = fpsi_brute(2, TorusValuations(0, 0, 0), 2, 9)
+    got = fpsi_value(TorusValuations(0, 0, 0), 2, 2, 9)
     want = evaluate_uv(fpsi_closed(TorusValuations(0, 0, 0)), Fraction(1, 2**7), Fraction(1, 4))
     assert got == want == 1
-    got3 = fpsi_brute(3, TorusValuations(1, 1, 1), 2, 9)
+    got3 = fpsi_value(TorusValuations(1, 1, 1), 3, 2, 9)
     want3 = evaluate_uv(fpsi_closed(TorusValuations(1, 1, 1)), Fraction(1, 3**7), Fraction(1, 9))
     assert got3 == want3
 
 
 def test_fpsi_brute_outside_branches_vanishes():
-    assert fpsi_brute(2, TorusValuations(2, 0, 0), 2, 9) == 0
+    assert not fpsi_brute(TorusValuations(2, 0, 0))
 
 
 def test_fpsi_brute_rejects_divergent_parameters():
+    # both routes refuse a point outside s >= 2, w - 2s >= 4; at w - 2s = 1
+    # N/D has no value at all, since D vanishes there
     with pytest.raises(ValueError):
-        fpsi_brute(2, TorusValuations(0, 0, 0), 2, 7)
+        fpsi_value(TorusValuations(0, 0, 0), 2, 2, 7)
+    with pytest.raises(ValueError):
+        fpsi_reference(2, TorusValuations(0, 0, 0), 2, 7)
+    assert at_prime(FPSI_DENOMINATOR, 2, 2, 5) == 0
 
 
 def test_fpsi_sweep_small():
@@ -312,7 +438,35 @@ def test_fpsi_sweep_small():
         u_val, v_val = Fraction(1, p**7), Fraction(1, p**2)
         for a, b, c in itertools.product(range(2), repeat=3):
             tv = TorusValuations(a, b, c)
-            assert fpsi_brute(p, tv, 2, 9) == evaluate_uv(fpsi_closed(tv), u_val, v_val)
+            assert fpsi_value(tv, p, 2, 9) == evaluate_uv(fpsi_closed(tv), u_val, v_val)
+
+
+def test_fpsi_brute_matches_the_numeric_reference():
+    # the primes and (s, w) the sampled check used, on its grid [0,2]^3
+    for a, b, c in itertools.product(range(3), repeat=3):
+        tv = TorusValuations(a, b, c)
+        for p in (2, 3, 5):
+            for s, w in ((2, 9), (3, 11)):
+                assert fpsi_value(tv, p, s, w) == fpsi_reference(p, tv, s, w), (tv, p, s, w)
+
+
+def test_each_fpsi_cutoff_is_tight(monkeypatch):
+    # at the derived cut-offs the identity holds on [0,3]^3; one less fails on some triple
+    grid = [TorusValuations(*abc) for abc in itertools.product(range(4), repeat=3)]
+
+    def broken():
+        return [tv for tv in grid if fpsi_brute(tv) != fpsi_closed_numerator(tv)]
+
+    assert broken() == []
+    derived = padic._fpsi_cutoffs
+    for which in range(3):
+        def lowered(tv, which=which):
+            cut = list(derived(tv))
+            cut[which] -= 1
+            return tuple(cut)
+
+        monkeypatch.setattr(padic, "_fpsi_cutoffs", lowered)
+        assert broken(), which
 
 
 # ---------------------------------------------------------------------------
