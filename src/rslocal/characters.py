@@ -10,7 +10,10 @@ Irreducible Spin5 characters come from the alternating-sum formula over the
 order-8 Weyl group (sign flips and the coordinate swap), with the quotient
 taken by exact division.  Decompositions peel highest weights under the
 lexicographic order on (t, d1, d2), which refines the dominance order of
-both factors, so peeling is deterministic and terminates.
+both factors, so peeling is deterministic and terminates.  A Weyl-invariant
+polynomial is fixed by its dominant part (t >= 0, d1 >= d2 >= 0), since
+every weight has exactly one dominant Weyl image (Humphreys, sections 22
+and 24), so the peel reads and subtracts dominant monomials only.
 
 Sparse integer combinations, Laurent polynomials and virtual characters
 alike, are summed in place by one helper, ``_add_into``, which drops each
@@ -55,6 +58,7 @@ _OFF = 1 << (_SHIFT - 1)
 _MASK = (1 << _SHIFT) - 1
 _MAX_EXP = _OFF - 1
 _P0 = ((_OFF) << (2 * _SHIFT)) | (_OFF << _SHIFT) | _OFF
+_T0 = _OFF << (2 * _SHIFT)  # the least key with t >= 0
 
 
 def _pack(t: int, d1: int, d2: int) -> int:
@@ -157,12 +161,8 @@ class LaurentPoly:
 
     def adams(self, n: int) -> "LaurentPoly":
         """Exponent scaling by n: the n-th power-sum symmetric function."""
-        out: dict[int, int] = {}
-        for k, v in self._c.items():
-            t, d1, d2 = _unpack(k)
-            kk = _pack(n * t, n * d1, n * d2)
-            out[kk] = out.get(kk, 0) + v
-        return LaurentPoly(out)
+        terms = ((_pack(n * t, n * d1, n * d2), v) for (t, d1, d2), v in self.items())
+        return LaurentPoly(_add_into({}, terms))
 
     def evaluate(self, t: Fraction, y1: Fraction, y2: Fraction) -> Fraction:
         """Exact value at a rational torus point, summed in integers.
@@ -273,6 +273,7 @@ _B2_WEYL = [
 _A1_CACHE: dict[int, LaurentPoly] = {}
 _B2_CACHE: dict[tuple[int, int], LaurentPoly] = {}
 _PROD_CACHE: dict[tuple[int, int, int], LaurentPoly] = {}
+_DOMINANT_CACHE: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
 _TENSOR_CACHE: dict[tuple, "VirtualCharacter"] = {}
 
 
@@ -318,6 +319,36 @@ def product_char(m: int, a: int, b: int) -> LaurentPoly:
         poly = char_A1(m) * char_B2(a, b)
         _PROD_CACHE[(m, a, b)] = poly
     return poly
+
+
+def _dominant_items(c: dict[int, int]) -> list[tuple[int, int]]:
+    """The (key, coefficient) pairs of c whose weight lies in the dominant chamber.
+
+    t >= 0 and d1 >= d2 >= 0, read on the packed fields: t >= 0 exactly
+    when the key is at least _T0, and the fields of d1 and d2 are both
+    offset by _OFF.
+    """
+    return [
+        (k, v)
+        for k, v in c.items()
+        if k >= _T0 and ((k >> _SHIFT) & _MASK) >= (k & _MASK) >= _OFF
+    ]
+
+
+def _dominant_char(m: int, a: int, b: int) -> list[tuple[int, int]]:
+    """The dominant monomials of product_char(m, a, b), as (key, coefficient).
+
+    They are t = m, m - 2, ..., >= 0 times the dominant monomials of
+    char_B2(a, b), so the full product is never built.
+    """
+    table = _DOMINANT_CACHE.get((m, a, b))
+    if table is None:
+        spin5 = _dominant_items(char_B2(a, b)._c)
+        table = [
+            (k + (t << (2 * _SHIFT)), v) for t in range(m, -1, -2) for k, v in spin5
+        ]
+        _DOMINANT_CACHE[(m, a, b)] = table
+    return table
 
 
 def dim_irrep(m: int, a: int, b: int) -> int:
@@ -408,22 +439,36 @@ def decompose(p: LaurentPoly) -> VirtualCharacter:
     polynomial is a dominant weight in the character lattice; subtracting
     that irreducible only introduces lex-smaller monomials, so the loop
     terminates with the unique virtual-character expansion.
+
+    Only the dominant part (t >= 0, d1 >= d2 >= 0) is peeled.  Every
+    weight has exactly one dominant Weyl image, so an invariant polynomial
+    is zero exactly when its dominant part is; the lex-maximal monomial is
+    dominant, and subtracting an irreducible's dominant monomials keeps the
+    remainder the dominant part of an invariant polynomial.  The guard
+    comes first: a polynomial that is not invariant may share its dominant
+    part with a genuine character.
+
+    Step bound: each peeled weight is dominant and lex-smaller than the
+    last, and an irreducible's weights lie inside its highest weight's box
+    (|t| <= m and |d1|, |d2| <= d1 of the highest weight), so every weight
+    the peel visits has 0 <= t <= t_max and 0 <= d2 <= d1 <= d1_max, with
+    t_max and d1_max the largest t and d1 of the input's dominant part.
+    There are (t_max + 1)(d1_max + 1)(d1_max + 2)/2 such weights; more
+    steps than that would mean the peel is broken.
     """
     if not p.is_weyl_invariant():
         raise ValueError("polynomial is not Weyl invariant")
-    rem = dict(p._c)
+    rem = dict(_dominant_items(p._c))
     if not rem:
         return VirtualCharacter()
-    box = _support_box(rem)
-    bound = 1
-    for lo, hi in box:
-        bound *= hi - lo + 1
+    (_, t_max), (_, d1_max), _ = _support_box(rem)
+    bound = (t_max + 1) * (d1_max + 1) * (d1_max + 2) // 2
     out: dict[tuple[int, int, int], int] = {}
     steps = 0
     while rem:
         k = max(rem)
         t, d1, d2 = _unpack(k)
-        if t < 0 or d2 < 0 or d1 < d2 or (d1 - d2) % 2:
+        if (d1 - d2) % 2:
             raise ValueError(
                 "leading monomial (%d, %d, %d) is not a dominant character-lattice "
                 "weight" % (t, d1, d2)
@@ -431,7 +476,7 @@ def decompose(p: LaurentPoly) -> VirtualCharacter:
         a, b = (d1 - d2) // 2, d2
         mult = rem[k]
         out[(t, a, b)] = mult
-        _add_into(rem, product_char(t, a, b)._c.items(), -mult)
+        _add_into(rem, _dominant_char(t, a, b), -mult)
         steps += 1
         if steps > bound:
             raise ArithmeticError("peeling failed to terminate")

@@ -7,7 +7,7 @@ the same weight and monomial (n_interval / n_brute).  The first of each
 pair is a closed form, the second an independent enumeration oracle.
 Each oracle enumerates only its free indices and solves the rest from
 the target: m_brute loops over e and solves f and d; n_brute solves k,
-m, n and i and loops over eps, alpha and beta.  The target bounds every
+m, n, i and alpha and loops over eps and beta.  The target bounds every
 range, so neither oracle takes a loop limit.
 
 Every triple (a, b, c) in the branch a <= c <= 2a or c < a <= b + c
@@ -186,13 +186,14 @@ def _pinned(twice: int) -> int | None:
 def n_brute(x: int, y: int, a: int, b: int, c: int) -> int:
     """Count the seven-tuples (k, m, n, eps, alpha, beta, i) directly.
 
-    The target monomial pins four components, each solved exactly from
-    its equation: k = U-degree, 2m + odd = 2a - c, 2m + 2n + odd =
-    V-degree and 2beta + 2i + odd = c (odd = c & 1).  A solution that is
-    not a nonnegative integer admits no tuple.  The free components are
-    enumerated: eps in {0, 1}, alpha in [m, m + n] and beta in
-    [eps_low, m]; a tuple counts when it satisfies the Pieri-rule
-    inequalities on i and emits the weight index b.
+    The target monomial and weight pin five components, each solved
+    exactly from its equation: k = U-degree, 2m + odd = 2a - c,
+    2m + 2n + odd = V-degree, 2beta + 2i + odd = c (odd = c & 1) and
+    2alpha + k - n - 2m - eps - 2i = b.  A solution that is not a
+    nonnegative integer admits no tuple.  The free components are
+    enumerated: eps in {0, 1} and beta in [eps_low, m]; a tuple counts
+    when alpha lies in [m, m + n] and the Pieri-rule inequalities on i
+    hold.
     """
     _check_args(x, y, a, b, c)
     odd = c & 1
@@ -205,16 +206,16 @@ def n_brute(x: int, y: int, a: int, b: int, c: int) -> int:
     count = 0
     for eps in (0, 1):
         eps_low = eps if odd == 0 else 0
-        for alpha in range(m, m + n + 1):
-            for beta in range(eps_low, m + 1):
-                i = _pinned(c - 2 * beta - odd)
-                if i is None:
-                    continue
-                if i > alpha - beta:
-                    continue
-                if i > k - 2 * m - n + alpha + beta - eps:
-                    continue
-                if 2 * alpha + k - n - 2 * m - eps - 2 * i != b:
-                    continue
-                count += 1
+        for beta in range(eps_low, m + 1):
+            i = _pinned(c - 2 * beta - odd)
+            if i is None:
+                continue
+            alpha = _pinned(b - k + n + 2 * m + eps + 2 * i)
+            if alpha is None or not m <= alpha <= m + n:
+                continue
+            if i > alpha - beta:
+                continue
+            if i > k - 2 * m - n + alpha + beta - eps:
+                continue
+            count += 1
     return count

@@ -175,6 +175,41 @@ def test_decompose_rejects_non_invariant():
             decompose(poly)
 
 
+def test_decompose_guard_comes_before_the_dominant_peel():
+    # the extra monomial is not dominant, so the dominant part is still
+    # exactly that of char_B2(1, 0); only the invariance guard can see it
+    poly = char_B2(1, 0) + LaurentPoly.monomial(0, -2, 0)
+    dominant = [(w, c) for w, c in poly.items() if w[0] >= 0 and w[1] >= w[2] >= 0]
+    assert sorted(dominant) == [((0, 0, 0), 1), ((0, 2, 0), 1)]
+    with pytest.raises(ValueError, match="not Weyl invariant"):
+        decompose(poly)
+
+
+def test_decompose_rejects_a_weight_off_the_character_lattice():
+    # the Weyl orbit of (d1, d2) = (2, 1) is invariant, but d1 - d2 is odd
+    orbit = {(0, s1 * x, s2 * y) for x, y in ((2, 1), (1, 2)) for s1 in (1, -1) for s2 in (1, -1)}
+    poly = LaurentPoly.zero()
+    for w in orbit:
+        poly = poly + LaurentPoly.monomial(*w)
+    assert len(poly) == 8 and poly.is_weyl_invariant()
+    with pytest.raises(ValueError, match=r"\(0, 2, 1\) is not a dominant character-lattice"):
+        decompose(poly)
+
+
+def test_dominant_table_is_the_dominant_part_of_the_product_character():
+    for m in range(5):
+        for a in range(5):
+            for b in range(5 - a):
+                want = {
+                    w: c
+                    for w, c in product_char(m, a, b).items()
+                    if w[0] >= 0 and w[1] >= w[2] >= 0
+                }
+                table = characters._dominant_char(m, a, b)
+                got = {characters._unpack(k): c for k, c in table}
+                assert len(table) == len(got) and got == want, (m, a, b)
+
+
 def test_weyl_invariance_at_the_packed_range_edges():
     e = 2047
     orbit = [
@@ -397,6 +432,15 @@ def test_cancelling_laurent_sums_hold_no_zero_coefficient():
     short_roots = ((-2, 0), (0, -2), (0, 2), (2, 0))
     assert sorted(total.items()) == [((0, d1, d2), 1) for d1, d2 in short_roots]
     assert len(vector + _negated(vector)) == 0
+
+
+def test_adams_zero_holds_no_zero_coefficient():
+    # every monomial of t - 1/t scales to t^0, where the two coefficients cancel
+    difference = LaurentPoly.monomial(1, 0, 0) + LaurentPoly.monomial(-1, 0, 0, coeff=-1)
+    collapsed = difference.adams(0)
+    assert len(collapsed) == 0 and not collapsed
+    assert collapsed == LaurentPoly.zero()
+    assert char_A1(2).adams(0) == LaurentPoly.monomial(0, 0, 0, coeff=3)
 
 
 def test_cancelling_character_sums_hold_no_zero_multiplicity():
