@@ -249,36 +249,38 @@ def bottom_minor_norm(g, p: int) -> tuple[Fraction, Fraction]:
     return _ppow(p, -v3), _ppow(p, -v2)
 
 
-def det_norms_closed(tv: TorusValuations, x, y, z, p: int) -> tuple[Fraction, Fraction]:
-    """Closed forms for (|det3 ut|, |det2 ut|) at torus valuations (a, b, c).
+def _sc_const(tv: TorusValuations) -> int:
+    """b + min(c, 2a - c): the term of _minor_terms' sc that no shell moves."""
+    return tv.b + min(tv.c, 2 * tv.a - tv.c)
 
-    Takes explicit rational values for (x, y, z) because in the regime
-    |gamma| >= |alpha| one entry of the det2 maximum is the absolute value
-    of the sum y0 + (gamma/alpha) x0 z0 = (y + xz)/(beta gamma), which the
-    component valuations do not determine.  The torus unit parts cancel
-    throughout, so valuations suffice for (alpha, beta, gamma).
+
+def _minor_terms(tv: TorusValuations, vx: int, vz: int) -> tuple[int, int]:
+    """(v3, sc) on the shells v(x) = vx, v(z) = vz: the one statement of the minor valuations.
+
+    At torus valuations (a, b, c) the bottom minors of u(x, y, z) t have
+    v3 = 2b + min(a, 2c - a, c - a + vz) and v2 = b + c - a + min(sc, a - c + v(y),
+    v(y + xz)), the last candidate dropped where y + xz = 0.  The minors give one
+    minimum on |gamma| <= |alpha| and another on |gamma| >= |alpha|; the candidate
+    each lacks never attains it, as v(xz) >= min(v(y + xz), v(y)) and
+    v(y) >= min(v(y + xz), v(xz)).  A c in v3's minimum or an a in _sc_const's
+    would not count either: min(a, 2c - a) <= c and min(c, 2a - c) <= a.
     """
     a, b, c = tv
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
-    vx, vy, vz = valuation(x, p), valuation(y, p), valuation(z, p)
-    if c >= a:  # |gamma| <= |alpha|
-        vz0 = vz + c - 2 * a
-        vx0 = vx - b
-        vy0 = vy - a - b
-        det3 = _ppow(p, -(a + 2 * b)) * _ppow(p, max(0, -vz0))
-        m = max(0, -vx0, -vy0, -vz0, -(vx0 + vz0))
-        det2 = _ppow(p, -(a + 2 * b)) * _ppow(p, m)
-    else:  # |gamma| >= |alpha|
-        vz0 = vz - c
-        vx0 = vx + a - b - c
-        det3 = _ppow(p, -(-a + 2 * b + 2 * c)) * _ppow(p, max(0, -vz0))
-        s = y + x * z
-        vs = None if s == 0 else valuation(s, p) - b - c
-        candidates = [0, -vx0, -vz0, -(vx0 + vz0)]
-        if vs is not None:
-            candidates.append(-vs)
-        det2 = _ppow(p, -(-a + 2 * b + 2 * c)) * _ppow(p, max(candidates))
-    return det3, det2
+    v3 = 2 * b + min(a, 2 * c - a, c - a + vz)
+    return v3, min(_sc_const(tv), a + vx, 2 * a - c + vx, b + vz)
+
+
+def det_norms_closed(tv: TorusValuations, x, y, z, p: int) -> tuple[Fraction, Fraction]:
+    """(|det3 ut|, |det2 ut|) at torus valuations (a, b, c), read from _minor_terms.
+
+    Takes values of x, y and z, not valuations: y and xz may cancel, and
+    det2 has the candidate v(y + xz).  The torus unit parts cancel.
+    """
+    a, b, c = tv
+    v3, sc = _minor_terms(tv, valuation(x, p), valuation(z, p))
+    s = Fraction(y) + Fraction(x) * Fraction(z)
+    m2 = min(sc, a - c + valuation(y, p), valuation(s, p) if s else sc)
+    return _ppow(p, -v3), _ppow(p, -(b + c - a + m2))
 
 
 def fprime_section(g, p: int) -> tuple[int, int, int]:
@@ -364,9 +366,10 @@ def fpsi_closed(tv: TorusValuations) -> dict[tuple[int, int], int]:
     With U, V the usual monomial substitutions, the value on the branch
     a <= c <= 2a is U^(c-a) V^(2b+c) (1 + ... + U^(2a-c)) times
     (1 + U/V^2 + ... + (U/V^2)^b); on c < a <= b+c it is
-    U^(a-c) V^(2b+c) (1 + ... + U^c)(1 + ... + (U/V^2)^(b+c-a)); and the
-    integral vanishes for every other valuation triple.  Returned as the
-    map (i, j) -> coefficient of U^i V^j, empty where the integral vanishes.
+    U^(a-c) V^(2b+c) (1 + ... + U^c)(1 + ... + (U/V^2)^(b+c-a)); it vanishes
+    elsewhere.  Returned as the map (i, j) -> coefficient of U^i V^j.  The
+    branches are stated here, not read from coeffs.block, so that a wrong
+    block fails padic/torus-reconstruction.
     """
     a, b, c = tv
     if a <= c <= 2 * a:
@@ -394,17 +397,16 @@ FPSI_DENOMINATOR = (
 def _fpsi_cutoffs(tv: TorusValuations) -> tuple[int, int, int]:
     """(t_x, t_z, v_cap): where fpsi_brute's shell sums may stop.
 
-    Let mn = min(0, a - c) and consts0 = b + min(a, c, 2a - c).  On the
-    shells v(x) = vx, v(z) = vz the integrand is S^(-2 m3) Y(vx + vz, sc),
-    with m3 = 2b + min(a, c, 2c - a, c - a + vz), sc = min(consts0,
-    a + mn + vx, b + vz) <= consts0, and Y(v0, sc) the y integral.
+    Let mn = min(0, a - c) and consts0 = _sc_const(tv).  On the shells v(x) = vx,
+    v(z) = vz the integrand is S^(-2 v3) Y(vx + vz, sc), (v3, sc) = _minor_terms(tv,
+    vx, vz), Y(v0, sc) the y integral; sc <= consts0 and its x-term is a + mn + vx.
     - Y(v0, sc) is constant once v0 >= sc - mn: where v(y') < v0 the
       integrand is that of w0 = 0, and where v(y') >= v0 every argument
       of its minimum is at least sc.  So v0 is clamped at v_cap = consts0 - mn.
     - Nothing changes with vx from t_x on: the x-term of sc is at least
       consts0, and v0 >= sc - mn holds for every vz >= -1, as sc <= b + vz
       (vx >= b - mn) or as sc <= consts0 (vx >= consts0 - mn + 1).
-    - Nothing changes with vz from t_z on: m3 and the z-term of sc are
+    - Nothing changes with vz from t_z on: v3 and the z-term of sc are
       constant from vz = consts0 - b, and v0 >= sc - mn holds for every
       vx >= -1, as sc <= a + mn + vx (vz >= a) or as sc <= consts0
       (vz >= consts0 - mn + 1).
@@ -413,7 +415,7 @@ def _fpsi_cutoffs(tv: TorusValuations) -> tuple[int, int, int]:
     """
     a, b, c = tv
     mn = min(0, a - c)
-    consts0 = b + min(a, c, 2 * a - c)
+    consts0 = _sc_const(tv)
     t_x = max(0, consts0 - a - mn, min(b, consts0 + 1) - mn)
     t_z = max(0, consts0 - b, min(a, consts0 - mn + 1))
     return t_x, t_z, consts0 - mn
@@ -423,21 +425,19 @@ def fpsi_brute(tv: TorusValuations) -> LaurentPoly:
     """FPSI_DENOMINATOR times the section integral, by exact shell decomposition.
 
     Integrates psi(z) psi(x) f'(u(x,y,z) t, s, w) over F^3 directly from
-    the minor-maximum description of the section, then multiplies by
-    zeta(w-2s) zeta(w-1) delta_B^(-1/2)(t).  The (x, z) shells truncate by
-    character orthogonality at _fpsi_cutoffs; the y integral is split along
+    the minor valuations of _minor_terms, then multiplies by zeta(w-2s)
+    zeta(w-1) delta_B^(-1/2)(t).  The (x, z) shells truncate by character
+    orthogonality at _fpsi_cutoffs; the y integral is split along
     v(y + xz), whose interaction with v(y) is resolved exactly on each
-    subshell, and its tail is an exact geometric sum over
-    1 - W/(S^2 P).  Only valuations enter, so the result is independent of
-    every unit part.  The returned N is a polynomial in (P, S, W) =
-    (1/p, p^(-s), p^(-w)); D = FPSI_DENOMINATOR also clears the zeta
-    factors.  For s >= 2 and w - 2s >= 4 the integral converges absolutely
-    and is N/D there.
+    subshell, and its tail is an exact geometric sum over 1 - W/(S^2 P).
+    Only valuations enter, so the result is independent of every unit
+    part.  The returned N is a polynomial in (P, S, W) = (1/p, p^(-s),
+    p^(-w)); D = FPSI_DENOMINATOR also clears the zeta factors.  For s >= 2
+    and w - 2s >= 4 the integral converges absolutely and is N/D there.
     """
     a, b, c = tv
     acm = a - c
     mn = min(0, acm)
-    consts0 = b + min(a, c, 2 * a - c)
     t_x, t_z, v_cap = _fpsi_cutoffs(tv)
 
     def shells(terms) -> LaurentPoly:
@@ -445,8 +445,8 @@ def fpsi_brute(tv: TorusValuations) -> LaurentPoly:
         return _poly((j, 2 * e, -e, v) for j, e, v in terms)
 
     def y_integral(v0: int, sconst: int) -> LaurentPoly:
-        """1 - W/(S^2 P) times the integral over F of
-        p^(e0 min(sconst, v(y'), acm + v(y' - w0))) dy', v(w0) = v0."""
+        """1 - W/(S^2 P) times the integral over F of p^(e0 m) dy', v(w0) = v0, with
+        m = min(sconst, v(y'), acm + v(y' - w0)): v2 - (b + c - a) at y' = y + xz, w0 = xz."""
         units, rest = [], []  # shells of measure P^j (1 - P) and P^j
         # region A: v(y') = j < v0, hence v(y' - w0) = j; below jl the
         # minimum is j + mn and the shells sum geometrically
@@ -471,14 +471,13 @@ def fpsi_brute(tv: TorusValuations) -> LaurentPoly:
         shell = [_poly([(k, 0, 0, 1), (k + 1, 0, 0, -1)]) for k in range(t)]
         return [_poly([(0, 0, 0, -1)])] + shell + [_poly([(t, 0, 0, 1)])]
 
-    # group the cells by their y integral, summing psi weights times S^(-2 m3)
+    # group the cells by their y integral, summing psi weights times S^(-2 v3)
     coef: dict[tuple[int, int], LaurentPoly] = {}
     wx = weights(t_x)
     for vz, wz in zip(range(-1, t_z + 1), weights(t_z)):
-        m3 = 2 * b + min(a, c, 2 * c - a, c - a + vz)
-        wz = wz * LaurentPoly.monomial(0, -2 * m3, 0)
+        wz = wz * LaurentPoly.monomial(0, -2 * _minor_terms(tv, 0, vz)[0], 0)  # v3 reads vz only
         for vx, wxs in zip(range(-1, t_x + 1), wx):
-            key = (min(vx + vz, v_cap), min(consts0, a + vx, 2 * a - c + vx, b + vz))
+            key = (min(vx + vz, v_cap), _minor_terms(tv, vx, vz)[1])
             coef[key] = coef.get(key, LaurentPoly.zero()) + wxs * wz
     total = LaurentPoly.zero()
     for key, weight in coef.items():

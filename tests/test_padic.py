@@ -125,6 +125,44 @@ def test_det_norms_closed_cancelling_sum(p):
     assert cancelled >= 50
 
 
+def test_det_norms_closed_on_every_valuation_pattern():
+    # every (a, b, c) in [0,2]^3, so a <= c and c < a, and every v(x), v(y), v(z)
+    # in [-1, 1]; y a unit times p^v(y), y = -xz exactly (no v(y + xz)
+    # candidate) and y = -xz + p^(v(x)+v(z)+1).  At p = 3 the units of alpha,
+    # gamma, x and the plain y are 2, so unit choices matter
+    box = range(-1, 2)
+    for p in (2, 3):
+        unit = Fraction(p - 1)
+        for a, b, c in itertools.product(range(3), repeat=3):
+            tv = TorusValuations(a, b, c)
+            t = torus_element(unit * p**a, p**b, unit * p**c)
+            for vx, vz in itertools.product(box, repeat=2):
+                x, z = unit * Fraction(p) ** vx, Fraction(p) ** vz
+                ys = [unit * Fraction(p) ** vy for vy in box]
+                ys += [-x * z, -x * z + Fraction(p) ** (vx + vz + 1)]
+                for y in ys:
+                    g = column_scaled(u_element(x, y, z), t)
+                    assert bottom_minor_norm(g, p) == det_norms_closed(tv, x, y, z, p), (
+                        p, tv, (vx, vz), y
+                    )
+
+
+def test_minor_terms_is_the_one_statement_of_the_minor_valuations(monkeypatch, run_checks):
+    # v3, then sc, one too high in _minor_terms: det_norms_closed and
+    # fpsi_brute both read it, so both of their checks fail
+    terms = padic._minor_terms
+    ids = ["padic/det-closed-vs-minors", "padic/fpsi-closed-vs-brute"]
+    for which in range(2):
+        def shifted(tv, vx, vz, which=which):
+            out = list(terms(tv, vx, vz))
+            out[which] += 1
+            return tuple(out)
+
+        monkeypatch.setattr(padic, "_minor_terms", shifted)
+        reports = run_checks(suites.CheckConfig(suite="padic", primes=(2,)), ids)
+        assert [(r.check_id, r.status) for r in reports] == [(i, "fail") for i in ids], which
+
+
 def test_det_configs_are_the_column_scaled_products():
     # 500 samples per prime in the valuation range [-3, 3]; the digest pins
     # their seeding for the seeds 0 and 1 at p in {2, 3, 5}; at seed 0, the
