@@ -5,12 +5,16 @@ normalized so the unit ball has measure 1, making the shell |x| = p^k have
 measure p^k (1 - 1/p); the additive character has conductor 1, so its shell
 integrals vanish beyond |x| = p and all integrals truncate to finite shell
 sums plus exactly summable geometric tails.
+
+Matrices are QMatrix values, integer rows over one positive denominator,
+from their construction through products, inverses, minors and
+similitudes: no entry is a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -19,6 +23,7 @@ from .series import BiSeries
 
 __all__ = [
     "TorusValuations",
+    "QMatrix",
     "valuation",
     "mat_mul",
     "rref",
@@ -105,17 +110,48 @@ GAMMA5_ROWS = (
 )
 
 
-def gamma5_matrix():
-    return tuple(tuple(Fraction(v) for v in row) for row in GAMMA5_ROWS)
+class QMatrix(NamedTuple):
+    """The rational matrix rows / den: integer rows, den > 0, in lowest terms.
+
+    Lowest terms make == the equality of values.  Rationals enter once,
+    through ``of`` (the fraction-free form of Bareiss, Math. Comp. 22, 1968).
+    """
+
+    rows: tuple
+    den: int
+
+    @classmethod
+    def over(cls, rows, den: int) -> QMatrix:
+        """rows / den in lowest terms, for integer rows and a nonzero integer den."""
+        h = gcd(den, *chain.from_iterable(rows))
+        if den < 0:
+            h = -h
+        if h == 1:
+            return cls(tuple(map(tuple, rows)), den)
+        return cls(tuple(tuple(v // h for v in row) for row in rows), den // h)
+
+    @classmethod
+    def of(cls, rows) -> QMatrix:
+        """Rows of ints or Fractions, cleared by the lcm of their denominators."""
+        d = lcm(*(v.denominator for row in rows for v in row))
+        return cls(tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in rows), d)
 
 
-def mat_mul(A, B):
-    """The product AB, summed over the nonzero entries of each row of A."""
+def gamma5_matrix() -> QMatrix:
+    return QMatrix(GAMMA5_ROWS, 1)
+
+
+def mat_mul(A: QMatrix, B: QMatrix) -> QMatrix:
+    """The product AB: row i of its integers sums the rows of B weighted by A's row i."""
+    brows = B.rows
     out = []
-    for row in A:
-        terms = [(a, B[k]) for k, a in enumerate(row) if a]
-        out.append(tuple(sum(a * b[j] for a, b in terms) for j in range(_N)))
-    return tuple(out)
+    for row in A.rows:
+        acc = [0] * len(brows[0])
+        for a, b in zip(row, brows):
+            if a:
+                acc = [s + a * v for s, v in zip(acc, b)]
+        out.append(acc)
+    return QMatrix.over(out, A.den * B.den)
 
 
 def rref(rows):
@@ -137,41 +173,44 @@ def rref(rows):
     return tuple(tuple(r) for r in mat[:rank])
 
 
-def mat_inv(A):
-    """Inverse over Q: reduce [A | I]; A is singular unless the left block is I."""
-    n = len(A)
-    reduced = rref([tuple(A[i]) + tuple(int(i == j) for j in range(n)) for i in range(n)])
-    if any(row[j] != int(i == j) for i, row in enumerate(reduced) for j in range(n)):
+def mat_inv(A: QMatrix) -> QMatrix:
+    """Inverse: reduce [G | d I] to [I | d G^(-1)] for A = G / d; singular unless the left is I."""
+    G, d = A
+    n = len(G)
+    reduced = rref([tuple(G[i]) + tuple(d * (i == j) for j in range(n)) for i in range(n)])
+    if any(row[j] != (i == j) for i, row in enumerate(reduced) for j in range(n)):
         raise ValueError("singular matrix")
-    return tuple(row[n:] for row in reduced)
+    return QMatrix.of([row[n:] for row in reduced])
 
 
-_G5_INV = mat_inv(gamma5_matrix())
+_G5_INV = mat_inv(gamma5_matrix()).rows  # integral, like gamma5
 
-# Every entry of gamma5 and of its inverse is 0 or +-1, so the products
-# below are signed sums over the nonzero entries, kept as (index, sign)
-# lists: the rows of gamma5 and the columns of its inverse.
-_G5_ROW_TERMS = tuple(tuple((k, v) for k, v in enumerate(row) if v) for row in GAMMA5_ROWS)
-_G5_INV_COL_TERMS = tuple(
-    tuple((k, int(_G5_INV[k][j])) for k in range(_N) if _G5_INV[k][j]) for j in range(_N)
+# Every entry of gamma5 and of its inverse is 0 or +-1, so entry (r, j) of
+# gamma5 G gamma5^(-1) is a signed sum of entries of G: its (k, l, sign)
+# terms, kept for the bottom three rows.
+_BOTTOM_TERMS = tuple(
+    tuple(
+        tuple((k, l, s * t) for k, s in enumerate(row) if s for l, t in enumerate(col) if t)
+        for col in zip(*_G5_INV)
+    )
+    for row in GAMMA5_ROWS[_N - 3:]
 )
 _COLS2 = tuple(combinations(range(_N), 2))
-_COLS3 = tuple(combinations(range(_N), 3))
+# each 3 x 3 minor expanded along its first row: (j1, the index in _COLS2 of
+# (j2, j3), j2, that of (j1, j3), j3, that of (j1, j2))
+_COLS3 = tuple(
+    (j1, _COLS2.index((j2, j3)), j2, _COLS2.index((j1, j3)), j3, _COLS2.index((j1, j2)))
+    for j1, j2, j3 in combinations(range(_N), 3)
+)
 
 
-def _cleared(g):
-    """(G, D): the integer matrix G = D g, D the lcm of the denominators of g."""
-    d = lcm(*(v.denominator for row in g for v in row))
-    return tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in g), d
-
-
-def similitude(g) -> Fraction:
+def similitude(g: QMatrix) -> Fraction:
     """The scalar mu with <vg, wg> = mu <v, w>; raises off the group.
 
-    With G = D g integral this is G J G^T = mu D^2 J.  The Gram matrix
-    G J G^T is antisymmetric, so the pairings of rows i < j decide it.
+    With g = G / d this is G J G^T = mu d^2 J.  The Gram matrix G J G^T is
+    antisymmetric, so the pairings of rows i < j decide it.
     """
-    G, d = _cleared(g)
+    G, d = g
     m = _pairing(G[0], G[5])
     if m == 0:
         raise ValueError("zero similitude")
@@ -182,68 +221,70 @@ def similitude(g) -> Fraction:
     return Fraction(m, d * d)
 
 
-# the constant entries of torus_element and u_element, shared by every call
-_ZERO, _ONE = Fraction(0), Fraction(1)
+def torus_element(alpha, beta, gamma) -> QMatrix:
+    """diag(alpha beta, beta^2 gamma, beta gamma, beta, 1, beta gamma / alpha).
+
+    With alpha = a1 / a2, beta = b1 / b2 and gamma = c1 / c2 in lowest
+    terms, the entries times a1 a2 b2^2 c2 are the integers below.
+    """
+    (a1, a2), (b1, b2), (c1, c2) = ((v.numerator, v.denominator) for v in (alpha, beta, gamma))
+    aa, bb = a1 * a2, b1 * b2
+    return QMatrix.over((
+        (a1 * a1 * bb * c2, 0, 0, 0, 0, 0),
+        (0, aa * b1 * b1 * c1, 0, 0, 0, 0),
+        (0, 0, aa * bb * c1, 0, 0, 0),
+        (0, 0, 0, aa * bb * c2, 0, 0),
+        (0, 0, 0, 0, aa * b2 * b2 * c2, 0),
+        (0, 0, 0, 0, 0, a2 * a2 * bb * c1),
+    ), aa * b2 * b2 * c2)
 
 
-def torus_element(alpha, beta, gamma):
-    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
-    diag = (
-        alpha * beta,
-        beta * beta * gamma,
-        beta * gamma,
-        beta,
-        _ONE,
-        beta * gamma / alpha,
-    )
-    return tuple(tuple(diag[i] if i == j else _ZERO for j in range(_N)) for i in range(_N))
-
-
-def u_element(x, y, z):
+def u_element(x, y, z) -> QMatrix:
     """The unipotent pair: a z-shear on (e1, f1), an (x, y)-shear on the rest.
 
     The y-signs are pinned by the requirement that e1 - e3 picks up +y f2,
     which is the convention the determinant-norm formulas describe; the
     opposite sign names the same integral (y is integrated symmetrically)
-    but a different matrix.
+    but a different matrix.  Over the lcm d of the denominators of x, y
+    and z, which is already lowest terms.
     """
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
-    rows = [[_ONE if i == j else _ZERO for j in range(_N)] for i in range(_N)]
-    rows[0][5] = z          # e1 -> e1 + z f1
-    rows[1][2] = x          # e2 -> e2 + x e3 - y f3
-    rows[1][3] = -y
-    rows[2][4] = -y         # e3 -> e3 - y f2
-    rows[3][4] = -x         # f3 -> f3 - x f2
-    return tuple(tuple(r) for r in rows)
+    d = lcm(x.denominator, y.denominator, z.denominator)
+    nx, ny, nz = (v.numerator * (d // v.denominator) for v in (x, y, z))
+    return QMatrix((
+        (d, 0, 0, 0, 0, nz),     # e1 -> e1 + z f1
+        (0, d, nx, -ny, 0, 0),   # e2 -> e2 + x e3 - y f3
+        (0, 0, d, 0, -ny, 0),    # e3 -> e3 - y f2
+        (0, 0, 0, d, -nx, 0),    # f3 -> f3 - x f2
+        (0, 0, 0, 0, d, 0),
+        (0, 0, 0, 0, 0, d),
+    ), d)
 
 
-def _minor_valuations(g, p: int) -> tuple[int, int]:
+def _minor_valuations(g: QMatrix, p: int) -> tuple[int, int]:
     """(v3, v2): least valuations of the bottom 3 x 3 and 2 x 2 minors, gamma5 basis.
 
-    With G = D g integral, the bottom three rows of gamma5 G gamma5^(-1)
-    are signed sums of entries of G and their r x r minors are D^r times
+    With g = G / d, the bottom three rows of gamma5 G gamma5^(-1) are
+    signed sums of entries of G and their r x r minors are d^r times
     those of g.  The 3 x 3 minors expand along their first row over the
     2 x 2 minors of the last two; the least valuation of each size is that
     of its gcd, and the 2 x 2 gcd is nonzero when the 3 x 3 one is.
     """
-    G, d = _cleared(g)
-    rows = []
-    for terms in _G5_ROW_TERMS[_N - 3:]:
-        row = [sum(s * G[k][j] for k, s in terms) for j in range(_N)]
-        rows.append([sum(s * row[k] for k, s in col) for col in _G5_INV_COL_TERMS])
-    first, top, low = rows
-    minors2 = {(j1, j2): top[j1] * low[j2] - top[j2] * low[j1] for j1, j2 in _COLS2}
+    G, d = g
+    first, top, low = (
+        [sum(s * G[k][l] for k, l, s in terms) for terms in row] for row in _BOTTOM_TERMS
+    )
+    minors2 = [top[j1] * low[j2] - top[j2] * low[j1] for j1, j2 in _COLS2]
     h3 = gcd(*(
-        first[j1] * minors2[j2, j3] - first[j2] * minors2[j1, j3] + first[j3] * minors2[j1, j2]
-        for j1, j2, j3 in _COLS3
+        first[j1] * minors2[i1] - first[j2] * minors2[i2] + first[j3] * minors2[i3]
+        for j1, i1, j2, i2, j3, i3 in _COLS3
     ))
     if h3 == 0:
         raise ValueError("bottom rows are singular")
     vd = _int_valuation(d, p)
-    return _int_valuation(h3, p) - 3 * vd, _int_valuation(gcd(*minors2.values()), p) - 2 * vd
+    return _int_valuation(h3, p) - 3 * vd, _int_valuation(gcd(*minors2), p) - 2 * vd
 
 
-def bottom_minor_norm(g, p: int) -> tuple[Fraction, Fraction]:
+def bottom_minor_norm(g: QMatrix, p: int) -> tuple[Fraction, Fraction]:
     """(|det3|, |det2|), the largest p-adic norms of the bottom minors, as det_norms_closed."""
     v3, v2 = _minor_valuations(g, p)
     return _ppow(p, -v3), _ppow(p, -v2)
@@ -283,7 +324,7 @@ def det_norms_closed(tv: TorusValuations, x, y, z, p: int) -> tuple[Fraction, Fr
     return _ppow(p, -v3), _ppow(p, -(b + c - a + m2))
 
 
-def fprime_section(g, p: int) -> tuple[int, int, int]:
+def fprime_section(g: QMatrix, p: int) -> tuple[int, int, int]:
     """Valuation triple (v3, v2, v_mu) determining the spherical section.
 
     The section value is |det3|^(-2s) |det2|^(2s-w) |mu|^(s+w), so the

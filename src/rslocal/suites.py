@@ -371,33 +371,37 @@ def _random_unit(rng: random.Random, p: int, v: int = 0) -> Fraction:
     return Fraction(unit * p**v) if v >= 0 else Fraction(unit, p**-v)
 
 
-_DET_CONFIGS, _DET_VAL_RANGE = 500, (-3, 3)
+_DET_CONFIGS, _DET_CANCELLING, _DET_VAL_RANGE = 500, 8, (-3, 3)
 
 
 def _det_configs(seed: int, p: int):
-    """The _DET_CONFIGS samples of padic/det-closed-vs-minors at the prime p.
+    """The samples of padic/det-closed-vs-minors at the prime p.
 
+    First _DET_CONFIGS draws with y a unit times p^v(y).  Then each of
+    _DET_CANCELLING draws gives two samples, with y = -xz and
+    y = -xz + p^(v(x)+v(z)+1) in place of the drawn y: there
+    det_norms_closed drops, or needs, its v(y + xz) candidate.
     Yields (tv, vals, (x, y, z), t, g): the torus valuations, the
     valuations of x, y and z, the three values, t = torus_element(alpha,
     beta, gamma) and g = u_element(x, y, z) t.  t is diagonal, so g is u
-    with column j scaled by t[j][j]: its 11 nonzero entries are written
-    from that diagonal d and x, y, z.
+    with column j scaled by t's j-th diagonal entry.
     """
     v_lo, v_hi = _DET_VAL_RANGE
     rng = random.Random(seed * 1000 + p)
-    zero = Fraction(0)
-    for _ in range(_DET_CONFIGS):
+    for k in range(_DET_CONFIGS + _DET_CANCELLING):
         a, b, c = (rng.randrange(0, 4) for _ in range(3))
         vals = tuple(rng.randrange(v_lo, v_hi + 1) for _ in range(3))
         x, y, z = (_random_unit(rng, p, v) for v in vals)
         t = padic.torus_element(*(_random_unit(rng, p, e) for e in (a, b, c)))
-        d = [t[j][j] for j in range(6)]
-        g = [[zero] * 6 for _ in range(6)]
-        for j in range(6):
-            g[j][j] = d[j]
-        g[0][5], g[1][2], g[1][3] = z * d[5], x * d[2], -y * d[3]
-        g[2][4], g[3][4] = -y * d[4], -x * d[4]
-        yield padic.TorusValuations(a, b, c), vals, (x, y, z), t, tuple(map(tuple, g))
+        ys = (y,)
+        if k >= _DET_CONFIGS:
+            vx, vz = vals[0], vals[2]
+            vals, ys = (vx, vx + vz, vz), (-x * z, -x * z + Fraction(p) ** (vx + vz + 1))
+        T, dt = t
+        for y in ys:
+            U, du = padic.u_element(x, y, z)
+            g = padic.QMatrix.over([[v * T[j][j] for j, v in enumerate(row)] for row in U], du * dt)
+            yield padic.TorusValuations(a, b, c), vals, (x, y, z), t, g
 
 
 def _suite_padic(cfg: CheckConfig):
@@ -432,7 +436,8 @@ def _suite_padic(cfg: CheckConfig):
         return True
 
     params = {
-        "primes": list(cfg.primes), "configs": _DET_CONFIGS, "val_range": list(_DET_VAL_RANGE)
+        "primes": list(cfg.primes), "configs": _DET_CONFIGS,
+        "cancellations": 2 * _DET_CANCELLING, "val_range": list(_DET_VAL_RANGE),
     }
     yield "padic/det-closed-vs-minors", params, det_sweep
 
@@ -455,7 +460,11 @@ def _suite_padic(cfg: CheckConfig):
                 mu = _random_unit(rng, p) * Fraction(p) ** rng.randrange(0, 3)
                 g = _parabolic_levi(m1, m2, mu)
                 conj = padic.mat_mul(padic.mat_mul(g5_inv, g), g5)
-                v3, v2, vmu = padic.fprime_section(conj, p)
+                levi = "p=%d m1=%r m2=%s mu=%s" % (p, m1, m2, mu)
+                try:
+                    v3, v2, vmu = padic.fprime_section(conj, p)
+                except ValueError as exc:  # g is no similitude, or its minors vanish
+                    return (False, "%s: %s" % (levi, exc), "similitude %s" % mu)
                 # p-exponents in f' = |det3|^(-2s)|det2|^(2s-w)|mu|^(s+w)
                 # versus the parabolic character of the Levi data
                 es = 2 * v3 - 2 * v2 - vmu
@@ -468,7 +477,7 @@ def _suite_padic(cfg: CheckConfig):
                 if (es, ew) != (want_s, want_w):
                     return (
                         False,
-                        "p=%d m1=%r m2=%s mu=%s -> (%d,%d)" % (p, m1, m2, mu, es, ew),
+                        "%s -> (%d,%d)" % (levi, es, ew),
                         "(%d,%d)" % (want_s, want_w),
                     )
         return True
@@ -527,14 +536,14 @@ def _parabolic_levi(m1, m2, mu):
         [-m1[0][1] / det, m1[0][0] / det],
     ]
     star = [[inv_t[1][1], inv_t[1][0]], [inv_t[0][1], inv_t[0][0]]]
-    rows = [[Fraction(0)] * 6 for _ in range(6)]
+    rows = [[0] * 6 for _ in range(6)]
     rows[0][0], rows[0][1] = m1[0][0], m1[0][1]
     rows[1][0], rows[1][1] = m1[1][0], m1[1][1]
     rows[2][2] = m2
     rows[3][3] = mu / m2
     rows[4][4], rows[4][5] = mu * star[0][0], mu * star[0][1]
     rows[5][4], rows[5][5] = mu * star[1][0], mu * star[1][1]
-    return tuple(tuple(r) for r in rows)
+    return padic.QMatrix.of(rows)
 
 
 def _random_integral_k(rng: random.Random, p: int):
@@ -549,10 +558,7 @@ def _random_integral_k(rng: random.Random, p: int):
         elif kind == 1:
             factors.append(padic.gamma5_matrix())
         else:
-            units = []
-            for _ in range(3):
-                u = rng.randrange(1, p) + p * rng.randrange(0, 3)
-                units.append(Fraction(u))
+            units = [rng.randrange(1, p) + p * rng.randrange(0, 3) for _ in range(3)]
             # unit-diagonal torus stays integral with unit similitude
             factors.append(padic.torus_element(*units))
     out = factors[0]

@@ -458,7 +458,7 @@ def h_generators(q: int):
         rows[2][2] = 2
         gens.append(tuple(tuple(r) for r in rows))
     for g in gens:
-        if padic.similitude(g) % q == 0:
+        if padic.similitude(padic.QMatrix(g, 1)) % q == 0:
             raise ValueError("generator multiplier is 0 mod %d" % q)
     return [tuple(tuple(v % q for v in row) for row in g) for g in gens]
 
@@ -618,7 +618,7 @@ def gamma5_check():
     """
     rows = padic.GAMMA5_ROWS
     try:
-        mu = padic.similitude(rows)
+        mu = padic.similitude(padic.QMatrix(rows, 1))
     except ValueError as exc:  # not a similitude at all
         return (False, "multiplier: %s" % exc, "1")
     if mu != 1:

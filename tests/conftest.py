@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from rslocal import suites
-from rslocal.padic import J_STD, gamma5_matrix, mat_inv, mat_mul, valuation
+from rslocal.padic import J_STD, gamma5_matrix, mat_inv, valuation
 from rslocal.symplectic import FlagState, rref_q
 
 
@@ -73,10 +73,25 @@ def flag_apply():
     return _flag_apply
 
 
+def _fraction_mat_mul(A, B):
+    """The product AB of Fraction matrices, summed over the nonzero entries of each row of A."""
+    out = []
+    for row in A:
+        terms = [(a, B[k]) for k, a in enumerate(row) if a]
+        out.append(tuple(sum(a * b[j] for a, b in terms) for j in range(len(B[0]))))
+    return tuple(out)
+
+
+def _fractions(g):
+    """The entries of the QMatrix g = rows / den, as Fractions."""
+    return tuple(tuple(Fraction(v, g.den) for v in row) for row in g.rows)
+
+
 def _dense_minor_valuations(g, r, p):
     """Least valuation of the bottom r x r minors of gamma5 g gamma5^(-1), in dense Fractions."""
-    g5 = gamma5_matrix()
-    rows = mat_mul(mat_mul(g5, g), mat_inv(g5))[6 - r:]
+    g5 = gamma5_matrix().rows
+    g5_inv = _fractions(mat_inv(gamma5_matrix()))
+    rows = _fraction_mat_mul(_fraction_mat_mul(g5, _fractions(g)), g5_inv)[6 - r:]
     if r == 2:
         dets = [
             rows[0][j1] * rows[1][j2] - rows[0][j2] * rows[1][j1]
@@ -102,7 +117,8 @@ def _dense_minor_valuations(g, r, p):
 
 def _dense_similitude(g):
     """The similitude of g from the dense Gram matrix g J g^T."""
-    gj = mat_mul(g, J_STD)
+    g = _fractions(g)
+    gj = _fraction_mat_mul(g, J_STD)
     gjgt = [[sum(gj[i][k] * g[j][k] for k in range(6)) for j in range(6)] for i in range(6)]
     mu = gjgt[0][5]
     if mu == 0:
@@ -114,5 +130,14 @@ def _dense_similitude(g):
 
 @pytest.fixture(scope="session")
 def dense_section():
-    """The dense-Fraction reference for padic's minor valuations and similitude."""
-    return SimpleNamespace(minor_valuations=_dense_minor_valuations, similitude=_dense_similitude)
+    """The dense-Fraction reference for padic's products, minor valuations and similitude.
+
+    minor_valuations and similitude take a QMatrix and compute on its
+    Fraction entries; mat_mul multiplies rows of Fractions.
+    """
+    return SimpleNamespace(
+        fractions=_fractions,
+        mat_mul=_fraction_mat_mul,
+        minor_valuations=_dense_minor_valuations,
+        similitude=_dense_similitude,
+    )

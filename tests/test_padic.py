@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from rslocal import padic, suites
 from rslocal.padic import (
     FPSI_DENOMINATOR,
+    QMatrix,
     TorusValuations,
     bottom_minor_norm,
     det_norms_closed,
@@ -36,7 +38,7 @@ from rslocal.series import local_integral_series
 
 
 def identity6():
-    return tuple(tuple(Fraction(int(i == j)) for j in range(6)) for i in range(6))
+    return QMatrix(tuple(tuple(int(i == j) for j in range(6)) for i in range(6)), 1)
 
 
 def random_unit(rng, p):
@@ -44,8 +46,9 @@ def random_unit(rng, p):
 
 
 def column_scaled(u, t):
-    """u t for the diagonal t: column j of u scaled by t[j][j]."""
-    return tuple(tuple(v * t[j][j] for j, v in enumerate(row)) for row in u)
+    """u t for the diagonal t: column j of u scaled by t's j-th diagonal entry."""
+    T = t.rows
+    return QMatrix.over([[v * T[j][j] for j, v in enumerate(row)] for row in u.rows], u.den * t.den)
 
 
 def raised(fn, *args):
@@ -163,20 +166,70 @@ def test_minor_terms_is_the_one_statement_of_the_minor_valuations(monkeypatch, r
         assert [(r.check_id, r.status) for r in reports] == [(i, "fail") for i in ids], which
 
 
+def test_det_sweep_reaches_the_exact_cancellation(monkeypatch, run_checks):
+    # the mutant changes det2 only where y + xz = 0, which only the
+    # cancelling samples reach; it fails at every default prime alone
+    def mutant(tv, x, y, z, p):
+        a, b, c = tv
+        v3, sc = padic._minor_terms(tv, valuation(x, p), valuation(z, p))
+        s = Fraction(y) + Fraction(x) * Fraction(z)
+        m2 = min(sc, a - c + valuation(y, p), valuation(s, p) if s else sc - 1)
+        return padic._ppow(p, -v3), padic._ppow(p, -(b + c - a + m2))
+
+    monkeypatch.setattr(padic, "det_norms_closed", mutant)
+    for p in (2, 3, 5):
+        cfg = suites.CheckConfig(suite="padic", primes=(p,))
+        [report] = run_checks(cfg, ["padic/det-closed-vs-minors"])
+        assert report.status == "fail", p
+
+
+def test_each_section_check_can_fail(monkeypatch, run_checks):
+    levi, integral_k = suites._parabolic_levi, suites._random_integral_k
+
+    def levi_mu_times_m2(m1, m2, mu):
+        # the mutant mu / m2 -> mu * m2: entry (3, 3) times m2^2
+        g = levi(m1, m2, mu)
+        rows = [[Fraction(v, g.den) for v in row] for row in g.rows]
+        rows[3][3] *= m2 * m2
+        return QMatrix.of(rows)
+
+    def k_with_a_1_over_p_entry(rng, p):
+        return mat_mul(integral_k(rng, p), u_element(Fraction(1, p), 0, 0))
+
+    cfg = suites.CheckConfig(suite="padic")
+    for name, mutant, check_id, lhs in (
+        ("_parabolic_levi", levi_mu_times_m2, "padic/section-levi",
+         "does not preserve the symplectic form"),
+        ("_random_integral_k", k_with_a_1_over_p_entry, "padic/section-k-invariance", "p=2: "),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(suites, name, mutant)
+            [report] = run_checks(cfg, [check_id])
+        assert (report.status, lhs in report.lhs) == ("fail", True), (check_id, report.lhs)
+
+
 def test_det_configs_are_the_column_scaled_products():
     # 500 samples per prime in the valuation range [-3, 3]; the digest pins
     # their seeding for the seeds 0 and 1 at p in {2, 3, 5}; at seed 0, the
-    # default of verify, each g is checked against the dense product
+    # default of verify, each g is checked against the product.  The 16
+    # cancelling samples follow: y + xz is 0 in every other one, and of
+    # valuation v(y) + 1 in the rest
     digest = hashlib.sha256()
     for seed in (0, 1):
         for p in (2, 3, 5):
             samples = list(suites._det_configs(seed, p))
-            assert len(samples) == 500
-            for tv, vals, xyz, t, g in samples:
-                assert all(-3 <= v <= 3 for v in vals)
+            assert len(samples) == 500 + 16
+            for k, (tv, vals, xyz, t, g) in enumerate(samples):
                 if seed == 0:
                     assert g == mat_mul(u_element(*xyz), t)
-                diag = tuple(t[j][j] for j in range(6))
+                if k >= 500:
+                    x, y, z = xyz
+                    assert vals == tuple(valuation(v, p) for v in xyz)
+                    assert (y + x * z == 0) == (k % 2 == 0)
+                    assert k % 2 == 0 or valuation(y + x * z, p) == vals[1] + 1
+                    continue
+                assert all(-3 <= v <= 3 for v in vals)
+                diag = tuple(Fraction(t.rows[j][j], t.den) for j in range(6))
                 digest.update(repr((tuple(tv), vals, xyz, diag)).encode())
     assert digest.hexdigest() == (
         "b99a17f0ab65787fc19dd879f99c38f016a6ff568ae2f6727ec6a0587410c93d"
@@ -204,7 +257,7 @@ def random_similitude(rng, p):
 def test_integer_section_matches_dense_reference(dense_section, p):
     rng = random.Random(90 + p)
     for _ in range(40):
-        g = tuple(tuple(random_rational(rng, p) for _ in range(6)) for _ in range(6))
+        g = QMatrix.of([[random_rational(rng, p) for _ in range(6)] for _ in range(6)])
         assert bottom_minor_norm(g, p) == tuple(
             Fraction(p) ** -dense_section.minor_valuations(g, r, p) for r in (3, 2)
         )
@@ -224,16 +277,16 @@ def test_integer_section_matches_dense_reference(dense_section, p):
 def test_integer_section_raises_like_dense_reference(dense_section):
     rng = random.Random(7)
     col = [random_rational(rng, 3) or 1 for _ in range(6)]
-    rank_one = tuple(tuple(a * Fraction(k - 2, 5) for k in range(6)) for a in col)
+    rank_one = QMatrix.of([[a * Fraction(k - 2, 5) for k in range(6)] for a in col])
     assert raised(bottom_minor_norm, rank_one, 3) == "bottom rows are singular"
     for r in (2, 3):
         assert raised(dense_section.minor_valuations, rank_one, r, 3) == "bottom rows are singular"
     g = mat_mul(u_element(1, 2, 3), torus_element(2, 3, 5))
     assert raised(dense_section.minor_valuations, g, 4, 3) == "minor size must be 2 or 3"
-    no_f1 = identity6()[:5] + ((Fraction(0),) * 6,)
-    sheared = [list(r) for r in identity6()]
-    sheared[0][1] = sheared[1][0] = Fraction(1)
-    sheared = tuple(tuple(r) for r in sheared)
+    no_f1 = QMatrix(identity6().rows[:5] + ((0,) * 6,), 1)
+    sheared = [list(r) for r in identity6().rows]
+    sheared[0][1] = sheared[1][0] = 1
+    sheared = QMatrix.of(sheared)
     for bad, message in (
         (no_f1, "zero similitude"),
         (sheared, "matrix does not preserve the symplectic form"),
@@ -248,7 +301,72 @@ def test_rref_and_mat_inv():
     g = mat_mul(u_element(Fraction(1, 2), 3, -1), torus_element(2, Fraction(1, 3), 5))
     assert mat_mul(g, mat_inv(g)) == identity6()
     with pytest.raises(ValueError):
-        mat_inv([[1, 2], [2, 4]])
+        mat_inv(QMatrix.of([[1, 2], [2, 4]]))
+
+
+def assert_lowest_terms(g):
+    assert all(type(v) is int for row in g.rows for v in row)
+    assert type(g.den) is int and g.den > 0
+    assert math.gcd(g.den, *itertools.chain.from_iterable(g.rows)) == 1
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_mat_mul_is_the_fraction_product_in_lowest_terms(dense_section, p):
+    rng = random.Random(130 + p)
+    for _ in range(60):
+        a, b = ([[random_rational(rng, p) for _ in range(6)] for _ in range(6)] for _ in range(2))
+        qa, qb = QMatrix.of(a), QMatrix.of(b)
+        for q, rows in ((qa, a), (qb, b)):
+            assert_lowest_terms(q)
+            assert dense_section.fractions(q) == tuple(map(tuple, rows))
+        product = mat_mul(qa, qb)
+        assert_lowest_terms(product)
+        assert dense_section.fractions(product) == dense_section.mat_mul(a, b)
+        assert product == QMatrix.of(dense_section.mat_mul(a, b))
+
+
+def test_qmatrix_over_reduces_to_lowest_terms():
+    assert QMatrix.over([[6, 0], [0, -4]], -10) == QMatrix(((-3, 0), (0, 2)), 5)
+    assert QMatrix.over([[0, 0], [0, 0]], 7) == QMatrix(((0, 0), (0, 0)), 1)
+    assert QMatrix.over([[3, 1], [2, 5]], 4) == QMatrix(((3, 1), (2, 5)), 4)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_mat_inv_is_the_inverse(p):
+    rng = random.Random(150 + p)
+    inverted = 0
+    while inverted < 20:
+        g = QMatrix.of([[random_rational(rng, p) for _ in range(6)] for _ in range(6)])
+        try:
+            inv = mat_inv(g)
+        except ValueError:
+            assert len(rref(g.rows)) < 6
+            continue
+        assert_lowest_terms(inv)
+        assert mat_mul(g, inv) == mat_mul(inv, g) == identity6()
+        inverted += 1
+    singular = [list(r) for r in identity6().rows]
+    singular[4] = [Fraction(1, p), 2, 0, 0, 0, 3]
+    singular[5] = [Fraction(2, p), 4, 0, 0, 0, 6]
+    with pytest.raises(ValueError, match="singular matrix"):
+        mat_inv(QMatrix.of(singular))
+
+
+def test_torus_and_u_elements_are_their_rational_entries(dense_section):
+    rng = random.Random(170)
+    for _ in range(100):
+        alpha, beta, gamma, x, y, z = (random_rational(rng, 3) or Fraction(-2, 9) for _ in range(6))
+        t = torus_element(alpha, beta, gamma)
+        diag = (alpha * beta, beta * beta * gamma, beta * gamma, beta, 1, beta * gamma / alpha)
+        assert_lowest_terms(t)
+        assert dense_section.fractions(t) == tuple(
+            tuple(diag[i] if i == j else 0 for j in range(6)) for i in range(6)
+        )
+        u = u_element(x, y, z)
+        want = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
+        want[0][5], want[1][2], want[1][3], want[2][4], want[3][4] = z, x, -y, -y, -x
+        assert_lowest_terms(u)
+        assert dense_section.fractions(u) == tuple(map(tuple, want))
 
 
 def test_section_identity_and_gamma5():
@@ -268,11 +386,11 @@ def test_section_k_invariance_spot():
 
 
 def test_section_rejects_non_similitude():
-    bad = [list(row) for row in identity6()]
-    bad[0][1] = Fraction(1)
-    bad[1][0] = Fraction(1)
+    bad = [list(row) for row in identity6().rows]
+    bad[0][1] = 1
+    bad[1][0] = 1
     with pytest.raises(ValueError):
-        fprime_section(tuple(tuple(r) for r in bad), 2)
+        fprime_section(QMatrix.of(bad), 2)
 
 
 # ---------------------------------------------------------------------------
