@@ -7,18 +7,21 @@ monomial exponent is a triple (t, d1, d2): t is the SL2 torus exponent and
 every exponent is an integer.
 
 Irreducible Spin5 characters come from the alternating-sum formula over the
-order-8 Weyl group (sign flips and the coordinate swap), with the quotient
-taken by exact division.  Decompositions peel highest weights under the
-lexicographic order on (t, d1, d2), which refines the dominance order of
-both factors, so peeling is deterministic and terminates.  A Weyl-invariant
-polynomial is fixed by its dominant part (t >= 0, d1 >= d2 >= 0), since
-every weight has exactly one dominant Weyl image (Humphreys, sections 22
-and 24), so the peel reads and subtracts dominant monomials only.
+order-8 Weyl group (sign flips and the coordinate swap).  The Weyl
+denominator is y^rho times the product of (1 - y^-alpha) over the four
+positive roots alpha, so the quotient is taken one root factor at a time,
+each as suffix sums along the alpha-lines, then shifted by -rho.
+Decompositions peel highest weights under the lexicographic order on
+(t, d1, d2), which refines the dominance order of both factors, so peeling
+is deterministic and terminates.  A Weyl-invariant polynomial is fixed by
+its dominant part (t >= 0, d1 >= d2 >= 0), since every weight has exactly
+one dominant Weyl image (Humphreys, sections 22 and 24), so the peel reads
+and subtracts dominant monomials only.
 
 Sparse integer combinations, Laurent polynomials and virtual characters
 alike, are summed in place by one helper, ``_add_into``, which drops each
-key whose coefficient reaches zero; only ``LaurentPoly.__mul__`` keeps its
-own pairwise loop.
+key whose coefficient reaches zero; only ``LaurentPoly.__mul__`` and the
+root-line division keep their own loops.
 
 Tensor products of irreducibles never expand a character: the SL2 factor
 follows Clebsch-Gordan (m from |m1 - m2| to m1 + m2 in steps of 2) and the
@@ -218,43 +221,32 @@ class LaurentPoly:
         return True
 
 
-def _support_box(c: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    tri = [_unpack(k) for k in c]
-    return tuple(
-        (min(v[i] for v in tri), max(v[i] for v in tri)) for i in range(3)
-    )
+def _div_root_line(num: dict[int, int], root: tuple[int, int], d: int) -> dict[int, int]:
+    """num / (1 - y^-root), exactly, for num supported in the square |d1|, |d2| <= d.
 
-
-def _div_exact(num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
-    """Exact division of packed Laurent dicts, peeling lex-leading terms."""
-    if not num:
-        return {}
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    dlead = max(den)
-    dlc = den[dlead]
-    nbox, dbox = _support_box(num), _support_box(den)
-    # The quotient's support box is forced coordinatewise, which bounds the
-    # number of peeling steps; exceeding it means the division is not exact.
-    bound = 1
-    for (nlo, nhi), (dlo, dhi) in zip(nbox, dbox):
-        bound *= max(0, (nhi - dhi) - (nlo - dlo) + 1)
+    The quotient at lam is num(lam) + quotient(lam + root): on each root line
+    the suffix sum of num from the top, exact iff every line sums to 0.  Each
+    key not yet consumed, in descending packed order, walks down its line
+    inside the square until the sum is 0; one still open at the edge raises.
+    """
+    r1, r2 = root
+    step = (r1 << _SHIFT) + r2
     rem = dict(num)
     quot: dict[int, int] = {}
-    steps = 0
-    while rem:
-        k = max(rem)
-        coeff = rem[k]
-        if coeff % dlc:
+    for k in sorted(num, reverse=True):
+        s = rem.pop(k, 0)
+        if not s:
+            continue
+        e1, e2 = ((k >> _SHIFT) & _MASK) - _OFF, (k & _MASK) - _OFF
+        # each step moves a coordinate by 2 towards the square's edge at -d or d
+        steps = min((2 * d + r1 * e1) // 4 if r1 else d, (2 * d + r2 * e2) // 4 if r2 else d)
+        stop = k - steps * step
+        while s and k != stop:
+            quot[k] = s
+            k -= step
+            s += rem.pop(k, 0)
+        if s:
             raise ArithmeticError("non-exact Laurent division")
-        qc = coeff // dlc
-        qk = k - dlead + _P0
-        quot[qk] = quot.get(qk, 0) + qc
-        base = qk - _P0
-        _add_into(rem, ((base + dk, dv) for dk, dv in den.items()), -qc)
-        steps += 1
-        if steps > bound:
-            raise ArithmeticError("non-exact Laurent division (no termination)")
     return quot
 
 
@@ -270,10 +262,15 @@ _B2_WEYL = [
     for s2 in (1, -1)
 ]
 
+# The positive roots of Spin5 in doubled coordinates, and rho, half their sum, as
+# a packed key offset: the Weyl denominator is y^rho prod (1 - y^-alpha).
+_ROOTS = ((2, -2), (2, 2), (2, 0), (0, 2))
+_RHO = (3 << _SHIFT) + 1
+
 _A1_CACHE: dict[int, LaurentPoly] = {}
 _B2_CACHE: dict[tuple[int, int], LaurentPoly] = {}
 _PROD_CACHE: dict[tuple[int, int, int], LaurentPoly] = {}
-_DOMINANT_CACHE: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+_DOMINANT_CACHE: dict[tuple[int, int], list[tuple[int, int]]] = {}
 _TENSOR_CACHE: dict[tuple, "VirtualCharacter"] = {}
 
 
@@ -300,15 +297,18 @@ def char_B2(a: int, b: int) -> LaurentPoly:
     """Irreducible Spin5 character with highest weight a*w1 + b*w2.
 
     In doubled coordinates the highest weight is (2a+b, b) and the Weyl
-    vector is (3, 1); the alternating-sum quotient is an exact division.
+    vector is (3, 1).  The alternating sum at (2a+b+3, b+1) is divided by
+    (1 - y^-alpha) for each positive root alpha, then shifted by -rho.
     """
     if a < 0 or b < 0:
         raise ValueError("highest weight must be nonnegative")
     poly = _B2_CACHE.get((a, b))
     if poly is None:
-        num = _b2_alternating_sum(2 * a + b + 3, b + 1)
-        den = _b2_alternating_sum(3, 1)
-        poly = LaurentPoly(_div_exact(num, den))
+        d = 2 * a + b + 3
+        quot = _b2_alternating_sum(d, b + 1)
+        for root in _ROOTS:
+            quot = _div_root_line(quot, root, d)
+        poly = LaurentPoly({k - _RHO: v for k, v in quot.items()})
         _B2_CACHE[(a, b)] = poly
     return poly
 
@@ -339,16 +339,12 @@ def _dominant_char(m: int, a: int, b: int) -> list[tuple[int, int]]:
     """The dominant monomials of product_char(m, a, b), as (key, coefficient).
 
     They are t = m, m - 2, ..., >= 0 times the dominant monomials of
-    char_B2(a, b), so the full product is never built.
+    char_B2(a, b), kept per (a, b), so the full product is never built.
     """
-    table = _DOMINANT_CACHE.get((m, a, b))
-    if table is None:
-        spin5 = _dominant_items(char_B2(a, b)._c)
-        table = [
-            (k + (t << (2 * _SHIFT)), v) for t in range(m, -1, -2) for k, v in spin5
-        ]
-        _DOMINANT_CACHE[(m, a, b)] = table
-    return table
+    spin5 = _DOMINANT_CACHE.get((a, b))
+    if spin5 is None:
+        spin5 = _DOMINANT_CACHE[(a, b)] = _dominant_items(char_B2(a, b)._c)
+    return [(k + (t << (2 * _SHIFT)), v) for t in range(m, -1, -2) for k, v in spin5]
 
 
 def dim_irrep(m: int, a: int, b: int) -> int:
@@ -461,7 +457,8 @@ def decompose(p: LaurentPoly) -> VirtualCharacter:
     rem = dict(_dominant_items(p._c))
     if not rem:
         return VirtualCharacter()
-    (_, t_max), (_, d1_max), _ = _support_box(rem)
+    t_max = (max(rem) >> (2 * _SHIFT)) - _OFF
+    d1_max = max((k >> _SHIFT) & _MASK for k in rem) - _OFF
     bound = (t_max + 1) * (d1_max + 1) * (d1_max + 2) // 2
     out: dict[tuple[int, int, int], int] = {}
     steps = 0
@@ -499,8 +496,10 @@ def _tensor_weights(w1: tuple[int, int, int], w2: tuple[int, int, int]) -> Virtu
         if dim_irrep(0, a1, b1) > dim_irrep(0, a2, b2):
             a1, b1, a2, b2 = a2, b2, a1, b1
         spin5: dict[tuple[int, int], int] = {}
-        for (_, n1, n2), mult in char_B2(a1, b1).items():
-            x1, x2, sign = 2 * a2 + b2 + 3 + n1, b2 + 1 + n2, mult
+        # lam + rho, less the offset of the packed fields
+        c1, c2 = 2 * a2 + b2 + 3 - _OFF, b2 + 1 - _OFF
+        for k, mult in char_B2(a1, b1)._c.items():
+            x1, x2, sign = ((k >> _SHIFT) & _MASK) + c1, (k & _MASK) + c2, mult
             if x1 < 0:
                 x1, sign = -x1, -sign
             if x2 < 0:

@@ -315,12 +315,19 @@ def det_norms_closed(tv: TorusValuations, x, y, z, p: int) -> tuple[Fraction, Fr
     """(|det3 ut|, |det2 ut|) at torus valuations (a, b, c), read from _minor_terms.
 
     Takes values of x, y and z, not valuations: y and xz may cancel, and
-    det2 has the candidate v(y + xz).  The torus unit parts cancel.
+    det2 has the candidate v(y + xz).  The torus unit parts cancel.  Ints
+    and Fractions alike are read as integer numerators and denominators.
     """
     a, b, c = tv
-    v3, sc = _minor_terms(tv, valuation(x, p), valuation(z, p))
-    s = Fraction(y) + Fraction(x) * Fraction(z)
-    m2 = min(sc, a - c + valuation(y, p), valuation(s, p) if s else sc)
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    zn, zd = z.numerator, z.denominator
+    if not (xn and yn and zn):
+        raise ValueError("valuation of zero")
+    vxd, vyd, vzd = _int_valuation(xd, p), _int_valuation(yd, p), _int_valuation(zd, p)
+    v3, sc = _minor_terms(tv, _int_valuation(xn, p) - vxd, _int_valuation(zn, p) - vzd)
+    sn = yn * xd * zd + xn * zn * yd  # y + xz = sn / (yd xd zd)
+    vs = _int_valuation(sn, p) - vxd - vyd - vzd if sn else sc
+    m2 = min(sc, a - c + _int_valuation(yn, p) - vyd, vs)
     return _ppow(p, -v3), _ppow(p, -(b + c - a + m2))
 
 

@@ -264,9 +264,11 @@ def _suite_characters(cfg: CheckConfig):
                 characters.VirtualCharacter.weight(*w1),
                 characters.VirtualCharacter.weight(*w2),
             )
-            # the one place a tensor product is expanded, multiplied and peeled
+            # the one place a tensor product is expanded, multiplied and peeled;
+            # the SL2 and Spin5 factors are multiplied apart, then together
             oracle = characters.decompose(
-                characters.product_char(*w1) * characters.product_char(*w2)
+                (characters.char_A1(w1[0]) * characters.char_A1(w2[0]))
+                * (characters.char_B2(*w1[1:]) * characters.char_B2(*w2[1:]))
             )
             if prod != oracle:
                 return (False, "%r x %r: %r" % (w1, w2, prod), repr(oracle))

@@ -75,6 +75,29 @@ def test_char_b2_spin():
     assert b2_weights(char_B2(0, 1)) == want
 
 
+def test_char_b2_times_the_weyl_denominator_is_the_alternating_sum():
+    # the defining identity, by multiplication; the tensor oracle's peel reaches a + b = 12
+    rho_sum = LaurentPoly(characters._b2_alternating_sum(3, 1))
+    for a in range(13):
+        for b in range(13 - a):
+            want = LaurentPoly(characters._b2_alternating_sum(2 * a + b + 3, b + 1))
+            assert char_B2(a, b) * rho_sum == want, (a, b)
+
+
+@pytest.mark.parametrize("root", characters._ROOTS)
+def test_root_line_division_is_exact_or_raises(root):
+    d = 7
+    num = characters._b2_alternating_sum(d, 3)
+    quot = LaurentPoly(characters._div_root_line(num, root, d))
+    one_minus = LaurentPoly.one() + LaurentPoly.monomial(0, -root[0], -root[1], -1)
+    assert quot * one_minus == LaurentPoly(num)
+    # one more monomial leaves its root line a nonzero sum, in the middle or at an edge
+    for w in ((0, 0, 0), (0, 1, 0), (0, d, d), (0, -d, -d), (0, d, -d)):
+        bad = characters._add_into(dict(num), [(characters._pack(*w), 1)])
+        with pytest.raises(ArithmeticError, match="non-exact Laurent division"):
+            characters._div_root_line(bad, root, d)
+
+
 def test_char_b2_weyl_invariance():
     for a in range(9):
         for b in range(9 - a):
@@ -294,6 +317,32 @@ def test_tensor_matches_expand_multiply_decompose_on_small_grid():
     for w1, w2 in itertools.combinations_with_replacement(weights, 2):
         got = tensor_decompose(VirtualCharacter.weight(*w1), VirtualCharacter.weight(*w2))
         assert got == decompose(product_char(*w1) * product_char(*w2)), (w1, w2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tensor_oracle_multiplies_the_product_characters(monkeypatch, run_checks, seed):
+    # the check multiplies the SL2 and Spin5 factors apart; its product is still
+    # product_char(w1) * product_char(w2) on every sample pair
+    pairs, products = [], []
+    tensor, peel = characters.tensor_decompose, characters.decompose
+
+    def recording_tensor(v1, v2):
+        [(w1, _)], [(w2, _)] = v1.items(), v2.items()
+        pairs.append((w1, w2))
+        return tensor(v1, v2)
+
+    def recording_peel(poly):
+        products.append(poly)
+        return peel(poly)
+
+    monkeypatch.setattr(characters, "tensor_decompose", recording_tensor)
+    monkeypatch.setattr(characters, "decompose", recording_peel)
+    check = "characters/tensor-dim-conservation"
+    reports = run_checks(CheckConfig(suite="characters", seed=seed), [check])
+    assert [(r.check_id, r.status) for r in reports] == [(check, "pass")]
+    assert len(pairs) == len(products) == reports[0].params["samples"]
+    for (w1, w2), got in zip(pairs, products):
+        assert got == product_char(*w1) * product_char(*w2), (w1, w2)
 
 
 def test_wrong_reflection_sign_fails_both_tensor_routes(monkeypatch, run_checks):

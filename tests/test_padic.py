@@ -83,6 +83,23 @@ def test_det_norms_unit_point():
     assert det_norms_closed(tv, 1, 1, 1, 2) == (Fraction(1), Fraction(1))
 
 
+def test_det_norms_read_ints_and_fractions_alike():
+    # integer numerators and denominators of either type; a zero value has no valuation
+    tv = TorusValuations(2, 1, 0)
+    for p in (2, 3):
+        for x, y, z in ((p, -p * p, p), (-3 * p, 5, 2), (1, -p + p**3, p)):
+            want = det_norms_closed(tv, Fraction(x), Fraction(y), Fraction(z), p)
+            assert det_norms_closed(tv, x, y, z, p) == want
+            assert det_norms_closed(tv, Fraction(x), y, Fraction(z), p) == want
+            g = column_scaled(u_element(x, y, z), torus_element(p**2, p, 1))
+            assert bottom_minor_norm(g, p) == want, (p, x, y, z)
+    for zero in range(3):
+        xyz = [Fraction(1, 2), 3, Fraction(5, 3)]
+        xyz[zero] = 0
+        with pytest.raises(ValueError, match="valuation of zero"):
+            det_norms_closed(tv, *xyz, 5)
+
+
 def test_det_norms_vs_minors_seeded():
     for p in (2, 3):
         rng = random.Random(40 + p)
