@@ -5,22 +5,26 @@ built on first use and memoized (Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, ch. 4):
 
 * a vector of F_q^6 is the integer whose base-q digits are its coordinates,
-  the first coordinate most significant, with addition and scalar tables;
+  the first coordinate most significant, with addition and scalar tables
+  that give the span of some rows, one row at a time (``_span``);
 * each Lagrangian (isotropic 3-space) and each isotropic plane has an id,
-  its rref basis and the set of its nonzero vectors, built once per
-  subspace: the Lagrangians come from the rref enumeration, which drops a
-  partial basis as soon as two of its rows pair nonzero, the planes from
-  the 2-dimensional coefficient subspaces of each Lagrangian;
+  its rref basis, the set of its nonzero vectors and one key, its
+  projective points (the members with first nonzero coordinate 1); the
+  Lagrangians come from the rref enumeration, which drops a partial basis
+  as soon as two of its rows pair nonzero, the planes from the
+  2-dimensional coefficient subspaces of each Lagrangian;
 * a flag is a (plane id, Lagrangian id) pair with a flag index, which
-  ``flag_index`` finds from its ``FlagState``, the pair of rref bases that
-  ``make_flag`` builds;
+  ``flag_index`` and ``apply`` find by the keys of two spans;
 * each generator of ``h_generators(q)`` has a vector table (v -> vg), the
-  rows of its inverse, and the permutation of the flags that it induces
-  through its permutations of the planes and the Lagrangians.
+  span of its rows, the rows of its inverse, and the flag permutation
+  that the keys of the moved subspaces give.
 
 A group element is the 6-tuple of the indices of its rows, so right
-multiplication by a generator is six table lookups; the orbit search, the
-transversal and both closures are one breadth-first walk, ``_walk``.
+multiplication by a generator is one getter of those rows applied to its
+vector table.  The orbit search, the transversal and both closures are one
+breadth-first walk, ``_walk``, that expands a node in one call: the group
+walk applies a node's row getter to every vector table, and the flag walks
+read each flag's tuple of images under the generators.
 ``FlagSpace.stabilizer`` sifts Schreier elements into a closure until the
 orbit-stabilizer count is met, and ``stab5_check`` compares that closure,
 as a set, with the similitudes of the stated shape.  The orbit predicates
@@ -35,7 +39,8 @@ they are reduced mod q.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import padic
@@ -96,11 +101,7 @@ def rref_q(rows, q):
 
 
 def _isotropic(rows, q) -> bool:
-    return all(
-        _pairing(rows[i], rows[j]) % q == 0
-        for i in range(len(rows))
-        for j in range(i + 1, len(rows))
-    )
+    return not any(_pairing(u, v) % q for u, v in combinations(rows, 2))
 
 
 def make_flag(rows2, rows3, q) -> FlagState:
@@ -132,12 +133,8 @@ def _all_subspace_rrefs(dim: int, q: int, n: int = _N, isotropic: bool = False):
                 for col, val in zip(free, values):
                     row[col] = val
                 rows.append(tuple(row))
-            bases = [
-                basis + (row,)
-                for basis in bases
-                for row in rows
-                if not (isotropic and any(_pairing(row, r) % q for r in basis))
-            ]
+            bases = [basis + (row,) for basis in bases for row in rows
+                     if not (isotropic and any(_pairing(row, r) % q for r in basis))]
         yield from bases
 
 
@@ -164,80 +161,75 @@ class FlagSpace:
 
     def __init__(self, q: int):
         self.q = q
-        n_vec = q**_N
         self.vectors = tuple(product(range(q), repeat=_N))
         self._weights = tuple(q ** (_N - 1 - j) for j in range(_N))
         self.identity = self._weights  # the unit vectors e_j, j = 0..5
         # the support of each vector: bit j is set when coordinate j is nonzero
         self._support = tuple(sum(1 << j for j, c in enumerate(v) if c) for v in self.vectors)
         self._scale = tuple(
-            tuple(self.index(tuple(c * x % q for x in v)) for v in self.vectors)
-            for c in range(q)
+            tuple(self.index([c * x % q for x in v]) for v in self.vectors) for c in range(q))
+        # each vector scaled so that its first nonzero coordinate is 1
+        self._norm = tuple(
+            self._scale[pow(next(filter(None, v), 1), -1, q)][i] for i, v in enumerate(self.vectors)
         )
         # v + w, split into the top and bottom three coordinates; the table
         # rows share one int object per index (q^12 entries at q = 3)
-        ints = list(range(n_vec))
-        half = q**3
+        half, ints = q**3, list(range(q**_N))
+        blocks = [ints[h * half:(h + 1) * half] for h in range(half)]
+        halves = self.vectors[:half]
         half_add = [
-            [self.index(tuple((a + b) % q for a, b in zip(u, w))) for w in self.vectors[:half]]
-            for u in self.vectors[:half]
+            itemgetter(*(self.index([(a + b) % q for a, b in zip(u, w)]) for w in halves))
+            for u in halves
         ]
-        self._add = []
-        for v in range(n_vec):
-            top, bottom = divmod(v, half)
-            tops = [half * h for h in half_add[top]]
-            bottoms = half_add[bottom]
-            self._add.append([ints[t + b] for t in tops for b in bottoms])
+        self._add = [
+            tuple(chain.from_iterable(map(half_add[bottom], half_add[top](blocks))))
+            for top in range(half) for bottom in range(half)
+        ]
 
         # Lagrangians from the rref enumeration; their planes from the
-        # 2-dimensional subspaces of the coefficient space F_q^3.
-        # A coefficient vector c in F_q^3 is the vector index of (0, 0, 0) + c.
+        # 2-dimensional subspaces of the coefficient space F_q^3, where a
+        # coefficient vector c is the vector index of (0, 0, 0) + c.  A
+        # subspace is keyed by its projective points: its normalized members.
         coeff_subspaces = []
         for sub in _all_subspace_rrefs(2, q, 3):
             rows = tuple(self.index((0, 0, 0) + r) for r in sub)
-            span = {self.combine(ab, rows) for ab in product(range(q), repeat=2)}
-            coeff_subspaces.append((sub, sorted(span - {0})))
-        self.lag_bases, self.lag_members = [], []
-        self.plane_bases, self.plane_members = [], []
-        plane_by_basis = {}
+            coeff_subspaces.append((itemgetter(*rows), itemgetter(*self._span(rows)[1:])))
+        self.lag_bases, self.lag_members, lag_keys = [], [], []
+        self.plane_bases, self.plane_members, plane_keys = [], [], []
+        self._plane_id = plane_id = {}
         self.flags = []
-        for b3 in _all_subspace_rrefs(3, q, isotropic=True):
-            lag = len(self.lag_bases)
-            rows = tuple(self.index(r) for r in b3)
-            members = [self.combine(c[3:], rows) for c in self.vectors[: q**3]]
+        for lag, b3 in enumerate(_all_subspace_rrefs(3, q, isotropic=True)):
+            members = self._span(tuple(map(self.index, b3)))
             self.lag_bases.append(b3)
             self.lag_members.append(frozenset(members[1:]))
-            for sub, coeffs in coeff_subspaces:
-                # sub times b3 is in rref because both factors are: a canonical key
-                b2 = tuple(self.vectors[self.combine(c, rows)] for c in sub)
-                plane = plane_by_basis.get(b2)
+            lag_keys.append(self._key(members[1:]))
+            for basis, span in coeff_subspaces:
+                key = self._key(span(members))
+                plane = plane_id.get(key)
                 if plane is None:
-                    plane = plane_by_basis[b2] = len(self.plane_bases)
-                    self.plane_bases.append(b2)
-                    self.plane_members.append(frozenset(members[c] for c in coeffs))
+                    plane = plane_id[key] = len(self.plane_bases)
+                    # the coefficient rows times b3, in rref because both factors are
+                    self.plane_bases.append(tuple(map(self.vectors.__getitem__, basis(members))))
+                    self.plane_members.append(frozenset(span(members)))
+                    plane_keys.append(key)
                 self.flags.append((plane, lag))
-        self._plane_by_basis = plane_by_basis
-        self._lag_by_basis = {b3: lag for lag, b3 in enumerate(self.lag_bases)}
-        self._flag_id = {pair: i for i, pair in enumerate(self.flags)}
+        self._lag_id = lag_id = {key: lag for lag, key in enumerate(lag_keys)}
+        self._flag_id = flag_id = {pair: i for i, pair in enumerate(self.flags)}
 
         self.vector_tables, self.gen_inverses, self.flag_perms = [], [], []
-        self._plane_by_members = plane_of = {m: p for p, m in enumerate(self.plane_members)}
-        self._lag_by_members = lag_of = {m: l for l, m in enumerate(self.lag_members)}
+        flag_planes, flag_lags = zip(*self.flags)
         for g in h_generators(q):
-            rows = tuple(self.index(r) for r in g)
-            table = tuple(self.combine(v, rows) for v in self.vectors)
-            back = [0] * n_vec
-            for v, w in enumerate(table):
-                back[w] = v
-            planes = [plane_of[frozenset(map(table.__getitem__, m))] for m in self.plane_members]
-            lags = [lag_of[frozenset(map(table.__getitem__, m))] for m in self.lag_members]
+            table = tuple(self._span(tuple(map(self.index, g))))  # v -> vg, by linearity
+            # the normalized image of each vector: a key's points go to its image's key
+            moved = itemgetter(*table)(self._norm).__getitem__
+            planes = [plane_id[frozenset(map(moved, key))] for key in plane_keys]
+            lags = [lag_id[frozenset(map(moved, key))] for key in lag_keys]
             self.vector_tables.append(table)
-            self.gen_inverses.append(tuple(back[e] for e in self.identity))
-            self.flag_perms.append(
-                tuple(self._flag_id[planes[p], lags[l]] for p, l in self.flags)
-            )
-        self._orbits = None
-        self._group = None
+            self.gen_inverses.append(tuple(map(table.index, self.identity)))
+            self.flag_perms.append(tuple(map(flag_id.__getitem__, zip(
+                map(planes.__getitem__, flag_planes), map(lags.__getitem__, flag_lags)))))
+        self._neighbours = tuple(zip(*self.flag_perms))  # flag -> its images, in generator order
+        self._orbits = self._group = None
 
     def index(self, coords) -> int:
         return sum(c * w for c, w in zip(coords, self._weights))
@@ -250,6 +242,14 @@ class FlagSpace:
             if c:
                 acc = add[acc][scale[c][r]]
         return acc
+
+    def _span(self, rows):
+        """sum_k c_k rows[k] for every c in F_q^k, in the index order of c; by the tables."""
+        span = [0]
+        for r in rows:
+            multiples = itemgetter(*(s[r] for s in self._scale))
+            span = list(chain.from_iterable(map(multiples, map(self._add.__getitem__, span))))
+        return span
 
     def mul(self, a, b):
         """The product of two group elements given as row-index tuples."""
@@ -265,17 +265,21 @@ class FlagSpace:
 
     def flag_index(self, flag: FlagState):
         """The index of a canonical flag, or None if it is not an isotropic flag."""
-        plane = self._plane_by_basis.get(flag.basis2)
-        lag = self._lag_by_basis.get(flag.basis3)
-        return self._flag_id.get((plane, lag))
+        return self._moved(flag, self.identity)
 
     def apply(self, f: int, a) -> int:
         """The index of flag f moved by the group element a."""
-        vectors, combine = self.vectors, self.combine
         plane, lag = self.flags[f]
-        plane_image = frozenset(combine(vectors[v], a) for v in self.plane_members[plane])
-        lag_image = frozenset(combine(vectors[v], a) for v in self.lag_members[lag])
-        return self._flag_id[self._plane_by_members[plane_image], self._lag_by_members[lag_image]]
+        return self._moved((self.plane_bases[plane], self.lag_bases[lag]), a)
+
+    def _moved(self, bases, a):
+        """The index of the flag that the two bases span, moved by a; None if there is none."""
+        plane, lag = (self._key(self._span([self.combine(r, a) for r in b])[1:]) for b in bases)
+        return self._flag_id.get((self._plane_id.get(plane), self._lag_id.get(lag)))
+
+    def _key(self, members):
+        """The key of a subspace: its projective points, its nonzero members normalized."""
+        return frozenset(map(self._norm.__getitem__, members))
 
     def orbit_split(self):
         """(orbit sizes, orbit index of each flag), walking from the five representatives.
@@ -286,25 +290,20 @@ class FlagSpace:
         if self._orbits is None:
             orbit_of = [0] * len(self.flags)
             sizes = []
-            steps = [perm.__getitem__ for perm in self.flag_perms]
             for idx, rep in enumerate(orbit_representatives(self.q), start=1):
                 f = self.flag_index(rep)
                 if f is None:
                     raise RuntimeError("representative %d is not an enumerated flag" % idx)
                 if orbit_of[f]:
-                    raise RuntimeError(
-                        "representative %d already reached from representative %d"
-                        % (idx, orbit_of[f])
-                    )
-                orbit = _walk([f], steps, len(self.flags))
+                    raise RuntimeError("representative %d already reached from representative %d"
+                                       % (idx, orbit_of[f]))
+                orbit = _walk([f], self._neighbours.__getitem__, len(self.flags))
                 for g in orbit:
                     orbit_of[g] = idx
                 sizes.append(len(orbit))
             if sum(sizes) != len(self.flags):
-                raise RuntimeError(
-                    "only %d of %d flags reached: orbit count exceeds five"
-                    % (sum(sizes), len(self.flags))
-                )
+                raise RuntimeError("only %d of %d flags reached: orbit count exceeds five"
+                                   % (sum(sizes), len(self.flags)))
             self._orbits = (tuple(sizes), orbit_of)
         return self._orbits
 
@@ -312,12 +311,12 @@ class FlagSpace:
         """The set of every group element, as row-index tuples; memoized.
 
         A walk from the identity under right multiplication by the
-        generators; it raises past 10000 elements, so use it at q = 2.
+        generators, a node's row getter applied to each vector table; it
+        raises past 10000 elements, so use it at q = 2.
         """
         if self._group is None:
-            # times_gen, with the table lookup bound once per generator
-            steps = [lambda a, t=t.__getitem__: tuple(map(t, a)) for t in self.vector_tables]
-            self._group = _walk([self.identity], steps, 10000).keys()
+            expand = lambda a, tables=self.vector_tables: map(itemgetter(*a), tables)
+            self._group = _walk([self.identity], expand, 10000).keys()
         return self._group
 
     def stabilizer(self, f: int, order: int):
@@ -330,7 +329,7 @@ class FlagSpace:
         Schreier elements run out.  A transversal element's inverse is
         built, from its parent's, only when a Schreier element needs it.
         """
-        tree = _walk([f], [perm.__getitem__ for perm in self.flag_perms], len(self.flags))
+        tree = _walk([f], self._neighbours.__getitem__, len(self.flags))
         trans = {}
         for g, link in tree.items():
             trans[g] = self.identity if link is None else self.times_gen(trans[link[0]], link[1])
@@ -470,8 +469,8 @@ def h_group_order(q: int) -> int:
     return gl2 * sp4
 
 
-def _walk(start, steps, limit: int) -> dict:
-    """Breadth-first search from the start nodes; each step maps a node to a node.
+def _walk(start, expand, limit: int) -> dict:
+    """Breadth-first search from the start nodes; expand(node) gives its images in step order.
 
     Returns {node: (parent, step index)} in the order the nodes were
     found, with None for a start node.  Raises once more than limit nodes
@@ -480,8 +479,7 @@ def _walk(start, steps, limit: int) -> dict:
     tree = dict.fromkeys(start)
     queue = list(tree)
     for node in queue:  # the queue grows while it is read
-        for i, step in enumerate(steps):
-            image = step(node)
+        for i, image in enumerate(expand(node)):
             if image not in tree:
                 tree[image] = (node, i)
                 queue.append(image)
@@ -492,7 +490,7 @@ def _walk(start, steps, limit: int) -> dict:
 
 def group_closure(gens, mul, limit: int) -> set:
     """Closure of a generator list under the group product."""
-    return set(_walk(gens, [lambda g, s=s: mul(g, s) for s in gens], limit))
+    return set(_walk(gens, lambda g: [mul(g, s) for s in gens], limit))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Flag enumeration, orbits, and stabilizers over F_2, and the indexed flag space."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -105,10 +106,35 @@ def test_h_generators_reject_bad_lifts(monkeypatch):
         assert h_generators(3)[0] == tuple(tuple(v % 3 for v in row) for row in TORUS_LIFT)
 
 
+def _masks(g):
+    """The rows of a 0/1 matrix as 6-bit masks, bit j for column j."""
+    return tuple(sum(v << j for j, v in enumerate(row)) for row in g)
+
+
+def _mask_mul_q2(A, B):
+    """The product AB over F_2, each row a 6-bit mask (bit j is column j).
+
+    Row i of AB is the sum of the rows B[k] with A[i][k] = 1, that is the
+    XOR of the rows of B that the mask A[i] selects.
+    """
+    sums = [0]  # sums[m]: the XOR of the rows B[k] for the bits k of m
+    for row in B:
+        sums += [s ^ row for s in sums]
+    return tuple(sums[a] for a in A)
+
+
 @pytest.fixture(scope="module")
-def h_closure_q2(mat_mul_q):
+def h_closure_q2():
     """The 4,320 matrices of H(F_2), closed from its generators by matrix products."""
-    return group_closure(h_generators(2), lambda A, B: mat_mul_q(A, B, 2), limit=10000)
+    closure = group_closure([_masks(g) for g in h_generators(2)], _mask_mul_q2, limit=10000)
+    return {tuple(tuple(row >> j & 1 for j in range(6)) for row in a) for a in closure}
+
+
+def test_mask_product_is_the_matrix_product_q2(mat_mul_q):
+    rng = random.Random(6)
+    for _ in range(200):
+        A, B = ([[rng.randrange(2) for _ in range(6)] for _ in range(6)] for _ in range(2))
+        assert _mask_mul_q2(_masks(A), _masks(B)) == _masks(mat_mul_q(A, B, 2))
 
 
 def test_h_closure_order_q2(h_closure_q2):
@@ -263,6 +289,53 @@ def test_flag_perms_match_flag_apply_q3_sample(flag_apply):
         assert space.flag_index(flag) == f
         for i, g in enumerate(gens):
             assert states[space.flag_perms[i][f]] == flag_apply(flag, g, 3)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_generator_tables_match_the_matrix_definitions(mat_mul_q, q):
+    space = flag_space(q)
+    vectors = space.vectors
+
+    def normalized(v):
+        inv = pow(next(c for c in v if c), -1, q)
+        return tuple(c * inv % q for c in v)
+
+    point = {w: normalized(v) for w, v in enumerate(vectors) if any(v)}
+    # each key as a set of coordinate tuples, so that the lookup below reads no table
+    plane_of = {frozenset(map(vectors.__getitem__, k)): p for k, p in space._plane_id.items()}
+    lag_of = {frozenset(map(vectors.__getitem__, k)): l for k, l in space._lag_id.items()}
+    for i, g in enumerate(h_generators(q)):
+        table = space.vector_tables[i]
+        columns = list(zip(*g))
+        for w, v in enumerate(vectors):
+            # the row vector v times g, one column of g at a time
+            assert vectors[table[w]] == tuple(sum(map(operator.mul, v, col)) % q for col in columns)
+        assert mat_mul_q(space.matrix(space.gen_inverses[i]), g, q) == IDENTITY6
+        images = []
+        for members, subspace_of in ((space.plane_members, plane_of), (space.lag_members, lag_of)):
+            image_ids = []
+            for m in members:
+                image = frozenset(map(table.__getitem__, m))
+                # the subspace that the key of the image names has the image as its members
+                target = subspace_of[frozenset(map(point.__getitem__, image))]
+                assert members[target] == image
+                image_ids.append(target)
+            images.append(image_ids)
+        planes, lags = images
+        moved = [(planes[p], lags[l]) for p, l in space.flags]
+        assert [space.flags[f] for f in space.flag_perms[i]] == moved
+
+
+def test_walk_is_breadth_first_with_parent_links():
+    # on Z/8, step 0 adds 1 and step 1 adds 3
+    expand = lambda n: ((n + 1) % 8, (n + 3) % 8)
+    tree = symplectic._walk([0], expand, 8)
+    assert list(tree) == [0, 1, 3, 2, 4, 6, 5, 7]
+    assert tree == {0: None, 1: (0, 0), 3: (0, 1), 2: (1, 0), 4: (1, 1), 6: (3, 1), 5: (2, 1),
+                    7: (4, 1)}
+    with pytest.raises(RuntimeError) as err:
+        symplectic._walk([0], expand, 7)
+    assert str(err.value) == "closure exceeded limit 7"
 
 
 def test_row_index_closure_matches_matrix_closure_q2(h_closure_q2):
