@@ -21,7 +21,9 @@ and subtracts dominant monomials only.
 Sparse integer combinations, Laurent polynomials and virtual characters
 alike, are summed in place by one helper, ``_add_into``, which drops each
 key whose coefficient reaches zero; only ``LaurentPoly.__mul__`` and the
-root-line division keep their own loops.
+root-line division keep their own loops.  Only this module reads the packed
+keys: other modules build a polynomial from its exponent triples with
+``LaurentPoly.from_terms``.
 
 Tensor products of irreducibles never expand a character: the SL2 factor
 follows Clebsch-Gordan (m from |m1 - m2| to m1 + m2 in steps of 2) and the
@@ -62,6 +64,10 @@ _MASK = (1 << _SHIFT) - 1
 _MAX_EXP = _OFF - 1
 _P0 = ((_OFF) << (2 * _SHIFT)) | (_OFF << _SHIFT) | _OFF
 _T0 = _OFF << (2 * _SHIFT)  # the least key with t >= 0
+_ONES = (1 << (2 * _SHIFT)) | (1 << _SHIFT) | 1  # 1 in each field
+# bit 10 of each field: in k ^ (k >> 1) it is set when bits 11 and 10 of
+# the field differ, that is when the exponent lies in [-1024, 1023]
+_BAND = _ONES << (_SHIFT - 2)
 
 
 def _pack(t: int, d1: int, d2: int) -> int:
@@ -75,6 +81,15 @@ def _unpack(key: int) -> tuple[int, int, int]:
         (key >> (2 * _SHIFT)) - _OFF,
         ((key >> _SHIFT) & _MASK) - _OFF,
         (key & _MASK) - _OFF,
+    )
+
+
+def _fields(c) -> tuple[list[int], list[int], list[int]]:
+    """The packed fields t, d1, d2 of every key of c, each still offset by _OFF."""
+    return (
+        [k >> (2 * _SHIFT) for k in c],
+        [(k >> _SHIFT) & _MASK for k in c],
+        [k & _MASK for k in c],
     )
 
 
@@ -111,6 +126,11 @@ class LaurentPoly:
     def monomial(cls, t: int, d1: int, d2: int, coeff: int = 1) -> "LaurentPoly":
         return cls({_pack(t, d1, d2): coeff}) if coeff else cls({})
 
+    @classmethod
+    def from_terms(cls, terms) -> "LaurentPoly":
+        """The sum of coeff t^i y1^j y2^k over the (i, j, k, coeff) terms, zeros dropped."""
+        return cls(_add_into({}, ((_pack(i, j, k), v) for i, j, k, v in terms)))
+
     # -- inspection ---------------------------------------------------------
 
     def items(self) -> Iterator[tuple[tuple[int, int, int], int]]:
@@ -141,6 +161,20 @@ class LaurentPoly:
         a, b = self._c, other._c
         if len(a) > len(b):
             a, b = b, a
+        # A field sum past [-2047, 2047] would carry into the next field.  It
+        # cannot happen when every exponent of a lies in [-1023, 1024] (read
+        # off k - _ONES) and every exponent of b in [-1024, 1023], so only
+        # other operands pay for the exact field ranges.
+        band = _BAND
+        for k in a:
+            k -= _ONES
+            band &= k ^ (k >> 1)
+        for k in b:
+            band &= k ^ (k >> 1)
+        if a and band != _BAND:
+            for fa, fb in zip(_fields(a), _fields(b)):
+                if min(fa) + min(fb) <= _OFF or max(fa) + max(fb) >= 3 * _OFF:
+                    raise OverflowError("torus exponent out of packed range")
         out: dict[int, int] = {}
         for k1, v1 in a.items():
             base = k1 - _P0
@@ -164,8 +198,7 @@ class LaurentPoly:
 
     def adams(self, n: int) -> "LaurentPoly":
         """Exponent scaling by n: the n-th power-sum symmetric function."""
-        terms = ((_pack(n * t, n * d1, n * d2), v) for (t, d1, d2), v in self.items())
-        return LaurentPoly(_add_into({}, terms))
+        return LaurentPoly.from_terms((n * t, n * d1, n * d2, v) for (t, d1, d2), v in self.items())
 
     def evaluate(self, t: Fraction, y1: Fraction, y2: Fraction) -> Fraction:
         """Exact value at a rational torus point, summed in integers.
@@ -180,15 +213,7 @@ class LaurentPoly:
             return Fraction(0)
         scale = Fraction(1)
         columns = []
-        # the packed fields t, d1, d2 of every key, each still offset by _OFF
-        for x, field in zip(
-            (t, y1, y2),
-            (
-                [k >> (2 * _SHIFT) for k in c],
-                [(k >> _SHIFT) & _MASK for k in c],
-                [k & _MASK for k in c],
-            ),
-        ):
+        for x, field in zip((t, y1, y2), _fields(c)):
             x = Fraction(x)
             n, d = x.numerator, x.denominator
             lo = min(field)

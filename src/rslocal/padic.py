@@ -18,7 +18,7 @@ from itertools import chain, combinations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .characters import LaurentPoly, VirtualCharacter, _add_into, _pack
+from .characters import LaurentPoly, VirtualCharacter
 from .series import BiSeries
 
 __all__ = [
@@ -356,7 +356,7 @@ def fprime_section(g: QMatrix, p: int) -> tuple[int, int, int]:
 
 def _poly(terms) -> LaurentPoly:
     """The sum of coeff P^i X^j Y^k over the (i, j, k, coeff) terms."""
-    return LaurentPoly(_add_into({}, ((_pack(i, j, k), v) for i, j, k, v in terms)))
+    return LaurentPoly.from_terms(terms)
 
 
 def integral_max(c_val: int) -> LaurentPoly:

@@ -7,17 +7,18 @@ Computational Group Theory*, ch. 4):
 * a vector of F_q^6 is the integer whose base-q digits are its coordinates,
   the first coordinate most significant, with addition and scalar tables
   that give the span of some rows, one row at a time (``_span``);
-* each Lagrangian (isotropic 3-space) and each isotropic plane has an id,
-  its rref basis, the set of its nonzero vectors and one key, its
-  projective points (the members with first nonzero coordinate 1); the
-  Lagrangians come from the rref enumeration, which drops a partial basis
-  as soon as two of its rows pair nonzero, the planes from the
-  2-dimensional coefficient subspaces of each Lagrangian;
-* a flag is a (plane id, Lagrangian id) pair with a flag index, which
-  ``flag_index`` and ``apply`` find by the keys of two spans;
+* each Lagrangian (isotropic 3-space) and each isotropic plane has an id
+  and is stored only as its key, its projective points (the nonzero
+  members with first nonzero coordinate 1, one per line); the Lagrangians
+  come from the rref enumeration, which drops a partial basis as soon as
+  two of its rows pair nonzero, the planes from the 2-dimensional
+  coefficient subspaces of each Lagrangian;
+* a flag is a (plane id, Lagrangian id) pair with a flag index;
+  ``flag_index`` keys the spans of the bases it is given, and ``apply``
+  moves the key points of a flag, and both look up the two keys;
 * each generator of ``h_generators(q)`` has a vector table (v -> vg), the
-  span of its rows, the rows of its inverse, and the flag permutation
-  that the keys of the moved subspaces give.
+  span of its rows, and the rows of its inverse; each flag has the tuple
+  of its images under the generators, the one table of the flag action.
 
 A group element is the 6-tuple of the indices of its rows, so right
 multiplication by a generator is one getter of those rows applied to its
@@ -28,7 +29,8 @@ read each flag's tuple of images under the generators.
 ``FlagSpace.stabilizer`` sifts Schreier elements into a closure until the
 orbit-stabilizer count is met, and ``stab5_check`` compares that closure,
 as a set, with the similitudes of the stated shape.  The orbit predicates
-test each vector's support, a bitmask of its nonzero coordinates.
+count the key points whose support, a bitmask of nonzero coordinates,
+lies in a coordinate subspace.
 The tuple definitions (``rref_q``, ``make_flag``) are the reference the
 tests compare the tables with.  The group acts on the right of row vectors.
 
@@ -150,13 +152,14 @@ _V2_MASK = 1 << 1 | 1 << 2 | 1 << 3 | 1 << 4
 class FlagSpace:
     """The isotropic flags of F_q^6 and the generator action, on integer indices.
 
-    ``vectors[v]`` is the coordinate tuple of vector index v.  Planes and
-    Lagrangians are listed by id with their rref bases and their sets of
-    nonzero member vectors; ``flags[i]`` is the (plane id, Lagrangian id)
-    pair of flag i.  Generator i of ``h_generators(q)`` has the vector
-    table ``vector_tables[i]``, its inverse's rows ``gen_inverses[i]``, and
-    the flag permutation ``flag_perms[i]``.  A group element is the tuple of
-    its row indices.
+    ``vectors[v]`` is the coordinate tuple of vector index v.
+    ``plane_keys[p]`` and ``lag_keys[l]`` are the keys of plane p and
+    Lagrangian l, the frozensets of their projective points as vector
+    indices; ``flags[i]`` is the (plane id, Lagrangian id) pair of flag i,
+    and ``images[i]`` the tuple of its images under the generators.
+    Generator j of ``h_generators(q)`` has the vector table
+    ``vector_tables[j]`` and its inverse's rows ``gen_inverses[j]``.  A
+    group element is the tuple of its row indices.
     """
 
     def __init__(self, q: int):
@@ -189,46 +192,33 @@ class FlagSpace:
         # Lagrangians from the rref enumeration; their planes from the
         # 2-dimensional subspaces of the coefficient space F_q^3, where a
         # coefficient vector c is the vector index of (0, 0, 0) + c.  A
-        # subspace is keyed by its projective points: its normalized members.
-        coeff_subspaces = []
-        for sub in _all_subspace_rrefs(2, q, 3):
-            rows = tuple(self.index((0, 0, 0) + r) for r in sub)
-            coeff_subspaces.append((itemgetter(*rows), itemgetter(*self._span(rows)[1:])))
-        self.lag_bases, self.lag_members, lag_keys = [], [], []
-        self.plane_bases, self.plane_members, plane_keys = [], [], []
-        self._plane_id = plane_id = {}
+        # subspace is its key, its projective points: its normalized members.
+        coeff_planes = [itemgetter(*self._span(tuple(self.index((0, 0, 0) + r) for r in sub))[1:])
+                        for sub in _all_subspace_rrefs(2, q, 3)]
+        self._plane_id, self._lag_id = plane_id, lag_id = {}, {}  # key -> id, in id order
         self.flags = []
-        for lag, b3 in enumerate(_all_subspace_rrefs(3, q, isotropic=True)):
+        for b3 in _all_subspace_rrefs(3, q, isotropic=True):
             members = self._span(tuple(map(self.index, b3)))
-            self.lag_bases.append(b3)
-            self.lag_members.append(frozenset(members[1:]))
-            lag_keys.append(self._key(members[1:]))
-            for basis, span in coeff_subspaces:
-                key = self._key(span(members))
-                plane = plane_id.get(key)
-                if plane is None:
-                    plane = plane_id[key] = len(self.plane_bases)
-                    # the coefficient rows times b3, in rref because both factors are
-                    self.plane_bases.append(tuple(map(self.vectors.__getitem__, basis(members))))
-                    self.plane_members.append(frozenset(span(members)))
-                    plane_keys.append(key)
+            lag = lag_id.setdefault(self._key(members[1:]), len(lag_id))
+            for span in coeff_planes:
+                plane = plane_id.setdefault(self._key(span(members)), len(plane_id))
                 self.flags.append((plane, lag))
-        self._lag_id = lag_id = {key: lag for lag, key in enumerate(lag_keys)}
+        self.plane_keys, self.lag_keys = tuple(plane_id), tuple(lag_id)
         self._flag_id = flag_id = {pair: i for i, pair in enumerate(self.flags)}
 
-        self.vector_tables, self.gen_inverses, self.flag_perms = [], [], []
+        self.vector_tables, self.gen_inverses, perms = [], [], []
         flag_planes, flag_lags = zip(*self.flags)
         for g in h_generators(q):
             table = tuple(self._span(tuple(map(self.index, g))))  # v -> vg, by linearity
             # the normalized image of each vector: a key's points go to its image's key
             moved = itemgetter(*table)(self._norm).__getitem__
-            planes = [plane_id[frozenset(map(moved, key))] for key in plane_keys]
-            lags = [lag_id[frozenset(map(moved, key))] for key in lag_keys]
+            planes = [plane_id[frozenset(map(moved, key))] for key in self.plane_keys]
+            lags = [lag_id[frozenset(map(moved, key))] for key in self.lag_keys]
             self.vector_tables.append(table)
             self.gen_inverses.append(tuple(map(table.index, self.identity)))
-            self.flag_perms.append(tuple(map(flag_id.__getitem__, zip(
-                map(planes.__getitem__, flag_planes), map(lags.__getitem__, flag_lags)))))
-        self._neighbours = tuple(zip(*self.flag_perms))  # flag -> its images, in generator order
+            perms.append(map(flag_id.__getitem__, zip(
+                map(planes.__getitem__, flag_planes), map(lags.__getitem__, flag_lags))))
+        self.images = tuple(zip(*perms))  # flag -> its images, in generator order
         self._orbits = self._group = None
 
     def index(self, coords) -> int:
@@ -265,17 +255,18 @@ class FlagSpace:
 
     def flag_index(self, flag: FlagState):
         """The index of a canonical flag, or None if it is not an isotropic flag."""
-        return self._moved(flag, self.identity)
+        return self._find(*(self._key(self._span(tuple(map(self.index, b)))[1:]) for b in flag))
 
     def apply(self, f: int, a) -> int:
-        """The index of flag f moved by the group element a."""
+        """The index of flag f moved by the group element a: each key point's image, normalized."""
+        vectors, combine, norm = self.vectors, self.combine, self._norm
         plane, lag = self.flags[f]
-        return self._moved((self.plane_bases[plane], self.lag_bases[lag]), a)
+        return self._find(*(frozenset(norm[combine(vectors[v], a)] for v in key)
+                            for key in (self.plane_keys[plane], self.lag_keys[lag])))
 
-    def _moved(self, bases, a):
-        """The index of the flag that the two bases span, moved by a; None if there is none."""
-        plane, lag = (self._key(self._span([self.combine(r, a) for r in b])[1:]) for b in bases)
-        return self._flag_id.get((self._plane_id.get(plane), self._lag_id.get(lag)))
+    def _find(self, plane_key, lag_key):
+        """The index of the flag with these two keys, or None if there is none."""
+        return self._flag_id.get((self._plane_id.get(plane_key), self._lag_id.get(lag_key)))
 
     def _key(self, members):
         """The key of a subspace: its projective points, its nonzero members normalized."""
@@ -297,7 +288,7 @@ class FlagSpace:
                 if orbit_of[f]:
                     raise RuntimeError("representative %d already reached from representative %d"
                                        % (idx, orbit_of[f]))
-                orbit = _walk([f], self._neighbours.__getitem__, len(self.flags))
+                orbit = _walk([f], self.images.__getitem__, len(self.flags))
                 for g in orbit:
                     orbit_of[g] = idx
                 sizes.append(len(orbit))
@@ -329,7 +320,7 @@ class FlagSpace:
         Schreier elements run out.  A transversal element's inverse is
         built, from its parent's, only when a Schreier element needs it.
         """
-        tree = _walk([f], self._neighbours.__getitem__, len(self.flags))
+        tree = _walk([f], self.images.__getitem__, len(self.flags))
         trans = {}
         for g, link in tree.items():
             trans[g] = self.identity if link is None else self.times_gen(trans[link[0]], link[1])
@@ -342,9 +333,9 @@ class FlagSpace:
             return trans_inv[g]
 
         schreier = (
-            self.mul(self.times_gen(t, i), inverse(perm[g]))
+            self.mul(self.times_gen(t, i), inverse(image))
             for g, t in trans.items()
-            for i, perm in enumerate(self.flag_perms)
+            for i, image in enumerate(self.images[g])
         )
         gens, stab = [], {self.identity}
         for s in schreier:
@@ -358,20 +349,24 @@ class FlagSpace:
     def predicate(self, f: int) -> int:
         """Which of the five qualitative descriptions flag f satisfies."""
         plane, lag = self.flags[f]
-        plane_v2 = self._meet(self.plane_members[plane], _V2_MASK)
+        plane, lag = self.plane_keys[plane], self.lag_keys[lag]
+        plane_v2 = self._meet(plane, _V2_MASK)
         if plane_v2 == 2:
             return 1
-        if self._meet(self.plane_members[plane], _V1_MASK) >= 1:
+        if self._meet(plane, _V1_MASK) >= 1:
             return 2
         if plane_v2 >= 1:
             # distinguished by whether the 3-space holds a Lagrangian of V2
-            return 3 if self._meet(self.lag_members[lag], _V2_MASK) >= 2 else 4
+            return 3 if self._meet(lag, _V2_MASK) >= 2 else 4
         return 5
 
-    def _meet(self, members, free_mask: int) -> int:
-        """Dimension of a subspace (its nonzero members) meet the coordinates in free_mask."""
+    def _meet(self, key, free_mask: int) -> int:
+        """Dimension of a subspace (its key) meet the coordinates in free_mask.
+
+        A meet of dimension d has (q^d - 1) / (q - 1) projective points.
+        """
         support = self._support
-        size = 1 + sum(1 for v in members if not support[v] & ~free_mask)
+        size = 1 + (self.q - 1) * sum(1 for v in key if not support[v] & ~free_mask)
         dim = 0
         while size > 1:
             size //= self.q

@@ -250,6 +250,42 @@ def test_weyl_invariance_at_the_packed_range_edges():
         assert not (poly + LaurentPoly.monomial(*w, coeff=-1)).is_weyl_invariant(), w
 
 
+@pytest.mark.parametrize("field", [0, 1, 2], ids=["t", "d1", "d2"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
+def test_product_past_the_packed_range_raises(field, sign):
+    def mono(e, other=0):
+        exps = [other, other, other]
+        exps[field] = sign * e
+        return LaurentPoly.monomial(*exps)
+
+    # 2000 + 2000 would carry into the neighbouring field (t * y1^-96 for d1 up)
+    with pytest.raises(OverflowError, match="out of packed range"):
+        mono(2000) * mono(2000)
+    # one term past the edge is enough, whatever the other terms are
+    with pytest.raises(OverflowError):
+        (mono(1) + mono(2047)) * (mono(0) + mono(1))
+    # one past the edge raises, the edge itself is in range in either
+    # order, and the other fields stay untouched; 1023 and 1024 are the
+    # edges of the range where no field range is read
+    for low, high in ((1000, 1048), (1024, 1024)):
+        for x, y in ((low, high), (high, low)):
+            with pytest.raises(OverflowError):
+                mono(x) * mono(y)
+    for low, high in ((1000, 1047), (1023, 1024), (0, 2047)):
+        for x, y in ((low, high), (high, low)):
+            edge = mono(x, other=3) * mono(y, other=-3)
+            want = tuple(sign * 2047 if i == field else 0 for i in range(3))
+            assert list(edge.items()) == [(want, 1)]
+
+
+def test_from_terms_sums_like_terms_and_drops_zeros():
+    poly = LaurentPoly.from_terms([(1, 2, 0, 3), (0, 0, 0, 5), (1, 2, 0, -3), (0, 0, 0, 2)])
+    assert poly == LaurentPoly.monomial(0, 0, 0, 7)
+    assert LaurentPoly.from_terms([(0, 4, 2, 1), (0, 4, 2, -1)]) == LaurentPoly.zero()
+    with pytest.raises(OverflowError):
+        LaurentPoly.from_terms([(0, 2048, 0, 1)])
+
+
 def test_decompose_roundtrip_seeded():
     rng = random.Random(7)
     weights = [(m, a, b) for m in range(7) for a in range(7) for b in range(7 - a)]

@@ -90,3 +90,32 @@ def _top_level_functions_no_other_code_names(src):
 
 def test_every_top_level_function_is_named_by_other_src_code():
     assert _top_level_functions_no_other_code_names(SRC) == []
+
+
+def _private_reads_of(module, path):
+    """The private names of ``rslocal.<module>`` that the file at ``path`` imports or reads.
+
+    A private name starts with one underscore.  A read is an attribute of a
+    name bound to the module, such as ``characters._pack``.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = lambda name: name.startswith("_") and not name.startswith("__")
+    aliases, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (module, "rslocal." + module):
+            found.update(a.name for a in node.names if private(a.name))
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "rslocal"):
+            aliases.update(a.asname or a.name for a in node.names if a.name == module)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and private(node.attr)):
+            found.add(node.attr)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.stem != "characters"), ids=lambda p: p.stem
+)
+def test_only_characters_reads_its_private_names(path):
+    # the packed key format stays inside characters; LaurentPoly.from_terms builds from exponents
+    assert _private_reads_of("characters", path) == set()

@@ -38,9 +38,16 @@ ORBIT_SIZES_Q2 = [45, 135, 135, 270, 360]
 ORBIT_SIZES_Q3 = [160, 640, 1280, 3840, 8640]
 
 
+def subspace_bases(space, keys):
+    """The rref basis of each subspace, read off the coordinates of its key's points."""
+    return [rref_q([space.vectors[v] for v in key], space.q) for key in keys]
+
+
 def flag_states(space):
-    """The ``FlagState`` of every flag of the space, by flag index."""
-    return [FlagState(space.plane_bases[p], space.lag_bases[l]) for p, l in space.flags]
+    """The ``FlagState`` of every flag of the space, by flag index; one rref per subspace."""
+    planes = subspace_bases(space, space.plane_keys)
+    lags = subspace_bases(space, space.lag_keys)
+    return [FlagState(planes[p], lags[l]) for p, l in space.flags]
 
 
 def test_flag_count_q2():
@@ -273,7 +280,7 @@ def test_flag_perms_match_flag_apply_q2(flag_apply):
     space = flag_space(2)
     states = flag_states(space)
     for i, g in enumerate(h_generators(2)):
-        perm = space.flag_perms[i]
+        perm = [images[i] for images in space.images]
         assert sorted(perm) == list(range(945))
         for f, flag in enumerate(states):
             assert states[perm[f]] == flag_apply(flag, g, 2)
@@ -288,7 +295,7 @@ def test_flag_perms_match_flag_apply_q3_sample(flag_apply):
         flag = states[f]
         assert space.flag_index(flag) == f
         for i, g in enumerate(gens):
-            assert states[space.flag_perms[i][f]] == flag_apply(flag, g, 3)
+            assert states[space.images[f][i]] == flag_apply(flag, g, 3)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -302,8 +309,8 @@ def test_generator_tables_match_the_matrix_definitions(mat_mul_q, q):
 
     point = {w: normalized(v) for w, v in enumerate(vectors) if any(v)}
     # each key as a set of coordinate tuples, so that the lookup below reads no table
-    plane_of = {frozenset(map(vectors.__getitem__, k)): p for k, p in space._plane_id.items()}
-    lag_of = {frozenset(map(vectors.__getitem__, k)): l for k, l in space._lag_id.items()}
+    plane_of = {frozenset(map(vectors.__getitem__, k)): p for p, k in enumerate(space.plane_keys)}
+    lag_of = {frozenset(map(vectors.__getitem__, k)): l for l, k in enumerate(space.lag_keys)}
     for i, g in enumerate(h_generators(q)):
         table = space.vector_tables[i]
         columns = list(zip(*g))
@@ -311,19 +318,32 @@ def test_generator_tables_match_the_matrix_definitions(mat_mul_q, q):
             # the row vector v times g, one column of g at a time
             assert vectors[table[w]] == tuple(sum(map(operator.mul, v, col)) % q for col in columns)
         assert mat_mul_q(space.matrix(space.gen_inverses[i]), g, q) == IDENTITY6
-        images = []
-        for members, subspace_of in ((space.plane_members, plane_of), (space.lag_members, lag_of)):
-            image_ids = []
-            for m in members:
-                image = frozenset(map(table.__getitem__, m))
-                # the subspace that the key of the image names has the image as its members
-                target = subspace_of[frozenset(map(point.__getitem__, image))]
-                assert members[target] == image
-                image_ids.append(target)
-            images.append(image_ids)
-        planes, lags = images
+        moved_ids = []
+        for keys, subspace_of in ((space.plane_keys, plane_of), (space.lag_keys, lag_of)):
+            # g maps the lines of a subspace onto the lines of its image, so the
+            # normalized images of a key's points are the image's key
+            moved_ids.append([subspace_of[frozenset(point[table[v]] for v in key)] for key in keys])
+        planes, lags = moved_ids
         moved = [(planes[p], lags[l]) for p, l in space.flags]
-        assert [space.flags[f] for f in space.flag_perms[i]] == moved
+        assert [space.flags[images[i]] for images in space.images] == moved
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_each_subspace_is_stored_once_as_its_projective_points(q):
+    space = flag_space(q)
+    for keys, ids, dim in ((space.plane_keys, space._plane_id, 2),
+                           (space.lag_keys, space._lag_id, 3)):
+        # (q^d - 1) / (q - 1) points: q + 1 for a plane, q^2 + q + 1 for a Lagrangian
+        assert {len(key) for key in keys} == {(q**dim - 1) // (q - 1)}
+        assert len(set(keys)) == len(keys)
+        # the points span a subspace of dimension d, which has no other points
+        assert {len(basis) for basis in subspace_bases(space, keys)} == {dim}
+        for key in keys:
+            assert all(next(filter(None, space.vectors[v])) == 1 for v in key)
+        # the key lookup holds the same key objects, in id order
+        assert all(a is b for a, b in zip(ids, keys, strict=True))
+    assert len(space.images) == len(space.flags)
+    assert {len(images) for images in space.images} == {len(h_generators(q))}
 
 
 def test_walk_is_breadth_first_with_parent_links():
@@ -387,6 +407,23 @@ def test_predicates_match_rank_definition_q2():
         else:
             want = 5
         assert space.predicate(f) == want
+
+
+def test_meet_counts_points_as_the_rank_definition_q3():
+    q = 3
+    space = flag_space(q)
+    rank = lambda rows: len(rref_q(rows, q))
+    coordinates = {symplectic._V1_MASK: [E1, F1], symplectic._V2_MASK: [E2, E3, F3, F2]}
+    rng = random.Random(27)
+    seen = set()
+    for keys in (space.plane_keys, space.lag_keys):
+        for key in rng.sample(keys, 300):
+            rows = [space.vectors[v] for v in key]
+            for mask, units in coordinates.items():
+                want = rank(rows) + rank(units) - rank(rows + units)
+                assert space._meet(key, mask) == want
+                seen.add(want)
+    assert seen == {0, 1, 2}  # a meet of dimension 2 has 4 points, not 8 members
 
 
 def test_predicate_index_canonicalizes_and_rejects_non_flags():
@@ -558,7 +595,8 @@ def _flat_subspace_rrefs(dim, q, n=6):
 def test_pruned_lagrangians_are_the_filtered_full_enumeration(q):
     want = [b for b in _flat_subspace_rrefs(3, q) if symplectic._isotropic(b, q)]
     assert len(want) == flag_counts(q)[0]
-    assert flag_space(q).lag_bases == want
+    space = flag_space(q)
+    assert subspace_bases(space, space.lag_keys) == want
 
 
 def _stab5_shape_by_mid_matrix(g, q):
@@ -630,11 +668,15 @@ def test_similitude_test_matches_the_gram_matrix():
             assert symplectic._is_similitude(g, q) == similitude_by_gram(g, q), g
 
 
-def _meet_by_coordinates(space, members, free):
-    """Dimension of a subspace meet the span of the coordinates in free, read off the tuples."""
-    size = 1 + sum(
-        1 for v in members if all(c == 0 or j in free for j, c in enumerate(space.vectors[v]))
-    )
+def _meet_by_coordinates(space, key, free):
+    """Dimension of a subspace meet the span of the coordinates in free, read off the tuples.
+
+    The nonzero members are the nonzero multiples of the key's points, so
+    the meet's members are counted, not its points.
+    """
+    q = space.q
+    members = {tuple(c * x % q for x in space.vectors[v]) for v in key for c in range(1, q)}
+    size = 1 + sum(1 for v in members if all(c == 0 or j in free for j, c in enumerate(v)))
     dim = 0
     while size > 1:
         size //= space.q
@@ -645,12 +687,13 @@ def _meet_by_coordinates(space, members, free):
 def _predicate_by_coordinates(space, f):
     plane, lag = space.flags[f]
     v1, v2 = (0, 5), (1, 2, 3, 4)
-    if _meet_by_coordinates(space, space.plane_members[plane], v2) == 2:
+    plane, lag = space.plane_keys[plane], space.lag_keys[lag]
+    if _meet_by_coordinates(space, plane, v2) == 2:
         return 1
-    if _meet_by_coordinates(space, space.plane_members[plane], v1) >= 1:
+    if _meet_by_coordinates(space, plane, v1) >= 1:
         return 2
-    if _meet_by_coordinates(space, space.plane_members[plane], v2) >= 1:
-        return 3 if _meet_by_coordinates(space, space.lag_members[lag], v2) >= 2 else 4
+    if _meet_by_coordinates(space, plane, v2) >= 1:
+        return 3 if _meet_by_coordinates(space, lag, v2) >= 2 else 4
     return 5
 
 
@@ -663,9 +706,9 @@ def test_support_mask_predicates_match_the_coordinate_definition(q, sample):
     masks = {symplectic._V1_MASK: (0, 5), symplectic._V2_MASK: (1, 2, 3, 4)}
     for f in flags:
         plane, lag = space.flags[f]
-        for members in (space.plane_members[plane], space.lag_members[lag]):
+        for key in (space.plane_keys[plane], space.lag_keys[lag]):
             for mask, coords in masks.items():
-                assert space._meet(members, mask) == _meet_by_coordinates(space, members, coords)
+                assert space._meet(key, mask) == _meet_by_coordinates(space, key, coords)
         assert space.predicate(f) == _predicate_by_coordinates(space, f)
 
 
