@@ -16,7 +16,9 @@ Decompositions peel highest weights under the lexicographic order on
 is deterministic and terminates.  A Weyl-invariant polynomial is fixed by
 its dominant part (t >= 0, d1 >= d2 >= 0), since every weight has exactly
 one dominant Weyl image (Humphreys, sections 22 and 24), so the peel reads
-and subtracts dominant monomials only.
+and subtracts dominant monomials only, and ``char_B2_value`` values a Spin5
+character at a rational point from the Weyl orbit sums of its dominant
+weights.
 
 Sparse integer combinations, Laurent polynomials and virtual characters
 alike, are summed in place by one helper, ``_add_into``, which drops each
@@ -47,6 +49,7 @@ __all__ = [
     "char_A1",
     "char_B2",
     "product_char",
+    "char_B2_value",
     "dim_irrep",
     "decompose",
     "tensor_decompose",
@@ -360,16 +363,59 @@ def _dominant_items(c: dict[int, int]) -> list[tuple[int, int]]:
     ]
 
 
+def _dominant_b2(a: int, b: int) -> list[tuple[int, int]]:
+    """The dominant monomials of char_B2(a, b), as (key, coefficient), kept per (a, b)."""
+    spin5 = _DOMINANT_CACHE.get((a, b))
+    if spin5 is None:
+        spin5 = _DOMINANT_CACHE[(a, b)] = _dominant_items(char_B2(a, b)._c)
+    return spin5
+
+
 def _dominant_char(m: int, a: int, b: int) -> list[tuple[int, int]]:
     """The dominant monomials of product_char(m, a, b), as (key, coefficient).
 
     They are t = m, m - 2, ..., >= 0 times the dominant monomials of
-    char_B2(a, b), kept per (a, b), so the full product is never built.
+    char_B2(a, b), so the full product is never built.
     """
-    spin5 = _DOMINANT_CACHE.get((a, b))
-    if spin5 is None:
-        spin5 = _DOMINANT_CACHE[(a, b)] = _dominant_items(char_B2(a, b)._c)
-    return [(k + (t << (2 * _SHIFT)), v) for t in range(m, -1, -2) for k, v in spin5]
+    return [(k + (t << (2 * _SHIFT)), v) for t in range(m, -1, -2) for k, v in _dominant_b2(a, b)]
+
+
+def char_B2_value(a: int, b: int, n1: int, den1: int, n2: int, den2: int) -> Fraction:
+    """Exact value of char_B2(a, b) at (y1, y2) = (n1/den1, n2/den2), in integers.
+
+    A Weyl-invariant polynomial is the sum of its dominant coefficients
+    times their W(B2) orbit sums.  With p[k] = y^k + y^-k and p[0] = 1,
+    the orbit sum of a dominant doubled weight (e1, e2), e1 >= e2 >= 0, is
+    p1[e1] p2[e2] + p1[e2] p2[e1] when e1 != e2 and p1[e1] p2[e1] when
+    e1 = e2; the one rule covers the walls (0, 0), (e, 0) and (e, e).  For
+    y = n/den and top = 2a + b, the largest doubled coordinate, the scaled
+    (n den)^top p[k] is (n den)^(top-k) (n^2k + den^2k) for 0 < k <= top
+    and (n den)^top for k = 0, an integer either way, so the value is one
+    integer sum over (n1 den1 n2 den2)^top.
+    """
+    top = 2 * a + b
+    scaled = []
+    for n, den in ((n1, den1), (n2, den2)):
+        g, nn, dd = n * den, n * n, den * den
+        g_pows = [1]
+        for _ in range(top):
+            g_pows.append(g_pows[-1] * g)
+        # (n den)^(top-k) p[k] for k = 0, 1, ..., top
+        col, n_pow, d_pow = [g_pows[top]], 1, 1
+        for k in range(1, top + 1):
+            n_pow *= nn
+            d_pow *= dd
+            col.append(g_pows[top - k] * (n_pow + d_pow))
+        scaled.append(col)
+    p1, p2 = scaled
+    total = 0
+    for k, v in _dominant_b2(a, b):
+        e1, e2 = ((k >> _SHIFT) & _MASK) - _OFF, (k & _MASK) - _OFF
+        if e1 == e2:
+            total += v * p1[e1] * p2[e1]
+        else:
+            total += v * (p1[e1] * p2[e2] + p1[e2] * p2[e1])
+    return Fraction(total, (n1 * den1 * n2 * den2) ** top)
 
 
 def dim_irrep(m: int, a: int, b: int) -> int:

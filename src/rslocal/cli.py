@@ -8,7 +8,6 @@ explicit flags win.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -117,11 +116,11 @@ def _merge_config(args) -> CheckConfig:
         errors = CheckConfig(args.suite, **values).validate()
         if errors:
             raise ValueError("; ".join("config file: %s" % err for err in errors))
-    for field in dataclasses.fields(CheckConfig):
-        flag = getattr(args, field.name)
+    for name in CheckConfig._fields:
+        flag = getattr(args, name)
         if flag is not None:
             # repeatable flags arrive as lists
-            values[field.name] = tuple(flag) if isinstance(flag, list) else flag
+            values[name] = tuple(flag) if isinstance(flag, list) else flag
     return CheckConfig(**values)
 
 

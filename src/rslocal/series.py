@@ -7,11 +7,13 @@ is assembled exactly.  The coefficients are virtual characters, or exact
 rationals once a series is specialized at a Satake point.
 
 Specialization values each distinct weight of a series once per point, as
-the product of two memoized factor values: char_A1(m) at t, keyed by
-(m, t), and char_B2(a, b) at (y1, y2), keyed by (a, b, y1, y2), so a
-Spin5 factor is evaluated once for all the SL2 indices it meets.  Each
-coefficient is then summed in integers over the values' common
-denominator.
+the product of two memoized factor values, each keyed on integers:
+char_A1(m) at t = n/d, keyed by (m, n, d), and char_B2(a, b) at
+(y1, y2) = (n1/d1, n2/d2), keyed by (a, b, n1, d1, n2, d2), so a Spin5
+factor is evaluated once for all the SL2 indices it meets.  The Spin5
+factor comes from the W(B2) orbit sums of its dominant weights alone
+(characters.char_B2_value), in integers.  Each coefficient is then
+summed in integers over the values' common denominator.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import coeffs
 from .characters import (
     VirtualCharacter,
     char_A1,
-    char_B2,
+    char_B2_value,
     product_char,  # unused here; perfbench/test_perfbench.py traces this binding
     sym_power_decompose,
     tensor_decompose,  # unused here (BiSeries multiplies with *); traced likewise
@@ -61,8 +63,8 @@ class SatakePoint(NamedTuple):
         return pt
 
 
-_A1_VALUES: dict[tuple, Fraction] = {}
-_B2_VALUES: dict[tuple, Fraction] = {}
+_A1_VALUES: dict[tuple[int, int, int], Fraction] = {}
+_B2_VALUES: dict[tuple[int, int, int, int, int, int], Fraction] = {}
 
 
 def character_value(weight: tuple[int, int, int], pt: SatakePoint) -> Fraction:
@@ -71,19 +73,25 @@ def character_value(weight: tuple[int, int, int], pt: SatakePoint) -> Fraction:
     The character is product_char(m, a, b) = char_A1(m) * char_B2(a, b), so
     its value is the product of the two factors' values; the product
     polynomial is never expanded.  Each factor value is memoized on the
-    coordinates it reads: char_A1(m) at t on (m, t), char_B2(a, b) at
-    (y1, y2) on (a, b, y1, y2).
+    integers of the coordinates it reads: char_A1(m) at t = n/d on
+    (m, n, d), summed over its m + 1 monomials; char_B2(a, b) at
+    (y1, y2) = (n1/d1, n2/d2) on (a, b, n1, d1, n2, d2), by char_B2_value.
+    That sums, over the dominant doubled weights (e1, e2) of the character,
+    the multiplicity times the orbit sum p1[e1] p2[e2] + p1[e2] p2[e1]
+    (p1[e1] p2[e1] when e1 = e2), with p[k] = y^k + y^-k and p[0] = 1, in
+    integers scaled by (n1 d1 n2 d2)^(2a+b).
     """
     m, a, b = weight
     t, y1, y2 = pt
-    key = (m, t)
+    key = (m, t.numerator, t.denominator)
     sl2 = _A1_VALUES.get(key)
     if sl2 is None:
         sl2 = _A1_VALUES[key] = char_A1(m).evaluate(t, 1, 1)
-    key = (a, b, y1, y2)
+    n1, d1, n2, d2 = y1.numerator, y1.denominator, y2.numerator, y2.denominator
+    key = (a, b, n1, d1, n2, d2)
     spin5 = _B2_VALUES.get(key)
     if spin5 is None:
-        spin5 = _B2_VALUES[key] = char_B2(a, b).evaluate(1, y1, y2)
+        spin5 = _B2_VALUES[key] = char_B2_value(a, b, n1, d1, n2, d2)
     return sl2 * spin5
 
 

@@ -15,8 +15,8 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import characters, coeffs, padic, series, symplectic
 
@@ -27,8 +27,7 @@ SUITES = ("characters", "pieri", "coeffs", "padic", "orbits", "chain", "all")
 REPORT_VERSION = 1
 
 
-@dataclass
-class CheckConfig:
+class CheckConfig(NamedTuple):
     suite: str = "all"
     deg_u: int = 8
     deg_v: int = 8
@@ -124,8 +123,7 @@ def _rational(c) -> Fraction:
     return Fraction(str(c))
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     check_id: str
     params: dict
     status: str

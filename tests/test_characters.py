@@ -16,6 +16,7 @@ from rslocal.characters import (
     VirtualCharacter,
     char_A1,
     char_B2,
+    char_B2_value,
     decompose,
     dim_irrep,
     pieri_tensor,
@@ -157,6 +158,32 @@ def test_evaluate_matches_fraction_powers(fraction_power_evaluate):
             got = p.evaluate(t, y1, y2)
             assert type(got) is Fraction
             assert got == fraction_power_evaluate(p, t, y1, y2), (p, t, y1, y2)
+
+
+# (y1, y2) where the Weyl denominator vanishes: y = +-1, y1 = +-y2, y1 = 1/y2,
+# and negative coordinates
+ORBIT_POINTS = [
+    (ONE, ONE),
+    (-ONE, ONE),
+    (-ONE, -ONE),
+    (ONE, Fraction(-2, 3)),
+    (Fraction(-5, 7), -ONE),
+    (Fraction(3, 4), Fraction(3, 4)),
+    (Fraction(-3, 4), Fraction(3, 4)),
+    (Fraction(-2, 9), Fraction(-9, 2)),
+    (Fraction(5, 3), Fraction(3, 5)),
+    (Fraction(-7, 2), Fraction(11, 5)),
+]
+
+
+def test_char_b2_value_matches_evaluate_where_the_weyl_denominator_vanishes():
+    for a in range(9):
+        for b in range(9 - a):
+            poly = char_B2(a, b)
+            for y1, y2 in ORBIT_POINTS:
+                got = char_B2_value(a, b, y1.numerator, y1.denominator, y2.numerator, y2.denominator)
+                assert type(got) is Fraction
+                assert got == poly.evaluate(ONE, y1, y2), (a, b, y1, y2)
 
 
 def test_evaluate_at_a_zero_coordinate():

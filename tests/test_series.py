@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from rslocal import coeffs, series
-from rslocal.characters import VirtualCharacter, product_char
+from rslocal.characters import VirtualCharacter, char_A1, char_B2, product_char
 from rslocal.series import (
     BiSeries,
     SatakePoint,
@@ -135,7 +135,7 @@ def series_weights(s):
 
 
 @pytest.fixture(scope="module")
-def reference_value(fraction_power_evaluate):
+def product_reference_value(fraction_power_evaluate):
     """The value of product_char(w) at pt as a sum of Fraction powers, memoized on (w, pt)."""
     memo = {}
 
@@ -147,12 +147,36 @@ def reference_value(fraction_power_evaluate):
     return value
 
 
-def test_character_value_is_the_product_character_value(reference_value):
+@pytest.fixture(scope="module")
+def reference_value(fraction_power_evaluate):
+    """The value of product_char(w) at pt as char_A1(m) at t times char_B2(a, b) at (y1, y2).
+
+    Evaluation is a ring homomorphism, so the product of the two factors'
+    Fraction-power sums is the product character's value; each factor is
+    memoized on the coordinates it reads.
+    """
+    one = Fraction(1)
+    memo = {}
+
+    def factor(poly, key, t, y1, y2):
+        if key not in memo:
+            memo[key] = fraction_power_evaluate(poly, t, y1, y2)
+        return memo[key]
+
+    def value(w, pt):
+        (m, a, b), (t, y1, y2) = w, pt
+        return (factor(char_A1(m), ("A1", m, t), t, one, one)
+                * factor(char_B2(a, b), ("B2", a, b, y1, y2), one, y1, y2))
+
+    return value
+
+
+def test_character_value_is_the_product_character_value(product_reference_value):
     weights = sorted(series_weights(local_integral_series(4, 4)))
     assert len(weights) > 30
     for pt in POINTS:
         for w in weights:
-            assert character_value(w, pt) == reference_value(w, pt), (w, pt)
+            assert character_value(w, pt) == product_reference_value(w, pt), (w, pt)
 
 
 @pytest.mark.parametrize("build", [local_integral_series, lfactor_product_series])
@@ -185,9 +209,14 @@ def test_specialize_values_each_distinct_weight_once(monkeypatch):
         return value(w, pt)
 
     monkeypatch.setattr(series, "character_value", counted)
+    monkeypatch.setattr(series, "_A1_VALUES", {})
+    monkeypatch.setattr(series, "_B2_VALUES", {})
     specialize(s, POINTS[0])
     assert set(calls) == series_weights(s)
     assert set(calls.values()) == {1}
+    # both memos are keyed on integers: the weight's indices and each coordinate's n and d
+    for memo in (series._A1_VALUES, series._B2_VALUES):
+        assert memo and all(type(v) is int for key in memo for v in key)
 
 
 @pytest.mark.parametrize(
@@ -199,6 +228,11 @@ def test_specialize_values_each_distinct_weight_once(monkeypatch):
         # the same (y1, y2), another t: the SL2 factor must not be reused
         (SatakePoint.make(Fraction(-3, 7), Fraction(5, 2), Fraction(-9, 4)),
          SatakePoint.make(Fraction(11, 3), Fraction(5, 2), Fraction(-9, 4))),
+        # the memos key on numerators and denominators: change only a denominator
+        (SatakePoint.make(Fraction(-3, 7), Fraction(5, 2), Fraction(-9, 4)),
+         SatakePoint.make(Fraction(-3, 7), Fraction(5, 2), Fraction(-9, 5))),
+        (SatakePoint.make(Fraction(-3, 7), Fraction(5, 2), Fraction(-9, 4)),
+         SatakePoint.make(Fraction(-3, 5), Fraction(5, 2), Fraction(-9, 4))),
     ],
 )
 def test_factor_memos_key_on_the_coordinates_they_read(monkeypatch, reference_value, first, second):
@@ -213,12 +247,12 @@ def test_factor_memos_key_on_the_coordinates_they_read(monkeypatch, reference_va
 
 
 def test_spin5_memo_keyed_without_y2_fails_local_vs_closed(monkeypatch, run_checks):
-    # the mutant memoizes char_B2(a, b) at (y1, y2) on (a, b, y1) alone
+    # the mutant memoizes char_B2(a, b) at (y1, y2) = (n1/d1, n2/d2) on (a, b, n1, d1) alone
     source = inspect.getsource(series.character_value)
-    key = "key = (a, b, y1, y2)"
+    key = "key = (a, b, n1, d1, n2, d2)"
     assert source.count(key) == 1
     namespace = {**vars(series), "_A1_VALUES": {}, "_B2_VALUES": {}}  # the real memos stay clean
-    exec(source.replace(key, "key = (a, b, y1)"), namespace)
+    exec(source.replace(key, "key = (a, b, n1, d1)"), namespace)
     monkeypatch.setattr(series, "character_value", namespace["character_value"])
     points = ((2, 3, 5), (2, 3, Fraction(-1, 4)))
     cfg = CheckConfig(suite="chain", deg_u=3, deg_v=3, satake_points=points)
