@@ -349,14 +349,10 @@ def fprime_section(g: QMatrix, p: int) -> tuple[int, int, int]:
 # denominator D that no prime changes (Igusa, An Introduction to the Theory
 # of Local Zeta Functions, 2000; Denef, Invent. Math. 77, 1984).  Each
 # function below returns the numerator D F as a LaurentPoly whose (t, y1, y2)
-# stand for (P, Z, -) or (P, S, W).  One identity of numerators is then an
-# identity for every prime, every u and every (s, w); at a prime p and a
-# point where the integral converges, its value is N / D evaluated there.
-
-
-def _poly(terms) -> LaurentPoly:
-    """The sum of coeff P^i X^j Y^k over the (i, j, k, coeff) terms."""
-    return LaurentPoly.from_terms(terms)
+# stand for (P, Z, -) or (P, S, W), summed by ``LaurentPoly.from_terms`` from
+# (i, j, k, coeff) terms, coeff t^i y1^j y2^k.  One identity of numerators is
+# then an identity for every prime, every u and every (s, w); at a prime p and
+# a point where the integral converges, its value is N / D evaluated there.
 
 
 def integral_max(c_val: int) -> LaurentPoly:
@@ -364,7 +360,7 @@ def integral_max(c_val: int) -> LaurentPoly:
 
     The integral is |c|^(1-u) (1 - Z)/(1 - pZ), so this is P^c Z^(-c) (1 - Z).
     """
-    return _poly([(c_val, -c_val, 0, 1), (c_val, 1 - c_val, 0, -1)])
+    return LaurentPoly.from_terms([(c_val, -c_val, 0, 1), (c_val, 1 - c_val, 0, -1)])
 
 
 def integral_max_brute(c_val: int) -> LaurentPoly:
@@ -378,7 +374,7 @@ def integral_max_brute(c_val: int) -> LaurentPoly:
     c = c_val
     inner = [(c, -c, 0, 1), (c - 1, 1 - c, 0, -1)]  # (1 - Z/P) P^c Z^(-c)
     tail = [(c - 1, 1 - c, 0, 1), (c, 1 - c, 0, -1)]  # (1 - P) P^(c-1) Z^(1-c)
-    return _poly(inner + tail)
+    return LaurentPoly.from_terms(inner + tail)
 
 
 def integral_psi_max(a_val: int) -> LaurentPoly:
@@ -387,7 +383,8 @@ def integral_psi_max(a_val: int) -> LaurentPoly:
     Vanishes when a is not integral; otherwise equals
     (1 - Z)(1 + Z/P + ... + (Z/P)^a_val).  No denominator.
     """
-    return _poly(t for i in range(a_val + 1) for t in ((-i, i, 0, 1), (-i, i + 1, 0, -1)))
+    return LaurentPoly.from_terms(
+        t for i in range(a_val + 1) for t in ((-i, i, 0, 1), (-i, i + 1, 0, -1)))
 
 
 def integral_psi_max_brute(a_val: int) -> LaurentPoly:
@@ -401,7 +398,7 @@ def integral_psi_max_brute(a_val: int) -> LaurentPoly:
     for k in range(1, a_val + 2):
         # Z^k times the ball integral at k less the one at k - 1 <= v(a)
         terms += [(-k, k, 0, 1)] * (a_val >= k) + [(1 - k, k, 0, -1)]
-    return _poly(terms)
+    return LaurentPoly.from_terms(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +431,13 @@ def fpsi_closed(tv: TorusValuations) -> dict[tuple[int, int], int]:
     return out
 
 
-_ONE_MINUS_P = _poly([(0, 0, 0, 1), (1, 0, 0, -1)])
-_Y_TAIL = _poly([(0, 0, 0, 1), (-1, -2, 1, -1)])  # 1 - W/(S^2 P)
+_ONE_MINUS_P = LaurentPoly.from_terms([(0, 0, 0, 1), (1, 0, 0, -1)])
+_Y_TAIL = LaurentPoly.from_terms([(0, 0, 0, 1), (-1, -2, 1, -1)])  # 1 - W/(S^2 P)
 # the y tail's denominator times 1/zeta(w - 2s) = 1 - W/S^2 and 1/zeta(w - 1) = 1 - W/P
 FPSI_DENOMINATOR = (
-    _Y_TAIL * _poly([(0, 0, 0, 1), (0, -2, 1, -1)]) * _poly([(0, 0, 0, 1), (-1, 0, 1, -1)])
+    _Y_TAIL
+    * LaurentPoly.from_terms([(0, 0, 0, 1), (0, -2, 1, -1)])
+    * LaurentPoly.from_terms([(0, 0, 0, 1), (-1, 0, 1, -1)])
 )
 
 
@@ -490,7 +489,7 @@ def fpsi_brute(tv: TorusValuations) -> LaurentPoly:
 
     def shells(terms) -> LaurentPoly:
         """The sum of coeff P^j p^(e0 e) over (j, e, coeff), e0 = w - 2s."""
-        return _poly((j, 2 * e, -e, v) for j, e, v in terms)
+        return LaurentPoly.from_terms((j, 2 * e, -e, v) for j, e, v in terms)
 
     def y_integral(v0: int, sconst: int) -> LaurentPoly:
         """1 - W/(S^2 P) times the integral over F of p^(e0 m) dy', v(w0) = v0, with
@@ -516,8 +515,9 @@ def fpsi_brute(tv: TorusValuations) -> LaurentPoly:
 
     def weights(t: int) -> list:
         """psi's shell integrals on v = -1, ..., t - 1, then on the ball v >= t."""
-        shell = [_poly([(k, 0, 0, 1), (k + 1, 0, 0, -1)]) for k in range(t)]
-        return [_poly([(0, 0, 0, -1)])] + shell + [_poly([(t, 0, 0, 1)])]
+        shell = [LaurentPoly.from_terms([(k, 0, 0, 1), (k + 1, 0, 0, -1)]) for k in range(t)]
+        ball = LaurentPoly.from_terms([(t, 0, 0, 1)])
+        return [LaurentPoly.from_terms([(0, 0, 0, -1)])] + shell + [ball]
 
     # group the cells by their y integral, summing psi weights times S^(-2 v3)
     coef: dict[tuple[int, int], LaurentPoly] = {}
@@ -536,7 +536,7 @@ def fpsi_brute(tv: TorusValuations) -> LaurentPoly:
 
 def fpsi_closed_numerator(tv: TorusValuations) -> LaurentPoly:
     """FPSI_DENOMINATOR times fpsi_closed at U = W/P^2, V = S: what fpsi_brute must equal."""
-    closed = _poly((-2 * i, j, i, v) for (i, j), v in fpsi_closed(tv).items())
+    closed = LaurentPoly.from_terms((-2 * i, j, i, v) for (i, j), v in fpsi_closed(tv).items())
     return FPSI_DENOMINATOR * closed
 
 

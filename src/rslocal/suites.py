@@ -571,8 +571,13 @@ def _suite_orbits(cfg: CheckConfig):
     yield "orbits/gamma5", {}, symplectic.gamma5_check
 
     expected_totals = {2: (135, 945), 3: (1120, 14560)}
-    # orbit sizes frozen as regression values after the first computation
-    expected_sizes = {2: [45, 135, 135, 270, 360], 3: [160, 640, 1280, 3840, 8640]}
+    # orbit i has |H| / |Stab_i| flags, from the stated stabilizer orders of the representatives
+    expected_sizes = {
+        q: [symplectic.h_group_order(q) // s for s in (
+            q**5 * (q - 1) ** 4 * (q + 1), q**5 * (q - 1) ** 4, q**5 * (q - 1) ** 3,
+            q**4 * (q - 1) ** 3, q**2 * (q - 1) ** 3 * (q + 1))]
+        for q in (2, 3)
+    }
     for q in (2, 3):
         def flag_count(q=q):
             got = len(symplectic.flag_space(q).flags)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from rslocal import padic, suites
+from rslocal.characters import LaurentPoly
 from rslocal.padic import (
     FPSI_DENOMINATOR,
     QMatrix,
@@ -421,7 +422,7 @@ def at_prime(poly, p, *exponents):
     return poly.evaluate(*point, *[Fraction(1)] * (3 - len(point)))
 
 
-MAX_DENOMINATOR = padic._poly([(0, 0, 0, 1), (-1, 1, 0, -1)])  # 1 - Z/P
+MAX_DENOMINATOR = LaurentPoly.from_terms([(0, 0, 0, 1), (-1, 1, 0, -1)])  # 1 - Z/P
 
 
 def max_value(poly, p, u):

@@ -365,6 +365,33 @@ def test_row_index_closure_matches_matrix_closure_q2(h_closure_q2):
     assert {space.matrix(a) for a in elements} == h_closure_q2
 
 
+def test_each_generator_is_needed(monkeypatch):
+    space = flag_space(2)
+    order = h_group_order(2)
+    tables = space.vector_tables
+
+    def walk(kept):
+        # the walk of ``group_elements`` over the kept vector tables
+        expand = lambda a: map(operator.itemgetter(*a), kept)
+        return len(symplectic._walk([space.identity], expand, order))
+
+    assert walk(tables) == order
+    drops = [walk(tables[:j] + tables[j + 1:]) for j in range(len(tables))]
+    # each short of |H|: without an SL2 shear |Sp4(F_2)| * 2, without an Sp4 element |SL2(F_2)| * 48
+    assert drops == [1440] * 2 + [288] * 4
+    # at q = 3 the torus alone moves the multiplier, and 2 generates F_3^*
+    multipliers, similitude = [], padic.similitude
+
+    def recorded(g):
+        multipliers.append(similitude(g))
+        return multipliers[-1]
+
+    monkeypatch.setattr(padic, "similitude", recorded)
+    h_generators(3)
+    assert multipliers == [1] * 6 + [2]
+    assert {int(multipliers[-1]) ** k % 3 for k in (1, 2)} == {1, 2}
+
+
 def test_index_arithmetic_matches_matrices(mat_mul_q, flag_apply):
     rng = random.Random(5)
     for q in (2, 3):
