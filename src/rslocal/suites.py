@@ -604,8 +604,8 @@ def _suite_orbits(cfg: CheckConfig):
         yield "orbits/stab5-q%d" % q, {"q": q}, functools.partial(symplectic.stab5_check, q)
 
     def h_order():
-        closure = symplectic.flag_space(2).group_elements()
-        want = symplectic.h_group_order(2)
+        space, want = symplectic.flag_space(2), symplectic.h_group_order(2)
+        closure = symplectic.group_closure(space.identity, space.vector_tables, want)
         if len(closure) != want:
             return (False, str(len(closure)), str(want))
         return True

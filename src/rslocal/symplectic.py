@@ -15,22 +15,26 @@ Computational Group Theory*, ch. 4):
   coefficient subspaces of each Lagrangian;
 * a flag is a (plane id, Lagrangian id) pair with a flag index;
   ``flag_index`` keys the spans of the bases it is given, and ``apply``
-  moves the key points of a flag, and both look up the two keys;
+  moves the key points of a flag by a vector table, and both look up the
+  two keys;
 * each generator of ``h_generators(q)`` has a vector table (v -> vg), the
-  span of its rows, and the rows of its inverse; each flag has the tuple
-  of its images under the generators, the one table of the flag action.
+  span of its rows, and that table's inverse permutation (v -> vg^-1);
+  each flag has the tuple of its images under the generators, the one
+  table of the flag action.
 
-A group element is the 6-tuple of the indices of its rows, so right
-multiplication by a generator is one getter of those rows applied to its
-vector table.  The orbit search, the transversal and both closures are one
-breadth-first walk, ``_walk``, that expands a node in one call: the group
-walk applies a node's row getter to every vector table, and the flag walks
-read each flag's tuple of images under the generators.
-``FlagSpace.stabilizer`` sifts Schreier elements into a closure until the
-orbit-stabilizer count is met, and ``stab5_check`` compares that closure,
-as a set, with the similitudes of the stated shape.  The orbit predicates
-count the key points whose support, a bitmask of nonzero coordinates,
-lies in a coordinate subspace.
+A group element is the 6-tuple of the indices of its rows, and its vector
+table is the span of those rows.  The one group product is right
+multiplication by a vector table: one getter of the element's rows applied
+to the table.  The orbit search, the transversal and ``group_closure`` are
+one breadth-first walk, ``_walk``, that expands a node in one call: the
+closure applies a node's row getter to every vector table, and the flag
+walks read each flag's tuple of images under the generators.
+``FlagSpace.stabilizer`` forms Schreier elements by the vector and inverse
+tables and keeps each new one, as its vector table, until their closure
+meets the orbit-stabilizer count; ``stab5_check`` checks that the kept ones
+fix the flag and compares the closure, as a set, with the similitudes of
+the stated shape.  The orbit predicates count the key points whose
+support, a bitmask of nonzero coordinates, lies in a coordinate subspace.
 The tuple definitions (``rref_q``, ``make_flag``) are the reference the
 tests compare the tables with.  The group acts on the right of row vectors.
 
@@ -158,8 +162,10 @@ class FlagSpace:
     indices; ``flags[i]`` is the (plane id, Lagrangian id) pair of flag i,
     and ``images[i]`` the tuple of its images under the generators.
     Generator j of ``h_generators(q)`` has the vector table
-    ``vector_tables[j]`` and its inverse's rows ``gen_inverses[j]``.  A
-    group element is the tuple of its row indices.
+    ``vector_tables[j]`` and its inverse permutation ``inverse_tables[j]``,
+    the vector table of the generator's inverse.  A group element is the
+    tuple of its row indices; ``times_gen`` and ``group_closure`` multiply
+    it on the right by vector tables.
     """
 
     def __init__(self, q: int):
@@ -206,7 +212,7 @@ class FlagSpace:
         self.plane_keys, self.lag_keys = tuple(plane_id), tuple(lag_id)
         self._flag_id = flag_id = {pair: i for i, pair in enumerate(self.flags)}
 
-        self.vector_tables, self.gen_inverses, perms = [], [], []
+        self.vector_tables, self.inverse_tables, perms = [], [], []
         flag_planes, flag_lags = zip(*self.flags)
         for g in h_generators(q):
             table = tuple(self._span(tuple(map(self.index, g))))  # v -> vg, by linearity
@@ -215,23 +221,14 @@ class FlagSpace:
             planes = [plane_id[frozenset(map(moved, key))] for key in self.plane_keys]
             lags = [lag_id[frozenset(map(moved, key))] for key in self.lag_keys]
             self.vector_tables.append(table)
-            self.gen_inverses.append(tuple(map(table.index, self.identity)))
+            self.inverse_tables.append(tuple(sorted(range(len(table)), key=table.__getitem__)))
             perms.append(map(flag_id.__getitem__, zip(
                 map(planes.__getitem__, flag_planes), map(lags.__getitem__, flag_lags))))
         self.images = tuple(zip(*perms))  # flag -> its images, in generator order
-        self._orbits = self._group = None
+        self._orbits = None
 
     def index(self, coords) -> int:
         return sum(c * w for c, w in zip(coords, self._weights))
-
-    def combine(self, coeffs, rows) -> int:
-        """Index of sum_k coeffs[k] * rows[k], rows given as vector indices."""
-        add, scale = self._add, self._scale
-        acc = 0
-        for c, r in zip(coeffs, rows):
-            if c:
-                acc = add[acc][scale[c][r]]
-        return acc
 
     def _span(self, rows):
         """sum_k c_k rows[k] for every c in F_q^k, in the index order of c; by the tables."""
@@ -240,11 +237,6 @@ class FlagSpace:
             multiples = itemgetter(*(s[r] for s in self._scale))
             span = list(chain.from_iterable(map(multiples, map(self._add.__getitem__, span))))
         return span
-
-    def mul(self, a, b):
-        """The product of two group elements given as row-index tuples."""
-        vectors, combine = self.vectors, self.combine
-        return tuple(combine(vectors[r], b) for r in a)
 
     def times_gen(self, a, i: int):
         """a times generator i: one vector-table lookup per row."""
@@ -257,11 +249,11 @@ class FlagSpace:
         """The index of a canonical flag, or None if it is not an isotropic flag."""
         return self._find(*(self._key(self._span(tuple(map(self.index, b)))[1:]) for b in flag))
 
-    def apply(self, f: int, a) -> int:
-        """The index of flag f moved by the group element a: each key point's image, normalized."""
-        vectors, combine, norm = self.vectors, self.combine, self._norm
+    def apply(self, f: int, table) -> int:
+        """The index of flag f moved by the element with this vector table: its key points moved."""
+        norm = self._norm
         plane, lag = self.flags[f]
-        return self._find(*(frozenset(norm[combine(vectors[v], a)] for v in key)
+        return self._find(*(frozenset(norm[table[v]] for v in key)
                             for key in (self.plane_keys[plane], self.lag_keys[lag])))
 
     def _find(self, plane_key, lag_key):
@@ -298,53 +290,44 @@ class FlagSpace:
             self._orbits = (tuple(sizes), orbit_of)
         return self._orbits
 
-    def group_elements(self):
-        """The set of every group element, as row-index tuples; memoized.
-
-        A walk from the identity under right multiplication by the
-        generators, a node's row getter applied to each vector table; it
-        raises past 10000 elements, so use it at q = 2.
-        """
-        if self._group is None:
-            expand = lambda a, tables=self.vector_tables: map(itemgetter(*a), tables)
-            self._group = _walk([self.identity], expand, 10000).keys()
-        return self._group
-
     def stabilizer(self, f: int, order: int):
-        """(size of the orbit of flag f, a subgroup of its stabilizer), up to the counting bound.
+        """(size of the orbit of flag f, a subgroup of its stabilizer, its generators' tables).
 
-        The transversal walk gives the orbit O exactly.  Schreier elements
-        are then formed in transversal order; one outside the current
-        closure is kept as a generator and the closure is recomputed.  The
-        loop stops once the closure has order / |O| elements, or when the
-        Schreier elements run out.  A transversal element's inverse is
-        built, from its parent's, only when a Schreier element needs it.
+        The transversal walk gives the orbit O exactly, and t_g, for each
+        flag g of O, the product of the generators along g's tree path.
+        The Schreier elements t_g x_i t_h^-1, with h the image of g under
+        generator i, are then formed in transversal order: t_h^-1 undoes
+        h's path step by step, from h up to the root, by the inverse tables.
+        One outside the current closure is kept as a generator, as its
+        vector table, and the closure is recomputed.  The loop stops once
+        the closure has order / |O| elements, or when the Schreier elements
+        run out.  A closure past order / |O| elements, more than a subgroup
+        of the stabilizer can have, raises.
         """
         tree = _walk([f], self.images.__getitem__, len(self.flags))
         trans = {}
         for g, link in tree.items():
             trans[g] = self.identity if link is None else self.times_gen(trans[link[0]], link[1])
-        trans_inv = {f: self.identity}
 
-        def inverse(g):
-            if g not in trans_inv:
-                parent, i = tree[g]
-                trans_inv[g] = self.mul(self.gen_inverses[i], inverse(parent))
-            return trans_inv[g]
+        def undo(s, h):
+            """s t_h^-1: the steps of h's tree path undone, from h up to the root."""
+            while tree[h] is not None:
+                h, j = tree[h]
+                s = itemgetter(*s)(self.inverse_tables[j])
+            return s
 
         schreier = (
-            self.mul(self.times_gen(t, i), inverse(image))
-            for g, t in trans.items()
-            for i, image in enumerate(self.images[g])
+            undo(self.times_gen(t, i), h) for g, t in trans.items()
+            for i, h in enumerate(self.images[g])
         )
-        gens, stab = [], {self.identity}
+        tables, stab = [], {self.identity}
         for s in schreier:
             if s not in stab:
-                gens.append(s)
-                stab = group_closure(gens, self.mul, limit=100000)
+                tables.append(self._span(s))
+                stab = group_closure(self.identity, tables, order // len(trans))
                 if len(stab) * len(trans) == order:
                     break
-        return len(trans), stab
+        return len(trans), stab, tables
 
     def predicate(self, f: int) -> int:
         """Which of the five qualitative descriptions flag f satisfies."""
@@ -482,9 +465,14 @@ def _walk(start, expand, limit: int) -> dict:
     return tree
 
 
-def group_closure(gens, mul, limit: int) -> set:
-    """Closure of a generator list under the group product."""
-    return set(_walk(gens, lambda g: [mul(g, s) for s in gens], limit))
+def group_closure(identity, tables, limit: int):
+    """The group the vector tables generate, walked from the identity.
+
+    A node's row getter, applied to each table, gives its right multiples
+    by the generators.  Returns the walk's keys, a set view of row-index
+    tuples; raises past limit elements.
+    """
+    return _walk([identity], lambda a: map(itemgetter(*a), tables), limit).keys()
 
 
 # ---------------------------------------------------------------------------
@@ -562,28 +550,29 @@ def _is_similitude(g, q: int) -> bool:
 def stab5_check(q: int):
     """The stabilizer of the variant fifth flag is Shape & H, certified by one count.
 
-    ``FlagSpace.stabilizer`` gives the orbit O of the flag and a closure S
-    of Schreier elements.  Let G <= H be the group the generators generate.
-    If every element of S fixes the flag, S <= Stab_G(flag), whose order is
-    |G| / |O| <= |H| / |O|; so |S| * |O| = |H| forces S = Stab_G(flag) =
-    Stab_H(flag) and G = H (Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, section 4.4).  The similitudes among the
-    q^7 matrices of ``_stab5_shape`` are block-diagonal, hence in H: they
-    are Shape & H, and S must equal them as a set of row-index tuples,
-    which gives both inclusions.  Returns True, or (False, lhs, rhs) at the
-    first failing step (count, fixed flag, set), naming the first offender.
+    ``FlagSpace.stabilizer`` gives the orbit O of the flag and the closure
+    S of the Schreier elements it kept.  Let G <= H be the group the
+    generators generate.  If every kept element fixes the flag, so does S,
+    and S <= Stab_G(flag), whose order is |G| / |O| <= |H| / |O|; so
+    |S| * |O| = |H| forces S = Stab_G(flag) = Stab_H(flag) and G = H (Holt,
+    Eick and O'Brien, *Handbook of Computational Group Theory*, section
+    4.4).  The similitudes among the q^7 matrices of ``_stab5_shape`` are
+    block-diagonal, hence in H: they are Shape & H, and S must equal them
+    as a set of row-index tuples, which gives both inclusions.  Returns
+    True, or (False, lhs, rhs) at the first failing step (count, fixed
+    flag, set), naming the first offender.
     """
     space = flag_space(q)
     flag5 = space.flag_index(alt_fifth_flag(q))
     order = h_group_order(q)
-    orbit5, stab = space.stabilizer(flag5, order)
+    orbit5, stab, tables = space.stabilizer(flag5, order)
     if len(stab) * orbit5 != order:
         return (False, "|S| * |O| = %d * %d" % (len(stab), orbit5), "|H| = %d" % order)
-    for s in sorted(stab):
-        image = space.apply(flag5, s)
+    for table in tables:
+        image = space.apply(flag5, table)
         if image != flag5:
-            text = _rows_text(space.matrix(s))
-            return (False, "stabilizer element %s sends flag %d to %d" % (text, flag5, image),
+            text = _rows_text(space.matrix(table[e] for e in space.identity))
+            return (False, "stabilizer generator %s sends flag %d to %s" % (text, flag5, image),
                     "flag %d" % flag5)
     shape = {tuple(map(space.index, g)) for g in _stab5_shape(q) if _is_similitude(g, q)}
     if shape != stab:

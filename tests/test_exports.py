@@ -58,11 +58,12 @@ def test_no_unused_top_level_imports(path):
     assert unused - UNUSED_IMPORTS_ALLOWED == set()
 
 
-def _top_level_functions_no_other_code_names(src):
-    """(module, function) for each top-level function of ``src`` named by no other code.
+def _functions_no_other_code_names(src):
+    """(module, name) for each top-level function and method of ``src`` named by no other code.
 
     Private helpers count too, so a helper that a refactor leaves without
-    callers is caught.
+    callers is caught.  A method is listed as ``Class.method``; dunder
+    methods, which Python calls itself, are left out.
 
     A use is a name or an attribute read anywhere in ``src`` outside the
     function's own definition.  ``__all__`` strings are constants, not
@@ -73,23 +74,32 @@ def _top_level_functions_no_other_code_names(src):
     defined, readers = [], {}
     for stem, tree in trees.items():
         for top in tree.body:
-            if isinstance(top, ast.FunctionDef):
-                defined.append((stem, top.name))
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                readers.setdefault(name, set()).add((stem, getattr(top, "name", None)))
+            # each method of a class is its own owner; the rest of the class is the class's
+            owned = [(top, getattr(top, "name", None))]
+            if isinstance(top, ast.ClassDef):
+                owned = [(node, "%s.%s" % (top.name, node.name)
+                          if isinstance(node, ast.FunctionDef) else top.name) for node in top.body]
+            for part, owner in owned:
+                if isinstance(part, ast.FunctionDef) and not (
+                        part.name.startswith("__") and part.name.endswith("__")):
+                    defined.append((stem, owner, part.name))
+                for node in ast.walk(part):
+                    if isinstance(node, ast.Name):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute):
+                        name = node.attr
+                    else:
+                        continue
+                    readers.setdefault(name, set()).add((stem, owner))
     return sorted(
-        (stem, name) for stem, name in defined if not readers.get(name, set()) - {(stem, name)}
+        (stem, owner) for stem, owner, name in defined
+        if not readers.get(name, set()) - {(stem, owner)}
     )
 
 
 def test_every_top_level_function_is_named_by_other_src_code():
-    assert _top_level_functions_no_other_code_names(SRC) == []
+    # class methods too: a method kept only for the tests fails as an orphaned function does
+    assert _functions_no_other_code_names(SRC) == []
 
 
 def _private_reads_of(module, path):

@@ -133,7 +133,8 @@ def _mask_mul_q2(A, B):
 @pytest.fixture(scope="module")
 def h_closure_q2():
     """The 4,320 matrices of H(F_2), closed from its generators by matrix products."""
-    closure = group_closure([_masks(g) for g in h_generators(2)], _mask_mul_q2, limit=10000)
+    gens = [_masks(g) for g in h_generators(2)]
+    closure = symplectic._walk(gens, lambda a: [_mask_mul_q2(a, s) for s in gens], 10000)
     return {tuple(tuple(row >> j & 1 for j in range(6)) for row in a) for a in closure}
 
 
@@ -204,8 +205,8 @@ def test_predicate_spot_values():
 def test_stab5_q2():
     assert stab5_check(2) is True
     space = flag_space(2)
-    orbit5, stab = space.stabilizer(space.flag_index(alt_fifth_flag(2)), h_group_order(2))
-    assert (orbit5, len(stab)) == (360, 12)
+    orbit5, stab, tables = space.stabilizer(space.flag_index(alt_fifth_flag(2)), h_group_order(2))
+    assert (orbit5, len(stab), len(tables)) == (360, 12, 3)
 
 
 IDENTITY6 = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
@@ -317,7 +318,11 @@ def test_generator_tables_match_the_matrix_definitions(mat_mul_q, q):
         for w, v in enumerate(vectors):
             # the row vector v times g, one column of g at a time
             assert vectors[table[w]] == tuple(sum(map(operator.mul, v, col)) % q for col in columns)
-        assert mat_mul_q(space.matrix(space.gen_inverses[i]), g, q) == IDENTITY6
+        inverse = space.inverse_tables[i]
+        assert sorted(inverse) == list(range(len(vectors)))
+        assert all(inverse[table[w]] == w for w in range(len(vectors)))
+        # the inverse's rows at the unit vectors are the rows of g^-1
+        assert mat_mul_q(space.matrix(inverse[e] for e in space.identity), g, q) == IDENTITY6
         moved_ids = []
         for keys, subspace_of in ((space.plane_keys, plane_of), (space.lag_keys, lag_of)):
             # g maps the lines of a subspace onto the lines of its image, so the
@@ -360,7 +365,7 @@ def test_walk_is_breadth_first_with_parent_links():
 
 def test_row_index_closure_matches_matrix_closure_q2(h_closure_q2):
     space = flag_space(2)
-    elements = space.group_elements()
+    elements = group_closure(space.identity, space.vector_tables, h_group_order(2))
     assert len(elements) == 4320
     assert {space.matrix(a) for a in elements} == h_closure_q2
 
@@ -369,11 +374,7 @@ def test_each_generator_is_needed(monkeypatch):
     space = flag_space(2)
     order = h_group_order(2)
     tables = space.vector_tables
-
-    def walk(kept):
-        # the walk of ``group_elements`` over the kept vector tables
-        expand = lambda a: map(operator.itemgetter(*a), kept)
-        return len(symplectic._walk([space.identity], expand, order))
+    walk = lambda kept: len(group_closure(space.identity, kept, order))
 
     assert walk(tables) == order
     drops = [walk(tables[:j] + tables[j + 1:]) for j in range(len(tables))]
@@ -398,21 +399,23 @@ def test_index_arithmetic_matches_matrices(mat_mul_q, flag_apply):
         space = flag_space(q)
         states = flag_states(space)
         gens = h_generators(q)
-        identity = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
         for i, g in enumerate(gens):
-            rows = tuple(space.index(r) for r in g)
-            assert space.matrix(space.mul(rows, space.gen_inverses[i])) == identity
+            assert space.matrix(space.times_gen(space.identity, i)) == g
         for _ in range(20):
-            a = space.identity
-            b = space.identity
-            for _ in range(6):
-                a = space.times_gen(a, rng.randrange(len(gens)))
-                b = space.times_gen(b, rng.randrange(len(gens)))
-            ab = space.mul(a, b)
-            assert space.matrix(ab) == mat_mul_q(space.matrix(a), space.matrix(b), q)
+            # a, then ab: a chain of generator steps continued by b's steps
+            steps_a, steps_b = ([rng.randrange(len(gens)) for _ in range(6)] for _ in range(2))
+            a = b = IDENTITY6
+            for i in steps_a:
+                a = mat_mul_q(a, gens[i], q)
+            for i in steps_b:
+                b = mat_mul_q(b, gens[i], q)
+            ab = space.identity
+            for i in steps_a + steps_b:
+                ab = space.times_gen(ab, i)
+            assert space.matrix(ab) == mat_mul_q(a, b, q)
             f = rng.randrange(len(space.flags))
             want = flag_apply(states[f], space.matrix(ab), q)
-            assert states[space.apply(f, ab)] == want
+            assert states[space.apply(f, space._span(ab))] == want
 
 
 def test_predicates_match_rank_definition_q2():
@@ -568,10 +571,10 @@ def test_stab5_check_reports_a_closure_that_leaves_the_flag(monkeypatch, run_che
     flag5 = space.flag_index(alt_fifth_flag(2))
     [(check_id, status, lhs, rhs)] = _stab5_outcomes(run_checks, [2])
     assert (check_id, status, rhs) == ("orbits/stab5-q2", "fail", "flag %d" % flag5)
-    # the first stabilizer element in row-index order is named
-    first = space.matrix(min(space.stabilizer(flag5, h_group_order(2))[1]))
-    text = symplectic._rows_text(first)
-    assert lhs == "stabilizer element %s sends flag %d to %d" % (text, flag5, flag5 + 1)
+    # the first kept generator is named, by its rows: its table at the unit vectors
+    first = space.stabilizer(flag5, h_group_order(2))[2][0]
+    text = symplectic._rows_text(space.matrix(first[e] for e in space.identity))
+    assert lhs == "stabilizer generator %s sends flag %d to %d" % (text, flag5, flag5 + 1)
 
 
 def test_stab5_signs_are_checked_only_at_q3(monkeypatch, run_checks):
@@ -593,10 +596,19 @@ def test_stab5_signs_are_checked_only_at_q3(monkeypatch, run_checks):
     assert rows[0][5] == rows[2][3] != "0"
 
 
-def test_group_closure_raises_past_its_limit(mat_mul_q):
+def test_group_closure_raises_past_its_limit():
+    gens = [_masks(g) for g in h_generators(2)]
     with pytest.raises(RuntimeError) as err:
-        group_closure(h_generators(2), lambda A, B: mat_mul_q(A, B, 2), limit=100)
+        symplectic._walk(gens, lambda a: [_mask_mul_q2(a, s) for s in gens], 100)
     assert str(err.value) == "closure exceeded limit 100"
+    space = flag_space(2)
+    with pytest.raises(RuntimeError) as err:
+        group_closure(space.identity, space.vector_tables, 100)
+    assert str(err.value) == "closure exceeded limit 100"
+    # |H| - 1 is one short; |H| itself holds the whole group
+    with pytest.raises(RuntimeError):
+        group_closure(space.identity, space.vector_tables, h_group_order(2) - 1)
+    assert len(group_closure(space.identity, space.vector_tables, h_group_order(2))) == 4320
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +672,8 @@ def _shape_similitudes(space):
 def test_stab5_shape_matches_the_mid_matrix_definition_q2():
     # the reference runs over all 4,320 elements of H(F_2)
     space = flag_space(2)
-    by_mid = {a for a in space.group_elements() if _stab5_shape_by_mid_matrix(space.matrix(a), 2)}
+    elements = group_closure(space.identity, space.vector_tables, h_group_order(2))
+    by_mid = {a for a in elements if _stab5_shape_by_mid_matrix(space.matrix(a), 2)}
     assert _shape_similitudes(space) == by_mid
     assert len(by_mid) == 12
 
@@ -759,16 +772,49 @@ def _counting(monkeypatch, name):
 def test_stab5_check_stops_at_the_counting_bound(monkeypatch):
     space = flag_space(2)
     flag5 = space.flag_index(alt_fifth_flag(2))
-    full = space.group_elements()  # built before counting; it takes no products
-    muls = _counting(monkeypatch, "mul")
+    full = group_closure(space.identity, space.vector_tables, h_group_order(2))
+    steps = _counting(monkeypatch, "times_gen")
     assert stab5_check(2) is True
-    assert len(muls) < 1000  # 4,103 when every Schreier element was formed
-    _, stab = space.stabilizer(flag5, h_group_order(2))
+    # one step per transversal element but the root, then one per Schreier element formed
+    assert len(steps) - (360 - 1) < 200  # 360 * 6 when every Schreier element was formed
+    _, stab, _ = space.stabilizer(flag5, h_group_order(2))
     # the stabilizer filtered from the whole group
-    assert stab == {g for g in full if space.apply(flag5, g) == flag5}
-    muls.clear()
+    assert stab == {g for g in full if space.apply(flag5, space._span(g)) == flag5}
+    steps.clear()
     assert stab5_check(3) is True
-    assert len(muls) < 15000  # 185,183 when every Schreier element was formed
+    assert len(steps) - (8640 - 1) < 1000  # 8,640 * 7 when every Schreier element was formed
+
+
+def test_stabilizer_matches_the_matrix_reference(h_closure_q2, flag_apply):
+    # the Schreier elements undo the transversal by the inverse tables; the
+    # reference is the matrix closure and the tuple action, which use neither
+    flag = alt_fifth_flag(2)
+    space = flag_space(2)
+    _, stab, _ = space.stabilizer(space.flag_index(flag), h_group_order(2))
+    fixing = {g for g in h_closure_q2 if flag_apply(flag, g, 2) == flag}
+    assert {space.matrix(s) for s in stab} == fixing
+    assert len(fixing) == 12
+    flag = alt_fifth_flag(3)
+    space = flag_space(3)
+    _, _, tables = space.stabilizer(space.flag_index(flag), h_group_order(3))
+    for table in tables:
+        assert flag_apply(flag, space.matrix(table[e] for e in space.identity), 3) == flag
+
+
+def test_closures_past_their_group_order_report_error(monkeypatch, run_checks):
+    cfg = suites.CheckConfig(suite="orbits")
+    # every generator of H(F_2) is an involution, so the forward tables stand in for the
+    # inverse ones only at q = 3; there the Schreier elements leave the stabilizer, and
+    # their closure passes |H| / |O| = 288, more than a subgroup of it can have
+    space = flag_space(3)
+    monkeypatch.setattr(space, "inverse_tables", space.vector_tables)
+    [report] = run_checks(cfg, ["orbits/stab5-q3"])
+    assert (report.status, report.lhs) == ("error", "RuntimeError: closure exceeded limit 288")
+    # an order half too small: the walk of H(F_2) passes it
+    true_order = h_group_order(2)
+    monkeypatch.setattr(symplectic, "h_group_order", lambda q: true_order // 2)
+    [report] = run_checks(cfg, ["orbits/h-order-q2"])
+    assert (report.status, report.lhs) == ("error", "RuntimeError: closure exceeded limit 2160")
 
 
 def test_stab5_check_fails_when_the_counting_bound_is_out_of_reach(monkeypatch, run_checks):
