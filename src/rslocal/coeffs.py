@@ -8,7 +8,9 @@ pair is a closed form, the second an independent enumeration oracle.
 Each oracle enumerates only its free indices and solves the rest from
 the target: m_brute loops over e and solves f and d; n_brute solves k,
 m, n, i and alpha and loops over eps and beta.  The target bounds every
-range, so neither oracle takes a loop limit.
+range, so neither oracle takes a loop limit.  Each counter, and
+delta_parity, checks (a, b, c) and reads its block once: m_closed(a, b, c)
+is the count of (x, y) on the block of (a, b, c).
 
 Every triple (a, b, c) in the branch a <= c <= 2a or c < a <= b + c
 adds one geometric block to the integral, and block(a, b, c) is the
@@ -20,18 +22,16 @@ y -> y + (a - c).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 __all__ = [
-    "block",
-    "m_closed",
-    "m_brute",
-    "n_interval",
-    "n_brute",
-    "delta_parity",
-    "first_branch_point",
-    "interval_eps",
-    "in_first_branch",
-    "in_second_branch",
+    "block", "m_closed", "m_brute", "n_interval", "n_brute", "delta_parity",
+    "first_branch_point", "interval_eps", "in_first_branch", "in_second_branch",
 ]
+
+# the count at each point (x, y) of one weight block
+Counter = Callable[[int, int], int]
+_NEGATIVE = "coefficient arguments must be nonnegative"
 
 
 def in_first_branch(a: int, c: int) -> bool:
@@ -40,11 +40,6 @@ def in_first_branch(a: int, c: int) -> bool:
 
 def in_second_branch(a: int, b: int, c: int) -> bool:
     return c < a <= b + c
-
-
-def _check_args(x, y, a, b, c):
-    if min(x, y, a, b, c) < 0:
-        raise ValueError("coefficient arguments must be nonnegative")
 
 
 def _neither_branch(a: int, b: int, c: int) -> ValueError:
@@ -57,6 +52,8 @@ def block(a: int, b: int, c: int) -> tuple[int, int, int, int]:
     The block is U^base_u V^base_v times the sum over 0 <= d <= dmax,
     0 <= e <= emax, 0 <= f of U^(emax + d - e + f) V^(2(e + f)).
     """
+    if min(a, b, c) < 0:
+        raise ValueError(_NEGATIVE)
     if in_first_branch(a, c):
         return c - a, c, 2 * a - c, b
     if in_second_branch(a, b, c):
@@ -70,58 +67,55 @@ def block(a: int, b: int, c: int) -> tuple[int, int, int, int]:
 # 0 <= e <= emax and 0 <= f.
 
 
-def _support_ok(x, y, dmax, emax) -> bool:
-    if y < 0 or x + y < emax:
-        return False
-    if not (-dmax - emax <= y - x <= emax):
-        return False
-    if dmax == 0 and (x + y - emax) % 2:
-        return False
-    return True
+def m_closed(a: int, b: int, c: int) -> Counter:
+    _, _, dmax, emax = block(a, b, c)
 
+    def count(x: int, y: int) -> int:
+        if x < 0 or y < 0:
+            raise ValueError(_NEGATIVE)
+        # the support: x + y >= emax, -dmax - emax <= y - x <= emax, even x + y - emax if dmax = 0
+        delta = (x + y + emax) & 1
+        if x + y < emax or not -dmax - emax <= y - x <= emax or (dmax == 0 and delta):
+            return 0
+        t_d = (dmax - delta) // 2
+        t_mid = (dmax + emax - x + y) // 2
+        if y >= emax:
+            t_ef, t_last = (emax + x - y - delta) // 2, emax
+        else:
+            t_ef, t_last = (-emax + x + y - delta) // 2, y
+        return min(t_d, t_ef, t_mid, t_last) + 1
 
-def _m_core(x, y, dmax, emax) -> int:
-    if not _support_ok(x, y, dmax, emax):
-        return 0
-    delta = (x + y + emax) & 1
-    t_d = (dmax - delta) // 2
-    t_mid = (dmax + emax - x + y) // 2
-    if y >= emax:
-        t_ef = (emax + x - y - delta) // 2
-        t_last = emax
-    else:
-        t_ef = (-emax + x + y - delta) // 2
-        t_last = y
-    return min(t_d, t_ef, t_mid, t_last) + 1
-
-
-def _m_brute_core(x, y, dmax, emax) -> int:
-    # e + f = y and emax + d - e + f = x leave e as the only free index
-    count = 0
-    for e in range(emax + 1):
-        f = y - e
-        d = x - emax + e - f
-        if f >= 0 and 0 <= d <= dmax:
-            count += 1
     return count
 
 
-def m_closed(x: int, y: int, a: int, b: int, c: int) -> int:
-    _check_args(x, y, a, b, c)
+def m_brute(a: int, b: int, c: int) -> Counter:
     _, _, dmax, emax = block(a, b, c)
-    return _m_core(x, y, dmax, emax)
+
+    def count(x: int, y: int) -> int:
+        if x < 0 or y < 0:
+            raise ValueError(_NEGATIVE)
+        # e + f = y and emax + d - e + f = x leave e as the only free index
+        hits = 0
+        for e in range(emax + 1):
+            f = y - e
+            d = x - emax + e - f
+            if f >= 0 and 0 <= d <= dmax:
+                hits += 1
+        return hits
+
+    return count
 
 
-def m_brute(x: int, y: int, a: int, b: int, c: int) -> int:
-    _check_args(x, y, a, b, c)
-    _, _, dmax, emax = block(a, b, c)
-    return _m_brute_core(x, y, dmax, emax)
-
-
-def delta_parity(x: int, y: int, a: int, b: int, c: int) -> int:
+def delta_parity(a: int, b: int, c: int) -> Counter:
     """Parity offset of the active branch; also the epsilon of n_interval."""
-    _check_args(x, y, a, b, c)
-    return (x + y + block(a, b, c)[3]) & 1
+    emax = block(a, b, c)[3]
+
+    def delta(x: int, y: int) -> int:
+        if x < 0 or y < 0:
+            raise ValueError(_NEGATIVE)
+        return (x + y + emax) & 1
+
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +126,10 @@ def first_branch_point(x: int, y: int, a: int, b: int, c: int) -> tuple[int, int
     """(x, y) in the first branch's coordinates: unchanged there, and
     x -> x + 2(a - c), y -> y + (a - c) in the second branch.
 
-    n_interval reads its branch here, once, and its eps at this point.
+    The substitution is a translation: n_interval reads it at (0, 0), once per block.
     """
+    if min(a, b, c) < 0:
+        raise ValueError(_NEGATIVE)
     if in_first_branch(a, c):
         return x, y
     if in_second_branch(a, b, c):
@@ -146,34 +142,32 @@ def interval_eps(xx: int, yy: int, b: int) -> int:
     return (xx + yy + b) & 1
 
 
-def n_interval(x: int, y: int, a: int, b: int, c: int) -> int:
+def n_interval(a: int, b: int, c: int) -> Counter:
     """Number of integers alpha admitted by the seven reduced inequalities.
 
     All seven bounds are kept in both branches; the two that each branch
     renders redundant cannot change the max/min.  Half-integer bounds are
     handled by exact ceil/floor on doubled integers.
     """
-    _check_args(x, y, a, b, c)
-    xx, yy = first_branch_point(x, y, a, b, c)
+    dx, dy = first_branch_point(0, 0, a, b, c)
     odd = c & 1
-    even = 1 - odd
     gam = c // 2
-    eps = interval_eps(xx, yy, b)
-    # bounds stored doubled: alpha >= lo/2, alpha <= hi/2
-    lowers = (
-        2 * (a - gam - odd),
-        -xx + yy + b + c - odd + eps,
-        2 * gam,
-        -xx + yy + 2 * a + b - c - odd + eps,
-    )
-    uppers = (
-        2 * (gam + yy),
-        -2 * even * eps + (-xx + yy + 2 * a + b - 2 * odd + eps),
-        2 * (b + gam),
-    )
-    lo = max((v + 1) // 2 for v in lowers)
-    hi = min(v // 2 for v in uppers)
-    return max(0, hi - lo + 1)
+    # alpha >= a - gam - odd, alpha >= gam and alpha <= b + gam
+    lo_block = max(a - gam - odd, gam)
+    hi_block = b + gam
+
+    def count(x: int, y: int) -> int:
+        if x < 0 or y < 0:
+            raise ValueError(_NEGATIVE)
+        xx, yy = x + dx, y + dy
+        eps = interval_eps(xx, yy, b)
+        # the moving bounds stored doubled: alpha >= lo/2, alpha <= hi/2
+        t = -xx + yy + b - odd + eps
+        lo = max(lo_block, (t + c + 1) // 2, (t + 2 * a - c + 1) // 2)
+        hi = min(hi_block, gam + yy, (t + 2 * a - odd - 2 * (1 - odd) * eps) // 2)
+        return max(0, hi - lo + 1)
+
+    return count
 
 
 def _pinned(twice: int) -> int | None:
@@ -183,7 +177,7 @@ def _pinned(twice: int) -> int | None:
     return twice // 2
 
 
-def n_brute(x: int, y: int, a: int, b: int, c: int) -> int:
+def n_brute(a: int, b: int, c: int) -> Counter:
     """Count the seven-tuples (k, m, n, eps, alpha, beta, i) directly.
 
     The target monomial and weight pin five components, each solved
@@ -195,27 +189,32 @@ def n_brute(x: int, y: int, a: int, b: int, c: int) -> int:
     when alpha lies in [m, m + n] and the Pieri-rule inequalities on i
     hold.
     """
-    _check_args(x, y, a, b, c)
     odd = c & 1
     base_u, base_v, _, _ = block(a, b, c)
-    k = base_u + x
     m = _pinned(2 * a - c - odd)
-    n = None if m is None else _pinned(base_v + 2 * y - 2 * m - odd)
-    if m is None or n is None:
-        return 0
-    count = 0
-    for eps in (0, 1):
-        eps_low = eps if odd == 0 else 0
-        for beta in range(eps_low, m + 1):
-            i = _pinned(c - 2 * beta - odd)
-            if i is None:
-                continue
-            alpha = _pinned(b - k + n + 2 * m + eps + 2 * i)
-            if alpha is None or not m <= alpha <= m + n:
-                continue
-            if i > alpha - beta:
-                continue
-            if i > k - 2 * m - n + alpha + beta - eps:
-                continue
-            count += 1
+
+    def count(x: int, y: int) -> int:
+        if x < 0 or y < 0:
+            raise ValueError(_NEGATIVE)
+        k = base_u + x
+        n = None if m is None else _pinned(base_v + 2 * y - 2 * m - odd)
+        if m is None or n is None:
+            return 0
+        tuples = 0
+        for eps in (0, 1):
+            eps_low = eps if odd == 0 else 0
+            for beta in range(eps_low, m + 1):
+                i = _pinned(c - 2 * beta - odd)
+                if i is None:
+                    continue
+                alpha = _pinned(b - k + n + 2 * m + eps + 2 * i)
+                if alpha is None or not m <= alpha <= m + n:
+                    continue
+                if i > alpha - beta:
+                    continue
+                if i > k - 2 * m - n + alpha + beta - eps:
+                    continue
+                tuples += 1
+        return tuples
+
     return count

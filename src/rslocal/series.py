@@ -265,19 +265,20 @@ def local_integral_series(deg_u: int, deg_v: int) -> BiSeries:
     return _finish(acc, deg_u, deg_v)
 
 
-def mult_series(deg_u: int, deg_v: int, counter: Callable[[int, int, int, int, int], int]) -> BiSeries:
-    """The same series through a coefficient function of (x, y, a, b, c).
+def mult_series(deg_u: int, deg_v: int, counter: Callable[[int, int, int], coeffs.Counter]) -> BiSeries:
+    """The same series through a counter(a, b, c) of (x, y), built once per weight block.
 
-    Emits counter(x,y,a,b,c) U^(base_u+x) V^(base_v+2y) A1[2a-c]B2[b,c]
+    Emits counter(a,b,c)(x,y) U^(base_u+x) V^(base_v+2y) A1[2a-c]B2[b,c]
     over both branches; b is bounded because every counter vanishes once
     x + y falls below the block width emax.
     """
     acc: dict = {}
     for a, b, c, base_u, base_v, _, _ in _weight_blocks(deg_u, deg_v):
         weight = (2 * a - c, b, c)
+        count = counter(a, b, c)
         for x in range(deg_u - base_u + 1):
             for y in range((deg_v - base_v) // 2 + 1):
-                mult = counter(x, y, a, b, c)
+                mult = count(x, y)
                 if mult:
                     _accumulate(acc, base_u + x, base_v + 2 * y, weight, mult)
     return _finish(acc, deg_u, deg_v)

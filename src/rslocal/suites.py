@@ -326,28 +326,28 @@ def _small_box(cfg: CheckConfig) -> tuple[int, int]:
     return min(cfg.deg_u, _SMALL_DEG), min(cfg.deg_v, _SMALL_DEG)
 
 
-def _coeff_grid(radius: int):
-    return itertools.product(range(radius + 1), repeat=5)
-
-
 def _suite_coeffs(cfg: CheckConfig):
     r = cfg.radius
-    # the grid points in a branch: the points all four checks compare
-    points = [
-        (x, y, a, b, c)
-        for x, y, a, b, c in _coeff_grid(r)
+    plane = list(itertools.product(range(r + 1), repeat=2))
+    # the in-branch blocks, and the points on them all four checks compare, in grid order
+    blocks = [
+        (a, b, c) for a, b, c in itertools.product(range(r + 1), repeat=3)
         if coeffs.in_first_branch(a, c) or coeffs.in_second_branch(a, b, c)
     ]
-    npts = len(points)
+    points = [(x, y, *abc) for x, y in plane for abc in blocks]
 
-    def interval_eps(x, y, a, b, c):
+    def interval_eps(a, b, c):
         # the eps n_interval takes, at the point after its branch substitution
-        return coeffs.interval_eps(*coeffs.first_branch_point(x, y, a, b, c), b)
+        dx, dy = coeffs.first_branch_point(0, 0, a, b, c)
+        return lambda x, y: coeffs.interval_eps(x + dx, y + dy, b)
 
     @functools.cache
-    def column(fn):
-        # fn's values over points, built by the first check that reads them
-        return [fn(*pt) for pt in points]
+    def column(counter):
+        # built by the first check that reads it; block i fills every len(blocks)-th entry
+        values = [0] * len(points)
+        for i, count in enumerate(counter(*abc) for abc in blocks):
+            values[i::len(blocks)] = [count(x, y) for x, y in plane]
+        return values
 
     pairs = [
         ("coeffs/m-closed-vs-brute", coeffs.m_closed, coeffs.m_brute),
@@ -362,7 +362,7 @@ def _suite_coeffs(cfg: CheckConfig):
                     return (False, "(%d,%d,%d,%d,%d): %d" % (*pt, got), str(want))
             return True
 
-        yield check_id, {"radius": r, "comparisons": npts}, compare
+        yield check_id, {"radius": r, "comparisons": len(points)}, compare
 
 
 def _random_unit(rng: random.Random, p: int, v: int = 0) -> Fraction:

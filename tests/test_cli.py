@@ -1,5 +1,6 @@
 """CLI behavior: determinism, exit codes, report schema, config handling."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -264,13 +265,18 @@ def test_exception_in_check_is_an_error(capsys, monkeypatch):
     }
 
 
+def _grid_points(radius):
+    """The in-branch points (x, y, a, b, c) of the radius grid, in lexicographic order."""
+    return [
+        pt
+        for pt in itertools.product(range(radius + 1), repeat=5)
+        if coeffs.in_first_branch(pt[2], pt[4]) or coeffs.in_second_branch(*pt[2:])
+    ]
+
+
 def test_coeffs_comparisons_count_the_points_in_a_branch():
     radius = 3
-    want = sum(
-        1
-        for x, y, a, b, c in suites._coeff_grid(radius)
-        if coeffs.in_first_branch(a, c) or coeffs.in_second_branch(a, b, c)
-    )
+    want = len(_grid_points(radius))
     assert 0 < want < (radius + 1) ** 5
     reports = suites.run_suite(CheckConfig(suite="coeffs", radius=radius))
     assert len(reports) == 4
@@ -287,32 +293,47 @@ def _coeffs_radius_3(capsys):
     return code, {ch["id"]: ch for ch in json.loads(out)["checks"]}
 
 
+def _wrong_at(real, bad):
+    """real with its count raised by one at each point of bad."""
+    def wrong(a, b, c):
+        count = real(a, b, c)
+        return lambda x, y: count(x, y) + ((x, y, a, b, c) in bad)
+
+    return wrong
+
+
 def test_coeffs_checks_call_each_counter_once_per_point(capsys, monkeypatch):
-    points = [
-        pt
-        for pt in suites._coeff_grid(3)
-        if coeffs.in_first_branch(pt[2], pt[4]) or coeffs.in_second_branch(*pt[2:])
-    ]
+    points = _grid_points(3)
+    blocks = sorted({pt[2:] for pt in points})
+    built = {name: [] for name in COUNTERS}
     calls = {name: [] for name in COUNTERS}
     for name in COUNTERS:
-        def counted(*pt, real=getattr(coeffs, name), seen=calls[name]):
-            seen.append(pt)
-            return real(*pt)
+        def counted(a, b, c, real=getattr(coeffs, name), made=built[name], seen=calls[name]):
+            made.append((a, b, c))
+            count = real(a, b, c)
+
+            def at(x, y):
+                seen.append((x, y, a, b, c))
+                return count(x, y)
+
+            return at
 
         monkeypatch.setattr(coeffs, name, counted)
     code, checks = _coeffs_radius_3(capsys)
     assert code == 0 and len(checks) == 4
     for name in COUNTERS:
+        # each block is built once, and its function read once at each point on it
+        assert sorted(built[name]) == blocks, name
         assert sorted(calls[name]) == points, name
 
 
 def test_wrong_m_closed_fails_both_of_its_checks(capsys, monkeypatch):
     bad = (2, 1, 1, 1, 1)
     real = coeffs.m_closed
-    monkeypatch.setattr(coeffs, "m_closed", lambda *pt: real(*pt) + (pt == bad))
+    monkeypatch.setattr(coeffs, "m_closed", _wrong_at(real, {bad}))
     code, checks = _coeffs_radius_3(capsys)
     assert code == 1
-    want = real(*bad)
+    want = real(*bad[2:])(*bad[:2])
     for check_id in ("coeffs/m-closed-vs-brute", "coeffs/m-vs-n"):
         assert (checks[check_id]["status"], checks[check_id]["lhs"], checks[check_id]["rhs"]) == (
             "fail", "(2,1,1,1,1): %d" % (want + 1), str(want)
@@ -321,16 +342,39 @@ def test_wrong_m_closed_fails_both_of_its_checks(capsys, monkeypatch):
         assert checks[check_id]["status"] == "pass", check_id
 
 
+def test_a_mismatch_is_named_at_its_first_grid_point(capsys, monkeypatch):
+    # (1, 1, 1) is built before (3, 3, 3), but (1, 0, 3, 3, 3) comes first in the grid
+    bad = {(2, 0, 1, 1, 1), (1, 0, 3, 3, 3)}
+    assert bad <= set(_grid_points(3))
+    real = coeffs.m_brute
+    monkeypatch.setattr(coeffs, "m_brute", _wrong_at(real, bad))
+    code, checks = _coeffs_radius_3(capsys)
+    assert code == 1
+    want = real(3, 3, 3)(1, 0)
+    check = checks["coeffs/m-closed-vs-brute"]
+    assert (check["status"], check["lhs"], check["rhs"]) == (
+        "fail", "(1,0,3,3,3): %d" % want, str(want + 1)
+    )
+    assert [cid for cid, ch in sorted(checks.items()) if ch["status"] != "pass"] == [
+        "coeffs/m-closed-vs-brute"
+    ]
+
+
 def test_raising_n_interval_errs_both_of_its_checks(capsys, monkeypatch):
     bad = (2, 1, 1, 1, 1)
     real = coeffs.n_interval
 
-    def broken(*pt):
-        if pt == bad:
-            raise ArithmeticError("no interval at %r" % (pt,))
-        return real(*pt)
+    def raising(a, b, c):
+        count = real(a, b, c)
 
-    monkeypatch.setattr(coeffs, "n_interval", broken)
+        def broken(x, y):
+            if (x, y, a, b, c) == bad:
+                raise ArithmeticError("no interval at %r" % ((x, y, a, b, c),))
+            return count(x, y)
+
+        return broken
+
+    monkeypatch.setattr(coeffs, "n_interval", raising)
     code, checks = _coeffs_radius_3(capsys)
     assert code == 1
     erred = [checks["coeffs/n-interval-vs-brute"], checks["coeffs/m-vs-n"]]
@@ -345,7 +389,7 @@ def test_raising_n_interval_errs_both_of_its_checks(capsys, monkeypatch):
 
 def test_parity_check_calls_delta_parity(monkeypatch, run_checks):
     # the first branch's rule in both branches: wrong wherever a + c is odd in the second
-    monkeypatch.setattr(coeffs, "delta_parity", lambda x, y, a, b, c: (x + y + b) & 1)
+    monkeypatch.setattr(coeffs, "delta_parity", lambda a, b, c: lambda x, y: (x + y + b) & 1)
     reports = run_checks(CheckConfig(suite="coeffs", radius=2), ["coeffs/parity-consistency"])
     assert [(r.check_id, r.status) for r in reports] == [("coeffs/parity-consistency", "fail")]
     x, y, a, b, c = map(int, reports[0].lhs.split(":")[0].strip("()").split(","))

@@ -16,11 +16,18 @@ from rslocal.coeffs import (
 )
 
 
-def grid(radius):
-    for point in itertools.product(range(radius + 1), repeat=5):
-        x, y, a, b, c = point
+def blocks(radius):
+    """The weight blocks (a, b, c) in a branch, with a, b and c at most radius."""
+    for a, b, c in itertools.product(range(radius + 1), repeat=3):
         if in_first_branch(a, c) or in_second_branch(a, b, c):
-            yield point
+            yield a, b, c
+
+
+def grid(radius):
+    """The points (x, y, a, b, c) on those blocks, block by block."""
+    for a, b, c in blocks(radius):
+        for x, y in itertools.product(range(radius + 1), repeat=2):
+            yield x, y, a, b, c
 
 
 # The conditions of the seven-loop tuple enumeration below, by name; a name
@@ -118,21 +125,21 @@ def m_brute_reference(x, y, a, b, c):
 
 
 def test_m_base_point():
-    assert m_closed(0, 0, 0, 0, 0) == 1
-    assert m_brute(0, 0, 0, 0, 0) == 1
+    assert m_closed(0, 0, 0)(0, 0) == 1
+    assert m_brute(0, 0, 0)(0, 0) == 1
 
 
 def test_m_outside_support():
     # -x + y = 1 exceeds b = 0
-    assert m_closed(0, 1, 0, 0, 0) == 0
-    assert m_brute(0, 1, 0, 0, 0) == 0
+    assert m_closed(0, 0, 0)(0, 1) == 0
+    assert m_brute(0, 0, 0)(0, 1) == 0
     # x + y = 0 below b = 1
-    assert m_closed(0, 0, 0, 1, 0) == 0
-    assert m_brute(0, 0, 0, 1, 0) == 0
+    assert m_closed(0, 1, 0)(0, 0) == 0
+    assert m_brute(0, 1, 0)(0, 0) == 0
 
 
 def test_m_spot_value_from_oracle():
-    assert m_closed(2, 1, 2, 1, 2) == m_brute(2, 1, 2, 1, 2)
+    assert m_closed(2, 1, 2)(2, 1) == m_brute(2, 1, 2)(2, 1)
 
 
 def test_parity_vanishing_on_branch_edge():
@@ -140,59 +147,80 @@ def test_parity_vanishing_on_branch_edge():
     for a in (0, 1, 2):
         c = 2 * a
         for b in (0, 2):
+            counters = [m_closed(a, b, c), m_brute(a, b, c), n_interval(a, b, c)]
             for x, y in ((0, 1), (1, 0), (2, 1), (1, 2)):
-                if (x + y) % 2 == 1 and (b % 2 == 0):
-                    assert m_closed(x, y, a, b, c) == 0
-                    assert m_brute(x, y, a, b, c) == 0
-                    assert n_interval(x, y, a, b, c) == 0
+                assert [count(x, y) for count in counters] == [0, 0, 0], (x, y, a, b, c)
 
 
 def test_n_base_point():
-    assert n_interval(0, 0, 0, 0, 0) == 1
-    assert n_brute(0, 0, 0, 0, 0) == 1
+    assert n_interval(0, 0, 0)(0, 0) == 1
+    assert n_brute(0, 0, 0)(0, 0) == 1
 
 
 def test_n_empty_interval():
-    assert n_interval(0, 1, 0, 0, 0) == 0
-    assert n_brute(0, 1, 0, 0, 0) == 0
+    assert n_interval(0, 0, 0)(0, 1) == 0
+    assert n_brute(0, 0, 0)(0, 1) == 0
 
 
 def test_n_spot_values():
-    assert n_interval(1, 1, 1, 1, 1) == n_brute(1, 1, 1, 1, 1)
-    assert n_interval(2, 0, 1, 1, 2) == n_brute(2, 0, 1, 1, 2)
+    assert n_interval(1, 1, 1)(1, 1) == n_brute(1, 1, 1)(1, 1)
+    assert n_interval(1, 1, 2)(2, 0) == n_brute(1, 1, 2)(2, 0)
 
 
 def test_branch_guard_raises():
     with pytest.raises(ValueError):
-        m_closed(0, 0, 2, 0, 0)  # c < a but a > b + c
+        m_closed(2, 0, 0)  # c < a but a > b + c
     with pytest.raises(ValueError):
-        n_interval(0, 0, 1, 0, 3)  # c > 2a
+        n_interval(1, 0, 3)  # c > 2a
     with pytest.raises(ValueError):
-        n_brute(0, 0, 2, 0, 0)
+        n_brute(2, 0, 0)
+
+
+BLOCK_FUNCTIONS = (m_closed, m_brute, n_interval, n_brute, delta_parity)
+
+
+@pytest.mark.parametrize("build", BLOCK_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_each_guard_raises_where_its_arguments_are_read(build):
+    negative = "coefficient arguments must be nonnegative"
+    # a block's indices are checked when the block is built, before any (x, y)
+    for abc in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ValueError, match="^%s$" % negative):
+            build(*abc)
+    with pytest.raises(ValueError, match=r"^\(a, b, c\)=\(2, 0, 0\) lies in neither index branch$"):
+        build(2, 0, 0)
+    # x and y are checked by the function of the block, at each call
+    count = build(1, 1, 1)
+    for x, y in ((-1, 0), (0, -1), (-2, -3)):
+        with pytest.raises(ValueError, match="^%s$" % negative):
+            count(x, y)
+    assert count(0, 0) in (0, 1)
 
 
 def test_all_evaluators_agree_radius_4():
-    for x, y, a, b, c in grid(4):
-        mc = m_closed(x, y, a, b, c)
-        assert mc == m_brute(x, y, a, b, c), (x, y, a, b, c)
-        assert mc == n_interval(x, y, a, b, c), (x, y, a, b, c)
+    for a, b, c in blocks(4):
+        mc, mb, ni = m_closed(a, b, c), m_brute(a, b, c), n_interval(a, b, c)
+        for x, y in itertools.product(range(5), repeat=2):
+            assert mc(x, y) == mb(x, y), (x, y, a, b, c)
+            assert mc(x, y) == ni(x, y), (x, y, a, b, c)
 
 
 def test_n_brute_agrees_radius_4():
-    for x, y, a, b, c in grid(4):
-        assert n_interval(x, y, a, b, c) == n_brute(x, y, a, b, c), (x, y, a, b, c)
+    for a, b, c in blocks(4):
+        ni, nb = n_interval(a, b, c), n_brute(a, b, c)
+        for x, y in itertools.product(range(5), repeat=2):
+            assert ni(x, y) == nb(x, y), (x, y, a, b, c)
 
 
 def test_n_brute_matches_reference_at_every_cap():
-    for point in grid(3):
-        got = n_brute(*point)
-        for cap in range(reference_cap(*point), 13):
-            assert got == n_brute_reference(*point, cap), (point, cap)
+    for x, y, a, b, c in grid(3):
+        got = n_brute(a, b, c)(x, y)
+        for cap in range(reference_cap(x, y, a, b, c), 13):
+            assert got == n_brute_reference(x, y, a, b, c, cap), ((x, y, a, b, c), cap)
 
 
 def test_m_brute_matches_reference_radius_4():
-    for point in grid(4):
-        assert m_brute(*point) == m_brute_reference(*point), point
+    for x, y, a, b, c in grid(4):
+        assert m_brute(a, b, c)(x, y) == m_brute_reference(x, y, a, b, c), (x, y, a, b, c)
 
 
 def test_every_n_oracle_condition_binds():
@@ -200,8 +228,8 @@ def test_every_n_oracle_condition_binds():
     # with the interval count somewhere on the radius-3 grid
     for name in N_CONDITIONS:
         assert any(
-            n_brute_reference(*point, drop=(name,)) != n_interval(*point)
-            for point in grid(3)
+            n_brute_reference(x, y, a, b, c, drop=(name,)) != n_interval(a, b, c)(x, y)
+            for x, y, a, b, c in grid(3)
         ), name
 
 
@@ -209,7 +237,7 @@ def test_delta_equals_interval_parity():
     # the parity offset used by the closed form and the one the interval
     # count derives after substitution are the same residue
     for x, y, a, b, c in grid(4):
-        d = delta_parity(x, y, a, b, c)
+        d = delta_parity(a, b, c)(x, y)
         if in_first_branch(a, c):
             assert d == (x + y + b) % 2
         else:
