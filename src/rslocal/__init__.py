@@ -17,7 +17,7 @@ from .characters import (
     decompose,
     dim_irrep,
     pieri_tensor,
-    sym_power_decompose,
+    sym_powers_decompose,
     sym_power_spin_closed,
     tensor_decompose,
 )

@@ -15,17 +15,19 @@ Decompositions peel highest weights under the lexicographic order on
 (t, d1, d2), which refines the dominance order of both factors, so peeling
 is deterministic and terminates.  A Weyl-invariant polynomial is fixed by
 its dominant part (t >= 0, d1 >= d2 >= 0), since every weight has exactly
-one dominant Weyl image (Humphreys, sections 22 and 24), so the peel reads
-and subtracts dominant monomials only, and ``char_B2_value`` values a Spin5
-character at a rational point from the Weyl orbit sums of its dominant
-weights.
+one dominant Weyl image (Humphreys, sections 22 and 24), so one pass over
+the monomials both checks invariance and keeps the dominant part, the peel
+reads and subtracts dominant monomials only, and ``char_B2_value`` values a
+Spin5 character at a rational point from the Weyl orbit sums of its
+dominant weights.
 
 Sparse integer combinations, Laurent polynomials and virtual characters
 alike, are summed in place by one helper, ``_add_into``, which drops each
-key whose coefficient reaches zero; only ``LaurentPoly.__mul__`` and the
-root-line division keep their own loops.  Only this module reads the packed
-keys: other modules build a polynomial from its exponent triples with
-``LaurentPoly.from_terms``.
+key whose coefficient reaches zero: each h_l of the Newton recursion for
+symmetric powers is summed into one dict, and so is the peel's remainder.
+Only ``LaurentPoly.__mul__`` and the root-line division keep their own
+loops.  Only this module reads the packed keys: other modules build a
+polynomial from its exponent triples with ``LaurentPoly.from_terms``.
 
 Tensor products of irreducibles never expand a character: the SL2 factor
 follows Clebsch-Gordan (m from |m1 - m2| to m1 + m2 in steps of 2) and the
@@ -53,7 +55,7 @@ __all__ = [
     "dim_irrep",
     "decompose",
     "tensor_decompose",
-    "sym_power_decompose",
+    "sym_powers_decompose",
     "pieri_tensor",
     "sym_power_spin_closed",
 ]
@@ -66,7 +68,6 @@ _OFF = 1 << (_SHIFT - 1)
 _MASK = (1 << _SHIFT) - 1
 _MAX_EXP = _OFF - 1
 _P0 = ((_OFF) << (2 * _SHIFT)) | (_OFF << _SHIFT) | _OFF
-_T0 = _OFF << (2 * _SHIFT)  # the least key with t >= 0
 _ONES = (1 << (2 * _SHIFT)) | (1 << _SHIFT) | 1  # 1 in each field
 # bit 10 of each field: in k ^ (k >> 1) it is set when bits 11 and 10 of
 # the field differ, that is when the exponent lies in [-1024, 1023]
@@ -230,23 +231,8 @@ class LaurentPoly:
     # -- symmetry ------------------------------------------------------------
 
     def is_weyl_invariant(self) -> bool:
-        """Invariance under t -> 1/t, the Spin5 swap and a Spin5 sign flip.
-
-        These three involutions generate the full {+-1} wreath symmetry on the
-        doubled coordinates together with the SL2 flip.  Each acts on the
-        packed fields directly: a field f = e + _OFF negates to 2*_OFF - f,
-        and the swap moves (f2 - f1) units between the two low fields.
-        """
-        c = self._c
-        for k, v in c.items():
-            f1, f2 = (k >> _SHIFT) & _MASK, k & _MASK
-            if (
-                c.get(k + ((_OFF - (k >> (2 * _SHIFT))) << (2 * _SHIFT + 1))) != v
-                or c.get(k + (f2 - f1) * _MASK) != v
-                or c.get(k + 2 * (_OFF - f2)) != v
-            ):
-                return False
-        return True
+        """Invariance under the SL2 flip t -> 1/t and the order-8 Weyl group of Spin5."""
+        return _dominant_part(self._c) is not None
 
 
 def _div_root_line(num: dict[int, int], root: tuple[int, int], d: int) -> dict[int, int]:
@@ -349,25 +335,41 @@ def product_char(m: int, a: int, b: int) -> LaurentPoly:
     return poly
 
 
-def _dominant_items(c: dict[int, int]) -> list[tuple[int, int]]:
-    """The (key, coefficient) pairs of c whose weight lies in the dominant chamber.
+def _dominant_part(c: dict[int, int]) -> list[tuple[int, int]] | None:
+    """The dominant (key, coefficient) pairs of c, or None when c is not Weyl invariant.
 
-    t >= 0 and d1 >= d2 >= 0, read on the packed fields: t >= 0 exactly
-    when the key is at least _T0, and the fields of d1 and d2 are both
-    offset by _OFF.
+    The dominant image of a key is (|t|, max(|d1|, |d2|), min(|d1|, |d2|)),
+    read on the packed fields: a field f = e + _OFF has |e| + _OFF = f when
+    f >= _OFF and 2*_OFF - f otherwise.  decompose writes out why one pass,
+    an image lookup per key and an orbit count, decides invariance.
     """
-    return [
-        (k, v)
-        for k, v in c.items()
-        if k >= _T0 and ((k >> _SHIFT) & _MASK) >= (k & _MASK) >= _OFF
-    ]
+    dominant, orbits = [], 0
+    # locals, not module constants: the loop runs once per monomial
+    off, o2, mask, s, s2 = _OFF, 2 * _OFF, _MASK, _SHIFT, 2 * _SHIFT
+    for k, v in c.items():
+        t, f1, f2 = k >> s2, (k >> s) & mask, k & mask
+        if t < off:
+            t = o2 - t
+        if f1 < off:
+            f1 = o2 - f1
+        if f2 < off:
+            f2 = o2 - f2
+        if f1 < f2:
+            f1, f2 = f2, f1
+        d = (t << s2) | (f1 << s) | f2
+        if d == k:
+            dominant.append((k, v))
+            orbits += (1 if t == off else 2) * (1 if f1 == off else 4 if f2 == off or f1 == f2 else 8)
+        elif c.get(d) != v:
+            return None
+    return dominant if orbits == len(c) else None
 
 
 def _dominant_b2(a: int, b: int) -> list[tuple[int, int]]:
     """The dominant monomials of char_B2(a, b), as (key, coefficient), kept per (a, b)."""
     spin5 = _DOMINANT_CACHE.get((a, b))
     if spin5 is None:
-        spin5 = _DOMINANT_CACHE[(a, b)] = _dominant_items(char_B2(a, b)._c)
+        spin5 = _DOMINANT_CACHE[(a, b)] = _dominant_part(char_B2(a, b)._c)
     return spin5
 
 
@@ -511,9 +513,17 @@ def decompose(p: LaurentPoly) -> VirtualCharacter:
     weight has exactly one dominant Weyl image, so an invariant polynomial
     is zero exactly when its dominant part is; the lex-maximal monomial is
     dominant, and subtracting an irreducible's dominant monomials keeps the
-    remainder the dominant part of an invariant polynomial.  The guard
-    comes first: a polynomial that is not invariant may share its dominant
-    part with a genuine character.
+    remainder the dominant part of an invariant polynomial.  A polynomial
+    that is not invariant may share its dominant part with a genuine
+    character, so one pass (_dominant_part) both guards and filters.  It
+    requires each monomial's dominant image to be present with the same
+    coefficient, and it sums the orbit sizes of the dominant monomials: 1
+    or 2 (t = 0 or not) times 1, 4 or 8 (the origin, a wall d2 = 0 or
+    d1 = d2, or the open chamber).  Each monomial lies in the orbit of its
+    image, and distinct dominant weights have disjoint orbits, so the
+    monomials are a subset of those orbits' union, whose size is that sum.
+    The sum equals the number of monomials exactly when they fill every
+    orbit, each member with its dominant coefficient: when p is invariant.
 
     Step bound: each peeled weight is dominant and lex-smaller than the
     last, and an irreducible's weights lie inside its highest weight's box
@@ -523,9 +533,10 @@ def decompose(p: LaurentPoly) -> VirtualCharacter:
     There are (t_max + 1)(d1_max + 1)(d1_max + 2)/2 such weights; more
     steps than that would mean the peel is broken.
     """
-    if not p.is_weyl_invariant():
+    dominant = _dominant_part(p._c)
+    if dominant is None:
         raise ValueError("polynomial is not Weyl invariant")
-    rem = dict(_dominant_items(p._c))
+    rem = dict(dominant)
     if not rem:
         return VirtualCharacter()
     t_max = (max(rem) >> (2 * _SHIFT)) - _OFF
@@ -603,25 +614,26 @@ def tensor_decompose(v1: VirtualCharacter, v2: VirtualCharacter) -> VirtualChara
     return out
 
 
-def sym_power_decompose(v: VirtualCharacter, power: int) -> VirtualCharacter:
-    """Decomposition of the symmetric power of a genuine representation.
+def sym_powers_decompose(v: VirtualCharacter, top: int) -> list[VirtualCharacter]:
+    """Decompositions of Sym^0, ..., Sym^top of a genuine representation.
 
-    Uses the Newton recursion l*h_l = sum_k p_k h_{l-k} on power sums of the
-    torus eigenvalues, avoiding any explicit monomial multiset.
+    One Newton recursion l*h_l = sum_k p_k h_{l-k} on power sums of the
+    torus eigenvalues, run once up to top, avoiding any explicit monomial
+    multiset; each h_l is summed in one dict, top(top+1)/2 products in all.
     """
-    if power < 0:
+    if top < 0:
         raise ValueError("negative symmetric power")
     if not v.is_genuine():
         raise ValueError("symmetric powers need nonnegative multiplicities")
     base = v.expand()
     h = [LaurentPoly.one()]
-    psums = [None] + [base.adams(k) for k in range(1, power + 1)]
-    for ell in range(1, power + 1):
-        acc = LaurentPoly.zero()
+    psums = [None] + [base.adams(k) for k in range(1, top + 1)]
+    for ell in range(1, top + 1):
+        acc: dict[int, int] = {}
         for k in range(1, ell + 1):
-            acc = acc + (psums[k] * h[ell - k])
-        h.append(acc.divided_by_int(ell))
-    return decompose(h[power])
+            _add_into(acc, (psums[k] * h[ell - k])._c.items())
+        h.append(LaurentPoly(acc).divided_by_int(ell))
+    return [decompose(poly) for poly in h]
 
 
 # ---------------------------------------------------------------------------

@@ -558,13 +558,18 @@ def torus_term(tv: TorusValuations, deg_u: int, deg_v: int) -> BiSeries:
 
 
 def torus_term_sum(deg_u: int, deg_v: int) -> BiSeries:
-    """Sum of torus_term over every triple that can reach the box."""
-    total = BiSeries.zero(deg_u, deg_v)
+    """Sum of torus_term over every triple that can reach the box.
+
+    Each term's cells are added into one table of weight multiplicities,
+    so no running sum is copied; the terms themselves are only read.
+    """
+    acc: dict = {}
     bmax = deg_u + deg_v
     for a in range(deg_v + 1):
         for b in range(bmax + 1):
             for c in range(deg_v + 1):
-                term = torus_term(TorusValuations(a, b, c), deg_u, deg_v)
-                if term:
-                    total = total + term
-    return total
+                for key, vc in torus_term(TorusValuations(a, b, c), deg_u, deg_v).items():
+                    cell = acc.setdefault(key, {})
+                    for w, mult in vc.items():
+                        cell[w] = cell.get(w, 0) + mult
+    return BiSeries(deg_u, deg_v, {key: VirtualCharacter(cell) for key, cell in acc.items()})

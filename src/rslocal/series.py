@@ -28,7 +28,7 @@ from .characters import (
     char_A1,
     char_B2_value,
     product_char,  # unused here; perfbench/test_perfbench.py traces this binding
-    sym_power_decompose,
+    sym_powers_decompose,
     tensor_decompose,  # unused here (BiSeries multiplies with *); traced likewise
 )
 
@@ -332,10 +332,11 @@ def pieri_product_series(deg_u: int, deg_v: int) -> BiSeries:
 
 
 def sym_side_series(which: str, deg: int) -> list[VirtualCharacter]:
-    """Univariate symmetric-power series coefficients.
+    """Univariate symmetric-power series coefficients, l = 0, ..., deg.
 
     "std": Sym^l of the 5-dimensional B2[1,0] (coefficient of U^l);
-    "spin-product": Sym^l of the 8-dimensional A1[1]B2[0,1] (V^l).
+    "spin-product": Sym^l of the 8-dimensional A1[1]B2[0,1] (V^l).  One
+    Newton recursion up to deg gives every coefficient.
     """
     if which == "std":
         base = VirtualCharacter.weight(0, 1, 0)
@@ -343,7 +344,7 @@ def sym_side_series(which: str, deg: int) -> list[VirtualCharacter]:
         base = VirtualCharacter.weight(1, 0, 1)
     else:
         raise ValueError("which must be 'std' or 'spin-product'")
-    return [sym_power_decompose(base, ell) for ell in range(deg + 1)]
+    return sym_powers_decompose(base, deg)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 ``run_checks`` runs a chosen few of the checks that ``suites._checks``
 yields as (id, params, body) entries, through ``suites._run``, the runner
-that ``suites.run_suite`` uses.
+that ``suites.run_suite`` uses.  ``weyl_invariant_reference`` is the
+three-involution invariance test that the one-pass guard replaced.
 """
 
 from fractions import Fraction
@@ -11,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from rslocal import suites
+from rslocal.characters import _MASK, _OFF, _SHIFT
 from rslocal.padic import J_STD, gamma5_matrix, mat_inv, valuation
 from rslocal.symplectic import FlagState, rref_q
 
@@ -28,6 +30,31 @@ def _run_checks(cfg, ids):
 @pytest.fixture(scope="session")
 def run_checks():
     return _run_checks
+
+
+def _weyl_invariant_reference(poly):
+    """Invariance under t -> 1/t, the Spin5 swap and a Spin5 sign flip.
+
+    These three involutions generate the full {+-1} wreath symmetry on the
+    doubled coordinates together with the SL2 flip.  Each acts on the
+    packed fields directly: a field f = e + _OFF negates to 2*_OFF - f,
+    and the swap moves (f2 - f1) units between the two low fields.
+    """
+    c = poly._c
+    for k, v in c.items():
+        f1, f2 = (k >> _SHIFT) & _MASK, k & _MASK
+        if (
+            c.get(k + ((_OFF - (k >> (2 * _SHIFT))) << (2 * _SHIFT + 1))) != v
+            or c.get(k + (f2 - f1) * _MASK) != v
+            or c.get(k + 2 * (_OFF - f2)) != v
+        ):
+            return False
+    return True
+
+
+@pytest.fixture(scope="session")
+def weyl_invariant_reference():
+    return _weyl_invariant_reference
 
 
 def _fraction_power_evaluate(poly, t, y1, y2):

@@ -21,7 +21,7 @@ from rslocal.characters import (
     dim_irrep,
     pieri_tensor,
     product_char,
-    sym_power_decompose,
+    sym_powers_decompose,
     sym_power_spin_closed,
     tensor_decompose,
 )
@@ -277,6 +277,65 @@ def test_weyl_invariance_at_the_packed_range_edges():
         assert not (poly + LaurentPoly.monomial(*w, coeff=-1)).is_weyl_invariant(), w
 
 
+def _dominant_filter(poly):
+    """The (packed key, coefficient) pairs of poly with t >= 0 and d1 >= d2 >= 0."""
+    return [(k, v) for k, v in poly._c.items()
+            if (w := characters._unpack(k))[0] >= 0 and w[1] >= w[2] >= 0]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_pass_guard_matches_the_reference_on_the_checks_polynomials(
+        monkeypatch, run_checks, weyl_invariant_reference, seed):
+    polys, peel = [], characters.decompose
+
+    def recording_peel(poly):
+        polys.append(poly)
+        return peel(poly)
+
+    monkeypatch.setattr(characters, "decompose", recording_peel)
+    checks = ["characters/decompose-roundtrip", "characters/tensor-dim-conservation"]
+    reports = run_checks(CheckConfig(suite="characters", seed=seed), checks)
+    assert [(r.check_id, r.status) for r in reports] == [(c, "pass") for c in checks]
+    assert len(polys) == sum(r.params["samples"] for r in reports)
+    for poly in polys:
+        assert weyl_invariant_reference(poly)
+        assert characters._dominant_part(poly._c) == _dominant_filter(poly)
+
+
+def _orbit(t, d1, d2):
+    """The orbit of (t, d1, d2) under t -> -t and the signed permutations of (d1, d2)."""
+    return {(s0 * t, s1 * x, s2 * y) for s0 in (1, -1) for s1 in (1, -1) for s2 in (1, -1)
+            for x, y in ((d1, d2), (d2, d1))}
+
+
+# a dominant weight on each wall, on the SL2 and Spin5 origins, and in the open chamber
+GUARD_WEIGHTS = {"origin": (0, 0, 0), "t=0": (0, 4, 2), "spin5-origin": (2, 0, 0),
+                 "d2=0": (2, 4, 0), "d1=d2": (2, 2, 2), "open": (2, 4, 2)}
+
+
+@pytest.mark.parametrize("rep", GUARD_WEIGHTS.values(), ids=GUARD_WEIGHTS.keys())
+def test_one_pass_guard_matches_the_reference_on_single_monomial_changes(
+        weyl_invariant_reference, rep):
+    # every orbit of GUARD_WEIGHTS, each with its own coefficient
+    base = LaurentPoly.from_terms(
+        (*w, i + 2) for i, r in enumerate(GUARD_WEIGHTS.values()) for w in _orbit(*r))
+    assert weyl_invariant_reference(base)
+    assert characters._dominant_part(base._c) == _dominant_filter(base)
+    coeff = base._c[characters._pack(*rep)]
+    orbit = _orbit(*rep)
+    changed = [base + LaurentPoly.monomial(*w) for w in orbit]
+    dropped = [base + LaurentPoly.monomial(*w, coeff=-coeff) for w in orbit]
+    # a new orbit on the same walls: a lone member, dominant or not
+    lone = [base + LaurentPoly.monomial(*w) for w in _orbit(*(3 * e for e in rep))]
+    cases = changed + dropped + lone
+    for poly in cases:
+        want = weyl_invariant_reference(poly)
+        assert (characters._dominant_part(poly._c) is not None) == want
+        assert poly.is_weyl_invariant() == want
+    # each change breaks invariance, except on the one-point orbit of the origin
+    assert [weyl_invariant_reference(p) for p in cases] == [len(orbit) == 1] * len(cases)
+
+
 @pytest.mark.parametrize("field", [0, 1, 2], ids=["t", "d1", "d2"])
 @pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
 def test_product_past_the_packed_range_raises(field, sign):
@@ -446,13 +505,15 @@ def sym_power_monomials(poly, power):
 
 def test_sym_power_edge_cases():
     anything = VirtualCharacter({(1, 1, 0): 1, (0, 0, 1): 1})
-    assert sym_power_decompose(anything, 0) == VirtualCharacter.weight(0, 0, 0)
+    assert sym_powers_decompose(anything, 0) == [VirtualCharacter.weight(0, 0, 0)]
     vec = VirtualCharacter.weight(0, 1, 0)
-    assert sym_power_decompose(vec, 1) == vec
+    assert sym_powers_decompose(vec, 1) == [VirtualCharacter.weight(0, 0, 0), vec]
+    with pytest.raises(ValueError, match="negative symmetric power"):
+        sym_powers_decompose(vec, -1)
 
 
 def test_sym_square_of_vector():
-    got = sym_power_decompose(VirtualCharacter.weight(0, 1, 0), 2)
+    got = sym_powers_decompose(VirtualCharacter.weight(0, 1, 0), 2)[2]
     assert got == VirtualCharacter({(0, 2, 0): 1, (0, 0, 0): 1})
     assert got.dim() == 15
 
@@ -460,14 +521,33 @@ def test_sym_square_of_vector():
 def test_sym_power_vs_multiset_oracle():
     for weight in ((0, 1, 0), (1, 0, 1), (1, 1, 0)):
         vc = VirtualCharacter.weight(*weight)
-        for power in range(4):
-            got = sym_power_decompose(vc, power)
+        powers = sym_powers_decompose(vc, 3)
+        assert len(powers) == 4
+        for power, got in enumerate(powers):
             assert got.expand() == sym_power_monomials(vc.expand(), power)
 
 
 def test_sym_power_rejects_virtual():
-    with pytest.raises(ValueError):
-        sym_power_decompose(VirtualCharacter({(0, 0, 0): -1}), 2)
+    with pytest.raises(ValueError, match="nonnegative multiplicities"):
+        sym_powers_decompose(VirtualCharacter({(0, 0, 0): -1}), 2)
+
+
+def test_sym_powers_run_one_recursion_up_to_the_top_power(monkeypatch):
+    # l h_l = sum_k p_k h_{l-k} for l = 1..n: n(n+1)/2 products, none recomputed
+    base = VirtualCharacter.weight(1, 0, 1)
+    base.expand()  # product_char builds and caches its product before the count starts
+    calls, mul = [], LaurentPoly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    for top in range(9):
+        calls.clear()
+        got = sym_powers_decompose(base, top)
+        assert len(calls) == top * (top + 1) // 2, top
+        assert got == [sym_power_spin_closed(ell) for ell in range(top + 1)], top
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +602,7 @@ def test_sym_spin_closed_small():
 
 def test_sym_spin_closed_vs_adams():
     base = VirtualCharacter.weight(1, 0, 1)
-    for ell in range(9):
-        assert sym_power_spin_closed(ell) == sym_power_decompose(base, ell)
+    assert sym_powers_decompose(base, 8) == [sym_power_spin_closed(ell) for ell in range(9)]
 
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from rslocal import padic, suites
-from rslocal.characters import LaurentPoly
+from rslocal.characters import LaurentPoly, VirtualCharacter
 from rslocal.padic import (
     FPSI_DENOMINATOR,
     QMatrix,
@@ -35,7 +35,7 @@ from rslocal.padic import (
     rref,
     valuation,
 )
-from rslocal.series import local_integral_series
+from rslocal.series import BiSeries, local_integral_series
 
 
 def identity6():
@@ -663,6 +663,43 @@ def test_torus_term_outside_branches():
 
 def test_torus_sum_rebuilds_local_series():
     assert torus_term_sum(4, 4) == local_integral_series(4, 4)
+
+
+def _cells(term):
+    return [(key, dict(vc.items())) for key, vc in term.items()]
+
+
+@pytest.mark.parametrize("cancel", [False, True], ids=["terms", "cancelling"])
+@pytest.mark.parametrize("box", [(3, 3), (6, 6)], ids=["3x3", "6x6"])
+def test_torus_term_sum_is_the_added_torus_terms(monkeypatch, box, cancel):
+    real, read = padic.torus_term, []
+
+    def term(tv, deg_u, deg_v):
+        # cancelling: (0, 0, 1) brings minus the term of (0, 0, 0), the only one of weight (0, 0, 0)
+        got = real(tv, deg_u, deg_v)
+        if cancel and tv == (0, 0, 1):
+            got = BiSeries(deg_u, deg_v, {
+                key: VirtualCharacter({w: -m for w, m in vc.items()})
+                for key, vc in real(TorusValuations(0, 0, 0), deg_u, deg_v).items()})
+        read.append((tv, got, _cells(got)))
+        return got
+
+    monkeypatch.setattr(padic, "torus_term", term)
+    got = torus_term_sum(*box)
+    du, dv = box
+    triples = list(itertools.product(range(dv + 1), range(du + dv + 1), range(dv + 1)))
+    assert [tv for tv, _, _ in read] == triples
+    added = BiSeries.zero(*box)
+    for _, term_series, cells in read:
+        assert _cells(term_series) == cells  # read, never written
+        added = added + term_series
+    assert got == added
+    assert torus_term_sum(*box) == got
+    if cancel:
+        assert got.get(0, 0) == 0  # the cell U^0 V^0 holds weight (0, 0, 0) alone
+        assert all(vc.get((0, 0, 0)) == 0 for _, vc in got.items())
+    else:
+        assert got.get(0, 0) == VirtualCharacter.weight(0, 0, 0)
 
 
 def test_valuation_helper():
