@@ -34,9 +34,11 @@ follows Clebsch-Gordan (m from |m1 - m2| to m1 + m2 in steps of 2) and the
 Spin5 factor Brauer-Klimyk, which reflects the weights of the smaller
 factor, shifted by the other highest weight and rho = (3, 1), into the
 dominant chamber (Humphreys, Introduction to Lie Algebras and
-Representation Theory, section 24).  The route "expand both characters,
-multiply, decompose" survives only as the oracle of the check
-characters/tensor-dim-conservation.
+Representation Theory, section 24).  The route "expand, multiply,
+decompose" survives only as the oracle of the check
+characters/tensor-dim-conservation, which peels the SL2 product and the
+Spin5 product apart and takes the Kronecker product of the two
+decompositions; no check peels the whole product character.
 """
 
 from __future__ import annotations
@@ -668,6 +670,16 @@ def pieri_tensor(lam: Partition2, k: int) -> VirtualCharacter:
     k-1 term passes through a three-row shape whose strip condition forces
     the second row of nu to be nonempty; the character oracle rejects the
     variant that conditions on lam instead.)
+
+    The count is an interval length.  For lam = (r1, r2) and
+    sigma = (s1, s2) the strips allow exactly the nu = (n1, n2) with
+    max(s2, r2) <= n1 <= min(s1, r1) and 0 <= n2 <= h2 = min(s2, r2), and
+    n2 <= n1 follows.  The box count r1 + r2 + s1 + s2 - 2(n1 + n2) fixes
+    n1 + n2 = s, and its parity decides between k and k - 1, so at most
+    one of the two terms counts.  Then n1 runs over [s - h2, s] within the
+    strip bounds, with its top lowered to s - 1 (n2 >= 1) for k - 1
+    unless the shape is a spinor.  At k = 0 the k - 1 interval is empty
+    without a guard, as s - h2 exceeds min(s1, r1) there.
     """
     r1, r2, spin = lam.row1, lam.row2, lam.spinor
     if r1 < r2 or r2 < 0 or k < 0:
@@ -675,16 +687,13 @@ def pieri_tensor(lam: Partition2, k: int) -> VirtualCharacter:
     out: dict[tuple[int, int, int], int] = {}
     for s1 in range(r1 + k + 1):
         for s2 in range(min(s1, r2 + k) + 1):
-            mult = 0
-            # horizontal strips force nu1 >= max(lam2, sigma2)
-            for n1 in range(max(s2, r2), min(s1, r1) + 1):
-                for n2 in range(min(s2, r2, n1) + 1):
-                    boxes = (r1 + r2 - n1 - n2) + (s1 + s2 - n1 - n2)
-                    if boxes == k or (boxes == k - 1 and (spin or n2 >= 1)):
-                        mult += 1
-            if mult:
-                w = (0, s1 - s2, 2 * s2 + (1 if spin else 0))
-                out[w] = out.get(w, 0) + mult
+            # 2s = d with k boxes, 2s = d + 1 with k - 1
+            d = r1 + r2 + s1 + s2 - k
+            s = (d + 1) // 2
+            top = s - 1 if d & 1 and not spin else s
+            mult = min(s1, r1, top) - max(s2, r2, s - min(s2, r2)) + 1
+            if mult > 0:
+                out[(0, s1 - s2, 2 * s2 + (1 if spin else 0))] = mult
     return VirtualCharacter(out)
 
 

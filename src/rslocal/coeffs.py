@@ -7,7 +7,7 @@ the same weight and monomial (n_interval / n_brute).  The first of each
 pair is a closed form, the second an independent enumeration oracle.
 Each oracle enumerates only its free indices and solves the rest from
 the target: m_brute loops over e and solves f and d; n_brute solves k,
-m, n, i and alpha and loops over eps and beta.  The target bounds every
+m, n, eps, i and alpha and loops over beta alone.  The target bounds every
 range, so neither oracle takes a loop limit.  Each counter, and
 delta_parity, checks (a, b, c) and reads its block once: m_closed(a, b, c)
 is the count of (x, y) on the block of (a, b, c).
@@ -180,16 +180,18 @@ def _pinned(twice: int) -> int | None:
 def n_brute(a: int, b: int, c: int) -> Counter:
     """Count the seven-tuples (k, m, n, eps, alpha, beta, i) directly.
 
-    The target monomial and weight pin five components, each solved
+    The target monomial and weight pin six components, each solved
     exactly from its equation: k = U-degree, 2m + odd = 2a - c,
     2m + 2n + odd = V-degree, 2beta + 2i + odd = c (odd = c & 1) and
-    2alpha + k - n - 2m - eps - 2i = b.  A solution that is not a
-    nonnegative integer admits no tuple.  The free components are
-    enumerated: eps in {0, 1} and beta in [eps_low, m]; a tuple counts
-    when alpha lies in [m, m + n] and the Pieri-rule inequalities on i
-    hold.
+    2alpha + k - n - 2m - eps - 2i = b, whose alpha is an integer only for
+    eps = (b - k + n) mod 2.  A solution that is not a nonnegative integer
+    admits no tuple.  Only beta is enumerated, over
+    [eps_low, min(m, c // 2)], where i = c // 2 - beta is nonnegative; a
+    tuple counts when alpha lies in [m, m + n] and the Pieri-rule
+    inequalities on i hold.
     """
     odd = c & 1
+    gam = c // 2
     base_u, base_v, _, _ = block(a, b, c)
     m = _pinned(2 * a - c - odd)
 
@@ -200,21 +202,19 @@ def n_brute(a: int, b: int, c: int) -> Counter:
         n = None if m is None else _pinned(base_v + 2 * y - 2 * m - odd)
         if m is None or n is None:
             return 0
+        eps = (b - k + n) & 1
+        eps_low = eps if odd == 0 else 0
         tuples = 0
-        for eps in (0, 1):
-            eps_low = eps if odd == 0 else 0
-            for beta in range(eps_low, m + 1):
-                i = _pinned(c - 2 * beta - odd)
-                if i is None:
-                    continue
-                alpha = _pinned(b - k + n + 2 * m + eps + 2 * i)
-                if alpha is None or not m <= alpha <= m + n:
-                    continue
-                if i > alpha - beta:
-                    continue
-                if i > k - 2 * m - n + alpha + beta - eps:
-                    continue
-                tuples += 1
+        for beta in range(eps_low, min(m, gam) + 1):
+            i = gam - beta
+            alpha = _pinned(b - k + n + 2 * m + eps + 2 * i)
+            if alpha is None or not m <= alpha <= m + n:
+                continue
+            if i > alpha - beta:
+                continue
+            if i > k - 2 * m - n + alpha + beta - eps:
+                continue
+            tuples += 1
         return tuples
 
     return count

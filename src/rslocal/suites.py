@@ -261,11 +261,16 @@ def _suite_characters(cfg: CheckConfig):
                 characters.VirtualCharacter.weight(*w1),
                 characters.VirtualCharacter.weight(*w2),
             )
-            # the one place a tensor product is expanded, multiplied and peeled;
-            # the SL2 and Spin5 factors are multiplied apart, then together
-            oracle = characters.decompose(
-                (characters.char_A1(w1[0]) * characters.char_A1(w2[0]))
-                * (characters.char_B2(*w1[1:]) * characters.char_B2(*w2[1:]))
+            # the one place a tensor product is expanded, multiplied and peeled:
+            # the SL2 and Spin5 products are peeled apart, and the product
+            # character's decomposition is their Kronecker product
+            sl2 = characters.decompose(characters.char_A1(w1[0]) * characters.char_A1(w2[0]))
+            spin5 = characters.decompose(
+                characters.char_B2(*w1[1:]) * characters.char_B2(*w2[1:])
+            )
+            oracle = characters.VirtualCharacter(
+                {(m, a, b): c1 * c2 for (m, _, _), c1 in sl2.items()
+                 for (_, a, b), c2 in spin5.items()}
             )
             if prod != oracle:
                 return (False, "%r x %r: %r" % (w1, w2, prod), repr(oracle))

@@ -3,7 +3,8 @@
 ``run_checks`` runs a chosen few of the checks that ``suites._checks``
 yields as (id, params, body) entries, through ``suites._run``, the runner
 that ``suites.run_suite`` uses.  ``weyl_invariant_reference`` is the
-three-involution invariance test that the one-pass guard replaced.
+three-involution invariance test that the one-pass guard replaced, and
+``pieri_reference`` the strip enumeration that the interval count replaced.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from rslocal import suites
-from rslocal.characters import _MASK, _OFF, _SHIFT
+from rslocal.characters import _MASK, _OFF, _SHIFT, VirtualCharacter
 from rslocal.padic import J_STD, gamma5_matrix, mat_inv, valuation
 from rslocal.symplectic import FlagState, rref_q
 
@@ -55,6 +56,30 @@ def _weyl_invariant_reference(poly):
 @pytest.fixture(scope="session")
 def weyl_invariant_reference():
     return _weyl_invariant_reference
+
+
+def _pieri_reference(lam, k):
+    """pi(lam) (x) B2[k,0] by enumerating every pair of horizontal strips, one nu at a time."""
+    r1, r2, spin = lam.row1, lam.row2, lam.spinor
+    out = {}
+    for s1 in range(r1 + k + 1):
+        for s2 in range(min(s1, r2 + k) + 1):
+            mult = 0
+            # horizontal strips force nu1 >= max(lam2, sigma2)
+            for n1 in range(max(s2, r2), min(s1, r1) + 1):
+                for n2 in range(min(s2, r2, n1) + 1):
+                    boxes = (r1 + r2 - n1 - n2) + (s1 + s2 - n1 - n2)
+                    if boxes == k or (boxes == k - 1 and (spin or n2 >= 1)):
+                        mult += 1
+            if mult:
+                w = (0, s1 - s2, 2 * s2 + (1 if spin else 0))
+                out[w] = out.get(w, 0) + mult
+    return VirtualCharacter(out)
+
+
+@pytest.fixture(scope="session")
+def pieri_reference():
+    return _pieri_reference
 
 
 def _fraction_power_evaluate(poly, t, y1, y2):

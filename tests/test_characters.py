@@ -296,7 +296,9 @@ def test_one_pass_guard_matches_the_reference_on_the_checks_polynomials(
     checks = ["characters/decompose-roundtrip", "characters/tensor-dim-conservation"]
     reports = run_checks(CheckConfig(suite="characters", seed=seed), checks)
     assert [(r.check_id, r.status) for r in reports] == [(c, "pass") for c in checks]
-    assert len(polys) == sum(r.params["samples"] for r in reports)
+    roundtrips, tensor_pairs = (r.params["samples"] for r in reports)
+    # a round trip peels one polynomial, a tensor pair its SL2 and its Spin5 product
+    assert len(polys) == roundtrips + 2 * tensor_pairs
     for poly in polys:
         assert weyl_invariant_reference(poly)
         assert characters._dominant_part(poly._c) == _dominant_filter(poly)
@@ -443,9 +445,10 @@ def test_tensor_matches_expand_multiply_decompose_on_small_grid():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_tensor_oracle_multiplies_the_product_characters(monkeypatch, run_checks, seed):
-    # the check multiplies the SL2 and Spin5 factors apart; its product is still
-    # product_char(w1) * product_char(w2) on every sample pair
-    pairs, products = [], []
+    # the check peels the SL2 product and the Spin5 product of each sample pair
+    # apart; at seeds 0 and 1 their recombined decompositions are checked against
+    # the decomposition of product_char(w1) * product_char(w2), the full product
+    pairs, products, peeled = [], [], []
     tensor, peel = characters.tensor_decompose, characters.decompose
 
     def recording_tensor(v1, v2):
@@ -455,16 +458,24 @@ def test_tensor_oracle_multiplies_the_product_characters(monkeypatch, run_checks
 
     def recording_peel(poly):
         products.append(poly)
-        return peel(poly)
+        peeled.append(peel(poly))
+        return peeled[-1]
 
     monkeypatch.setattr(characters, "tensor_decompose", recording_tensor)
     monkeypatch.setattr(characters, "decompose", recording_peel)
     check = "characters/tensor-dim-conservation"
     reports = run_checks(CheckConfig(suite="characters", seed=seed), [check])
     assert [(r.check_id, r.status) for r in reports] == [(check, "pass")]
-    assert len(pairs) == len(products) == reports[0].params["samples"]
-    for (w1, w2), got in zip(pairs, products):
-        assert got == product_char(*w1) * product_char(*w2), (w1, w2)
+    assert len(pairs) == reports[0].params["samples"]
+    assert len(products) == 2 * len(pairs)
+    for j, (w1, w2) in enumerate(pairs):
+        assert products[2 * j] == char_A1(w1[0]) * char_A1(w2[0]), (w1, w2)
+        assert products[2 * j + 1] == char_B2(*w1[1:]) * char_B2(*w2[1:]), (w1, w2)
+        if seed < 2:
+            sl2, spin5 = peeled[2 * j], peeled[2 * j + 1]
+            recombined = VirtualCharacter({(m, a, b): c1 * c2 for (m, _, _), c1 in sl2.items()
+                                           for (_, a, b), c2 in spin5.items()})
+            assert recombined == peel(product_char(*w1) * product_char(*w2)), (w1, w2)
 
 
 def test_wrong_reflection_sign_fails_both_tensor_routes(monkeypatch, run_checks):
@@ -573,6 +584,15 @@ def test_pieri_spinor_base():
         VirtualCharacter.weight(0, 0, 1), VirtualCharacter.weight(0, 1, 0)
     )
     assert got == want
+
+
+def test_pieri_interval_count_matches_the_strip_enumeration(pieri_reference):
+    # every partition with row1 <= 9, both flags, every k <= 10: 1,210 cases
+    cases = [(Partition2(r1, r2, spin), k) for r1 in range(10) for r2 in range(r1 + 1)
+             for spin in (False, True) for k in range(11)]
+    assert len(cases) == 1210
+    for lam, k in cases:
+        assert pieri_tensor(lam, k) == pieri_reference(lam, k), (lam, k)
 
 
 def test_pieri_vs_tensor_small_sweep():
