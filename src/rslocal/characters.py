@@ -449,10 +449,6 @@ class VirtualCharacter:
         self._m = {w: c for w, c in mult.items() if c} if mult else {}
 
     @classmethod
-    def zero(cls) -> "VirtualCharacter":
-        return cls()
-
-    @classmethod
     def weight(cls, m: int, a: int, b: int) -> "VirtualCharacter":
         if m < 0 or a < 0 or b < 0:
             raise ValueError("dominant weights only")

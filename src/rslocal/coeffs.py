@@ -26,7 +26,7 @@ from collections.abc import Callable
 
 __all__ = [
     "block", "m_closed", "m_brute", "n_interval", "n_brute", "delta_parity",
-    "first_branch_point", "interval_eps", "in_first_branch", "in_second_branch",
+    "first_branch_shift", "interval_eps", "in_first_branch", "in_second_branch",
 ]
 
 # the count at each point (x, y) of one weight block
@@ -122,18 +122,19 @@ def delta_parity(a: int, b: int, c: int) -> Counter:
 # n: one-parameter interval count over the Pieri-rule index alpha.
 
 
-def first_branch_point(x: int, y: int, a: int, b: int, c: int) -> tuple[int, int]:
-    """(x, y) in the first branch's coordinates: unchanged there, and
-    x -> x + 2(a - c), y -> y + (a - c) in the second branch.
+def first_branch_shift(a: int, b: int, c: int) -> tuple[int, int]:
+    """The shift (dx, dy) that takes a point (x, y) of the block into the first
+    branch's coordinates (x + dx, y + dy): (0, 0) in the first branch and
+    (2(a - c), a - c) in the second.
 
-    The substitution is a translation: n_interval reads it at (0, 0), once per block.
+    The substitution is a translation, so n_interval reads it once per block.
     """
     if min(a, b, c) < 0:
         raise ValueError(_NEGATIVE)
     if in_first_branch(a, c):
-        return x, y
+        return 0, 0
     if in_second_branch(a, b, c):
-        return x + 2 * (a - c), y + (a - c)
+        return 2 * (a - c), a - c
     raise _neither_branch(a, b, c)
 
 
@@ -149,7 +150,7 @@ def n_interval(a: int, b: int, c: int) -> Counter:
     renders redundant cannot change the max/min.  Half-integer bounds are
     handled by exact ceil/floor on doubled integers.
     """
-    dx, dy = first_branch_point(0, 0, a, b, c)
+    dx, dy = first_branch_shift(a, b, c)
     odd = c & 1
     gam = c // 2
     # alpha >= a - gam - odd, alpha >= gam and alpha <= b + gam

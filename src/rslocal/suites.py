@@ -342,7 +342,7 @@ def _suite_coeffs(cfg: CheckConfig):
 
     def interval_eps(a, b, c):
         # the eps n_interval takes, at the point after its branch substitution
-        dx, dy = coeffs.first_branch_point(0, 0, a, b, c)
+        dx, dy = coeffs.first_branch_shift(a, b, c)
         return lambda x, y: coeffs.interval_eps(x + dx, y + dy, b)
 
     @functools.cache
@@ -658,36 +658,30 @@ def _suite_chain(cfg: CheckConfig):
     points = cfg.resolved_satake()
 
     @functools.cache
-    def specialized_local(pt):
-        # specialize(local, pt), shared by the checks below
-        return series.specialize(get("local"), pt)
+    def specialized(name, pt):
+        # specialize(series, pt), shared by the checks below
+        return series.specialize(get(name), pt)
 
     for n, pt in enumerate(points):
         def spec_eq(pt=pt):
-            return _series_mismatch(
-                specialized_local(pt), series.specialize(get("lfactor"), pt)
-            )
+            return _series_mismatch(specialized("local", pt), specialized("lfactor", pt))
 
         params = {"point": [str(c) for c in pt], "box": [du, dv]}
         yield "chain/specialization-pt%d" % n, params, spec_eq
 
-    def local_vs_closed():
-        # times the two zeta normalizations 1/(1-U^2) and 1/(1-V^2)
+    def vs_closed(name, box):
+        # adding a zero series truncates to the box, and specialization and
+        # truncation commute with the two zeta normalizations 1/(1-U^2) and 1/(1-V^2)
+        zero = series.BiSeries.zero(*box)
         return _vs_closed_product(
             points,
-            lambda pt: specialized_local(pt).times_geometric(2, 0).times_geometric(0, 2),
+            lambda pt: (specialized(name, pt) + zero).times_geometric(2, 0).times_geometric(0, 2),
         )
 
-    yield "chain/local-vs-closed", {"box": [du, dv], "points": len(points)}, local_vs_closed
-
-    def lfactor_closed_route():
-        # adding a zero series truncates to the smaller box, and a truncated
-        # product is the product of the truncations
-        small = get("lfactor") + series.BiSeries.zero(*_small_box(cfg))
-        zz = small.times_geometric(2, 0).times_geometric(0, 2)
-        return _vs_closed_product(points, lambda pt: series.specialize(zz, pt))
-
-    yield "chain/lfactor-closed", {"deg": _SMALL_DEG, "points": len(points)}, lfactor_closed_route
+    yield ("chain/local-vs-closed", {"box": [du, dv], "points": len(points)},
+           functools.partial(vs_closed, "local", (du, dv)))
+    yield ("chain/lfactor-closed", {"deg": _SMALL_DEG, "points": len(points)},
+           functools.partial(vs_closed, "lfactor", _small_box(cfg)))
 
 
 def _vs_closed_product(points, specialized):

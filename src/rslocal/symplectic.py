@@ -30,11 +30,14 @@ one breadth-first walk, ``_walk``, that expands a node in one call: the
 closure applies a node's row getter to every vector table, and the flag
 walks read each flag's tuple of images under the generators.
 ``FlagSpace.stabilizer`` forms Schreier elements by the vector and inverse
-tables and keeps each new one, as its vector table, until their closure
+tables, building each transversal element when it reaches its flag, and
+keeps each new one, as its vector table, until their closure
 meets the orbit-stabilizer count; ``stab5_check`` checks that the kept ones
 fix the flag and compares the closure, as a set, with the similitudes of
-the stated shape.  The orbit predicates count the key points whose
-support, a bitmask of nonzero coordinates, lies in a coordinate subspace.
+the stated shape, solved from the form (a test ties them to the
+similitudes filtered from all q^7 matrices of the shape).  The orbit
+predicates count the key points whose support, a bitmask of nonzero
+coordinates, lies in a coordinate subspace.
 The tuple definitions (``rref_q``, ``make_flag``) are the reference the
 tests compare the tables with.  The group acts on the right of row vectors.
 
@@ -50,7 +53,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import padic
-from .padic import _N, J_STD, _pairing
+from .padic import _N, _pairing
 
 __all__ = [
     "FlagSpace",
@@ -293,21 +296,20 @@ class FlagSpace:
     def stabilizer(self, f: int, order: int):
         """(size of the orbit of flag f, a subgroup of its stabilizer, its generators' tables).
 
-        The transversal walk gives the orbit O exactly, and t_g, for each
-        flag g of O, the product of the generators along g's tree path.
-        The Schreier elements t_g x_i t_h^-1, with h the image of g under
-        generator i, are then formed in transversal order: t_h^-1 undoes
-        h's path step by step, from h up to the root, by the inverse tables.
-        One outside the current closure is kept as a generator, as its
-        vector table, and the closure is recomputed.  The loop stops once
-        the closure has order / |O| elements, or when the Schreier elements
-        run out.  A closure past order / |O| elements, more than a subgroup
-        of the stabilizer can have, raises.
+        The transversal walk gives the orbit O exactly, as a tree in
+        breadth-first order.  The loop reads the flags g of O in that order
+        and sets t_g, the product of the generators along g's tree path,
+        from its parent's element when it reaches g.  The Schreier elements
+        t_g x_i t_h^-1, with h the image of g under generator i, are formed
+        there: t_h^-1 undoes h's path step by step, from h up to the root,
+        by the inverse tables.  One outside the current closure is kept as
+        a generator, as its vector table, and the closure is recomputed.
+        The loop stops once the closure has order / |O| elements, or when
+        the Schreier elements run out, so no t_g is built for a flag it
+        never reads.  A closure past order / |O| elements, more than a
+        subgroup of the stabilizer can have, raises.
         """
         tree = _walk([f], self.images.__getitem__, len(self.flags))
-        trans = {}
-        for g, link in tree.items():
-            trans[g] = self.identity if link is None else self.times_gen(trans[link[0]], link[1])
 
         def undo(s, h):
             """s t_h^-1: the steps of h's tree path undone, from h up to the root."""
@@ -316,18 +318,22 @@ class FlagSpace:
                 s = itemgetter(*s)(self.inverse_tables[j])
             return s
 
-        schreier = (
-            undo(self.times_gen(t, i), h) for g, t in trans.items()
-            for i, h in enumerate(self.images[g])
-        )
+        def schreier():
+            trans = {}
+            for g, link in tree.items():
+                t = trans[g] = (self.identity if link is None
+                                else self.times_gen(trans[link[0]], link[1]))
+                for i, h in enumerate(self.images[g]):
+                    yield undo(self.times_gen(t, i), h)
+
         tables, stab = [], {self.identity}
-        for s in schreier:
+        for s in schreier():
             if s not in stab:
                 tables.append(self._span(s))
-                stab = group_closure(self.identity, tables, order // len(trans))
-                if len(stab) * len(trans) == order:
+                stab = group_closure(self.identity, tables, order // len(tree))
+                if len(stab) * len(tree) == order:
                     break
-        return len(trans), stab, tables
+        return len(tree), stab, tables
 
     def predicate(self, f: int) -> int:
         """Which of the five qualitative descriptions flag f satisfies."""
@@ -523,28 +529,27 @@ def _rows_text(rows) -> str:
 
 
 def _stab5_shape(q: int):
-    """Every matrix of the fifth stabilizer's stated shape over F_q.
+    """The similitudes of the fifth stabilizer's stated shape over F_q, solved from the form.
 
-    One for each (a, b, c, d, x, y, z) in F_q^7: [[a, -b], [-c, d]] on
-    (e1, f1) while [[a, b], [c, d]] acts on (e3, f3), e2 goes to
-    x e2 + y f2 and f2 to z f2; every other entry is 0.
+    The shape is [[a, -b], [-c, d]] on (e1, f1) while [[a, b], [c, d]]
+    acts on (e3, f3), e2 goes to x e2 + y f2 and f2 to z f2; every other
+    entry is 0.  The form pairs e1 with f1, e3 with f3 and e2 with f2, so
+    such a matrix is a similitude exactly when ad - bc = xz = mu != 0,
+    with y free: one for each (a, b, c, d) in GL2(F_q), x in F_q^* and
+    y in F_q, with z = mu / x.  That is 12 at q = 2 and 288 at q = 3.
     """
-    for a, b, c, d, x, y, z in product(range(q), repeat=7):
-        yield (
-            (a, 0, 0, 0, 0, -b % q),
-            (0, x, 0, 0, y, 0),
-            (0, 0, a, b, 0, 0),
-            (0, 0, c, d, 0, 0),
-            (0, 0, 0, 0, z, 0),
-            (-c % q, 0, 0, 0, 0, d),
-        )
-
-
-def _is_similitude(g, q: int) -> bool:
-    """Whether g J g^T = mu J over F_q for a unit mu; the rows i < j decide it."""
-    mu = _pairing(g[0], g[5]) % q
-    pairs = ((i, j) for i in range(_N) for j in range(i + 1, _N))
-    return mu != 0 and all((_pairing(g[i], g[j]) - mu * J_STD[i][j]) % q == 0 for i, j in pairs)
+    for a, b, c, d in product(range(q), repeat=4):
+        mu = (a * d - b * c) % q
+        if mu:
+            for x, y in product(range(1, q), range(q)):
+                yield (
+                    (a, 0, 0, 0, 0, -b % q),
+                    (0, x, 0, 0, y, 0),
+                    (0, 0, a, b, 0, 0),
+                    (0, 0, c, d, 0, 0),
+                    (0, 0, 0, 0, mu * pow(x, -1, q) % q, 0),
+                    (-c % q, 0, 0, 0, 0, d),
+                )
 
 
 def stab5_check(q: int):
@@ -556,7 +561,8 @@ def stab5_check(q: int):
     and S <= Stab_G(flag), whose order is |G| / |O| <= |H| / |O|; so
     |S| * |O| = |H| forces S = Stab_G(flag) = Stab_H(flag) and G = H (Holt,
     Eick and O'Brien, *Handbook of Computational Group Theory*, section
-    4.4).  The similitudes among the q^7 matrices of ``_stab5_shape`` are
+    4.4).  The shape's similitudes, which ``_stab5_shape`` solves from the
+    form (a test ties them to the filter of all q^7 shape matrices), are
     block-diagonal, hence in H: they are Shape & H, and S must equal them
     as a set of row-index tuples, which gives both inclusions.  Returns
     True, or (False, lhs, rhs) at the first failing step (count, fixed
@@ -574,13 +580,13 @@ def stab5_check(q: int):
             text = _rows_text(space.matrix(table[e] for e in space.identity))
             return (False, "stabilizer generator %s sends flag %d to %s" % (text, flag5, image),
                     "flag %d" % flag5)
-    shape = {tuple(map(space.index, g)) for g in _stab5_shape(q) if _is_similitude(g, q)}
+    shape = {tuple(map(space.index, g)) for g in _stab5_shape(q)}
     if shape != stab:
         g = min(shape ^ stab)
         where = ("stabilizer element off the shape" if g in stab
-                 else "shape similitude outside the stabilizer")
+                 else "shape element outside the stabilizer")
         return (False, "%s: %s" % (where, _rows_text(space.matrix(g))),
-                "|S| = %d, shape similitudes %d" % (len(stab), len(shape)))
+                "|S| = %d, shape elements %d" % (len(stab), len(shape)))
     return True
 
 

@@ -66,8 +66,11 @@ def _functions_no_other_code_names(src):
     methods, which Python calls itself, are left out.
 
     A use is a name or an attribute read anywhere in ``src`` outside the
-    function's own definition.  ``__all__`` strings are constants, not
-    names, and ``__init__.py`` only re-exports, so neither counts.
+    function's own definition.  A ``@classmethod`` is used only when it is
+    read as ``Class.name`` or ``module.Class.name``, since a bare attribute
+    name is shared by methods of other classes.  ``__all__`` strings are
+    constants, not names, and ``__init__.py`` only re-exports, so neither
+    counts.
     """
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in src.glob("*.py")}
     del trees["__init__"]
@@ -82,15 +85,24 @@ def _functions_no_other_code_names(src):
             for part, owner in owned:
                 if isinstance(part, ast.FunctionDef) and not (
                         part.name.startswith("__") and part.name.endswith("__")):
-                    defined.append((stem, owner, part.name))
+                    classmethod_ = any(isinstance(d, ast.Name) and d.id == "classmethod"
+                                       for d in part.decorator_list)
+                    defined.append((stem, owner, owner if classmethod_ else part.name))
                 for node in ast.walk(part):
                     if isinstance(node, ast.Name):
-                        name = node.id
+                        names = [node.id]
                     elif isinstance(node, ast.Attribute):
-                        name = node.attr
+                        # Class.name, or module.Class.name, also as the qualified name
+                        names = [node.attr]
+                        value = node.value
+                        if isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name):
+                            value = ast.Name(value.attr)
+                        if isinstance(value, ast.Name):
+                            names.append("%s.%s" % (value.id, node.attr))
                     else:
                         continue
-                    readers.setdefault(name, set()).add((stem, owner))
+                    for name in names:
+                        readers.setdefault(name, set()).add((stem, owner))
     return sorted(
         (stem, owner) for stem, owner, name in defined
         if not readers.get(name, set()) - {(stem, owner)}

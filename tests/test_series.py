@@ -84,7 +84,7 @@ def test_sym_side_spin_chain():
     for m in range(5):
         for n in range((4 - m) // 2 + 1):
             key = (0, m + 2 * n)
-            acc[key] = acc.get(key, VirtualCharacter.zero()) + VirtualCharacter.weight(m, n, m)
+            acc[key] = acc.get(key, VirtualCharacter()) + VirtualCharacter.weight(m, n, m)
     base = BiSeries(0, 4, acc)
     geometric = BiSeries(0, 4, {(0, 0): TRIV}).times_geometric(0, 2)
     assert lhs == base * geometric == base.times_geometric(0, 2)
