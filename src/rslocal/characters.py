@@ -43,6 +43,7 @@ decompositions; no check peels the whole product character.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -283,11 +284,11 @@ _B2_WEYL = [
 _ROOTS = ((2, -2), (2, 2), (2, 0), (0, 2))
 _RHO = (3 << _SHIFT) + 1
 
+# Dicts, not functools.cache: the tracer of perfbench/ wraps plain functions
+# only, so a cache wrapper on a public builder would go untraced.
 _A1_CACHE: dict[int, LaurentPoly] = {}
 _B2_CACHE: dict[tuple[int, int], LaurentPoly] = {}
 _PROD_CACHE: dict[tuple[int, int, int], LaurentPoly] = {}
-_DOMINANT_CACHE: dict[tuple[int, int], list[tuple[int, int]]] = {}
-_TENSOR_CACHE: dict[tuple, "VirtualCharacter"] = {}
 
 
 def char_A1(m: int) -> LaurentPoly:
@@ -367,12 +368,10 @@ def _dominant_part(c: dict[int, int]) -> list[tuple[int, int]] | None:
     return dominant if orbits == len(c) else None
 
 
+@functools.cache
 def _dominant_b2(a: int, b: int) -> list[tuple[int, int]]:
     """The dominant monomials of char_B2(a, b), as (key, coefficient), kept per (a, b)."""
-    spin5 = _DOMINANT_CACHE.get((a, b))
-    if spin5 is None:
-        spin5 = _DOMINANT_CACHE[(a, b)] = _dominant_part(char_B2(a, b)._c)
-    return spin5
+    return _dominant_part(char_B2(a, b)._c)
 
 
 def _dominant_char(m: int, a: int, b: int) -> list[tuple[int, int]]:
@@ -560,6 +559,7 @@ def decompose(p: LaurentPoly) -> VirtualCharacter:
     return VirtualCharacter(out)
 
 
+@functools.cache
 def _tensor_weights(w1: tuple[int, int, int], w2: tuple[int, int, int]) -> VirtualCharacter:
     """A1[m1]B2[a1,b1] (x) A1[m2]B2[a2,b2]: Clebsch-Gordan times Brauer-Klimyk.
 
@@ -569,36 +569,31 @@ def _tensor_weights(w1: tuple[int, int, int], w2: tuple[int, int, int]) -> Virtu
     (d2 = 0 or d1 = d2) drops out, any other one adds the reflection's
     sign at that point minus rho.
     """
-    key = (w1, w2) if w1 <= w2 else (w2, w1)
-    got = _TENSOR_CACHE.get(key)
-    if got is None:
-        (m1, a1, b1), (m2, a2, b2) = key
-        if dim_irrep(0, a1, b1) > dim_irrep(0, a2, b2):
-            a1, b1, a2, b2 = a2, b2, a1, b1
-        spin5: dict[tuple[int, int], int] = {}
-        # lam + rho, less the offset of the packed fields
-        c1, c2 = 2 * a2 + b2 + 3 - _OFF, b2 + 1 - _OFF
-        for k, mult in char_B2(a1, b1)._c.items():
-            x1, x2, sign = ((k >> _SHIFT) & _MASK) + c1, (k & _MASK) + c2, mult
-            if x1 < 0:
-                x1, sign = -x1, -sign
-            if x2 < 0:
-                x2, sign = -x2, -sign
-            if x1 < x2:
-                x1, x2, sign = x2, x1, -sign
-            if x2 == 0 or x1 == x2:
-                continue
-            w = ((x1 - x2 - 2) // 2, x2 - 1)
-            spin5[w] = spin5.get(w, 0) + sign
-        got = VirtualCharacter(
-            {
-                (m, a, b): c
-                for m in range(abs(m1 - m2), m1 + m2 + 1, 2)
-                for (a, b), c in spin5.items()
-            }
-        )
-        _TENSOR_CACHE[key] = got
-    return got
+    (m1, a1, b1), (m2, a2, b2) = w1, w2
+    if dim_irrep(0, a1, b1) > dim_irrep(0, a2, b2):
+        a1, b1, a2, b2 = a2, b2, a1, b1
+    spin5: dict[tuple[int, int], int] = {}
+    # lam + rho, less the offset of the packed fields
+    c1, c2 = 2 * a2 + b2 + 3 - _OFF, b2 + 1 - _OFF
+    for k, mult in char_B2(a1, b1)._c.items():
+        x1, x2, sign = ((k >> _SHIFT) & _MASK) + c1, (k & _MASK) + c2, mult
+        if x1 < 0:
+            x1, sign = -x1, -sign
+        if x2 < 0:
+            x2, sign = -x2, -sign
+        if x1 < x2:
+            x1, x2, sign = x2, x1, -sign
+        if x2 == 0 or x1 == x2:
+            continue
+        w = ((x1 - x2 - 2) // 2, x2 - 1)
+        spin5[w] = spin5.get(w, 0) + sign
+    return VirtualCharacter(
+        {
+            (m, a, b): c
+            for m in range(abs(m1 - m2), m1 + m2 + 1, 2)
+            for (a, b), c in spin5.items()
+        }
+    )
 
 
 def tensor_decompose(v1: VirtualCharacter, v2: VirtualCharacter) -> VirtualCharacter:
@@ -606,7 +601,8 @@ def tensor_decompose(v1: VirtualCharacter, v2: VirtualCharacter) -> VirtualChara
     acc: dict[tuple[int, int, int], int] = {}
     for w1, c1 in v1.items():
         for w2, c2 in v2.items():
-            _add_into(acc, _tensor_weights(w1, w2).items(), c1 * c2)
+            # sorted, so each unordered pair is one cache entry
+            _add_into(acc, _tensor_weights(min(w1, w2), max(w1, w2)).items(), c1 * c2)
     out = VirtualCharacter()
     out._m = acc
     return out

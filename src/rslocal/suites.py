@@ -65,6 +65,9 @@ class CheckConfig(NamedTuple):
             else:
                 bad = [self._entry_error(name, entry) for entry in value]
                 errors.extend([err for err in bad if err][:1])
+                if name == "primes" and not any(bad) and len(set(value)) < len(value):
+                    errors.append("primes must be distinct, got %r more than once"
+                                  % max(value, key=value.count))
         if self.fmt not in ("text", "json"):
             errors.append("format must be text or json, got %r" % (self.fmt,))
         if type(self.no_timing) is not bool:

@@ -483,7 +483,7 @@ def test_wrong_reflection_sign_fails_both_tensor_routes(monkeypatch, run_checks)
     source = inspect.getsource(characters._tensor_weights)
     swap = "x1, x2, sign = x2, x1, -sign"
     assert source.count(swap) == 1
-    namespace = {**vars(characters), "_TENSOR_CACHE": {}}  # the real cache stays clean
+    namespace = dict(vars(characters))  # the exec'd source carries its own functools.cache
     exec(source.replace(swap, "x1, x2, sign = x2, x1, sign"), namespace)
     monkeypatch.setattr(characters, "_tensor_weights", namespace["_tensor_weights"])
     reports = run_checks(CheckConfig(suite="pieri"), ["pieri/rule-vs-tensor-oracle"])

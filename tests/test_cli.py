@@ -134,14 +134,15 @@ def test_satake_flags(capsys):
         cli.main(argv + ["--satake", "-1,-1,1"])
     assert err.value.code == 2
     assert "argument --satake: expected one argument" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as err:
-        cli.main(argv + ["--satake", "1,2"])
-    assert err.value.code == 2
-    assert "expected t,y1,y2" in capsys.readouterr().err
-    code, out, err = run_main(capsys, argv + ["--satake", "1,0,2"])
-    assert code == 2
-    assert out == ""
-    assert "config error: satake coordinates must be nonzero" in err
+    # the flag only splits its text on commas; CheckConfig.validate reads the parts
+    for flag, message in [
+        ("1,2", "satake point ('1', '2') does not have three rational coordinates"),
+        ("1/0,1,1", "satake point ('1/0', '1', '1') does not have three rational coordinates"),
+        ("1,0,2", "satake coordinates must be nonzero"),
+    ]:
+        code, out, err = run_main(capsys, argv + ["--satake", flag])
+        assert (code, out) == (2, ""), flag
+        assert err == "config error: %s\n" % message
 
 
 @pytest.mark.parametrize(
@@ -451,11 +452,13 @@ def test_wrong_block_fails_the_independent_routes(monkeypatch, run_checks):
          "no_timing must be true or false, got 'false'"),
         (CheckConfig("chain", primes=5), "primes must be a list or tuple, got 5"),
         (CheckConfig("chain", satake_points=5), "satake_points must be a list or tuple, got 5"),
+        # a repeated prime would draw padic/det-closed-vs-minors's samples twice
+        (CheckConfig("padic", primes=(2, 3, 2)), "primes must be distinct, got 2 more than once"),
     ],
     ids=["satake-two-coordinates", "satake-not-rational", "prime-a-pair",
          "prime-outside-the-set-outside-padic", "prime-a-float", "radius-a-float",
          "deg-u-a-float", "seed-a-bool", "no-timing-a-string", "primes-not-a-list",
-         "satake-points-not-a-list"],
+         "satake-points-not-a-list", "primes-repeated"],
 )
 def test_run_suite_names_a_malformed_entry(cfg, message):
     assert cfg.validate() == [message]

@@ -141,3 +141,72 @@ def _private_reads_of(module, path):
 def test_only_characters_reads_its_private_names(path):
     # the packed key format stays inside characters; LaurentPoly.from_terms builds from exponents
     assert _private_reads_of("characters", path) == set()
+
+
+# The module-level dicts that stay memos.  The three of characters back public
+# builders: perfbench's tracer wraps plain functions only, so a functools.cache
+# there would leave char_A1, char_B2 or product_char untraced.  _SPACES backs
+# symplectic.flag_space for the same reason, and tests replace it.  Every other
+# memo is a functools.cache on a private function, keyed by its arguments.
+DICT_MEMOS = ["characters._A1_CACHE", "characters._B2_CACHE", "characters._PROD_CACHE",
+              "symplectic._SPACES"]
+TRACED = ("characters", "coeffs", "padic", "series", "symplectic")
+
+
+def _module_bindings(path):
+    """(name, value) for each top-level assignment of the module at ``path``."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign):
+            yield from ((t.id, node.value) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and node.value and isinstance(node.target, ast.Name):
+            yield node.target.id, node.value
+
+
+def _module_level_dicts(src):
+    """``module.name`` for each module-level name of ``src`` bound to ``{}`` or ``dict()``."""
+    return sorted(
+        "%s.%s" % (path.stem, name)
+        for path in src.glob("*.py")
+        for name, value in _module_bindings(path)
+        if (isinstance(value, ast.Dict) and not value.keys) or (
+            isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "dict" and not value.args and not value.keywords)
+    )
+
+
+def _is_cache(node):
+    """Whether ``node`` is ``cache`` or ``lru_cache``, bare or as ``functools.``, or a call of one."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def _cached_public_functions(src):
+    """``module.name`` for each public function of the traced modules that a cache wraps.
+
+    A wrapper is a ``cache`` or ``lru_cache`` decorator, or a module-level
+    binding of a public name to a call of one.
+    """
+    found = []
+    for stem in TRACED:
+        path = src / (stem + ".py")
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef) and any(map(_is_cache, node.decorator_list)):
+                found.append((stem, node.name))
+        found += [(stem, name) for name, value in _module_bindings(path)
+                  if isinstance(value, ast.Call) and _is_cache(value.func)]
+    return sorted("%s.%s" % hit for hit in found if not hit[1].startswith("_"))
+
+
+def test_every_other_memo_is_a_functools_cache():
+    # a dict memo has a hand-built key; a functools.cache is keyed by the arguments it reads
+    found = _module_level_dicts(SRC)
+    extra = [name for name in found if name not in DICT_MEMOS]
+    assert not extra, "module-level dicts beyond the kept memos: " + ", ".join(extra)
+    assert found == DICT_MEMOS
+
+
+def test_no_public_function_is_wrapped_by_a_cache():
+    # inspect.isfunction is False for a cache wrapper, so the tracer would skip it silently
+    assert _cached_public_functions(SRC) == []

@@ -1,14 +1,13 @@
 """Truncated series builders and their cross identities on small boxes."""
 
 import collections
-import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
 from rslocal import coeffs, series
-from rslocal.characters import VirtualCharacter, char_A1, char_B2, product_char
+from rslocal.characters import VirtualCharacter, char_A1, char_B2, char_B2_value, product_char
 from rslocal.series import (
     BiSeries,
     SatakePoint,
@@ -209,14 +208,17 @@ def test_specialize_values_each_distinct_weight_once(monkeypatch):
         return value(w, pt)
 
     monkeypatch.setattr(series, "character_value", counted)
-    monkeypatch.setattr(series, "_A1_VALUES", {})
-    monkeypatch.setattr(series, "_B2_VALUES", {})
+    series._sl2_value.cache_clear()
+    series._spin5_value.cache_clear()
     specialize(s, POINTS[0])
-    assert set(calls) == series_weights(s)
+    weights = series_weights(s)
+    assert set(calls) == weights
     assert set(calls.values()) == {1}
-    # both memos are keyed on integers: the weight's indices and each coordinate's n and d
-    for memo in (series._A1_VALUES, series._B2_VALUES):
-        assert memo and all(type(v) is int for key in memo for v in key)
+    # each factor is valued once per distinct index it reads, at the point's integers
+    sl2, spin5 = series._sl2_value.cache_info(), series._spin5_value.cache_info()
+    assert sl2.misses == sl2.currsize == len({m for m, _, _ in weights})
+    assert spin5.misses == spin5.currsize == len({(a, b) for _, a, b in weights})
+    assert sl2.hits + sl2.misses == spin5.hits + spin5.misses == len(weights)
 
 
 @pytest.mark.parametrize(
@@ -235,25 +237,27 @@ def test_specialize_values_each_distinct_weight_once(monkeypatch):
          SatakePoint.make(Fraction(-3, 5), Fraction(5, 2), Fraction(-9, 4))),
     ],
 )
-def test_factor_memos_key_on_the_coordinates_they_read(monkeypatch, reference_value, first, second):
+def test_factor_memos_key_on_the_coordinates_they_read(reference_value, first, second):
     weights = sorted(series_weights(local_integral_series(4, 4)))
     want = {pt: [reference_value(w, pt) for w in weights] for pt in (first, second)}
     for order in ((first, second), (second, first)):
-        # empty memos, so the first point of the order fills them
-        monkeypatch.setattr(series, "_A1_VALUES", {})
-        monkeypatch.setattr(series, "_B2_VALUES", {})
+        # empty caches, so the first point of the order fills them
+        series._sl2_value.cache_clear()
+        series._spin5_value.cache_clear()
         for pt in order:
             assert [character_value(w, pt) for w in weights] == want[pt], (order, pt)
 
 
 def test_spin5_memo_keyed_without_y2_fails_local_vs_closed(monkeypatch, run_checks):
     # the mutant memoizes char_B2(a, b) at (y1, y2) = (n1/d1, n2/d2) on (a, b, n1, d1) alone
-    source = inspect.getsource(series.character_value)
-    key = "key = (a, b, n1, d1, n2, d2)"
-    assert source.count(key) == 1
-    namespace = {**vars(series), "_A1_VALUES": {}, "_B2_VALUES": {}}  # the real memos stay clean
-    exec(source.replace(key, "key = (a, b, n1, d1)"), namespace)
-    monkeypatch.setattr(series, "character_value", namespace["character_value"])
+    memo = {}
+
+    def keyed_without_y2(a, b, n1, d1, n2, d2):
+        if (a, b, n1, d1) not in memo:
+            memo[(a, b, n1, d1)] = char_B2_value(a, b, n1, d1, n2, d2)
+        return memo[(a, b, n1, d1)]
+
+    monkeypatch.setattr(series, "_spin5_value", keyed_without_y2)
     points = ((2, 3, 5), (2, 3, Fraction(-1, 4)))
     cfg = CheckConfig(suite="chain", deg_u=3, deg_v=3, satake_points=points)
     ids = ["chain/specialization-pt0", "chain/specialization-pt1", "chain/local-vs-closed"]
