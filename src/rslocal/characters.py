@@ -383,6 +383,25 @@ def _dominant_char(m: int, a: int, b: int) -> list[tuple[int, int]]:
     return [(k + (t << (2 * _SHIFT)), v) for t in range(m, -1, -2) for k, v in _dominant_b2(a, b)]
 
 
+@functools.cache
+def _orbit_sum_column(n: int, den: int, top: int) -> tuple[int, ...]:
+    """(n den)^(top-k) p[k] at y = n/den, for k = 0, 1, ..., top.
+
+    Here p[0] = 1 and p[k] = y^k + y^-k, so entry k is (n den)^top for
+    k = 0 and (n den)^(top-k) (n^2k + den^2k) for 0 < k <= top.
+    """
+    g, nn, dd = n * den, n * n, den * den
+    g_pows = [1]
+    for _ in range(top):
+        g_pows.append(g_pows[-1] * g)
+    col, n_pow, d_pow = [g_pows[top]], 1, 1
+    for k in range(1, top + 1):
+        n_pow *= nn
+        d_pow *= dd
+        col.append(g_pows[top - k] * (n_pow + d_pow))
+    return tuple(col)
+
+
 def char_B2_value(a: int, b: int, n1: int, den1: int, n2: int, den2: int) -> Fraction:
     """Exact value of char_B2(a, b) at (y1, y2) = (n1/den1, n2/den2), in integers.
 
@@ -392,25 +411,13 @@ def char_B2_value(a: int, b: int, n1: int, den1: int, n2: int, den2: int) -> Fra
     p1[e1] p2[e2] + p1[e2] p2[e1] when e1 != e2 and p1[e1] p2[e1] when
     e1 = e2; the one rule covers the walls (0, 0), (e, 0) and (e, e).  For
     y = n/den and top = 2a + b, the largest doubled coordinate, the scaled
-    (n den)^top p[k] is (n den)^(top-k) (n^2k + den^2k) for 0 < k <= top
-    and (n den)^top for k = 0, an integer either way, so the value is one
-    integer sum over (n1 den1 n2 den2)^top.
+    (n den)^top p[k] is an integer, so the value is one integer sum over
+    (n1 den1 n2 den2)^top.  Each scaled column depends on (n, den, top)
+    alone, so _orbit_sum_column builds it once for every (a, b) that
+    shares top.
     """
     top = 2 * a + b
-    scaled = []
-    for n, den in ((n1, den1), (n2, den2)):
-        g, nn, dd = n * den, n * n, den * den
-        g_pows = [1]
-        for _ in range(top):
-            g_pows.append(g_pows[-1] * g)
-        # (n den)^(top-k) p[k] for k = 0, 1, ..., top
-        col, n_pow, d_pow = [g_pows[top]], 1, 1
-        for k in range(1, top + 1):
-            n_pow *= nn
-            d_pow *= dd
-            col.append(g_pows[top - k] * (n_pow + d_pow))
-        scaled.append(col)
-    p1, p2 = scaled
+    p1, p2 = _orbit_sum_column(n1, den1, top), _orbit_sum_column(n2, den2, top)
     total = 0
     for k, v in _dominant_b2(a, b):
         e1, e2 = ((k >> _SHIFT) & _MASK) - _OFF, (k & _MASK) - _OFF

@@ -11,9 +11,13 @@ the product of two factor values, each a functools.cache keyed by the
 integers it reads: _sl2_value(m, n, d), char_A1(m) at t = n/d, and
 _spin5_value(a, b, n1, d1, n2, d2), char_B2(a, b) at (y1, y2) =
 (n1/d1, n2/d2), so a Spin5 factor is evaluated once for all the SL2
-indices it meets.  The Spin5 factor comes from the W(B2) orbit sums of its
-dominant weights alone (characters.char_B2_value), in integers.  Each
-coefficient is then summed in integers over the values' common denominator.
+indices it meets.  Both factors are summed in integers and become one
+Fraction each: the SL2 factor over (n d)^m, the Spin5 factor from the
+W(B2) orbit sums of its dominant weights alone (characters.char_B2_value)
+over (n1 d1 n2 d2)^(2a+b).  Each coefficient is then summed in integers
+over the values' common denominator.  The closed Euler factors
+(lfactor_closed) are expanded in integers too, from eigenvalues written
+as integers over one denominator, with one Fraction per coefficient.
 """
 
 from __future__ import annotations
@@ -66,8 +70,13 @@ class SatakePoint(NamedTuple):
 
 @functools.cache
 def _sl2_value(m: int, n: int, d: int) -> Fraction:
-    """char_A1(m) at t = n/d, summed over its m + 1 monomials."""
-    return char_A1(m).evaluate(Fraction(n, d), 1, 1)
+    """char_A1(m) at t = n/d, in integers.
+
+    Each monomial t^e, -m <= e <= m, with coefficient c adds
+    c n^(m+e) d^(m-e), and the sum is divided by (n d)^m once.
+    """
+    total = sum(c * n ** (m + e) * d ** (m - e) for (e, _, _), c in char_A1(m).items())
+    return Fraction(total, (n * d) ** m)
 
 
 _spin5_value = functools.cache(char_B2_value)
@@ -80,9 +89,10 @@ def character_value(weight: tuple[int, int, int], pt: SatakePoint) -> Fraction:
     its value is the product of the two factors' values, and the product
     polynomial is never expanded.  Each factor value is cached on the
     integers of the coordinates it reads: _sl2_value(m, n, d) at t = n/d,
-    and _spin5_value(a, b, n1, d1, n2, d2) at (y1, y2) = (n1/d1, n2/d2),
-    which is char_B2_value: the W(B2) orbit sums of the character's
-    dominant weights, in integers.
+    summed in integers over (n d)^m, and _spin5_value(a, b, n1, d1, n2, d2)
+    at (y1, y2) = (n1/d1, n2/d2), which is char_B2_value: the W(B2) orbit
+    sums of the character's dominant weights, in integers.  Neither goes
+    through LaurentPoly.evaluate.
     """
     m, a, b = weight
     t, y1, y2 = pt
@@ -368,39 +378,47 @@ def specialize(series: BiSeries, pt: SatakePoint) -> BiSeries:
     return BiSeries(series.deg_u, series.deg_v, out)  # drops the zero sums
 
 
-def _satake_eigenvalues(pt: SatakePoint, rep: str) -> list[Fraction]:
+def _scaled_eigenvalues(pt: SatakePoint, rep: str) -> tuple[list[int], int]:
+    """The eigenvalues of rep at pt as integers N_i over one denominator Q.
+
+    With t = n/d and y_i = n_i/d_i: for "std5" (y1^+-2, y2^+-2, 1),
+    Q = (n1 d1 n2 d2)^2; for "stdxspin" (t^+-1 y1^+-1 y2^+-1),
+    Q = n d n1 d1 n2 d2, which carries the sign, and N = a^2 a1^2 a2^2 for
+    (a, a1, a2) in {n, d} x {n1, d1} x {n2, d2}.
+    """
     t, y1, y2 = pt
+    n1, d1, n2, d2 = y1.numerator, y1.denominator, y2.numerator, y2.denominator
     if rep == "std5":
-        return [y1 * y1, 1 / (y1 * y1), y2 * y2, 1 / (y2 * y2), Fraction(1)]
+        g1, g2 = (n1 * d1) ** 2, (n2 * d2) ** 2
+        return [n1**4 * g2, d1**4 * g2, n2**4 * g1, d2**4 * g1, g1 * g2], g1 * g2
     if rep == "stdxspin":
-        out = []
-        for te in (t, 1 / t):
-            for s1 in (y1, 1 / y1):
-                for s2 in (y2, 1 / y2):
-                    out.append(te * s1 * s2)
-        return out
+        squares = [
+            a * a * a1 * a1 * a2 * a2
+            for a in (t.numerator, t.denominator)
+            for a1 in (n1, d1)
+            for a2 in (n2, d2)
+        ]
+        return squares, t.numerator * t.denominator * n1 * d1 * n2 * d2
     raise ValueError("rep must be 'std5' or 'stdxspin'")
 
 
 def lfactor_closed(pt: SatakePoint, rep: str, deg: int) -> list[Fraction]:
     """Power-series expansion of prod_i (1 - X lam_i)^(-1) to degree deg.
 
-    The eigenvalue list is written out directly from the torus point, so
-    this route is independent of the character machinery it is checked
-    against.
+    The eigenvalues are written out directly from the torus point, as
+    integers N_i = Q lam_i over one denominator Q, so this route is
+    independent of the character machinery it is checked against.  The
+    coefficients C_k = (-1)^k e_k(N) of prod_i (1 - N_i X) are expanded in
+    integers; the complete symmetric functions H_n = h_n(N) then follow
+    from H_0 = 1 and H_n = -sum_{k=1}^{min(n,r)} C_k H_(n-k) (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.2), and coefficient n is
+    h_n(lam) = H_n / Q^n, one Fraction each.
     """
-    eig = _satake_eigenvalues(pt, rep)
-    den = [Fraction(1)]
-    for lam in eig:
-        new = den + [Fraction(0)]
-        for i in range(len(den), 0, -1):
-            new[i] -= lam * den[i - 1]
-        den = new
-    # den now holds prod (1 - lam X); invert as a power series
-    inv = [Fraction(1)]
+    eig, q = _scaled_eigenvalues(pt, rep)
+    poly = [1]
+    for n_i in eig:
+        poly = [c - n_i * p for c, p in zip(poly + [0], [0] + poly)]
+    h = [1]
     for n in range(1, deg + 1):
-        s = Fraction(0)
-        for k in range(1, min(n, len(den) - 1) + 1):
-            s += den[k] * inv[n - k]
-        inv.append(-s)
-    return inv
+        h.append(-sum(poly[k] * h[n - k] for k in range(1, min(n, len(eig)) + 1)))
+    return [Fraction(v, q**n) for n, v in enumerate(h)]

@@ -3,8 +3,10 @@
 ``run_checks`` runs a chosen few of the checks that ``suites._checks``
 yields as (id, params, body) entries, through ``suites._run``, the runner
 that ``suites.run_suite`` uses.  ``weyl_invariant_reference`` is the
-three-involution invariance test that the one-pass guard replaced, and
-``pieri_reference`` the strip enumeration that the interval count replaced.
+three-involution invariance test that the one-pass guard replaced,
+``pieri_reference`` the strip enumeration that the interval count replaced,
+and ``lfactor_reference`` the Fraction recurrence that the integer
+expansion of ``series.lfactor_closed`` replaced.
 """
 
 from fractions import Fraction
@@ -93,6 +95,40 @@ def _fraction_power_evaluate(poly, t, y1, y2):
 @pytest.fixture(scope="session")
 def fraction_power_evaluate():
     return _fraction_power_evaluate
+
+
+def _lfactor_reference(pt, rep, deg):
+    """prod_i (1 - X lam_i)^(-1) to degree deg, by the Fraction recurrence on the eigenvalue list.
+
+    The eigenvalues are Fractions written out from the point (t; y1, y2):
+    y1^+-2, y2^+-2 and 1 for "std5", t^+-1 y1^+-1 y2^+-1 for "stdxspin".
+    """
+    t, y1, y2 = pt
+    if rep == "std5":
+        eig = [y1 * y1, 1 / (y1 * y1), y2 * y2, 1 / (y2 * y2), Fraction(1)]
+    elif rep == "stdxspin":
+        eig = [te * s1 * s2 for te in (t, 1 / t) for s1 in (y1, 1 / y1) for s2 in (y2, 1 / y2)]
+    else:
+        raise ValueError("rep must be 'std5' or 'stdxspin'")
+    den = [Fraction(1)]
+    for lam in eig:
+        new = den + [Fraction(0)]
+        for i in range(len(den), 0, -1):
+            new[i] -= lam * den[i - 1]
+        den = new
+    # den now holds prod (1 - lam X); invert as a power series
+    inv = [Fraction(1)]
+    for n in range(1, deg + 1):
+        s = Fraction(0)
+        for k in range(1, min(n, len(den) - 1) + 1):
+            s += den[k] * inv[n - k]
+        inv.append(-s)
+    return inv
+
+
+@pytest.fixture(scope="session")
+def lfactor_reference():
+    return _lfactor_reference
 
 
 def _mat_mul_q(A, B, q):

@@ -186,6 +186,32 @@ def test_char_b2_value_matches_evaluate_where_the_weyl_denominator_vanishes():
                 assert got == poly.evaluate(ONE, y1, y2), (a, b, y1, y2)
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        # the same numerators, another denominator: the column must not be reused
+        ((Fraction(-9, 4), Fraction(5, 2)), (Fraction(-9, 5), Fraction(5, 2))),
+        ((Fraction(5, 2), Fraction(-9, 4)), (Fraction(5, 3), Fraction(-9, 4))),
+        # the same denominators, another numerator
+        ((Fraction(-9, 4), Fraction(5, 2)), (Fraction(7, 4), Fraction(5, 2))),
+        # one coordinate shared by both points, in the other slot
+        ((Fraction(-9, 4), Fraction(5, 2)), (Fraction(5, 2), Fraction(-2, 7))),
+        # large numerators and denominators, again only a denominator changed
+        ((Fraction(-(2**61 - 1), 10**15), Fraction(-(7**20), 11**17)),
+         (Fraction(-(2**61 - 1), 10**15 + 1), Fraction(-(7**20), 11**17))),
+    ],
+)
+def test_char_b2_value_shared_columns_key_on_the_coordinate(first, second):
+    weights = [(a, b) for a in range(5) for b in range(5 - a)]
+    want = {pt: [char_B2(a, b).evaluate(ONE, *pt) for a, b in weights] for pt in (first, second)}
+    for order in ((first, second), (second, first)):
+        characters._orbit_sum_column.cache_clear()
+        for y1, y2 in order:
+            got = [char_B2_value(a, b, y1.numerator, y1.denominator, y2.numerator, y2.denominator)
+                   for a, b in weights]
+            assert got == want[(y1, y2)], (order, y1, y2)
+
+
 def test_evaluate_at_a_zero_coordinate():
     assert LaurentPoly.monomial(0, 2, 0, coeff=3).evaluate(ONE, Fraction(0), ONE) == 0
     with pytest.raises(ZeroDivisionError):

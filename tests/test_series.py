@@ -1,6 +1,7 @@
 """Truncated series builders and their cross identities on small boxes."""
 
 import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -134,32 +135,37 @@ def series_weights(s):
 
 
 @pytest.fixture(scope="module")
-def product_reference_value(fraction_power_evaluate):
-    """The value of product_char(w) at pt as a sum of Fraction powers, memoized on (w, pt)."""
+def product_reference_value():
+    """The value of product_char(w) at pt by LaurentPoly.evaluate, memoized on (w, pt).
+
+    Neither factor value of character_value goes through evaluate, and
+    evaluate has its own Fraction-power reference in
+    test_evaluate_matches_fraction_powers.
+    """
     memo = {}
 
     def value(w, pt):
         if (w, pt) not in memo:
-            memo[(w, pt)] = fraction_power_evaluate(product_char(*w), *pt)
+            memo[(w, pt)] = product_char(*w).evaluate(*pt)
         return memo[(w, pt)]
 
     return value
 
 
 @pytest.fixture(scope="module")
-def reference_value(fraction_power_evaluate):
+def reference_value():
     """The value of product_char(w) at pt as char_A1(m) at t times char_B2(a, b) at (y1, y2).
 
     Evaluation is a ring homomorphism, so the product of the two factors'
-    Fraction-power sums is the product character's value; each factor is
-    memoized on the coordinates it reads.
+    LaurentPoly.evaluate values is the product character's value; each
+    factor is memoized on the coordinates it reads.
     """
     one = Fraction(1)
     memo = {}
 
     def factor(poly, key, t, y1, y2):
         if key not in memo:
-            memo[key] = fraction_power_evaluate(poly, t, y1, y2)
+            memo[key] = poly.evaluate(t, y1, y2)
         return memo[key]
 
     def value(w, pt):
@@ -324,6 +330,37 @@ def test_lfactor_closed_vs_character_series():
             total += vals[k]
         want.append(total)
     assert got == want
+
+
+def lfactor_points():
+    """POINTS, every point with coordinates in {1, -1}, and 30 seeded points of random sign."""
+    rng = random.Random(36)
+
+    def coordinate():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 60))
+
+    signs = [SatakePoint.make(*pt) for pt in itertools.product((1, -1), repeat=3)]
+    seeded = [SatakePoint.make(coordinate(), coordinate(), coordinate()) for _ in range(30)]
+    return POINTS + signs + seeded
+
+
+@pytest.mark.parametrize("rep", ["std5", "stdxspin"])
+def test_lfactor_closed_matches_the_fraction_recurrence(rep, lfactor_reference):
+    for pt in lfactor_points():
+        want = lfactor_reference(pt, rep, 10)
+        for deg in range(11):
+            got = lfactor_closed(pt, rep, deg)
+            assert got == want[: deg + 1], (pt, rep, deg)
+            assert all(type(v) is Fraction for v in got)
+
+
+def test_sl2_value_matches_evaluate():
+    ts = [Fraction(1), Fraction(-1), Fraction(-3, 7), Fraction(-5), Fraction(2, 9)] + [pt.t for pt in POINTS]
+    for t in ts:
+        for m in range(13):
+            got = series._sl2_value(m, t.numerator, t.denominator)
+            assert type(got) is Fraction
+            assert got == char_A1(m).evaluate(t, 1, 1), (m, t)
 
 
 def test_lfactor_closed_rejects_unknown_rep():
