@@ -128,7 +128,7 @@ class QMatrix(NamedTuple):
             h = -h
         if h == 1:
             return cls(tuple(map(tuple, rows)), den)
-        return cls(tuple(tuple(v // h for v in row) for row in rows), den // h)
+        return cls(tuple([tuple([v // h for v in row]) for row in rows]), den // h)
 
     @classmethod
     def of(cls, rows) -> QMatrix:

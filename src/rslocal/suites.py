@@ -336,12 +336,11 @@ def _small_box(cfg: CheckConfig) -> tuple[int, int]:
 def _suite_coeffs(cfg: CheckConfig):
     r = cfg.radius
     plane = list(itertools.product(range(r + 1), repeat=2))
-    # the in-branch blocks, and the points on them all four checks compare, in grid order
+    # the in-branch blocks, on whose grid points all four checks compare
     blocks = [
         (a, b, c) for a, b, c in itertools.product(range(r + 1), repeat=3)
         if coeffs.in_first_branch(a, c) or coeffs.in_second_branch(a, b, c)
     ]
-    points = [(x, y, *abc) for x, y in plane for abc in blocks]
 
     def interval_eps(a, b, c):
         # the eps n_interval takes, at the point after its branch substitution
@@ -351,7 +350,7 @@ def _suite_coeffs(cfg: CheckConfig):
     @functools.cache
     def column(counter):
         # built by the first check that reads it; block i fills every len(blocks)-th entry
-        values = [0] * len(points)
+        values = [0] * (len(plane) * len(blocks))
         for i, count in enumerate(counter(*abc) for abc in blocks):
             values[i::len(blocks)] = [count(x, y) for x, y in plane]
         return values
@@ -364,18 +363,19 @@ def _suite_coeffs(cfg: CheckConfig):
     ]
     for check_id, lhs, rhs in pairs:
         def compare(lhs=lhs, rhs=rhs):
-            for pt, got, want in zip(points, column(lhs), column(rhs)):
-                if got != want:
-                    return (False, "(%d,%d,%d,%d,%d): %d" % (*pt, got), str(want))
-            return True
+            got, want = column(lhs), column(rhs)
+            if got == want:
+                return True
+            j = next(j for j, (u, v) in enumerate(zip(got, want)) if u != v)
+            pt = (*plane[j // len(blocks)], *blocks[j % len(blocks)])
+            return (False, "(%d,%d,%d,%d,%d): %d" % (*pt, got[j]), str(want[j]))
 
-        yield check_id, {"radius": r, "comparisons": len(points)}, compare
+        yield check_id, {"radius": r, "comparisons": len(plane) * len(blocks)}, compare
 
 
-def _random_unit(rng: random.Random, p: int, v: int = 0) -> Fraction:
-    """A random unit times p^v, made as one Fraction."""
-    unit = rng.randrange(1, p) + p * rng.randrange(0, 30)
-    return Fraction(unit * p**v) if v >= 0 else Fraction(unit, p**-v)
+def _random_unit(rng: random.Random, p: int) -> int:
+    """A random p-adic unit: an integer in [1, 30p) prime to p."""
+    return rng.randrange(1, p) + p * rng.randrange(0, 30)
 
 
 _DET_CONFIGS, _DET_CANCELLING, _DET_VAL_RANGE = 500, 8, (-3, 3)
@@ -388,27 +388,30 @@ def _det_configs(seed: int, p: int):
     _DET_CANCELLING draws gives two samples, with y = -xz and
     y = -xz + p^(v(x)+v(z)+1) in place of the drawn y: there
     det_norms_closed drops, or needs, its v(y + xz) candidate.
-    Yields (tv, vals, (x, y, z), t, g): the torus valuations, the
-    valuations of x, y and z, the three values, t = torus_element(alpha,
-    beta, gamma) and g = u_element(x, y, z) t.  t is diagonal, so g is u
-    with column j scaled by t's j-th diagonal entry.
+    Yields (tv, vals, (x, y, z), units, g): the torus valuations, the valuations
+    and values of x, y and z, the ints (alpha, beta, gamma) = units times p^tv, and
+    g = u_element(x, y, z) torus_element(*units) = u t built in integers over d alpha,
+    d = p^m clearing x, y, z to nx, ny, nz: column j of u's integer rows times entry j
+    of alpha t.  test_det_configs_are_the_column_scaled_products ties g to u t.
     """
     v_lo, v_hi = _DET_VAL_RANGE
     rng = random.Random(seed * 1000 + p)
+    draw, unit = rng.randrange, functools.partial(_random_unit, rng, p)
     for k in range(_DET_CONFIGS + _DET_CANCELLING):
-        a, b, c = (rng.randrange(0, 4) for _ in range(3))
-        vals = tuple(rng.randrange(v_lo, v_hi + 1) for _ in range(3))
-        x, y, z = (_random_unit(rng, p, v) for v in vals)
-        t = padic.torus_element(*(_random_unit(rng, p, e) for e in (a, b, c)))
-        ys = (y,)
-        if k >= _DET_CONFIGS:
-            vx, vz = vals[0], vals[2]
-            vals, ys = (vx, vx + vz, vz), (-x * z, -x * z + Fraction(p) ** (vx + vz + 1))
-        T, dt = t
-        for y in ys:
-            U, du = padic.u_element(x, y, z)
-            g = padic.QMatrix.over([[v * T[j][j] for j, v in enumerate(row)] for row in U], du * dt)
-            yield padic.TorusValuations(a, b, c), vals, (x, y, z), t, g
+        tv = padic.TorusValuations(draw(0, 4), draw(0, 4), draw(0, 4))
+        vx, vy, vz = draw(v_lo, v_hi + 1), draw(v_lo, v_hi + 1), draw(v_lo, v_hi + 1)
+        ux, uy, uz = unit(), unit(), unit()
+        units = al, be, ga = unit() * p ** tv[0], unit() * p ** tv[1], unit() * p ** tv[2]
+        vals = (vx, vy if k < _DET_CONFIGS else vx + vz, vz)
+        m, ab, bg = max(0, -min(vals)), al * be, be * ga
+        d, nx, ny, nz = p**m, ux * p ** (vx + m), uy * p ** (vals[1] + m), uz * p ** (vz + m)
+        nys = (ny,) if k < _DET_CONFIGS else (-nx * nz // d, p ** (vals[1] + m + 1) - nx * nz // d)
+        for ny in nys:
+            g = padic.QMatrix.over((
+                (d * al * ab, 0, 0, 0, 0, nz * bg), (0, d * ab * bg, nx * al * bg, -ny * ab, 0, 0),
+                (0, 0, d * al * bg, 0, -ny * al, 0), (0, 0, 0, d * ab, -nx * al, 0),
+                (0, 0, 0, 0, d * al, 0), (0, 0, 0, 0, 0, d * bg)), d * al)
+            yield tv, vals, (Fraction(nx, d), Fraction(ny, d), Fraction(nz, d)), units, g
 
 
 def _suite_padic(cfg: CheckConfig):
@@ -435,11 +438,8 @@ def _suite_padic(cfg: CheckConfig):
                 minors = padic.bottom_minor_norm(g, p)
                 closed = padic.det_norms_closed(tv, x, y, z, p)
                 if minors != closed:
-                    return (
-                        False,
-                        "p=%d abc=(%d,%d,%d) v=(%d,%d,%d): %r" % (p, *tv, *vals, minors),
-                        repr(closed),
-                    )
+                    where = "p=%d abc=(%d,%d,%d) v=(%d,%d,%d)" % (p, *tv, *vals)
+                    return (False, "%s: %r" % (where, minors), repr(closed))
         return True
 
     params = {

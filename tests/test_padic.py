@@ -228,8 +228,9 @@ def test_each_section_check_can_fail(monkeypatch, run_checks):
 
 def test_det_configs_are_the_column_scaled_products():
     # 500 samples per prime in the valuation range [-3, 3]; the digest pins
-    # their seeding for the seeds 0 and 1 at p in {2, 3, 5}; at seed 0, the
-    # default of verify, each g is checked against the product.  The 16
+    # their seeding for the seeds 0 and 1 at p in {2, 3, 5}, and each g, built
+    # in integer rows, is checked against the product u_element(x, y, z) t
+    # with t = torus_element of the yielded integer units.  The 16
     # cancelling samples follow: y + xz is 0 in every other one, and of
     # valuation v(y) + 1 in the rest
     digest = hashlib.sha256()
@@ -237,9 +238,10 @@ def test_det_configs_are_the_column_scaled_products():
         for p in (2, 3, 5):
             samples = list(suites._det_configs(seed, p))
             assert len(samples) == 500 + 16
-            for k, (tv, vals, xyz, t, g) in enumerate(samples):
-                if seed == 0:
-                    assert g == mat_mul(u_element(*xyz), t)
+            for k, (tv, vals, xyz, units, g) in enumerate(samples):
+                assert all(type(u) is int for u in units)
+                t = torus_element(*units)
+                assert g == mat_mul(u_element(*xyz), t)
                 if k >= 500:
                     x, y, z = xyz
                     assert vals == tuple(valuation(v, p) for v in xyz)
