@@ -17,7 +17,7 @@ adds one geometric block to the integral, and block(a, b, c) is the
 single audited description of it that m_closed, m_brute, delta_parity
 and n_brute read, as do the series builders.  n_interval instead maps
 the second branch onto the first by the substitution x -> x + 2(a - c),
-y -> y + (a - c).
+y -> y + (a - c), which it reads off the block's base.
 """
 
 from __future__ import annotations
@@ -128,14 +128,10 @@ def first_branch_shift(a: int, b: int, c: int) -> tuple[int, int]:
     (2(a - c), a - c) in the second.
 
     The substitution is a translation, so n_interval reads it once per block.
+    It is the block's base less the first branch's base (c - a, c), V halved.
     """
-    if min(a, b, c) < 0:
-        raise ValueError(_NEGATIVE)
-    if in_first_branch(a, c):
-        return 0, 0
-    if in_second_branch(a, b, c):
-        return 2 * (a - c), a - c
-    raise _neither_branch(a, b, c)
+    base_u, base_v, _, _ = block(a, b, c)
+    return base_u + a - c, (base_v - c) // 2
 
 
 def interval_eps(xx: int, yy: int, b: int) -> int:

@@ -8,7 +8,9 @@ sums plus exactly summable geometric tails.
 
 Matrices are QMatrix values, integer rows over one positive denominator,
 from their construction through products, inverses, minors and
-similitudes: no entry is a Fraction.
+similitudes: no entry is a Fraction.  Every matrix is built from integers
+by one builder here: ut_element writes u(x, y, z) t, levi_element the Levi
+element and gamma5_matrix gamma5, so the suites write no matrix entry.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ __all__ = [
     "mat_mul",
     "rref",
     "mat_inv",
-    "torus_element",
-    "u_element",
+    "ut_element",
+    "levi_element",
     "gamma5_matrix",
     "similitude",
     "bottom_minor_norm",
@@ -221,43 +223,47 @@ def similitude(g: QMatrix) -> Fraction:
     return Fraction(m, d * d)
 
 
-def torus_element(alpha, beta, gamma) -> QMatrix:
-    """diag(alpha beta, beta^2 gamma, beta gamma, beta, 1, beta gamma / alpha).
+def ut_element(nx: int, ny: int, nz: int, d: int, alpha: int, beta: int, gamma: int) -> QMatrix:
+    """u(x, y, z) t(alpha, beta, gamma) for x, y, z = nx / d, ny / d, nz / d, over d alpha.
 
-    With alpha = a1 / a2, beta = b1 / b2 and gamma = c1 / c2 in lowest
-    terms, the entries times a1 a2 b2^2 c2 are the integers below.
+    u is the unipotent pair: a z-shear on (e1, f1), an (x, y)-shear on the
+    rest.  The y-signs are pinned by the requirement that e1 - e3 picks up
+    +y f2, which is the convention the determinant-norm formulas describe;
+    the opposite sign names the same integral (y is integrated symmetrically)
+    but a different matrix.  t = diag(alpha beta, beta^2 gamma, beta gamma,
+    beta, 1, beta gamma / alpha).  Row i below is row i of d u with column j
+    times entry j of alpha t.  All seven arguments are integers: alpha = beta
+    = gamma = 1 gives u alone, and nx = ny = nz = 0 with d = 1 gives t alone.
     """
-    (a1, a2), (b1, b2), (c1, c2) = ((v.numerator, v.denominator) for v in (alpha, beta, gamma))
-    aa, bb = a1 * a2, b1 * b2
+    ab, bg = alpha * beta, beta * gamma
     return QMatrix.over((
-        (a1 * a1 * bb * c2, 0, 0, 0, 0, 0),
-        (0, aa * b1 * b1 * c1, 0, 0, 0, 0),
-        (0, 0, aa * bb * c1, 0, 0, 0),
-        (0, 0, 0, aa * bb * c2, 0, 0),
-        (0, 0, 0, 0, aa * b2 * b2 * c2, 0),
-        (0, 0, 0, 0, 0, a2 * a2 * bb * c1),
-    ), aa * b2 * b2 * c2)
+        (d * alpha * ab, 0, 0, 0, 0, nz * bg),                  # e1 -> e1 + z f1
+        (0, d * ab * bg, nx * alpha * bg, -ny * ab, 0, 0),      # e2 -> e2 + x e3 - y f3
+        (0, 0, d * alpha * bg, 0, -ny * alpha, 0),              # e3 -> e3 - y f2
+        (0, 0, 0, d * ab, -nx * alpha, 0),                      # f3 -> f3 - x f2
+        (0, 0, 0, 0, d * alpha, 0),
+        (0, 0, 0, 0, 0, d * bg),
+    ), d * alpha)
 
 
-def u_element(x, y, z) -> QMatrix:
-    """The unipotent pair: a z-shear on (e1, f1), an (x, y)-shear on the rest.
+def levi_element(m1, m2: int, mu: int) -> QMatrix:
+    """diag(m1, m2, mu / m2, mu m1*) over det(m1) m2, for an integer 2 x 2 m1 and integers m2, mu.
 
-    The y-signs are pinned by the requirement that e1 - e3 picks up +y f2,
-    which is the convention the determinant-norm formulas describe; the
-    opposite sign names the same integral (y is integrated symmetrically)
-    but a different matrix.  Over the lcm d of the denominators of x, y
-    and z, which is already lowest terms.
+    m1* = S m1^(-T) S for the antidiagonal pairing of (e1, e2) with (f2, f1):
+    from the adjugate, it is ((m11, -m12), (-m21, m22)) / det(m1), so its
+    block times det(m1) m2 is mu m2 times that integer matrix.
     """
-    d = lcm(x.denominator, y.denominator, z.denominator)
-    nx, ny, nz = (v.numerator * (d // v.denominator) for v in (x, y, z))
-    return QMatrix((
-        (d, 0, 0, 0, 0, nz),     # e1 -> e1 + z f1
-        (0, d, nx, -ny, 0, 0),   # e2 -> e2 + x e3 - y f3
-        (0, 0, d, 0, -ny, 0),    # e3 -> e3 - y f2
-        (0, 0, 0, d, -nx, 0),    # f3 -> f3 - x f2
-        (0, 0, 0, 0, d, 0),
-        (0, 0, 0, 0, 0, d),
-    ), d)
+    (m11, m12), (m21, m22) = m1
+    det = m11 * m22 - m12 * m21
+    den, mu_m2 = det * m2, mu * m2
+    return QMatrix.over((
+        (m11 * den, m12 * den, 0, 0, 0, 0),
+        (m21 * den, m22 * den, 0, 0, 0, 0),
+        (0, 0, m2 * den, 0, 0, 0),
+        (0, 0, 0, mu * det, 0, 0),
+        (0, 0, 0, 0, m11 * mu_m2, -m12 * mu_m2),
+        (0, 0, 0, 0, -m21 * mu_m2, m22 * mu_m2),
+    ), den)
 
 
 def _minor_valuations(g: QMatrix, p: int) -> tuple[int, int]:

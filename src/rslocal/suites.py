@@ -390,9 +390,10 @@ def _det_configs(seed: int, p: int):
     det_norms_closed drops, or needs, its v(y + xz) candidate.
     Yields (tv, vals, (x, y, z), units, g): the torus valuations, the valuations
     and values of x, y and z, the ints (alpha, beta, gamma) = units times p^tv, and
-    g = u_element(x, y, z) torus_element(*units) = u t built in integers over d alpha,
-    d = p^m clearing x, y, z to nx, ny, nz: column j of u's integer rows times entry j
-    of alpha t.  test_det_configs_are_the_column_scaled_products ties g to u t.
+    g = u(x, y, z) t = padic.ut_element(nx, ny, nz, d, *units), d = p^m clearing
+    x, y, z to nx, ny, nz.  The sweep's minors read rows 0 and 2-5 of g only:
+    row 1 of ut_element is read by padic/section-k-invariance's similitude, and
+    test_det_configs_are_the_column_scaled_products ties all of g to u t.
     """
     v_lo, v_hi = _DET_VAL_RANGE
     rng = random.Random(seed * 1000 + p)
@@ -401,16 +402,13 @@ def _det_configs(seed: int, p: int):
         tv = padic.TorusValuations(draw(0, 4), draw(0, 4), draw(0, 4))
         vx, vy, vz = draw(v_lo, v_hi + 1), draw(v_lo, v_hi + 1), draw(v_lo, v_hi + 1)
         ux, uy, uz = unit(), unit(), unit()
-        units = al, be, ga = unit() * p ** tv[0], unit() * p ** tv[1], unit() * p ** tv[2]
+        units = unit() * p ** tv[0], unit() * p ** tv[1], unit() * p ** tv[2]
         vals = (vx, vy if k < _DET_CONFIGS else vx + vz, vz)
-        m, ab, bg = max(0, -min(vals)), al * be, be * ga
+        m = max(0, -min(vals))
         d, nx, ny, nz = p**m, ux * p ** (vx + m), uy * p ** (vals[1] + m), uz * p ** (vz + m)
         nys = (ny,) if k < _DET_CONFIGS else (-nx * nz // d, p ** (vals[1] + m + 1) - nx * nz // d)
         for ny in nys:
-            g = padic.QMatrix.over((
-                (d * al * ab, 0, 0, 0, 0, nz * bg), (0, d * ab * bg, nx * al * bg, -ny * ab, 0, 0),
-                (0, 0, d * al * bg, 0, -ny * al, 0), (0, 0, 0, d * ab, -nx * al, 0),
-                (0, 0, 0, 0, d * al, 0), (0, 0, 0, 0, 0, d * bg)), d * al)
+            g = padic.ut_element(nx, ny, nz, d, *units)
             yield tv, vals, (Fraction(nx, d), Fraction(ny, d), Fraction(nz, d)), units, g
 
 
@@ -463,9 +461,9 @@ def _suite_padic(cfg: CheckConfig):
                     det = m1[0][0] * m1[1][1] - m1[0][1] * m1[1][0]
                     if det:
                         break
-                m2 = _random_unit(rng, p) * Fraction(p) ** rng.randrange(0, 3)
-                mu = _random_unit(rng, p) * Fraction(p) ** rng.randrange(0, 3)
-                g = _parabolic_levi(m1, m2, mu)
+                m2 = _random_unit(rng, p) * p ** rng.randrange(0, 3)
+                mu = _random_unit(rng, p) * p ** rng.randrange(0, 3)
+                g = padic.levi_element(m1, m2, mu)
                 conj = padic.mat_mul(padic.mat_mul(g5_inv, g), g5)
                 levi = "p=%d m1=%r m2=%s mu=%s" % (p, m1, m2, mu)
                 try:
@@ -476,7 +474,7 @@ def _suite_padic(cfg: CheckConfig):
                 # versus the parabolic character of the Levi data
                 es = 2 * v3 - 2 * v2 - vmu
                 ew = v2 - vmu
-                vdet = padic.valuation(Fraction(det), p)
+                vdet = padic.valuation(det, p)
                 vm2 = padic.valuation(m2, p)
                 vmu_true = padic.valuation(mu, p)
                 want_s = -2 * vm2 + vmu_true
@@ -495,10 +493,7 @@ def _suite_padic(cfg: CheckConfig):
     def section_k_invariance():
         for p in section_primes:
             rng = random.Random(cfg.seed * 7070 + p)
-            base = padic.mat_mul(
-                padic.u_element(Fraction(1, p), p, Fraction(3, p)),
-                padic.torus_element(p, Fraction(p**2), p),
-            )
+            base = padic.ut_element(1, p * p, 3, p, p, p * p, p)  # u(1/p, p, 3/p) t(p, p^2, p)
             ref = padic.fprime_section(base, p)
             for _ in range(k_samples):
                 k = _random_integral_k(rng, p)
@@ -532,42 +527,20 @@ def _suite_padic(cfg: CheckConfig):
     yield "padic/torus-reconstruction", {"box": list(box)}, torus_reconstruction
 
 
-def _parabolic_levi(m1, m2, mu):
-    """Block-diagonal parabolic element diag(m1, m2, mu/m2, mu m1*)."""
-    m1 = [[Fraction(v) for v in row] for row in m1]
-    m2, mu = Fraction(m2), Fraction(mu)
-    det = m1[0][0] * m1[1][1] - m1[0][1] * m1[1][0]
-    # m1* = S m1^{-T} S for the antidiagonal pairing of (e1,e2) with (f2,f1)
-    inv_t = [
-        [m1[1][1] / det, -m1[1][0] / det],
-        [-m1[0][1] / det, m1[0][0] / det],
-    ]
-    star = [[inv_t[1][1], inv_t[1][0]], [inv_t[0][1], inv_t[0][0]]]
-    rows = [[0] * 6 for _ in range(6)]
-    rows[0][0], rows[0][1] = m1[0][0], m1[0][1]
-    rows[1][0], rows[1][1] = m1[1][0], m1[1][1]
-    rows[2][2] = m2
-    rows[3][3] = mu / m2
-    rows[4][4], rows[4][5] = mu * star[0][0], mu * star[0][1]
-    rows[5][4], rows[5][5] = mu * star[1][0], mu * star[1][1]
-    return padic.QMatrix.of(rows)
-
-
 def _random_integral_k(rng: random.Random, p: int):
     """Random element of the integral points with unit similitude."""
     factors = []
     for _ in range(4):
         kind = rng.randrange(3)
         if kind == 0:
-            factors.append(
-                padic.u_element(rng.randrange(-3, 4), rng.randrange(-3, 4), rng.randrange(-3, 4))
-            )
+            xyz = rng.randrange(-3, 4), rng.randrange(-3, 4), rng.randrange(-3, 4)
+            factors.append(padic.ut_element(*xyz, 1, 1, 1, 1))
         elif kind == 1:
             factors.append(padic.gamma5_matrix())
         else:
             units = [rng.randrange(1, p) + p * rng.randrange(0, 3) for _ in range(3)]
             # unit-diagonal torus stays integral with unit similitude
-            factors.append(padic.torus_element(*units))
+            factors.append(padic.ut_element(0, 0, 0, 1, *units))
     out = factors[0]
     for f in factors[1:]:
         out = padic.mat_mul(out, f)

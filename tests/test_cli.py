@@ -427,8 +427,13 @@ def test_wrong_block_fails_the_independent_routes(monkeypatch, run_checks):
     monkeypatch.setattr(coeffs, "block", shifted)
     ids = ["chain/local-vs-mult-m", "chain/mult-m-vs-mult-n", "chain/mult-n-vs-pieri"]
     reports = run_checks(CheckConfig(suite="chain", deg_u=4, deg_v=4), ids)
-    # the three block-walking builders agree with each other; the Pieri expansion does not
-    assert [(r.check_id, r.status) for r in reports] == list(zip(ids, ("pass", "pass", "fail")))
+    # the local and m builders place the same counts at the same wrong base and agree;
+    # n_interval also shifts by that base, so mult-n differs from both them and Pieri
+    assert [(r.check_id, r.status) for r in reports] == list(zip(ids, ("pass", "fail", "fail")))
+    # in the coeffs suite, n_interval and n_brute read the same base; m_closed reads none
+    ids = ["coeffs/m-vs-n", "coeffs/n-interval-vs-brute"]
+    reports = run_checks(CheckConfig(suite="coeffs"), ids)
+    assert [(r.check_id, r.status) for r in reports] == list(zip(ids, ("fail", "pass")))
     reports = run_checks(
         CheckConfig(suite="padic", deg_u=4, deg_v=4), ["padic/torus-reconstruction"]
     )

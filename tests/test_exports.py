@@ -210,3 +210,11 @@ def test_every_other_memo_is_a_functools_cache():
 def test_no_public_function_is_wrapped_by_a_cache():
     # inspect.isfunction is False for a cache wrapper, so the tracer would skip it silently
     assert _cached_public_functions(SRC) == []
+
+
+def test_suites_builds_no_matrix():
+    # the entries of every sample matrix are written once, by padic's builders;
+    # the suites draw their integers and compare what padic computes from them
+    tree = ast.parse((SRC / "suites.py").read_text())
+    named = {getattr(n, key, None) for n in ast.walk(tree) for key in ("id", "attr", "name")}
+    assert "QMatrix" not in named

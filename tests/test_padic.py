@@ -25,14 +25,14 @@ from rslocal.padic import (
     integral_max_brute,
     integral_psi_max,
     integral_psi_max_brute,
+    levi_element,
     mat_inv,
     mat_mul,
     similitude,
-    torus_element,
     torus_term,
     torus_term_sum,
-    u_element,
     rref,
+    ut_element,
     valuation,
 )
 from rslocal.series import BiSeries, local_integral_series
@@ -44,6 +44,25 @@ def identity6():
 
 def random_unit(rng, p):
     return Fraction(rng.randrange(1, p) + p * rng.randrange(0, 30))
+
+
+def u_ref(x, y, z):
+    """u(x, y, z) from its rational entries: the reference for padic.ut_element's u."""
+    rows = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
+    rows[0][5], rows[1][2], rows[1][3], rows[2][4], rows[3][4] = z, x, -y, -y, -x
+    return QMatrix.of(rows)
+
+
+def t_diag(alpha, beta, gamma):
+    """The diagonal of t(alpha, beta, gamma) over Q."""
+    alpha, beta, gamma = map(Fraction, (alpha, beta, gamma))
+    return (alpha * beta, beta * beta * gamma, beta * gamma, beta, 1, beta * gamma / alpha)
+
+
+def t_ref(alpha, beta, gamma):
+    """t(alpha, beta, gamma) from its rational entries: the reference for ut_element's t."""
+    diag = t_diag(alpha, beta, gamma)
+    return QMatrix.of([[diag[i] if i == j else 0 for j in range(6)] for i in range(6)])
 
 
 def column_scaled(u, t):
@@ -70,12 +89,12 @@ def test_bottom_minor_identity():
 
 def test_bottom_minor_unit_configuration():
     # all torus coordinates and all of x, y, z units: |det3| = |alpha beta^2| = 1
-    g = mat_mul(u_element(1, 1, 1), torus_element(1, 1, 1))
+    g = ut_element(1, 1, 1, 1, 1, 1, 1)
     assert bottom_minor_norm(g, 2)[0] == 1
 
 
 def test_det3_detects_large_z():
-    g = mat_mul(u_element(1, 1, Fraction(1, 9)), torus_element(1, 1, 1))
+    g = ut_element(9, 9, 1, 9, 1, 1, 1)  # u(1, 1, 1/9)
     assert bottom_minor_norm(g, 3)[0] == 9
 
 
@@ -92,7 +111,7 @@ def test_det_norms_read_ints_and_fractions_alike():
             want = det_norms_closed(tv, Fraction(x), Fraction(y), Fraction(z), p)
             assert det_norms_closed(tv, x, y, z, p) == want
             assert det_norms_closed(tv, Fraction(x), y, Fraction(z), p) == want
-            g = column_scaled(u_element(x, y, z), torus_element(p**2, p, 1))
+            g = column_scaled(u_ref(x, y, z), t_ref(p**2, p, 1))
             assert bottom_minor_norm(g, p) == want, (p, x, y, z)
     for zero in range(3):
         xyz = [Fraction(1, 2), 3, Fraction(5, 3)]
@@ -113,7 +132,7 @@ def test_det_norms_vs_minors_seeded():
             alpha = random_unit(rng, p) * Fraction(p) ** a
             beta = random_unit(rng, p) * Fraction(p) ** b
             gamma = random_unit(rng, p) * Fraction(p) ** c
-            g = column_scaled(u_element(x, y, z), torus_element(alpha, beta, gamma))
+            g = column_scaled(u_ref(x, y, z), t_ref(alpha, beta, gamma))
             got = bottom_minor_norm(g, p)
             want = det_norms_closed(TorusValuations(a, b, c), x, y, z, p)
             assert got == want, (p, (a, b, c), (xv, yv, zv))
@@ -133,8 +152,8 @@ def test_det_norms_closed_cancelling_sum(p):
         z = random_unit(rng, p) * Fraction(p) ** vz
         y = -x * z + random_unit(rng, p) * Fraction(p) ** (vx + vz + k)
         assert valuation(y + x * z, p) >= min(valuation(y, p), vx + vz) + 2
-        t = torus_element(*(random_unit(rng, p) * Fraction(p) ** e for e in (a, b, c)))
-        g = column_scaled(u_element(x, y, z), t)
+        t = t_ref(*(random_unit(rng, p) * Fraction(p) ** e for e in (a, b, c)))
+        g = column_scaled(u_ref(x, y, z), t)
         tv = TorusValuations(a, b, c)
         det3, det2 = det_norms_closed(tv, x, y, z, p)
         assert bottom_minor_norm(g, p) == (det3, det2)
@@ -156,13 +175,13 @@ def test_det_norms_closed_on_every_valuation_pattern():
         unit = Fraction(p - 1)
         for a, b, c in itertools.product(range(3), repeat=3):
             tv = TorusValuations(a, b, c)
-            t = torus_element(unit * p**a, p**b, unit * p**c)
+            t = t_ref(unit * p**a, p**b, unit * p**c)
             for vx, vz in itertools.product(box, repeat=2):
                 x, z = unit * Fraction(p) ** vx, Fraction(p) ** vz
                 ys = [unit * Fraction(p) ** vy for vy in box]
                 ys += [-x * z, -x * z + Fraction(p) ** (vx + vz + 1)]
                 for y in ys:
-                    g = column_scaled(u_element(x, y, z), t)
+                    g = column_scaled(u_ref(x, y, z), t)
                     assert bottom_minor_norm(g, p) == det_norms_closed(tv, x, y, z, p), (
                         p, tv, (vx, vz), y
                     )
@@ -202,26 +221,27 @@ def test_det_sweep_reaches_the_exact_cancellation(monkeypatch, run_checks):
 
 
 def test_each_section_check_can_fail(monkeypatch, run_checks):
-    levi, integral_k = suites._parabolic_levi, suites._random_integral_k
+    levi, integral_k = padic.levi_element, suites._random_integral_k
 
     def levi_mu_times_m2(m1, m2, mu):
         # the mutant mu / m2 -> mu * m2: entry (3, 3) times m2^2
         g = levi(m1, m2, mu)
-        rows = [[Fraction(v, g.den) for v in row] for row in g.rows]
+        rows = [list(row) for row in g.rows]
         rows[3][3] *= m2 * m2
-        return QMatrix.of(rows)
+        return QMatrix.over(rows, g.den)
 
     def k_with_a_1_over_p_entry(rng, p):
-        return mat_mul(integral_k(rng, p), u_element(Fraction(1, p), 0, 0))
+        return mat_mul(integral_k(rng, p), ut_element(1, 0, 0, p, 1, 1, 1))  # u(1/p, 0, 0)
 
     cfg = suites.CheckConfig(suite="padic")
-    for name, mutant, check_id, lhs in (
-        ("_parabolic_levi", levi_mu_times_m2, "padic/section-levi",
+    for module, name, mutant, check_id, lhs in (
+        (padic, "levi_element", levi_mu_times_m2, "padic/section-levi",
          "does not preserve the symplectic form"),
-        ("_random_integral_k", k_with_a_1_over_p_entry, "padic/section-k-invariance", "p=2: "),
+        (suites, "_random_integral_k", k_with_a_1_over_p_entry, "padic/section-k-invariance",
+         "p=2: "),
     ):
         with monkeypatch.context() as patch:
-            patch.setattr(suites, name, mutant)
+            patch.setattr(module, name, mutant)
             [report] = run_checks(cfg, [check_id])
         assert (report.status, lhs in report.lhs) == ("fail", True), (check_id, report.lhs)
 
@@ -229,8 +249,8 @@ def test_each_section_check_can_fail(monkeypatch, run_checks):
 def test_det_configs_are_the_column_scaled_products():
     # 500 samples per prime in the valuation range [-3, 3]; the digest pins
     # their seeding for the seeds 0 and 1 at p in {2, 3, 5}, and each g, built
-    # in integer rows, is checked against the product u_element(x, y, z) t
-    # with t = torus_element of the yielded integer units.  The 16
+    # in integer rows, is checked against the product u t of the rational
+    # references u_ref(x, y, z) and t_ref of the yielded integer units.  The 16
     # cancelling samples follow: y + xz is 0 in every other one, and of
     # valuation v(y) + 1 in the rest
     digest = hashlib.sha256()
@@ -240,8 +260,8 @@ def test_det_configs_are_the_column_scaled_products():
             assert len(samples) == 500 + 16
             for k, (tv, vals, xyz, units, g) in enumerate(samples):
                 assert all(type(u) is int for u in units)
-                t = torus_element(*units)
-                assert g == mat_mul(u_element(*xyz), t)
+                t = t_ref(*units)
+                assert g == mat_mul(u_ref(*xyz), t)
                 if k >= 500:
                     x, y, z = xyz
                     assert vals == tuple(valuation(v, p) for v in xyz)
@@ -267,7 +287,7 @@ def random_similitude(rng, p):
     g = identity6()
     for _ in range(3):
         x, y, z, alpha, beta, gamma = (random_rational(rng, p) or 1 for _ in range(6))
-        g = mat_mul(g, mat_mul(u_element(x, y, z), torus_element(alpha, beta, gamma)))
+        g = mat_mul(g, mat_mul(u_ref(x, y, z), t_ref(alpha, beta, gamma)))
         if rng.random() < 0.5:
             g = mat_mul(g, gamma5_matrix())
     return g
@@ -301,7 +321,7 @@ def test_integer_section_raises_like_dense_reference(dense_section):
     assert raised(bottom_minor_norm, rank_one, 3) == "bottom rows are singular"
     for r in (2, 3):
         assert raised(dense_section.minor_valuations, rank_one, r, 3) == "bottom rows are singular"
-    g = mat_mul(u_element(1, 2, 3), torus_element(2, 3, 5))
+    g = ut_element(1, 2, 3, 1, 2, 3, 5)
     assert raised(dense_section.minor_valuations, g, 4, 3) == "minor size must be 2 or 3"
     no_f1 = QMatrix(identity6().rows[:5] + ((0,) * 6,), 1)
     sheared = [list(r) for r in identity6().rows]
@@ -318,7 +338,7 @@ def test_integer_section_raises_like_dense_reference(dense_section):
 def test_rref_and_mat_inv():
     # rref drops dependent rows and scales pivots to 1
     assert rref([(2, 4, 0), (1, 2, 0), (0, 0, 3)]) == ((1, 2, 0), (0, 0, 1))
-    g = mat_mul(u_element(Fraction(1, 2), 3, -1), torus_element(2, Fraction(1, 3), 5))
+    g = mat_mul(u_ref(Fraction(1, 2), 3, -1), t_ref(2, Fraction(1, 3), 5))
     assert mat_mul(g, mat_inv(g)) == identity6()
     with pytest.raises(ValueError):
         mat_inv(QMatrix.of([[1, 2], [2, 4]]))
@@ -372,21 +392,51 @@ def test_mat_inv_is_the_inverse(p):
         mat_inv(QMatrix.of(singular))
 
 
-def test_torus_and_u_elements_are_their_rational_entries(dense_section):
+def test_ut_element_is_its_rational_entries(dense_section):
+    # u(x, y, z) t(alpha, beta, gamma), u alone and t alone, against their dense entries
     rng = random.Random(170)
+    nonzero = lambda: rng.choice((-1, 1)) * rng.randrange(1, 28)
     for _ in range(100):
-        alpha, beta, gamma, x, y, z = (random_rational(rng, 3) or Fraction(-2, 9) for _ in range(6))
-        t = torus_element(alpha, beta, gamma)
-        diag = (alpha * beta, beta * beta * gamma, beta * gamma, beta, 1, beta * gamma / alpha)
-        assert_lowest_terms(t)
-        assert dense_section.fractions(t) == tuple(
-            tuple(diag[i] if i == j else 0 for j in range(6)) for i in range(6)
-        )
-        u = u_element(x, y, z)
-        want = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
-        want[0][5], want[1][2], want[1][3], want[2][4], want[3][4] = z, x, -y, -y, -x
-        assert_lowest_terms(u)
-        assert dense_section.fractions(u) == tuple(map(tuple, want))
+        nx, ny, nz = (rng.randrange(-30, 31) for _ in range(3))
+        d, alpha, beta, gamma = rng.choice((1, 3, 9, 14)), nonzero(), nonzero(), nonzero()
+        x, y, z = (Fraction(n, d) for n in (nx, ny, nz))
+        u = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
+        u[0][5], u[1][2], u[1][3], u[2][4], u[3][4] = z, x, -y, -y, -x
+        diag = t_diag(alpha, beta, gamma)
+        for g, want in (
+            (ut_element(nx, ny, nz, d, alpha, beta, gamma),
+             [[v * diag[j] for j, v in enumerate(row)] for row in u]),
+            (ut_element(nx, ny, nz, d, 1, 1, 1), u),
+            (ut_element(0, 0, 0, 1, alpha, beta, gamma),
+             [[diag[i] if i == j else 0 for j in range(6)] for i in range(6)]),
+        ):
+            assert_lowest_terms(g)
+            assert dense_section.fractions(g) == tuple(map(tuple, want))
+
+
+def test_levi_element_is_its_rational_entries(dense_section):
+    # diag(m1, m2, mu / m2, mu m1*) with m1* = S m1^(-T) S from mat_inv, not the adjugate
+    rng = random.Random(171)
+    signs = set()
+    for _ in range(100):
+        m1 = [[rng.randrange(-6, 7) for _ in range(2)] for _ in range(2)]
+        det = m1[0][0] * m1[1][1] - m1[0][1] * m1[1][0]
+        if not det:
+            continue
+        signs.add(det > 0)
+        m2, mu = (rng.choice((-1, 1)) * rng.randrange(1, 40) for _ in range(2))
+        inv = dense_section.fractions(mat_inv(QMatrix(tuple(map(tuple, m1)), 1)))
+        star = [[mu * inv[1 - j][1 - i] for j in range(2)] for i in range(2)]
+        want = [[Fraction(0)] * 6 for _ in range(6)]
+        for i in range(2):
+            for j in range(2):
+                want[i][j], want[4 + i][4 + j] = Fraction(m1[i][j]), star[i][j]
+        want[2][2], want[3][3] = Fraction(m2), Fraction(mu, m2)
+        g = levi_element(m1, m2, mu)
+        assert_lowest_terms(g)
+        assert dense_section.fractions(g) == tuple(map(tuple, want))
+        assert similitude(g) == mu
+    assert signs == {False, True}
 
 
 def test_section_identity_and_gamma5():
@@ -399,9 +449,9 @@ def test_section_identity_and_gamma5():
 
 def test_section_k_invariance_spot():
     p = 3
-    base = mat_mul(u_element(Fraction(1, 3), 3, Fraction(2, 3)), torus_element(3, 9, 3))
+    base = ut_element(1, 9, 2, 3, 3, 9, 3)  # u(1/3, 3, 2/3) t(3, 9, 3)
     ref = fprime_section(base, p)
-    k = mat_mul(u_element(1, 2, 1), gamma5_matrix())
+    k = mat_mul(ut_element(1, 2, 1, 1, 1, 1, 1), gamma5_matrix())
     assert fprime_section(mat_mul(base, k), p) == ref
 
 
