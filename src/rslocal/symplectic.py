@@ -25,17 +25,18 @@ Computational Group Theory*, ch. 4):
 A group element is the 6-tuple of the indices of its rows, and its vector
 table is the span of those rows.  The one group product is right
 multiplication by a vector table: one getter of the element's rows applied
-to the table.  The orbit search, the transversal and ``group_closure`` are
-one breadth-first walk, ``_walk``, that expands a node in one call: the
-closure applies a node's row getter to every vector table, and the flag
-walks read each flag's tuple of images under the generators.
+to the table.  The orbit search and the transversal are one breadth-first
+walk, ``_walk``, that reads each flag's tuple of images under the
+generators and keeps parent links.  A group is listed by Dimino's
+algorithm instead (``_cosets``): each new generator adds whole right cosets
+of the group so far, so each element is formed once.
 ``FlagSpace.stabilizer`` forms Schreier elements by the vector and inverse
 tables, building each transversal element when it reaches its flag, and
-keeps each new one, as its vector table, until their closure
-meets the orbit-stabilizer count; ``stab5_check`` checks that the kept ones
-fix the flag and compares the closure, as a set, with the similitudes of
-the stated shape, solved from the form (a test ties them to the
-similitudes filtered from all q^7 matrices of the shape).  The orbit
+keeps each new one, as its vector table, extending their closure by its
+cosets until it meets the orbit-stabilizer count; ``stab5_check`` checks
+that the kept ones fix the flag and compares the closure, as a set, with
+the similitudes of the stated shape, solved from the form (a test ties
+them to the similitudes filtered from all q^7 matrices of the shape).  The orbit
 predicates count the key points whose support, a bitmask of nonzero
 coordinates, lies in a coordinate subspace.
 The tuple definitions (``rref_q``, ``make_flag``) are the reference the
@@ -167,7 +168,7 @@ class FlagSpace:
     Generator j of ``h_generators(q)`` has the vector table
     ``vector_tables[j]`` and its inverse permutation ``inverse_tables[j]``,
     the vector table of the generator's inverse.  A group element is the
-    tuple of its row indices; ``times_gen`` and ``group_closure`` multiply
+    tuple of its row indices; ``times_gen`` and the coset closure multiply
     it on the right by vector tables.
     """
 
@@ -303,7 +304,8 @@ class FlagSpace:
         t_g x_i t_h^-1, with h the image of g under generator i, are formed
         there: t_h^-1 undoes h's path step by step, from h up to the root,
         by the inverse tables.  One outside the current closure is kept as
-        a generator, as its vector table, and the closure is recomputed.
+        a generator, as its vector table, and the closure is extended by
+        its cosets (``_cosets``), not listed again.
         The loop stops once the closure has order / |O| elements, or when
         the Schreier elements run out, so no t_g is built for a flag it
         never reads.  A closure past order / |O| elements, more than a
@@ -326,11 +328,11 @@ class FlagSpace:
                 for i, h in enumerate(self.images[g]):
                     yield undo(self.times_gen(t, i), h)
 
-        tables, stab = [], {self.identity}
+        tables, elements, stab = [], [self.identity], {self.identity}
         for s in schreier():
             if s not in stab:
                 tables.append(self._span(s))
-                stab = group_closure(self.identity, tables, order // len(tree))
+                _cosets(elements, stab, tables, order // len(tree))
                 if len(stab) * len(tree) == order:
                     break
         return len(tree), stab, tables
@@ -471,14 +473,53 @@ def _walk(start, expand, limit: int) -> dict:
     return tree
 
 
-def group_closure(identity, tables, limit: int):
-    """The group the vector tables generate, walked from the identity.
+def _cosets(elements, members, gens, limit: int):
+    """One stage of Dimino's algorithm: the group of gens, from that of gens[:-1].
 
-    A node's row getter, applied to each table, gives its right multiples
-    by the generators.  Returns the walk's keys, a set view of row-index
-    tuples; raises past limit elements.
+    ``elements`` lists the group H of gens[:-1], identity first, and
+    ``members`` is its set; gens[-1] lies outside H.  The group of gens is
+    a union of right cosets H x, found as a walk of their representatives:
+    x = gens[-1] first, then each product x g, for g in gens, outside the
+    cosets so far, with the vector table of x composed with g's.  Each new
+    coset is formed whole, h x for h in H by h's row getter on x's vector
+    table, and appended to both, so every element is formed once (Butler,
+    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991).
+    Raises once more than limit elements would be found.
     """
-    return _walk([identity], lambda a: map(itemgetter(*a), tables), limit).keys()
+    getters = [itemgetter(*a) for a in elements]  # the identity's first: it reads a table's rows
+    rest, reps = getters[1:], []
+
+    def add(x, table):
+        if len(elements) + len(getters) > limit:
+            raise RuntimeError("closure exceeded limit %d" % limit)
+        coset = [x, *(h(table) for h in rest)]
+        elements.extend(coset)
+        members.update(coset)
+        reps.append((itemgetter(*x), table))
+
+    add(getters[0](gens[-1]), gens[-1])
+    for x_rows, x_table in reps:  # the list grows while it is read
+        for g in gens:
+            y = x_rows(g)
+            if y not in members:
+                add(y, itemgetter(*x_table)(g))
+
+
+def group_closure(identity, tables, limit: int):
+    """The group the vector tables generate, listed by Dimino's algorithm.
+
+    The tables are taken one at a time, each skipped if it is already in
+    the group, and each kept one extends the group by its cosets
+    (``_cosets``).  Returns the set of row-index tuples; raises past limit
+    elements.
+    """
+    elements, members, gens = [identity], {identity}, []
+    rows = itemgetter(*identity)
+    for table in tables:
+        if rows(table) not in members:
+            gens.append(table)
+            _cosets(elements, members, gens, limit)
+    return members
 
 
 # ---------------------------------------------------------------------------

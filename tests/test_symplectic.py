@@ -118,24 +118,37 @@ def _masks(g):
     return tuple(sum(v << j for j, v in enumerate(row)) for row in g)
 
 
+def _xor_sums(B):
+    """sums[m]: the XOR of the rows B[k] for the bits k of the mask m."""
+    sums = [0]
+    for row in B:
+        sums += [s ^ row for s in sums]
+    return sums
+
+
 def _mask_mul_q2(A, B):
     """The product AB over F_2, each row a 6-bit mask (bit j is column j).
 
     Row i of AB is the sum of the rows B[k] with A[i][k] = 1, that is the
     XOR of the rows of B that the mask A[i] selects.
     """
-    sums = [0]  # sums[m]: the XOR of the rows B[k] for the bits k of m
-    for row in B:
-        sums += [s ^ row for s in sums]
+    sums = _xor_sums(B)
     return tuple(sums[a] for a in A)
 
 
 @pytest.fixture(scope="module")
 def h_closure_q2():
-    """The 4,320 matrices of H(F_2), closed from its generators by matrix products."""
+    """The 4,320 matrices of H(F_2), closed from its generators by matrix products.
+
+    Each generator's subset-XOR table is built once, so the product of an
+    element with it, as in ``_mask_mul_q2``, reads one entry per row; each
+    row mask is read back as its 0/1 row from one table of the 64 masks.
+    """
     gens = [_masks(g) for g in h_generators(2)]
-    closure = symplectic._walk(gens, lambda a: [_mask_mul_q2(a, s) for s in gens], 10000)
-    return {tuple(tuple(row >> j & 1 for j in range(6)) for row in a) for a in closure}
+    sums = [_xor_sums(s) for s in gens]
+    closure = symplectic._walk(gens, lambda a: [tuple(map(t.__getitem__, a)) for t in sums], 10000)
+    rows = [tuple(m >> j & 1 for j in range(6)) for m in range(64)]
+    return {tuple(map(rows.__getitem__, a)) for a in closure}
 
 
 def test_mask_product_is_the_matrix_product_q2(mat_mul_q):
@@ -386,6 +399,66 @@ def test_row_index_closure_matches_matrix_closure_q2(h_closure_q2):
     assert {space.matrix(a) for a in elements} == h_closure_q2
 
 
+def _walk_closure(identity, tables, limit):
+    """The breadth-first closure: each node's row getter applied to every table."""
+    return symplectic._walk([identity], lambda a: map(operator.itemgetter(*a), tables), limit)
+
+
+def _stages(monkeypatch):
+    """Wrap ``_cosets``; returns the list of the elements its stages appended, in order.
+
+    Each stage must leave its element list as long as its member set, so
+    no coset repeats an element that is already there.
+    """
+    formed, real = [], symplectic._cosets
+
+    def recorded(elements, members, gens, limit):
+        start = len(elements)
+        real(elements, members, gens, limit)
+        assert len(elements) == len(members)
+        formed.extend(elements[start:])
+
+    monkeypatch.setattr(symplectic, "_cosets", recorded)
+    return formed
+
+
+def test_coset_closure_is_the_breadth_first_closure(monkeypatch):
+    space, order = flag_space(2), h_group_order(2)
+    tables = space.vector_tables
+    for k in range(1, len(tables) + 1):
+        for subset in itertools.combinations(tables, k):
+            assert group_closure(space.identity, subset, order) == _walk_closure(
+                space.identity, subset, order).keys()
+    for q in (2, 3):
+        space = flag_space(q)
+        orbit, stab, kept = space.stabilizer(space.flag_index(alt_fifth_flag(q)), h_group_order(q))
+        limit = h_group_order(q) // orbit
+        assert group_closure(space.identity, kept, limit) == stab
+        assert stab == _walk_closure(space.identity, kept, limit).keys()
+    # a repeated table and the identity's table are already in the group: they add no stage
+    space = flag_space(2)
+    formed = _stages(monkeypatch)
+    padded = [tables[0], *tables, tables[3], space._span(space.identity), tables[0]]
+    assert group_closure(space.identity, padded, order) == _walk_closure(
+        space.identity, tables, order).keys()
+    assert len(formed) == order - 1
+
+
+def test_each_element_is_formed_once(monkeypatch):
+    formed = _stages(monkeypatch)
+    space, order = flag_space(2), h_group_order(2)
+    closure = group_closure(space.identity, space.vector_tables, order)
+    # every element but the identity, each formed once; the breadth-first
+    # walk forms 4,320 * 6 = 25,920 images
+    assert len(formed) == len(set(formed)) == order - 1
+    assert set(formed) | {space.identity} == closure
+    formed.clear()
+    # the stabilizer's closure grows by each kept element's cosets: 3, 24,
+    # 48, 144, 288 elements at q = 3, with no coset formed twice
+    assert stab5_check(3) is True
+    assert len(formed) == len(set(formed)) == 288 - 1
+
+
 def test_each_generator_is_needed(monkeypatch):
     space = flag_space(2)
     order = h_group_order(2)
@@ -622,8 +695,9 @@ def test_group_closure_raises_past_its_limit():
         group_closure(space.identity, space.vector_tables, 100)
     assert str(err.value) == "closure exceeded limit 100"
     # |H| - 1 is one short; |H| itself holds the whole group
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError) as err:
         group_closure(space.identity, space.vector_tables, h_group_order(2) - 1)
+    assert str(err.value) == "closure exceeded limit 4319"
     assert len(group_closure(space.identity, space.vector_tables, h_group_order(2))) == 4320
 
 
