@@ -10,7 +10,10 @@ Irreducible Spin5 characters come from the alternating-sum formula over the
 order-8 Weyl group (sign flips and the coordinate swap).  The Weyl
 denominator is y^rho times the product of (1 - y^-alpha) over the four
 positive roots alpha, so the quotient is taken one root factor at a time,
-each as suffix sums along the alpha-lines, then shifted by -rho.
+each as suffix sums along the alpha-lines, then shifted by -rho.  That
+root-line division builds full characters only: the dominant part of an
+irreducible, all that the peel and ``char_B2_value`` read, comes from
+Freudenthal's multiplicity formula (``_dominant_b2``), in integers.
 Decompositions peel highest weights under the lexicographic order on
 (t, d1, d2), which refines the dominance order of both factors, so peeling
 is deterministic and terminates.  A Weyl-invariant polynomial is fixed by
@@ -370,8 +373,45 @@ def _dominant_part(c: dict[int, int]) -> list[tuple[int, int]] | None:
 
 @functools.cache
 def _dominant_b2(a: int, b: int) -> list[tuple[int, int]]:
-    """The dominant monomials of char_B2(a, b), as (key, coefficient), kept per (a, b)."""
-    return _dominant_part(char_B2(a, b)._c)
+    """The dominant monomials of char_B2(a, b), as (key, coefficient), kept per (a, b).
+
+    Freudenthal's formula (Humphreys, section 22.3), in integers, without
+    building char_B2(a, b).  The dominant weights mu of B2[a, b] are the
+    doubled (d1, d2) with d1 >= d2 >= 0, both of b's parity, d1 <= 2a + b
+    and d1 + d2 <= 2a + 2b; with lam = (2a + b, b) and rho = (3, 1),
+    ((lam + rho)^2 - (mu + rho)^2) m(mu) = 2 sum over the positive roots
+    alpha and k >= 1 of m(mu + k alpha) (mu + k alpha, alpha).  Every
+    positive root raises 2 d1 + d2, and so does taking a weight's dominant
+    image, so in decreasing order of it each m(mu + k alpha) is known when
+    mu is reached.  An alpha-string is unbroken, so it stops at its first
+    missing weight.  Root-line division (char_B2) builds full characters
+    only.
+    """
+    if a < 0 or b < 0:
+        raise ValueError("highest weight must be nonnegative")
+    l1 = 2 * a + b
+    top = (l1 + 3) ** 2 + (b + 1) ** 2
+    weights = sorted(
+        ((d1, d2) for d1 in range(l1, -1, -2) for d2 in range(min(d1, l1 + b - d1), -1, -2)),
+        key=lambda mu: -2 * mu[0] - mu[1],
+    )
+    mult = {weights[0]: 1}
+    for mu1, mu2 in weights[1:]:
+        total = 0
+        for r1, r2 in _ROOTS:
+            x1, x2 = mu1 + r1, mu2 + r2
+            while True:
+                m = mult.get((abs(x1), abs(x2)) if abs(x1) >= abs(x2) else (abs(x2), abs(x1)))
+                if m is None:
+                    break
+                total += m * (x1 * r1 + x2 * r2)
+                x1 += r1
+                x2 += r2
+        m, r = divmod(2 * total, top - (mu1 + 3) ** 2 - (mu2 + 1) ** 2)
+        if r:
+            raise ArithmeticError("Freudenthal quotient not exact at (%d, %d)" % (mu1, mu2))
+        mult[(mu1, mu2)] = m
+    return [(_pack(0, d1, d2), m) for (d1, d2), m in mult.items()]
 
 
 def _dominant_char(m: int, a: int, b: int) -> list[tuple[int, int]]:

@@ -189,8 +189,11 @@ def first_mismatch(lhs, rhs):
     """Smallest box position where two series' coefficients differ, or None.
 
     Returns (key, lhs value, rhs value) for series of any coefficient ring;
-    a side with no coefficient at key gives the int 0.
+    a side with no coefficient at key gives the int 0.  Zero coefficients
+    are never stored, so equal dicts mean that no position differs.
     """
+    if lhs._c == rhs._c:
+        return None
     for key in sorted(set(lhs._c) | set(rhs._c)):
         a, b = lhs.get(*key), rhs.get(*key)
         if a != b:

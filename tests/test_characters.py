@@ -1,5 +1,6 @@
 """Character arithmetic against independent enumeration oracles."""
 
+import functools
 import inspect
 import itertools
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rslocal import characters
+from rslocal import characters, series
 from rslocal.characters import (
     LaurentPoly,
     Partition2,
@@ -25,7 +26,7 @@ from rslocal.characters import (
     sym_power_spin_closed,
     tensor_decompose,
 )
-from rslocal.suites import CheckConfig
+from rslocal.suites import CheckConfig, run_suite
 
 ONE = Fraction(1)
 
@@ -284,6 +285,29 @@ def test_dominant_table_is_the_dominant_part_of_the_product_character():
                 table = characters._dominant_char(m, a, b)
                 got = {characters._unpack(k): c for k, c in table}
                 assert len(table) == len(got) and got == want, (m, a, b)
+
+
+def test_freudenthal_dominant_parts_are_those_of_the_full_characters():
+    # the reference builds each full character by root-line division and scans it
+    for s in range(13):
+        for a in range(s + 1):
+            want = characters._dominant_part(char_B2(a, s - a)._c)
+            assert sorted(characters._dominant_b2(a, s - a)) == sorted(want), (a, s - a)
+
+
+def test_chain_builds_full_characters_only_where_it_expands_them(monkeypatch):
+    # fresh copies of every memo in front of char_B2: specialization and the peel read
+    # Freudenthal's dominant parts, so at (5, 5) only the 14 characters that the
+    # Newton recursion expands or Brauer-Klimyk reflects are built, not all 42
+    monkeypatch.setattr(characters, "_B2_CACHE", {})
+    monkeypatch.setattr(characters, "_PROD_CACHE", {})
+    for name in ("_dominant_b2", "_tensor_weights"):
+        fresh = functools.cache(getattr(characters, name).__wrapped__)
+        monkeypatch.setattr(characters, name, fresh)
+    monkeypatch.setattr(series, "_spin5_value", functools.cache(char_B2_value))
+    reports = run_suite(CheckConfig(suite="chain", deg_u=5, deg_v=5))
+    assert [r.status for r in reports] == ["pass"] * 12
+    assert len(characters._B2_CACHE) == 14
 
 
 def test_weyl_invariance_at_the_packed_range_edges():

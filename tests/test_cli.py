@@ -410,10 +410,13 @@ def test_local_vs_closed_fails_on_a_wrong_euler_factor(monkeypatch, run_checks):
     cfg = CheckConfig(suite="chain", deg_u=2, deg_v=3, satake_points=((2, -3, Fraction(5, 7)),))
     reports = run_checks(cfg, ["chain/local-vs-closed"])
     assert [(r.check_id, r.status) for r in reports] == [("chain/local-vs-closed", "fail")]
-    # U^0 V^2 is the first box position that sees the perturbed coefficient
-    want = closed(series.SatakePoint.make(2, -3, Fraction(5, 7)), "stdxspin", 3)[2]
-    assert reports[0].lhs == "pt=(2, -3, 5/7) U^0 V^2: %r" % want
-    assert reports[0].rhs == repr(want + 1)
+    # U^0 V^2 is the first box position that sees the perturbed coefficient.  The
+    # values are unnormalized: the closed side carries (1 - V^2), so it reads
+    # b[2] + 1 - b[0] there, and the specialized series the true b[2] - b[0]
+    b = closed(series.SatakePoint.make(2, -3, Fraction(5, 7)), "stdxspin", 3)
+    assert b[2] - b[0] == Fraction(4455011, 22050)
+    assert reports[0].lhs == "pt=(2, -3, 5/7) U^0 V^2: %r" % (b[2] - b[0])
+    assert reports[0].rhs == repr(b[2] + 1 - b[0])
 
 
 def test_wrong_block_fails_the_independent_routes(monkeypatch, run_checks):
