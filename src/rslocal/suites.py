@@ -5,6 +5,7 @@ Each suite is a generator of checks: ``_suite_<name>(cfg)`` yields one
 its yields.  ``_checks(cfg)`` chains the configured suites, and ``_run``
 is the one runner: it runs each body through ``_run_check`` and sorts the
 reports by id.  ``run_suite`` runs every entry of ``_checks(cfg)`` with it.
+Every comparison's ``fail`` lhs and rhs are written by ``_first_mismatch``.
 """
 
 from __future__ import annotations
@@ -181,12 +182,29 @@ def _run_check(reports: list, check_id: str, params: dict, fn):
     reports.append(CheckReport(check_id, params, status, lhs, rhs, elapsed))
 
 
-def _series_mismatch(lhs, rhs):
+def _first_mismatch(where, cases):
+    """True, or the failure triple of the first (args, lhs, rhs) case whose sides differ.
+
+    Its lhs is ``where % args`` and the repr of the case's lhs, its rhs the
+    repr of the case's rhs.  cases is read lazily, never past that case,
+    and no other case's label is formatted.
+    """
+    for args, lhs, rhs in cases:
+        if lhs != rhs:
+            return (False, "%s: %r" % (where % args, lhs), repr(rhs))
+    return True
+
+
+def _series_cases(lhs, rhs, *prefix):
+    """The first differing position (i, j) of two series, as one case with args (*prefix, i, j)."""
     diff = series.first_mismatch(lhs, rhs)
-    if diff is None:
-        return True
-    key, a, b = diff
-    return (False, "U^%d V^%d: %r" % (key[0], key[1], a), repr(b))
+    if diff is not None:
+        (i, j), a, b = diff
+        yield (*prefix, i, j), a, b
+
+
+def _series_mismatch(lhs, rhs):
+    return _first_mismatch("U^%d V^%d", _series_cases(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -245,43 +263,42 @@ def _suite_characters(cfg: CheckConfig):
 
     def sym_closed():
         base = characters.VirtualCharacter.weight(1, 0, 1)
-        for ell, rhs in enumerate(characters.sym_powers_decompose(base, l_max)):
-            lhs = characters.sym_power_spin_closed(ell)
-            if lhs != rhs:
-                return (False, "l=%d: %r" % (ell, lhs), repr(rhs))
-        return True
+        return _first_mismatch("l=%d", (
+            ((ell,), characters.sym_power_spin_closed(ell), rhs)
+            for ell, rhs in enumerate(characters.sym_powers_decompose(base, l_max))))
 
     yield "characters/sym-closed-vs-adams", {"l_max": l_max}, sym_closed
 
     tensor_samples = 25
 
     def tensor_dims():
-        rng = random.Random(cfg.seed + 2)
-        for _ in range(tensor_samples):
-            w1 = (rng.randint(0, 4), rng.randint(0, 3), rng.randint(0, 3))
-            w2 = (rng.randint(0, 4), rng.randint(0, 3), rng.randint(0, 3))
-            prod = characters.tensor_decompose(
-                characters.VirtualCharacter.weight(*w1),
-                characters.VirtualCharacter.weight(*w2),
-            )
-            # the one place a tensor product is expanded, multiplied and peeled:
-            # the SL2 and Spin5 products are peeled apart, and the product
-            # character's decomposition is their Kronecker product
-            sl2 = characters.decompose(characters.char_A1(w1[0]) * characters.char_A1(w2[0]))
-            spin5 = characters.decompose(
-                characters.char_B2(*w1[1:]) * characters.char_B2(*w2[1:])
-            )
-            oracle = characters.VirtualCharacter(
-                {(m, a, b): c1 * c2 for (m, _, _), c1 in sl2.items()
-                 for (_, a, b), c2 in spin5.items()}
-            )
-            if prod != oracle:
-                return (False, "%r x %r: %r" % (w1, w2, prod), repr(oracle))
-            if prod.dim() != characters.dim_irrep(*w1) * characters.dim_irrep(*w2):
-                return (False, "%r x %r" % (w1, w2), None)
-            if not prod.is_genuine():
-                return (False, "negative multiplicity in %r x %r" % (w1, w2), None)
-        return True
+        rng, weight = random.Random(cfg.seed + 2), characters.VirtualCharacter.weight
+        failed = []  # a dimension or genuineness failure, which ends the cases
+
+        def cases():
+            for _ in range(tensor_samples):
+                w1 = (rng.randint(0, 4), rng.randint(0, 3), rng.randint(0, 3))
+                w2 = (rng.randint(0, 4), rng.randint(0, 3), rng.randint(0, 3))
+                prod = characters.tensor_decompose(weight(*w1), weight(*w2))
+                # the one place a tensor product is expanded, multiplied and peeled:
+                # the SL2 and Spin5 products are peeled apart, and the product
+                # character's decomposition is their Kronecker product
+                sl2 = characters.decompose(characters.char_A1(w1[0]) * characters.char_A1(w2[0]))
+                spin5 = characters.decompose(
+                    characters.char_B2(*w1[1:]) * characters.char_B2(*w2[1:]))
+                oracle = characters.VirtualCharacter(
+                    {(m, a, b): c1 * c2 for (m, _, _), c1 in sl2.items()
+                     for (_, a, b), c2 in spin5.items()})
+                yield (w1, w2), prod, oracle
+                if prod.dim() != characters.dim_irrep(*w1) * characters.dim_irrep(*w2):
+                    failed.append((False, "%r x %r" % (w1, w2), None))
+                elif not prod.is_genuine():
+                    failed.append((False, "negative multiplicity in %r x %r" % (w1, w2), None))
+                if failed:
+                    return
+
+        outcome = _first_mismatch("%r x %r", cases())
+        return failed[0] if failed else outcome
 
     yield "characters/tensor-dim-conservation", {"samples": tensor_samples}, tensor_dims
 
@@ -290,25 +307,22 @@ def _suite_pieri(cfg: CheckConfig):
     row1_max, k_max = 5, 6
 
     def rule():
-        for r1 in range(row1_max + 1):
-            for r2 in range(r1 + 1):
-                for spin in (False, True):
-                    lam = characters.Partition2(r1, r2, spin)
-                    base = characters.VirtualCharacter.weight(*lam.to_weight())
-                    for k in range(k_max + 1):
-                        lhs = characters.pieri_tensor(lam, k)
-                        rhs = characters.tensor_decompose(
-                            base, characters.VirtualCharacter.weight(0, k, 0)
-                        )
-                        if lhs != rhs:
-                            return (
-                                False,
-                                "lam=%r k=%d: %r" % (lam, k, lhs),
-                                repr(rhs),
-                            )
-                        if not lhs.is_genuine():
-                            return (False, "negative multiplicity at %r" % (lam,), None)
-        return True
+        failed = []  # a negative multiplicity, which ends the cases
+
+        def cases():
+            for lam in (characters.Partition2(r1, r2, spin) for r1 in range(row1_max + 1)
+                        for r2 in range(r1 + 1) for spin in (False, True)):
+                base = characters.VirtualCharacter.weight(*lam.to_weight())
+                for k in range(k_max + 1):
+                    lhs = characters.pieri_tensor(lam, k)
+                    yield (lam, k), lhs, characters.tensor_decompose(
+                        base, characters.VirtualCharacter.weight(0, k, 0))
+                    if not lhs.is_genuine():
+                        failed.append((False, "negative multiplicity at %r" % (lam,), None))
+                        return
+
+        outcome = _first_mismatch("lam=%r k=%d", cases())
+        return failed[0] if failed else outcome
 
     yield "pieri/rule-vs-tensor-oracle", {"row1_max": row1_max, "k_max": k_max}, rule
 
@@ -364,11 +378,9 @@ def _suite_coeffs(cfg: CheckConfig):
     for check_id, lhs, rhs in pairs:
         def compare(lhs=lhs, rhs=rhs):
             got, want = column(lhs), column(rhs)
-            if got == want:
-                return True
-            j = next(j for j, (u, v) in enumerate(zip(got, want)) if u != v)
-            pt = (*plane[j // len(blocks)], *blocks[j % len(blocks)])
-            return (False, "(%d,%d,%d,%d,%d): %d" % (*pt, got[j]), str(want[j]))
+            return got == want or _first_mismatch("(%d,%d,%d,%d,%d)", (
+                ((*plane[j // len(blocks)], *blocks[j % len(blocks)]), u, v)
+                for j, (u, v) in enumerate(zip(got, want))))
 
         yield check_id, {"radius": r, "comparisons": len(plane) * len(blocks)}, compare
 
@@ -422,23 +434,15 @@ def _suite_padic(cfg: CheckConfig):
     ]
     for check_id, closed_fn, brute_fn in kernels:
         def kernel(closed_fn=closed_fn, brute_fn=brute_fn):
-            for v in range(val_lo, val_hi + 1):
-                closed, brute = closed_fn(v), brute_fn(v)
-                if closed != brute:
-                    return (False, "v=%d: %r" % (v, closed), repr(brute))
-            return True
+            vals = range(val_lo, val_hi + 1)
+            return _first_mismatch("v=%d", (((v,), closed_fn(v), brute_fn(v)) for v in vals))
 
         yield check_id, kernel_params, kernel
 
     def det_sweep():
-        for p in cfg.primes:
-            for tv, vals, (x, y, z), _, g in _det_configs(cfg.seed, p):
-                minors = padic.bottom_minor_norm(g, p)
-                closed = padic.det_norms_closed(tv, x, y, z, p)
-                if minors != closed:
-                    where = "p=%d abc=(%d,%d,%d) v=(%d,%d,%d)" % (p, *tv, *vals)
-                    return (False, "%s: %r" % (where, minors), repr(closed))
-        return True
+        return _first_mismatch("p=%d abc=(%d,%d,%d) v=(%d,%d,%d)", (
+            ((p, *tv, *vals), padic.bottom_minor_norm(g, p), padic.det_norms_closed(tv, x, y, z, p))
+            for p in cfg.primes for tv, vals, (x, y, z), _, g in _det_configs(cfg.seed, p)))
 
     params = {
         "primes": list(cfg.primes), "configs": _DET_CONFIGS,
@@ -491,16 +495,16 @@ def _suite_padic(cfg: CheckConfig):
     yield "padic/section-levi", params, section_levi
 
     def section_k_invariance():
-        for p in section_primes:
-            rng = random.Random(cfg.seed * 7070 + p)
-            base = padic.ut_element(1, p * p, 3, p, p, p * p, p)  # u(1/p, p, 3/p) t(p, p^2, p)
-            ref = padic.fprime_section(base, p)
-            for _ in range(k_samples):
-                k = _random_integral_k(rng, p)
-                got = padic.fprime_section(padic.mat_mul(base, k), p)
-                if got != ref:
-                    return (False, "p=%d: %r" % (p, got), repr(ref))
-        return True
+        def cases():
+            for p in section_primes:
+                rng = random.Random(cfg.seed * 7070 + p)
+                base = padic.ut_element(1, p * p, 3, p, p, p * p, p)  # u(1/p, p, 3/p) t(p, p^2, p)
+                ref = padic.fprime_section(base, p)
+                for _ in range(k_samples):
+                    k = _random_integral_k(rng, p)
+                    yield (p,), padic.fprime_section(padic.mat_mul(base, k), p), ref
+
+        return _first_mismatch("p=%d", cases())
 
     params = {"primes": list(section_primes), "samples": k_samples}
     yield "padic/section-k-invariance", params, section_k_invariance
@@ -509,12 +513,9 @@ def _suite_padic(cfg: CheckConfig):
 
     def fpsi():
         # an identity of Laurent polynomials in (1/p, p^-s, p^-w)
-        for a, b, c in itertools.product(range(abc_max + 1), repeat=3):
-            tv = padic.TorusValuations(a, b, c)
-            brute, closed = padic.fpsi_brute(tv), padic.fpsi_closed_numerator(tv)
-            if brute != closed:
-                return (False, "abc=(%d,%d,%d): %r" % (a, b, c, brute), repr(closed))
-        return True
+        tvs = map(padic.TorusValuations._make, itertools.product(range(abc_max + 1), repeat=3))
+        return _first_mismatch("abc=(%d,%d,%d)", (
+            (tv, padic.fpsi_brute(tv), padic.fpsi_closed_numerator(tv)) for tv in tvs))
 
     params = {"abc_max": abc_max, "scope": "every p, every (s, w)"}
     yield "padic/fpsi-closed-vs-brute", params, fpsi
@@ -653,7 +654,7 @@ def _suite_chain(cfg: CheckConfig):
 
     yield ("chain/local-vs-closed", {"box": [du, dv], "points": len(points)},
            functools.partial(vs_closed, "local", (du, dv)))
-    yield ("chain/lfactor-closed", {"deg": _SMALL_DEG, "points": len(points)},
+    yield ("chain/lfactor-closed", {"box": list(_small_box(cfg)), "points": len(points)},
            functools.partial(vs_closed, "lfactor", _small_box(cfg)))
 
 
@@ -667,24 +668,23 @@ def _vs_closed_product(points, specialized):
     of the box of specialized(pt), where a'[i] = a[i] - a[i-2] and
     b'[j] = b[j] - b[j-2].  The identity is the same, and so is the first
     differing position, since the normalization is unitriangular in
-    first_mismatch's order; a failure names the point and that position's
-    unnormalized values.
+    first_mismatch's order.  Each point yields its first differing position
+    to _first_mismatch, which names the point and the unnormalized values.
     """
-    for pt in points:
-        lhs = specialized(pt)
-        du, dv = lhs.deg_u, lhs.deg_v
-        a = series.lfactor_closed(pt, "std5", du)
-        b = series.lfactor_closed(pt, "stdxspin", dv)
-        a = [c - p for c, p in zip(a, [0, 0] + a)]
-        b = [c - p for c, p in zip(b, [0, 0] + b)]
-        closed = series.BiSeries(
-            du, dv, {(i, j): a[i] * b[j] for i in range(du + 1) for j in range(dv + 1)}
-        )
-        outcome = _series_mismatch(lhs, closed)
-        if outcome is not True:
-            _, got, want = outcome
-            return (False, "pt=(%s) %s" % (", ".join(map(str, pt)), got), want)
-    return True
+    def cases():
+        for pt in points:
+            lhs = specialized(pt)
+            du, dv = lhs.deg_u, lhs.deg_v
+            a = series.lfactor_closed(pt, "std5", du)
+            b = series.lfactor_closed(pt, "stdxspin", dv)
+            a = [c - p for c, p in zip(a, [0, 0] + a)]
+            b = [c - p for c, p in zip(b, [0, 0] + b)]
+            closed = series.BiSeries(
+                du, dv, {(i, j): a[i] * b[j] for i in range(du + 1) for j in range(dv + 1)}
+            )
+            yield from _series_cases(lhs, closed, ", ".join(map(str, pt)))
+
+    return _first_mismatch("pt=(%s) U^%d V^%d", cases())
 
 
 _SUITE_BODIES = {

@@ -210,6 +210,27 @@ def test_sw_flag_is_gone(capsys):
     assert "unrecognized arguments: --sw" in capsys.readouterr().err
 
 
+def test_first_mismatch_reports_the_first_differing_case_with_its_own_args():
+    cases = [((0, "a"), 1, 1), ((1, "b"), Fraction(1, 2), 2), ((2, "c"), 3, 4), ((3, "d"), 5, 5)]
+    assert suites._first_mismatch("n=%d %s", iter(cases)) == (
+        False, "n=1 b: %r" % Fraction(1, 2), "2"
+    )
+    assert suites._first_mismatch("n=%d %s", iter(cases[2:])) == (False, "n=2 c: 3", "4")
+    assert suites._first_mismatch("n=%d %s", iter(cases[:1] + cases[3:])) is True
+    assert suites._first_mismatch("n=%d", iter([])) is True
+    # a label is formatted only on a failure: this one cannot be formatted at all
+    assert suites._first_mismatch("n=%d", iter([(("not an int",), 1, 1)])) is True
+
+
+def test_first_mismatch_reads_no_case_past_the_first_mismatch():
+    def cases():
+        yield (0,), "x", "x"
+        yield (1,), "x", "y"
+        raise AssertionError("a case after the first mismatch was read")
+
+    assert suites._first_mismatch("k=%d", cases()) == (False, "k=1: 'x'", "'y'")
+
+
 def test_series_mismatch_names_first_differing_coefficient():
     lhs = BiSeries(1, 1, {(0, 1): Fraction(1, 2), (1, 1): Fraction(3)})
     rhs = BiSeries(1, 1, {(0, 1): Fraction(2), (1, 1): Fraction(5)})

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rslocal import coeffs, series
+from rslocal import coeffs, padic, series
 from rslocal.characters import VirtualCharacter, char_A1, char_B2, char_B2_value, product_char
 from rslocal.series import (
     BiSeries,
@@ -367,6 +367,22 @@ def test_lfactor_closed_rejects_unknown_rep():
     pt = SatakePoint.make(1, 2, 3)
     with pytest.raises(ValueError):
         lfactor_closed(pt, "adjoint", 2)
+
+
+@pytest.mark.parametrize("box", [(0, 0), (1, 3), (3, 1), (2, 5), (5, 2), (4, 4)])
+@pytest.mark.parametrize("build", [
+    local_integral_series,
+    lambda du, dv: mult_series(du, dv, coeffs.m_closed),
+    lambda du, dv: mult_series(du, dv, coeffs.n_interval),
+    pieri_product_series,
+    lfactor_product_series,
+    padic.torus_term_sum,
+], ids=["local", "mult-m", "mult-n", "pieri", "lfactor", "torus"])
+def test_truncation_bounds_suffice(build, box):
+    # a builder whose bounds drop a term that reaches the box would miss it
+    # there, but not in the box two larger in each degree, truncated back
+    du, dv = box
+    assert build(du + 2, dv + 2) + BiSeries.zero(du, dv) == build(du, dv)
 
 
 def test_box_containment_enforced():
