@@ -42,7 +42,6 @@ from .series import (
     mult_series,
     pieri_product_series,
     specialize,
-    sym_side_series,
 )
 from .suites import CheckConfig, CheckReport, emit_report, run_suite
 from .symplectic import FlagState, gamma5_check, h_generators, stab5_check

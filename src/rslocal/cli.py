@@ -1,14 +1,14 @@
-"""Command line driver: verify <suite> with configurable parameters.
+"""Command line driver: verify <suite>, each setting given by its flag.
 
-Exit status: 0 when every check passes, 1 when any check fails, 2 for
-configuration errors.  A JSON config file may supply any flag's value;
-explicit flags win.
+Every option's dest is a CheckConfig field; a field whose flag is not
+given keeps CheckConfig's default, and CheckConfig.validate checks the
+values.  Exit status: 0 when every check passes, 1 when any check fails,
+2 for configuration errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .suites import SUITES, CheckConfig, emit_report, run_suite
@@ -61,45 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="omit elapsed times so reports are byte-identical across runs",
     )
-    parser.add_argument("--config", default=None, help="JSON file of default option values")
     return parser
 
 
-# config-file key -> the CheckConfig field it sets
-_CONFIG_KEYS = {
-    "deg_u": "deg_u", "deg_v": "deg_v", "radius": "radius", "primes": "primes",
-    "satake": "satake_points", "seed": "seed", "format": "fmt", "no_timing": "no_timing",
-}
-
-
-def _tuples(value):
-    """A JSON value with every list made a tuple, as a repeatable flag's list is."""
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
-
-
-def _merge_config(args) -> CheckConfig:
-    """The run's config: explicit flags win over the config file, and
-    fields set by neither keep CheckConfig's defaults.
-
-    The file's values are validated on their own, with the run's suite,
-    so a malformed value is an error even where a flag overrides it.
-    """
+def _config(args) -> CheckConfig:
+    """The run's config: each flag that was given sets its field."""
     values = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ValueError("cannot read config file: %s" % exc)
-        if not isinstance(raw, dict):
-            raise ValueError("config file must hold a JSON object")
-        for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError("unknown config key %r" % key)
-            values[_CONFIG_KEYS[key]] = _tuples(value)
-        errors = CheckConfig(args.suite, **values).validate()
-        if errors:
-            raise ValueError("; ".join("config file: %s" % err for err in errors))
     for name in CheckConfig._fields:
         flag = getattr(args, name)
         if flag is not None:
@@ -109,13 +76,7 @@ def _merge_config(args) -> CheckConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = _merge_config(args)
-    except ValueError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
+    cfg = _config(build_parser().parse_args(argv))
     errors = cfg.validate()
     if errors:
         for err in errors:

@@ -33,7 +33,6 @@ from .characters import (
     char_A1,
     char_B2_value,
     product_char,  # unused here; perfbench/test_perfbench.py traces this binding
-    sym_powers_decompose,
     tensor_decompose,  # unused here (BiSeries multiplies with *); traced likewise
 )
 
@@ -41,12 +40,10 @@ __all__ = [
     "BiSeries",
     "SatakePoint",
     "first_mismatch",
-    "series_from_univariate",
     "local_integral_series",
     "mult_series",
     "lfactor_product_series",
     "pieri_product_series",
-    "sym_side_series",
     "specialize",
     "lfactor_closed",
     "character_value",
@@ -124,10 +121,6 @@ class BiSeries:
                     c[(i, j)] = v
         self._c = c
 
-    @classmethod
-    def zero(cls, deg_u: int, deg_v: int) -> "BiSeries":
-        return cls(deg_u, deg_v)
-
     def get(self, i: int, j: int):
         """The coefficient of U^i V^j; the int 0 where none is stored."""
         return self._c.get((i, j), 0)
@@ -199,19 +192,6 @@ def first_mismatch(lhs, rhs):
         if a != b:
             return key, a, b
     return None
-
-
-def series_from_univariate(coeffs, axis: str, deg_u: int, deg_v: int) -> BiSeries:
-    """Embed a list of coefficients as a pure-U or pure-V BiSeries."""
-    if axis not in ("u", "v"):
-        raise ValueError("axis must be 'u' or 'v'")
-    out = {}
-    for n, v in enumerate(coeffs):
-        if axis == "u" and n <= deg_u:
-            out[(n, 0)] = v
-        elif axis == "v" and n <= deg_v:
-            out[(0, n)] = v
-    return BiSeries(deg_u, deg_v, out)
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +317,6 @@ def pieri_product_series(deg_u: int, deg_v: int) -> BiSeries:
                                     weight = (2 * m + parity, first, 2 * beta + 2 * i + parity)
                                     _accumulate(acc, k, j, weight, 1)
     return _finish(acc, deg_u, deg_v)
-
-
-def sym_side_series(which: str, deg: int) -> list[VirtualCharacter]:
-    """Univariate symmetric-power series coefficients, l = 0, ..., deg.
-
-    "std": Sym^l of the 5-dimensional B2[1,0] (coefficient of U^l);
-    "spin-product": Sym^l of the 8-dimensional A1[1]B2[0,1] (V^l).  One
-    Newton recursion up to deg gives every coefficient.
-    """
-    if which == "std":
-        base = VirtualCharacter.weight(0, 1, 0)
-    elif which == "spin-product":
-        base = VirtualCharacter.weight(1, 0, 1)
-    else:
-        raise ValueError("which must be 'std' or 'spin-product'")
-    return sym_powers_decompose(base, deg)
 
 
 # ---------------------------------------------------------------------------

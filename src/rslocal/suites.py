@@ -43,7 +43,7 @@ class CheckConfig(NamedTuple):
         """One message per malformed field, naming the field or its first bad entry.
 
         This is the only check of a config value, whether it comes from a
-        flag, the config file or code; it never raises.
+        flag or from code; it never raises.
         """
         errors = []
         if self.suite not in SUITES:
@@ -623,11 +623,12 @@ def _suite_chain(cfg: CheckConfig):
 
     def normalization():
         lhs = get("lfactor").times_geometric(2, 0).times_geometric(0, 2)
-        su = series.sym_side_series("std", du)
-        sv = series.sym_side_series("spin-product", dv)
-        rhs = series.series_from_univariate(su, "u", du, dv) * series.series_from_univariate(
-            sv, "v", du, dv
-        )
+        # Sym^l of the 5-dimensional B2[1,0] at U^l, of the 8-dimensional A1[1]B2[0,1] at V^l
+        weight = characters.VirtualCharacter.weight
+        su = characters.sym_powers_decompose(weight(0, 1, 0), du)
+        sv = characters.sym_powers_decompose(weight(1, 0, 1), dv)
+        rhs = (series.BiSeries(du, dv, {(ell, 0): c for ell, c in enumerate(su)})
+               * series.BiSeries(du, dv, {(0, ell): c for ell, c in enumerate(sv)}))
         return _series_mismatch(lhs, rhs)
 
     yield "chain/normalization", box, normalization
@@ -649,7 +650,7 @@ def _suite_chain(cfg: CheckConfig):
     def vs_closed(name, box):
         # adding a zero series truncates to the box; the two zeta normalizations
         # 1/(1-U^2) and 1/(1-V^2) move to the closed side as (1-U^2)(1-V^2)
-        zero = series.BiSeries.zero(*box)
+        zero = series.BiSeries(*box)
         return _vs_closed_product(points, lambda pt: specialized(name, pt) + zero)
 
     yield ("chain/local-vs-closed", {"box": [du, dv], "points": len(points)},

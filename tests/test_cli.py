@@ -1,4 +1,4 @@
-"""CLI behavior: determinism, exit codes, report schema, config handling."""
+"""CLI behavior: determinism, exit codes, report schema, flag handling and validation."""
 
 import itertools
 import json
@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rslocal import cli, coeffs, series, suites
+from rslocal import characters, cli, coeffs, series, suites
 from rslocal.characters import VirtualCharacter
 from rslocal.series import BiSeries
 from rslocal.suites import CheckConfig, emit_report
@@ -52,6 +52,27 @@ def test_config_error_exit_code(capsys):
     assert "primes" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("primes", 5, "primes must be a list or tuple, got 5"),
+        ("satake_points", ((1, 2),),
+         "satake point (1, 2) does not have three rational coordinates"),
+        ("no_timing", "false", "no_timing must be true or false, got 'false'"),
+        ("radius", 1.9, "radius must be an integer, got 1.9"),
+    ],
+    ids=["primes-not-a-list", "satake-two-coordinates", "no-timing-a-string", "radius-a-float"],
+)
+def test_bad_config_value_exits_2(capsys, monkeypatch, field, value, message):
+    # values no flag can spell: main reports each validate message and runs no suite
+    real = cli._config
+    monkeypatch.setattr(cli, "_config", lambda args: real(args)._replace(**{field: value}))
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("ran an invalid config"))
+    code, out, err = run_main(capsys, ["chain", "--no-timing"])
+    assert (code, out) == (2, "")
+    assert err == "config error: %s\n" % message
+
+
 def test_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as err:
         cli.main(["nonsense"])
@@ -73,52 +94,6 @@ def test_emit_report_empty_list():
     doc = json.loads(emit_report([], cfg))
     assert doc["checks"] == []
     assert doc["version"] == suites.REPORT_VERSION
-
-
-def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(
-        json.dumps({"radius": 1, "deg_u": 2, "deg_v": 2, "no_timing": True, "primes": [3]})
-    )
-    code, out, _ = run_main(
-        capsys, ["coeffs", "--config", str(path), "--format", "json"]
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["config"]["radius"] == 1
-    assert doc["config"]["primes"] == [3]
-    # the flag wins over the config file
-    code, out, _ = run_main(
-        capsys,
-        ["coeffs", "--config", str(path), "--radius", "2", "--prime", "5", "--format", "json"],
-    )
-    doc = json.loads(out)
-    assert doc["config"]["radius"] == 2
-    assert doc["config"]["primes"] == [5]
-    # a malformed file value is an error even where a flag overrides it
-    path.write_text(json.dumps({"radius": 1.9}))
-    code, out, err = run_main(capsys, ["coeffs", "--config", str(path), "--radius", "1"])
-    assert (code, out) == (2, "")
-    assert "config error: config file: radius must be an integer, got 1.9" in err
-    # a file that sets every key reports byte for byte as the same values given as flags
-    path.write_text(json.dumps({
-        "deg_u": 2, "deg_v": 1, "radius": 1, "primes": [3, 2],
-        # a float coordinate reads through its decimal text: 0.1 is 1/10
-        "satake": [[0.1, -2, "3/7"], [2, 1.5, 7]],
-        "seed": 4, "format": "json", "no_timing": True,
-    }))
-    assert len(json.loads(path.read_text())) == len(cli._CONFIG_KEYS)
-    code, from_file, _ = run_main(capsys, ["chain", "--config", str(path)])
-    assert code == 0
-    flags = [
-        "--deg-u", "2", "--deg-v", "1", "--radius", "1", "--prime", "3", "--prime", "2",
-        "--satake=1/10,-2,3/7", "--satake=2,3/2,7",
-        "--seed", "4", "--format", "json", "--no-timing",
-    ]
-    code, from_flags, _ = run_main(capsys, ["chain"] + flags)
-    assert code == 0
-    assert from_file == from_flags
-    assert json.loads(from_file)["config"]["satake_points"][0] == ["1/10", "-2", "3/7"]
 
 
 def test_satake_flags(capsys):
@@ -145,61 +120,24 @@ def test_satake_flags(capsys):
         assert err == "config error: %s\n" % message
 
 
-@pytest.mark.parametrize(
-    "doc, message",
-    [
-        ({"primes": 5}, "config file: primes must be a list or tuple, got 5"),
-        ({"radius": None}, "config file: radius must be an integer, got None"),
-        ({"satake": [[1, 2]]},
-         "config file: satake point (1, 2) does not have three rational coordinates"),
-        ({"primes": "23"}, "config file: primes must be a list or tuple, got '23'"),
-        ({"no_timing": "false"}, "config file: no_timing must be true or false, got 'false'"),
-        ({"radius": 1.9}, "config file: radius must be an integer, got 1.9"),
-        # the (s, w) points are gone: the key is refused whatever its value
-        ({"sw": [[2]]}, "unknown config key 'sw'"),
-        ({"sw": [[2, "9"]]}, "unknown config key 'sw'"),
-        # well-typed, but a check over no primes or Satake points compares nothing
-        ({"primes": []}, "config file: primes must not be empty"),
-        ({"sw": []}, "unknown config key 'sw'"),
-        ({"satake": []}, "config file: satake_points must not be empty"),
-    ],
-    ids=[
-        "primes-not-a-list",
-        "radius-null",
-        "satake-two-coordinates",
-        "primes-a-string",
-        "no-timing-a-string",
-        "radius-a-float",
-        "sw-one-coordinate",
-        "sw-a-string",
-        "primes-empty",
-        "sw-empty",
-        "satake-empty",
-    ],
-)
-def test_bad_config_value_exits_2(tmp_path, capsys, doc, message):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run_main(capsys, ["chain", "--config", str(path), "--no-timing"])
-    assert code == 2
-    assert out == ""
-    assert "config error: " + message in err
-
-
 def test_character_cache_is_gone(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as err:
         cli.main(["characters", "--cache", "x"])
     assert err.value.code == 2
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"cache": "x"}))
-    code, _, err = run_main(capsys, ["characters", "--config", str(path)])
-    assert code == 2
-    assert "unknown config key 'cache'" in err
     cache = tmp_path / "env-cache.json"
     monkeypatch.setenv("RSLOCAL_CACHE", str(cache))
     code, _, _ = run_main(capsys, ["characters", "--no-timing"])
     assert code == 0
     assert not cache.exists()
+
+
+def test_a_satake_coordinate_reads_through_its_text():
+    # a float from code reads as its decimal text, so 0.1 is 1/10, not the binary double
+    cfg = CheckConfig("chain", satake_points=((0.1, -2, "3/7"), (2, 1.5, 7)))
+    assert cfg.validate() == []
+    assert cfg.as_dict()["satake_points"] == [["1/10", "-2", "3/7"], ["2", "3/2", "7"]]
+    bad = CheckConfig("chain", satake_points=((True, 1, 1),))
+    assert bad.validate() == ["satake point (True, 1, 1) does not have three rational coordinates"]
 
 
 def test_sw_flag_is_gone(capsys):
@@ -208,6 +146,35 @@ def test_sw_flag_is_gone(capsys):
         cli.main(["padic", "--sw", "2,9"])
     assert err.value.code == 2
     assert "unrecognized arguments: --sw" in capsys.readouterr().err
+
+
+def test_config_flag_is_gone(capsys):
+    # every setting is given by its own flag; there is no file of option values
+    with pytest.raises(SystemExit) as err:
+        cli.main(["chain", "--config", "cfg.json"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+def test_every_option_sets_a_config_field():
+    # cli._config copies each field's flag, so no flag can exist without a field
+    dests = {action.dest for action in cli.build_parser()._actions if action.dest != "help"}
+    assert dests == set(CheckConfig._fields)
+
+
+def test_every_flag_sets_its_field():
+    parse = cli.build_parser().parse_args
+    argv = ["chain", "--deg-u", "2", "--deg-v", "1", "--radius", "1", "--prime", "3",
+            "--prime", "2", "--satake=1/10,-2,3/7", "--seed", "4", "--format", "json",
+            "--no-timing"]
+    cfg = cli._config(parse(argv))
+    # repeatable flags become tuples, and every field here differs from its default
+    assert cfg == CheckConfig(suite="chain", deg_u=2, deg_v=1, radius=1, primes=(3, 2),
+                              satake_points=(("1/10", "-2", "3/7"),), seed=4, fmt="json",
+                              no_timing=True)
+    assert all(a != b for a, b in zip(cfg, CheckConfig()))
+    # a field whose flag is not given keeps its default
+    assert cli._config(parse(["chain"])) == CheckConfig(suite="chain")
 
 
 def test_first_mismatch_reports_the_first_differing_case_with_its_own_args():
@@ -243,7 +210,7 @@ def test_series_mismatch_names_first_differing_coefficient():
     assert suites._series_mismatch(lhs, absent) == (False, "U^0 V^1: %r" % Fraction(1, 2), "0")
     assert suites._series_mismatch(absent, lhs) == (False, "U^0 V^1: 0", repr(Fraction(1, 2)))
     triv = VirtualCharacter.weight(0, 0, 0)
-    assert suites._series_mismatch(BiSeries(0, 0, {(0, 0): triv}), BiSeries.zero(0, 0)) == (
+    assert suites._series_mismatch(BiSeries(0, 0, {(0, 0): triv}), BiSeries(0, 0)) == (
         False, "U^0 V^0: %r" % triv, "0"
     )
 
@@ -440,6 +407,22 @@ def test_local_vs_closed_fails_on_a_wrong_euler_factor(monkeypatch, run_checks):
     assert reports[0].rhs == repr(b[2] + 1 - b[0])
 
 
+def test_normalization_fails_on_a_wrong_symmetric_square(monkeypatch, run_checks):
+    real = characters.sym_powers_decompose
+    std, triv = VirtualCharacter.weight(0, 1, 0), VirtualCharacter.weight(0, 0, 0)
+
+    def perturbed(v, top):
+        out = real(v, top)
+        return out[:2] + [out[2] + triv] + out[3:] if v == std and top >= 2 else out
+
+    monkeypatch.setattr(characters, "sym_powers_decompose", perturbed)
+    reports = run_checks(CheckConfig(suite="chain", deg_u=3, deg_v=2), ["chain/normalization"])
+    assert [(r.check_id, r.status) for r in reports] == [("chain/normalization", "fail")]
+    # Sym^2 B2[1,0] = B2[2,0] + B2[0,0] meets Sym^0 of the V side first at U^2 V^0
+    assert reports[0].lhs == "U^2 V^0: VirtualCharacter(+1*A1[0]B2[0,0], +1*A1[0]B2[2,0])"
+    assert reports[0].rhs == "VirtualCharacter(+2*A1[0]B2[0,0], +1*A1[0]B2[2,0])"
+
+
 def test_wrong_block_fails_the_independent_routes(monkeypatch, run_checks):
     # the second branch's base_v 2 too high, in every builder that reads the block
     block = coeffs.block
@@ -483,11 +466,18 @@ def test_wrong_block_fails_the_independent_routes(monkeypatch, run_checks):
         (CheckConfig("chain", satake_points=5), "satake_points must be a list or tuple, got 5"),
         # a repeated prime would draw padic/det-closed-vs-minors's samples twice
         (CheckConfig("padic", primes=(2, 3, 2)), "primes must be distinct, got 2 more than once"),
+        (CheckConfig("coeffs", radius=None), "radius must be an integer, got None"),
+        # a string is refused whole, not read as the primes 2 and 3
+        (CheckConfig("padic", primes="23"), "primes must be a list or tuple, got '23'"),
+        # well-typed, but a check over no primes or Satake points compares nothing
+        (CheckConfig("padic", primes=()), "primes must not be empty"),
+        (CheckConfig("chain", satake_points=()), "satake_points must not be empty"),
     ],
     ids=["satake-two-coordinates", "satake-not-rational", "prime-a-pair",
          "prime-outside-the-set-outside-padic", "prime-a-float", "radius-a-float",
          "deg-u-a-float", "seed-a-bool", "no-timing-a-string", "primes-not-a-list",
-         "satake-points-not-a-list", "primes-repeated"],
+         "satake-points-not-a-list", "primes-repeated", "radius-none", "primes-a-string",
+         "primes-empty", "satake-points-empty"],
 )
 def test_run_suite_names_a_malformed_entry(cfg, message):
     assert cfg.validate() == [message]

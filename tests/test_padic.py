@@ -741,7 +741,7 @@ def test_torus_term_sum_is_the_added_torus_terms(monkeypatch, box, cancel):
     du, dv = box
     triples = list(itertools.product(range(dv + 1), range(du + dv + 1), range(dv + 1)))
     assert [tv for tv, _, _ in read] == triples
-    added = BiSeries.zero(*box)
+    added = BiSeries(*box)
     for _, term_series, cells in read:
         assert _cells(term_series) == cells  # read, never written
         added = added + term_series

@@ -8,7 +8,14 @@ from fractions import Fraction
 import pytest
 
 from rslocal import coeffs, padic, series
-from rslocal.characters import VirtualCharacter, char_A1, char_B2, char_B2_value, product_char
+from rslocal.characters import (
+    VirtualCharacter,
+    char_A1,
+    char_B2,
+    char_B2_value,
+    product_char,
+    sym_powers_decompose,
+)
 from rslocal.series import (
     BiSeries,
     SatakePoint,
@@ -18,9 +25,7 @@ from rslocal.series import (
     local_integral_series,
     mult_series,
     pieri_product_series,
-    series_from_univariate,
     specialize,
-    sym_side_series,
 )
 from rslocal.suites import CheckConfig
 
@@ -68,9 +73,10 @@ def test_pieri_series_corner_and_equalities():
 
 
 def test_sym_side_std_chain():
-    su = sym_side_series("std", 4)
+    # Sym^l of the 5-dimensional B2[1,0], at U^l as chain/normalization places it
+    su = sym_powers_decompose(VirtualCharacter.weight(0, 1, 0), 4)
     assert su[0] == TRIV
-    lhs = series_from_univariate(su, "u", 4, 0)
+    lhs = BiSeries(4, 0, {(ell, 0): c for ell, c in enumerate(su)})
     base = BiSeries(4, 0, {(k, 0): VirtualCharacter.weight(0, k, 0) for k in range(5)})
     geometric = BiSeries(4, 0, {(0, 0): TRIV}).times_geometric(2, 0)
     assert geometric == BiSeries(4, 0, {(0, 0): TRIV, (2, 0): TRIV, (4, 0): TRIV})
@@ -78,8 +84,9 @@ def test_sym_side_std_chain():
 
 
 def test_sym_side_spin_chain():
-    sv = sym_side_series("spin-product", 4)
-    lhs = series_from_univariate(sv, "v", 0, 4)
+    # Sym^l of the 8-dimensional A1[1]B2[0,1], at V^l
+    sv = sym_powers_decompose(VirtualCharacter.weight(1, 0, 1), 4)
+    lhs = BiSeries(0, 4, {(0, ell): c for ell, c in enumerate(sv)})
     acc = {}
     for m in range(5):
         for n in range((4 - m) // 2 + 1):
@@ -88,11 +95,6 @@ def test_sym_side_spin_chain():
     base = BiSeries(0, 4, acc)
     geometric = BiSeries(0, 4, {(0, 0): TRIV}).times_geometric(0, 2)
     assert lhs == base * geometric == base.times_geometric(0, 2)
-
-
-def test_sym_side_rejects_unknown():
-    with pytest.raises(ValueError):
-        sym_side_series("nope", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +111,7 @@ def test_specialize_identity_point_gives_dimensions():
 
 def test_specialize_zero_series():
     pt = SatakePoint.make(2, 3, 5)
-    assert not specialize(BiSeries.zero(2, 2), pt)
+    assert not specialize(BiSeries(2, 2), pt)
 
 
 def test_specialize_chain_identity():
@@ -382,7 +384,7 @@ def test_truncation_bounds_suffice(build, box):
     # a builder whose bounds drop a term that reaches the box would miss it
     # there, but not in the box two larger in each degree, truncated back
     du, dv = box
-    assert build(du + 2, dv + 2) + BiSeries.zero(du, dv) == build(du, dv)
+    assert build(du + 2, dv + 2) + BiSeries(du, dv) == build(du, dv)
 
 
 def test_box_containment_enforced():
