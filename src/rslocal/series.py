@@ -39,7 +39,6 @@ from .characters import (
 __all__ = [
     "BiSeries",
     "SatakePoint",
-    "first_mismatch",
     "local_integral_series",
     "mult_series",
     "lfactor_product_series",
@@ -176,22 +175,6 @@ class BiSeries:
                 out[key] = v if cur is None else cur + v
                 n += 1
         return BiSeries(self.deg_u, self.deg_v, out)
-
-
-def first_mismatch(lhs, rhs):
-    """Smallest box position where two series' coefficients differ, or None.
-
-    Returns (key, lhs value, rhs value) for series of any coefficient ring;
-    a side with no coefficient at key gives the int 0.  Zero coefficients
-    are never stored, so equal dicts mean that no position differs.
-    """
-    if lhs._c == rhs._c:
-        return None
-    for key in sorted(set(lhs._c) | set(rhs._c)):
-        a, b = lhs.get(*key), rhs.get(*key)
-        if a != b:
-            return key, a, b
-    return None
 
 
 # ---------------------------------------------------------------------------

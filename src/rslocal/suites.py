@@ -5,7 +5,10 @@ Each suite is a generator of checks: ``_suite_<name>(cfg)`` yields one
 its yields.  ``_checks(cfg)`` chains the configured suites, and ``_run``
 is the one runner: it runs each body through ``_run_check`` and sorts the
 reports by id.  ``run_suite`` runs every entry of ``_checks(cfg)`` with it.
-Every comparison's ``fail`` lhs and rhs are written by ``_first_mismatch``.
+Every ``fail`` written here comes from ``_first_mismatch``: a body yields
+its ``(args, lhs, rhs)`` cases in order, and the first case whose sides
+differ is the failure.  Only the ``symplectic`` certificates that the
+``orbits`` suite runs as they are word their own failures.
 """
 
 from __future__ import annotations
@@ -196,11 +199,16 @@ def _first_mismatch(where, cases):
 
 
 def _series_cases(lhs, rhs, *prefix):
-    """The first differing position (i, j) of two series, as one case with args (*prefix, i, j)."""
-    diff = series.first_mismatch(lhs, rhs)
-    if diff is not None:
-        (i, j), a, b = diff
-        yield (*prefix, i, j), a, b
+    """Each position (i, j) of two unequal series' supports, in order, as a case
+    with args (*prefix, i, j); none when the series are equal."""
+    if lhs != rhs:
+        for i, j in sorted({key for side in (lhs, rhs) for key, _ in side.items()}):
+            yield (*prefix, i, j), lhs.get(i, j), rhs.get(i, j)
+
+
+def _negative_part(vc):
+    """The terms of a virtual character with negative multiplicity; empty when it is genuine."""
+    return characters.VirtualCharacter({w: c for w, c in vc.items() if c < 0})
 
 
 def _series_mismatch(lhs, rhs):
@@ -216,24 +224,20 @@ def _suite_characters(cfg: CheckConfig):
     m_max, ab_max = 12, 8
 
     def dims():
-        for m in range(m_max + 1):
-            if characters.char_A1(m).evaluate(one, one, one) != characters.dim_irrep(m, 0, 0):
-                return (False, "A1[%d]" % m, None)
-        for a in range(ab_max + 1):
-            for b in range(ab_max + 1 - a):
-                got = characters.char_B2(a, b).evaluate(one, one, one)
-                if got != characters.dim_irrep(0, a, b):
-                    return (False, "B2[%d,%d] trace %s" % (a, b, got), None)
-        return True
+        # a trace is labelled by its weight, written A1[m]B2[a,b] as VirtualCharacter writes it
+        traces = itertools.chain(
+            (((m, 0, 0), characters.char_A1(m)) for m in range(m_max + 1)),
+            (((0, a, b), characters.char_B2(a, b))
+             for a in range(ab_max + 1) for b in range(ab_max + 1 - a)))
+        return _first_mismatch("A1[%d]B2[%d,%d]", (
+            (w, poly.evaluate(one, one, one), characters.dim_irrep(*w)) for w, poly in traces))
 
     yield "characters/dim-vs-trace", {"m_max": m_max, "ab_max": ab_max}, dims
 
     def invariance():
-        for a in range(ab_max + 1):
-            for b in range(ab_max + 1 - a):
-                if not characters.char_B2(a, b).is_weyl_invariant():
-                    return (False, "B2[%d,%d]" % (a, b), None)
-        return True
+        return _first_mismatch("B2[%d,%d]", (
+            ((a, b), characters.char_B2(a, b).is_weyl_invariant(), True)
+            for a in range(ab_max + 1) for b in range(ab_max + 1 - a)))
 
     yield "characters/weyl-invariance", {"ab_max": ab_max}, invariance
 
@@ -241,20 +245,17 @@ def _suite_characters(cfg: CheckConfig):
 
     def roundtrip():
         rng = random.Random(cfg.seed + 1)
-        weights = [
-            (m, a, b)
-            for m in range(support_max + 1)
-            for a in range(support_max + 1)
-            for b in range(support_max + 1 - a)
-        ]
-        for _ in range(samples):
-            support = rng.sample(weights, rng.randint(1, 5))
-            vc = characters.VirtualCharacter(
-                {w: rng.choice((-3, -2, -1, 1, 2, 3)) for w in support}
-            )
-            if characters.decompose(vc.expand()) != vc:
-                return (False, repr(vc), None)
-        return True
+        weights = [(m, a, b) for m in range(support_max + 1) for a in range(support_max + 1)
+                   for b in range(support_max + 1 - a)]
+
+        def cases():
+            for n in range(samples):
+                support = rng.sample(weights, rng.randint(1, 5))
+                vc = characters.VirtualCharacter(
+                    {w: rng.choice((-3, -2, -1, 1, 2, 3)) for w in support})
+                yield (n,), characters.decompose(vc.expand()), vc
+
+        return _first_mismatch("sample %d", cases())
 
     params = {"samples": samples, "support_max": support_max}
     yield "characters/decompose-roundtrip", params, roundtrip
@@ -273,7 +274,6 @@ def _suite_characters(cfg: CheckConfig):
 
     def tensor_dims():
         rng, weight = random.Random(cfg.seed + 2), characters.VirtualCharacter.weight
-        failed = []  # a dimension or genuineness failure, which ends the cases
 
         def cases():
             for _ in range(tensor_samples):
@@ -289,16 +289,13 @@ def _suite_characters(cfg: CheckConfig):
                 oracle = characters.VirtualCharacter(
                     {(m, a, b): c1 * c2 for (m, _, _), c1 in sl2.items()
                      for (_, a, b), c2 in spin5.items()})
-                yield (w1, w2), prod, oracle
-                if prod.dim() != characters.dim_irrep(*w1) * characters.dim_irrep(*w2):
-                    failed.append((False, "%r x %r" % (w1, w2), None))
-                elif not prod.is_genuine():
-                    failed.append((False, "negative multiplicity in %r x %r" % (w1, w2), None))
-                if failed:
-                    return
+                yield (w1, w2, ""), prod, oracle
+                yield ((w1, w2, " dim"), prod.dim(),
+                       characters.dim_irrep(*w1) * characters.dim_irrep(*w2))
+                yield ((w1, w2, " negative part"), _negative_part(prod),
+                       characters.VirtualCharacter())
 
-        outcome = _first_mismatch("%r x %r", cases())
-        return failed[0] if failed else outcome
+        return _first_mismatch("%r x %r%s", cases())
 
     yield "characters/tensor-dim-conservation", {"samples": tensor_samples}, tensor_dims
 
@@ -307,33 +304,27 @@ def _suite_pieri(cfg: CheckConfig):
     row1_max, k_max = 5, 6
 
     def rule():
-        failed = []  # a negative multiplicity, which ends the cases
-
         def cases():
             for lam in (characters.Partition2(r1, r2, spin) for r1 in range(row1_max + 1)
                         for r2 in range(r1 + 1) for spin in (False, True)):
                 base = characters.VirtualCharacter.weight(*lam.to_weight())
                 for k in range(k_max + 1):
                     lhs = characters.pieri_tensor(lam, k)
-                    yield (lam, k), lhs, characters.tensor_decompose(
+                    yield (lam, k, ""), lhs, characters.tensor_decompose(
                         base, characters.VirtualCharacter.weight(0, k, 0))
-                    if not lhs.is_genuine():
-                        failed.append((False, "negative multiplicity at %r" % (lam,), None))
-                        return
+                    yield ((lam, k, " negative part"), _negative_part(lhs),
+                           characters.VirtualCharacter())
 
-        outcome = _first_mismatch("lam=%r k=%d", cases())
-        return failed[0] if failed else outcome
+        return _first_mismatch("lam=%r k=%d%s", cases())
 
     yield "pieri/rule-vs-tensor-oracle", {"row1_max": row1_max, "k_max": k_max}, rule
 
     box = _small_box(cfg)
 
     def positivity():
-        ps = series.pieri_product_series(*box)
-        for _, vc in ps.items():
-            if not vc.is_genuine():
-                return (False, repr(vc), None)
-        return True
+        return _first_mismatch("U^%d V^%d", (
+            (key, _negative_part(vc), characters.VirtualCharacter())
+            for key, vc in series.pieri_product_series(*box).items()))
 
     yield "pieri/series-positivity", {"box": list(box)}, positivity
 
@@ -455,41 +446,32 @@ def _suite_padic(cfg: CheckConfig):
     def section_levi():
         g5 = padic.gamma5_matrix()
         g5_inv = padic.mat_inv(g5)
-        for p in section_primes:
-            rng = random.Random(cfg.seed * 77 + p)
-            for _ in range(levi_samples):
-                # Levi data: m1 integral invertible, m2 and mu powers of p
-                # times units
-                while True:
-                    m1 = [[rng.randrange(-6, 7) for _ in range(2)] for _ in range(2)]
-                    det = m1[0][0] * m1[1][1] - m1[0][1] * m1[1][0]
-                    if det:
-                        break
-                m2 = _random_unit(rng, p) * p ** rng.randrange(0, 3)
-                mu = _random_unit(rng, p) * p ** rng.randrange(0, 3)
-                g = padic.levi_element(m1, m2, mu)
-                conj = padic.mat_mul(padic.mat_mul(g5_inv, g), g5)
-                levi = "p=%d m1=%r m2=%s mu=%s" % (p, m1, m2, mu)
-                try:
-                    v3, v2, vmu = padic.fprime_section(conj, p)
-                except ValueError as exc:  # g is no similitude, or its minors vanish
-                    return (False, "%s: %s" % (levi, exc), "similitude %s" % mu)
-                # p-exponents in f' = |det3|^(-2s)|det2|^(2s-w)|mu|^(s+w)
-                # versus the parabolic character of the Levi data
-                es = 2 * v3 - 2 * v2 - vmu
-                ew = v2 - vmu
-                vdet = padic.valuation(det, p)
-                vm2 = padic.valuation(m2, p)
-                vmu_true = padic.valuation(mu, p)
-                want_s = -2 * vm2 + vmu_true
-                want_w = -vdet + vmu_true
-                if (es, ew) != (want_s, want_w):
-                    return (
-                        False,
-                        "%s -> (%d,%d)" % (levi, es, ew),
-                        "(%d,%d)" % (want_s, want_w),
-                    )
-        return True
+
+        def cases():
+            for p in section_primes:
+                rng = random.Random(cfg.seed * 77 + p)
+                for _ in range(levi_samples):
+                    # Levi data: m1 integral invertible, m2 and mu powers of p times units
+                    while True:
+                        m1 = [[rng.randrange(-6, 7) for _ in range(2)] for _ in range(2)]
+                        det = m1[0][0] * m1[1][1] - m1[0][1] * m1[1][0]
+                        if det:
+                            break
+                    m2 = _random_unit(rng, p) * p ** rng.randrange(0, 3)
+                    mu = _random_unit(rng, p) * p ** rng.randrange(0, 3)
+                    conj = padic.mat_mul(padic.mat_mul(g5_inv, padic.levi_element(m1, m2, mu)), g5)
+                    # the parabolic character of the Levi data
+                    vmu = padic.valuation(mu, p)
+                    want = (-2 * padic.valuation(m2, p) + vmu, -padic.valuation(det, p) + vmu)
+                    try:
+                        v3, v2, v_sim = padic.fprime_section(conj, p)
+                        # p-exponents in f' = |det3|^(-2s)|det2|^(2s-w)|mu|^(s+w)
+                        got = (2 * v3 - 2 * v2 - v_sim, v2 - v_sim)
+                    except ValueError as exc:  # g is no similitude, or its minors vanish
+                        got = str(exc)
+                    yield (p, m1, m2, mu), got, want
+
+        return _first_mismatch("p=%d m1=%r m2=%d mu=%d", cases())
 
     params = {"primes": list(section_primes), "samples": levi_samples}
     yield "padic/section-levi", params, section_levi
@@ -561,25 +543,22 @@ def _suite_orbits(cfg: CheckConfig):
     }
     for q in (2, 3):
         def flag_count(q=q):
-            got = len(symplectic.flag_space(q).flags)
-            formula = symplectic.flag_counts(q)
-            want = expected_totals[q]
-            if got != want[1] or formula != want:
-                return (False, "count %d formula %r" % (got, formula), repr(want))
-            return True
+            return _first_mismatch("q=%d %s", [
+                ((q, "count"), len(symplectic.flag_space(q).flags), expected_totals[q][1]),
+                ((q, "formula"), symplectic.flag_counts(q), expected_totals[q])])
 
         yield "orbits/flag-count-q%d" % q, {"q": q}, flag_count
 
         def split(q=q):
             space = symplectic.flag_space(q)
             sizes, orbit_of = space.orbit_split()
-            sizes = list(sizes)  # the failure text shows the list repr
-            if sizes != expected_sizes[q]:
-                return (False, "sizes %r" % sizes, repr(expected_sizes[q]))
-            alt = orbit_of[space.flag_index(symplectic.alt_fifth_flag(q))]
-            if alt != 5:
-                return (False, "variant flag in orbit %d" % alt, "5")
-            return True
+
+            def cases():
+                yield (q, "sizes"), list(sizes), expected_sizes[q]  # compared and shown as a list
+                alt = space.flag_index(symplectic.alt_fifth_flag(q))
+                yield (q, "orbit of the variant flag"), orbit_of[alt], 5
+
+            return _first_mismatch("q=%d %s", cases())
 
         yield "orbits/orbit-split-q%d" % q, {"q": q, "orbits": 5, "sizes": expected_sizes[q]}, split
         yield "orbits/stab5-q%d" % q, {"q": q}, functools.partial(symplectic.stab5_check, q)
@@ -587,9 +566,7 @@ def _suite_orbits(cfg: CheckConfig):
     def h_order():
         space, want = symplectic.flag_space(2), symplectic.h_group_order(2)
         closure = symplectic.group_closure(space.identity, space.vector_tables, want)
-        if len(closure) != want:
-            return (False, str(len(closure)), str(want))
-        return True
+        return _first_mismatch("q=%d closure order", [((2,), len(closure), want)])
 
     yield "orbits/h-order-q2", {"q": 2}, h_order
 
@@ -669,8 +646,8 @@ def _vs_closed_product(points, specialized):
     of the box of specialized(pt), where a'[i] = a[i] - a[i-2] and
     b'[j] = b[j] - b[j-2].  The identity is the same, and so is the first
     differing position, since the normalization is unitriangular in
-    first_mismatch's order.  Each point yields its first differing position
-    to _first_mismatch, which names the point and the unnormalized values.
+    _series_cases's order.  Each point yields its positions to
+    _first_mismatch, which names the point and the unnormalized values.
     """
     def cases():
         for pt in points:

@@ -545,6 +545,56 @@ def test_wrong_reflection_sign_fails_both_tensor_routes(monkeypatch, run_checks)
     assert reports[0].lhs.startswith("U^2 V^3: ")
 
 
+def _dim_plus_one_at_023(m, a, b):
+    return dim_irrep(m, a, b) + ((m, a, b) == (0, 2, 3))
+
+
+def _char_b2_not_invariant_at_11(a, b):
+    return char_B2(a, b) + (LaurentPoly.monomial(0, 2, 0) if (a, b) == (1, 1) else LaurentPoly.zero())
+
+
+def _decompose_plus_trivial(poly):
+    return decompose(poly) + VirtualCharacter.weight(0, 0, 0)
+
+
+def _pieri_less_b2_50_at_21_k2(lam, k):
+    out = pieri_tensor(lam, k)
+    return out + VirtualCharacter({(0, 5, 0): -1}) if (lam, k) == (Partition2(2, 1), 2) else out
+
+
+def _pieri_series_less_trivial_at_u1(du, dv, pieri_series=series.pieri_product_series):
+    return pieri_series(du, dv) + series.BiSeries(du, dv, {(1, 0): VirtualCharacter({(0, 0, 0): -1})})
+
+
+PIERI_21_K2 = ("+1*A1[0]B2[0,2], +1*A1[0]B2[0,4], +1*A1[0]B2[1,0], +2*A1[0]B2[1,2], "
+               "+1*A1[0]B2[1,4], +1*A1[0]B2[2,2], +1*A1[0]B2[3,0], +1*A1[0]B2[3,2]")
+
+
+@pytest.mark.parametrize("module, name, mutant, check_id, lhs, rhs", [
+    (characters, "dim_irrep", _dim_plus_one_at_023, "characters/dim-vs-trace",
+     "A1[0]B2[2,3]: Fraction(140, 1)", "141"),
+    (characters, "dim_irrep", _dim_plus_one_at_023, "characters/tensor-dim-conservation",
+     "(0, 2, 3) x (2, 3, 3) dim: 107520", "108288"),
+    (characters, "char_B2", _char_b2_not_invariant_at_11, "characters/weyl-invariance",
+     "B2[1,1]: False", "True"),
+    (characters, "decompose", _decompose_plus_trivial, "characters/decompose-roundtrip",
+     "sample 0: VirtualCharacter(+1*A1[0]B2[0,0], -3*A1[5]B2[0,5], -1*A1[6]B2[6,0])",
+     "VirtualCharacter(-3*A1[5]B2[0,5], -1*A1[6]B2[6,0])"),
+    (characters, "pieri_tensor", _pieri_less_b2_50_at_21_k2, "pieri/rule-vs-tensor-oracle",
+     "lam=Partition2(row1=2, row2=1, spinor=False) k=2: VirtualCharacter(%s, -1*A1[0]B2[5,0])"
+     % PIERI_21_K2, "VirtualCharacter(%s)" % PIERI_21_K2),
+    (series, "pieri_product_series", _pieri_series_less_trivial_at_u1, "pieri/series-positivity",
+     "U^1 V^0: VirtualCharacter(-1*A1[0]B2[0,0])", "VirtualCharacter(0)"),
+], ids=["dim-vs-trace", "tensor-dim", "weyl-invariance", "decompose-roundtrip", "pieri-rule",
+        "series-positivity"])
+def test_a_mutant_fails_the_check_at_its_first_case(
+        monkeypatch, run_checks, module, name, mutant, check_id, lhs, rhs):
+    # each text is the one failure format: the first differing case's label and lhs repr, the rhs repr
+    monkeypatch.setattr(module, name, mutant)
+    reports = run_checks(CheckConfig(suite=check_id.split("/")[0]), [check_id])
+    assert [(r.check_id, r.status, r.lhs, r.rhs) for r in reports] == [(check_id, "fail", lhs, rhs)]
+
+
 # ---------------------------------------------------------------------------
 # Symmetric powers: brute multiset expansion as the oracle.
 

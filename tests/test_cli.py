@@ -18,6 +18,14 @@ def run_main(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _main_refuses(capsys, monkeypatch, argv):
+    """main's stderr for argv, which must exit 2 with empty stdout and run no suite."""
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("ran an invalid config"))
+    code, out, err = run_main(capsys, argv)
+    assert (code, out) == (2, "")
+    return err
+
+
 def test_chain_small_box_passes(capsys):
     code, out, _ = run_main(capsys, ["chain", "--deg-u", "2", "--deg-v", "2", "--no-timing"])
     assert code == 0
@@ -67,16 +75,20 @@ def test_bad_config_value_exits_2(capsys, monkeypatch, field, value, message):
     # values no flag can spell: main reports each validate message and runs no suite
     real = cli._config
     monkeypatch.setattr(cli, "_config", lambda args: real(args)._replace(**{field: value}))
-    monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("ran an invalid config"))
-    code, out, err = run_main(capsys, ["chain", "--no-timing"])
-    assert (code, out) == (2, "")
-    assert err == "config error: %s\n" % message
+    assert _main_refuses(capsys, monkeypatch, ["chain", "--no-timing"]) == (
+        "config error: %s\n" % message)
 
 
-def test_unknown_suite_exits_2():
-    with pytest.raises(SystemExit) as err:
-        cli.main(["nonsense"])
-    assert err.value.code == 2
+def test_unknown_suite_exits_2(capsys, monkeypatch):
+    # CheckConfig.validate, not argparse, refuses the value
+    assert _main_refuses(capsys, monkeypatch, ["nonsense"]) == (
+        "config error: unknown suite 'nonsense' "
+        "(choose from characters, pieri, coeffs, padic, orbits, chain, all)\n")
+
+
+def test_unknown_format_exits_2(capsys, monkeypatch):
+    assert _main_refuses(capsys, monkeypatch, ["chain", "--format", "xml"]) == (
+        "config error: format must be text or json, got 'xml'\n")
 
 
 def test_failing_check_exit_code_and_digest(capsys, monkeypatch):

@@ -218,3 +218,21 @@ def test_suites_builds_no_matrix():
     tree = ast.parse((SRC / "suites.py").read_text())
     named = {getattr(n, key, None) for n in ast.walk(tree) for key in ("id", "attr", "name")}
     assert "QMatrix" not in named
+
+
+def _is_false(node):
+    return isinstance(node, ast.Constant) and node.value is False
+
+
+def test_only_first_mismatch_writes_a_fail():
+    # every fail of a suites check has one format: a body hands its (args, lhs, rhs)
+    # cases to _first_mismatch instead of writing a (False, lhs, rhs) triple or False
+    tree = ast.parse((SRC / "suites.py").read_text())
+    [helper] = [n for n in tree.body if getattr(n, "name", None) == "_first_mismatch"]
+    inside = set(map(id, ast.walk(helper)))
+    written = [
+        n.lineno for n in ast.walk(tree) if id(n) not in inside and (
+            isinstance(n, ast.Tuple) and len(n.elts) == 3 and _is_false(n.elts[0])
+            or isinstance(n, ast.Return) and _is_false(n.value))
+    ]
+    assert written == []

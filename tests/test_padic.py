@@ -246,6 +246,15 @@ def test_each_section_check_can_fail(monkeypatch, run_checks):
         assert (report.status, lhs in report.lhs) == ("fail", True), (check_id, report.lhs)
 
 
+def test_section_levi_names_the_levi_data_of_its_first_wrong_exponents(monkeypatch, run_checks):
+    # the mutant doubles m2, so the section's exponents no longer match the Levi data drawn
+    levi = padic.levi_element
+    monkeypatch.setattr(padic, "levi_element", lambda m1, m2, mu: levi(m1, 2 * m2, mu))
+    [report] = run_checks(suites.CheckConfig(suite="padic"), ["padic/section-levi"])
+    assert (report.status, report.lhs, report.rhs) == (
+        "fail", "p=2 m1=[[-6, -5], [-5, -1]] m2=188 mu=68: (-4, 2)", "(-2, 2)")
+
+
 def test_det_configs_are_the_column_scaled_products():
     # 500 samples per prime in the valuation range [-3, 3]; the digest pins
     # their seeding for the seeds 0 and 1 at p in {2, 3, 5}, and each g, built

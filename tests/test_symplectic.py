@@ -580,8 +580,31 @@ def test_orbit_split_check_names_the_orbit_of_a_misplaced_variant_flag(monkeypat
     monkeypatch.setattr(symplectic, "alt_fifth_flag", lambda q: orbit_representatives(q)[3])
     reports = run_checks(suites.CheckConfig(suite="orbits"), ["orbits/orbit-split-q2"])
     assert [(r.check_id, r.status, r.lhs, r.rhs) for r in reports] == [
-        ("orbits/orbit-split-q2", "fail", "variant flag in orbit 4", "5")
+        ("orbits/orbit-split-q2", "fail", "q=2 orbit of the variant flag: 4", "5")
     ]
+
+
+def _flag_counts_plus_one(q, flag_counts=symplectic.flag_counts):
+    return tuple(n + 1 for n in flag_counts(q))
+
+
+def _closure_less_one_element(*args, group_closure=symplectic.group_closure):
+    return set(sorted(group_closure(*args))[1:])
+
+
+@pytest.mark.parametrize("name, mutant, check_id, lhs, rhs", [
+    ("flag_counts", _flag_counts_plus_one, "orbits/flag-count-q2",
+     "q=2 formula: (136, 946)", "(135, 945)"),
+    ("flag_counts", _flag_counts_plus_one, "orbits/flag-count-q3",
+     "q=3 formula: (1121, 14561)", "(1120, 14560)"),
+    ("group_closure", _closure_less_one_element, "orbits/h-order-q2",
+     "q=2 closure order: 4319", "4320"),
+], ids=["flag-count-q2", "flag-count-q3", "h-order-q2"])
+def test_a_mutant_fails_the_orbit_count_at_its_first_case(
+        monkeypatch, run_checks, name, mutant, check_id, lhs, rhs):
+    monkeypatch.setattr(symplectic, name, mutant)
+    reports = run_checks(suites.CheckConfig(suite="orbits"), [check_id])
+    assert [(r.check_id, r.status, r.lhs, r.rhs) for r in reports] == [(check_id, "fail", lhs, rhs)]
 
 
 # ---------------------------------------------------------------------------
